@@ -60,7 +60,7 @@ nspec = il.MemristorSpec(v_set_min=1.5, v_set_max=1.5, v_reset_min=-1.5,
                          v_reset_max=-2.2, g_on=115e-6, g_off=10e-6, iv_model=iv)
 nspecs = {"bottom": nspec, "top": nspec}
 nres = il.optimize(stack, "T1", "T2", nspecs)
-linear = il.delta_ideal_parallel(0.0, nspec.g_on, nspec.g_off, il.v_star(nspec))
+linear = il.delta_ideal_parallel(0.0, nspec.g_on, nspec.g_off, nspec.v_set_star)
 print(f"sinh devices: margin {nres.margin * 1e3:.1f} mV at "
       f"v_p {nres.best_config.v_p:+.3f} V, i_l {nres.best_config.load.i_l * 1e6:+.1f} uA")
 print(f"ohmic theory at the same read conductances: {linear * 1e3:.1f} mV")
@@ -77,4 +77,4 @@ try:
     il.optimize(stack, "T1", "T2", {"bottom": wide, "top": wide})
 except il.Infeasible as exc:
     print(f"half-width {wide.set_half_width:.2f} V > v*/3 = "
-          f"{il.v_star(wide) / 3:.2f} V -> {exc}")
+          f"{wide.v_set_star / 3:.2f} V -> {exc}")

@@ -82,16 +82,16 @@ stress = il.ImpConfig(v_p=-2.1, load=il.ResistiveLoad(g_l=1e-3, v_l=0.0))
 thresholds = {c: il.nominal_thresholds(specs[stack.cells[c].spec_ref])
               for c in stack.usable_cells()}
 for pulse in (1, 2):
-    states, events = il.settle_states(stack, specs, states, stress,
-                                      "T1", "T2", thresholds)
+    states, events, _ = il.settle_states(stack, specs, states, stress,
+                                         "T1", "T2", thresholds)
     st = states["T1"]
     print(f"   stress pulse {pulse}: events "
           f"{[e.kind.value for e in events] or 'none'}, T1 scale "
           f"{st.conductance_scale:.2f}, still reads "
           f"{il.decode_bit(spec, st)}")
 full = il.ImpConfig(v_p=-3.0, load=il.ResistiveLoad(g_l=1e-3, v_l=0.0))
-states, events = il.settle_states(stack, specs, states, full, "T1", "T2",
-                                  thresholds)
+states, events, _ = il.settle_states(stack, specs, states, full, "T1", "T2",
+                                     thresholds)
 print(f"   deeper pulse: events {[e.kind.value for e in events]}, "
       f"T1 -> {states['T1'].logic.name} scale "
       f"{states['T1'].conductance_scale:.1f} (a full reset restores scale 1)")

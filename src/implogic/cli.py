@@ -119,7 +119,7 @@ def _numeric_rows(spec: MemristorSpec, gl_over_gon: list[float],
                   rounds: int) -> list[dict]:
     """Margin points from the full numerical optimizer for the given device,
     at zero threshold variation so they compare against the ideal curves."""
-    vs = mg.v_star(spec)
+    vs = spec.v_set_star
     ideal = MemristorSpec(v_set_min=vs, v_set_max=vs,
                           v_reset_min=spec.v_reset_min,
                           v_reset_max=spec.v_reset_max, g_on=spec.g_on,

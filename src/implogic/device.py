@@ -45,6 +45,13 @@ class Logic(Enum):
     ON = 1
 
 
+def check_finite(obj) -> None:
+    """Raise ValueError naming the first non-finite numeric field of a dataclass."""
+    for name, value in vars(obj).items():
+        if isinstance(value, (float, int, np.floating)) and not math.isfinite(value):
+            raise ValueError(f"{type(obj).__name__}.{name} must be finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class LinearIV:
     """Ohmic branch per state: I = G * V."""
@@ -67,6 +74,7 @@ class SinhIV:
     kind: str = field(default="sinh", init=False)
 
     def __post_init__(self):
+        check_finite(self)
         for name in ("a_on", "b_on", "a_off", "b_off"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"SinhIV.{name} must be > 0")
@@ -96,6 +104,7 @@ class MemristorSpec:
     iv_model: LinearIV | SinhIV = field(default_factory=LinearIV)
 
     def __post_init__(self):
+        check_finite(self)
         if not 0.0 < self.v_set_min <= self.v_set_max:
             raise ValueError("require 0 < v_set_min <= v_set_max")
         if not self.v_reset_max <= self.v_reset_min < 0.0:
@@ -184,24 +193,26 @@ class ThresholdSample:
             raise ValueError("v_reset_full must be <= v_reset_onset")
 
 
-def current(spec: MemristorSpec, state: DeviceState, v: float) -> float:
-    """Device current at voltage drop v for the given state.
+def current(spec: MemristorSpec, state: DeviceState, v):
+    """Device current at voltage drop v (a float or an array) for the given state.
 
     Both I-V variants are odd in v, so the sign of the result follows the
-    sign of v.
+    sign of v. Where sinh overflows, a float raises OverflowError and an array saturates.
     """
     scale = state.conductance_scale
     model = spec.iv_model
     if isinstance(model, SinhIV):
+        sinh = np.sinh if isinstance(v, np.ndarray) else math.sinh
         if state.logic is Logic.ON:
-            return scale * model.a_on * math.sinh(model.b_on * v)
-        return scale * model.a_off * math.sinh(model.b_off * v)
+            return scale * model.a_on * sinh(model.b_on * v)
+        return scale * model.a_off * sinh(model.b_off * v)
     g = spec.g_on if state.logic is Logic.ON else spec.g_off
     return scale * g * v
 
 
 def differential_conductance(spec: MemristorSpec, state: DeviceState, v: float) -> float:
-    """dI/dV at drop v; used by the Newton node solver."""
+    """dI/dV at drop v; used by the Newton node solver and, for ohmic
+    devices, as the conductance of the closed forms."""
     scale = state.conductance_scale
     model = spec.iv_model
     if isinstance(model, SinhIV):

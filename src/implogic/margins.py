@@ -20,7 +20,6 @@ from .topology import Polarity
 
 __all__ = [
     "MarginReport",
-    "v_star",
     "delta_ideal_parallel",
     "optimal_bias",
     "optimal_i_l",
@@ -32,11 +31,6 @@ __all__ = [
     "analytic_report",
     "sweep_rows",
 ]
-
-
-def v_star(spec: MemristorSpec) -> float:
-    """Mid-range set voltage: midpoint of the cycle-to-cycle set interval."""
-    return 0.5 * (spec.v_set_max + spec.v_set_min)
 
 
 def delta_ideal_parallel(g_l: float, g_on: float, g_off: float, vstar: float) -> float:
@@ -164,7 +158,7 @@ class MarginReport:
 def analytic_report(spec: MemristorSpec, g_l: float = 0.0) -> MarginReport:
     """Margins and optimal bias for identical devices in the parallel
     reference step, at load g_l (0 selects the current source)."""
-    vs = v_star(spec)
+    vs = spec.v_set_star
     ideal = delta_ideal_parallel(g_l, spec.g_on, spec.g_off, vs)
     if g_l > 0.0:
         v_p, v_l = optimal_bias(g_l, spec.g_on, spec.g_off, vs)

@@ -15,8 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .device import DeviceState, LinearIV, Logic, MemristorSpec
-from .solver import solve_pair
+from . import device as dev
+from .device import LinearIV, Logic, MemristorSpec
+from .solver import BRACKET, solve_pair
 from .topology import (CurrentSourceLoad, ImpConfig, ResistiveLoad,
                        StackTopology)
 
@@ -28,8 +29,8 @@ __all__ = [
     "optimize",
 ]
 
-_COMBOS = ((Logic.OFF, Logic.OFF), (Logic.OFF, Logic.ON),
-           (Logic.ON, Logic.OFF), (Logic.ON, Logic.ON))
+# (P, Q) initial states of the four correctness combinations
+_COMBOS = tuple((p, q) for p in (dev.OFF, dev.ON) for q in (dev.OFF, dev.ON))
 
 
 class Infeasible(Exception):
@@ -53,8 +54,21 @@ class OptimizationResult:
                 "evaluations": self.evaluations}
 
 
-def _combo_tag(p_logic: Logic, q_logic: Logic) -> str:
-    return f"p={p_logic.name.lower()},q={q_logic.name.lower()}"
+def _slacks(p_logic: Logic, q_logic: Logic, drop_p, drop_q,
+            p_spec: MemristorSpec, q_spec: MemristorSpec) -> tuple:
+    """The three correctness slacks of one initial-state combination, named
+    by ``_SLACK_NAMES``; drops may be floats or arrays."""
+    target = (drop_q - q_spec.v_set_max if p_logic is q_logic is Logic.OFF
+              else q_spec.v_set_min - drop_q)       # must set / must not set
+    return (target, p_spec.v_set_min - drop_p, drop_p - p_spec.v_reset_min)
+
+
+_SLACK_NAMES = {
+    (p, q): tuple(f"{kind}@p={p.logic.name.lower()},q={q.logic.name.lower()}" for kind in (
+        "must_set" if p.logic is q.logic is Logic.OFF else "must_not_set",
+        "p_no_set", "p_no_reset"))
+    for p, q in _COMBOS
+}
 
 
 def evaluate_margin(topology: StackTopology, p: str, q: str, config: ImpConfig,
@@ -72,16 +86,11 @@ def evaluate_margin(topology: StackTopology, p: str, q: str, config: ImpConfig,
     s_p = topology.step_sign(p, common)
     s_q = topology.step_sign(q, common)
     slacks: dict[str, float] = {}
-    for p_logic, q_logic in _COMBOS:
-        sol = solve_pair(p_spec, DeviceState(p_logic), q_spec,
-                         DeviceState(q_logic), config, s_p, s_q, method=method)
-        tag = _combo_tag(p_logic, q_logic)
-        if (p_logic, q_logic) == (Logic.OFF, Logic.OFF):
-            slacks[f"must_set@{tag}"] = sol.drop_q - q_spec.v_set_max
-        else:
-            slacks[f"must_not_set@{tag}"] = q_spec.v_set_min - sol.drop_q
-        slacks[f"p_no_set@{tag}"] = p_spec.v_set_min - sol.drop_p
-        slacks[f"p_no_reset@{tag}"] = sol.drop_p - p_spec.v_reset_min
+    for p_state, q_state in _COMBOS:
+        sol = solve_pair(p_spec, p_state, q_spec, q_state, config, s_p, s_q,
+                         method=method)
+        slacks.update(zip(_SLACK_NAMES[p_state, q_state], _slacks(
+            p_state.logic, q_state.logic, sol.drop_p, sol.drop_q, p_spec, q_spec)))
     return slacks
 
 
@@ -89,75 +98,43 @@ def worst_slack(slacks: dict[str, float]) -> float:
     return min(slacks.values())
 
 
-def _linear_margin_grid(vp: np.ndarray, ll: np.ndarray, g_l: float,
-                        p_spec: MemristorSpec, q_spec: MemristorSpec,
-                        s_p: int, s_q: int) -> np.ndarray:
-    """Vectorized worst slack for ohmic devices; ``ll`` is the load current
-    (g_l * v_l for a resistive load, i_l for a current source)."""
-    margin = np.full(np.broadcast_shapes(vp.shape, ll.shape), np.inf)
-    for p_logic, q_logic in _COMBOS:
-        g_p = p_spec.g_on if p_logic is Logic.ON else p_spec.g_off
-        g_q = q_spec.g_on if q_logic is Logic.ON else q_spec.g_off
-        x = (-g_p * vp - ll) / (g_p + g_q + g_l)
-        drop_p = s_p * (vp + x)
-        drop_q = s_q * x
-        if (p_logic, q_logic) == (Logic.OFF, Logic.OFF):
-            np.minimum(margin, drop_q - q_spec.v_set_max, out=margin)
-        else:
-            np.minimum(margin, q_spec.v_set_min - drop_q, out=margin)
-        np.minimum(margin, p_spec.v_set_min - drop_p, out=margin)
-        np.minimum(margin, drop_p - p_spec.v_reset_min, out=margin)
-    return margin
-
-
-def _branch_current(spec: MemristorSpec, logic: Logic, v: np.ndarray) -> np.ndarray:
-    """Array-valued device current for one logic state at unit scale."""
-    model = spec.iv_model
-    if isinstance(model, LinearIV):
-        g = spec.g_on if logic is Logic.ON else spec.g_off
-        return g * v
-    if logic is Logic.ON:
-        return model.a_on * np.sinh(model.b_on * v)
-    return model.a_off * np.sinh(model.b_off * v)
-
-
 _GRID_BISECTIONS = 60  # halves a 20 V bracket to ~2e-17 V
 
 
-def _nonlinear_margin_grid(vp: np.ndarray, ll: np.ndarray, g_l: float,
-                           p_spec: MemristorSpec, q_spec: MemristorSpec,
-                           s_p: int, s_q: int) -> np.ndarray:
-    """Vectorized worst slack with nonlinear branches: a fixed-depth
-    bisection of the monotone balance over the whole grid at once.
+def _margin_grid(vp: np.ndarray, ll: np.ndarray, g_l: float,
+                 p_spec: MemristorSpec, q_spec: MemristorSpec,
+                 s_p: int, s_q: int, closed: bool) -> np.ndarray:
+    """Vectorized worst slack; ``ll`` is the load current (g_l * v_l for a
+    resistive load, i_l for a current source). The node voltage comes from
+    the closed form when ``closed`` (every device ohmic), else from a
+    fixed-depth bisection of the monotone balance over the whole grid.
 
     Used only to steer the refinement; the slacks finally reported for the
-    winning bias are recomputed through the scalar Newton solver.
+    winning bias are recomputed through the scalar solver.
     """
     shape = np.broadcast_shapes(vp.shape, ll.shape)
-    vp = np.broadcast_to(vp, shape)
-    ll = np.broadcast_to(ll, shape)
     margin = np.full(shape, np.inf)
-    for p_logic, q_logic in _COMBOS:
-        lo = np.full(shape, -10.0)
-        hi = np.full(shape, 10.0)
-        with np.errstate(over="ignore"):  # saturated sinh still signs f correctly
-            for _ in range(_GRID_BISECTIONS):
-                mid = 0.5 * (lo + hi)
-                f = (_branch_current(p_spec, p_logic, vp + mid)
-                     + _branch_current(q_spec, q_logic, mid)
-                     + ll + g_l * mid)
-                above = f > 0.0
-                hi = np.where(above, mid, hi)
-                lo = np.where(above, lo, mid)
-        x = 0.5 * (lo + hi)
-        drop_p = s_p * (vp + x)
-        drop_q = s_q * x
-        if (p_logic, q_logic) == (Logic.OFF, Logic.OFF):
-            np.minimum(margin, drop_q - q_spec.v_set_max, out=margin)
+    for p_state, q_state in _COMBOS:
+        if closed:
+            g_p = dev.differential_conductance(p_spec, p_state, 0.0)
+            g_q = dev.differential_conductance(q_spec, q_state, 0.0)
+            x = (-g_p * vp - ll) / (g_p + g_q + g_l)
         else:
-            np.minimum(margin, q_spec.v_set_min - drop_q, out=margin)
-        np.minimum(margin, p_spec.v_set_min - drop_p, out=margin)
-        np.minimum(margin, drop_p - p_spec.v_reset_min, out=margin)
+            lo = np.full(shape, -BRACKET)
+            hi = np.full(shape, BRACKET)
+            with np.errstate(over="ignore"):  # saturated sinh still signs f correctly
+                for _ in range(_GRID_BISECTIONS):
+                    mid = 0.5 * (lo + hi)
+                    f = (dev.current(p_spec, p_state, vp + mid)
+                         + dev.current(q_spec, q_state, mid)
+                         + ll + g_l * mid)
+                    above = f > 0.0
+                    hi = np.where(above, mid, hi)
+                    lo = np.where(above, lo, mid)
+            x = 0.5 * (lo + hi)
+        for slack in _slacks(p_state.logic, q_state.logic, s_p * (vp + x),
+                             s_q * x, p_spec, q_spec):
+            np.minimum(margin, slack, out=margin)
     return margin
 
 
@@ -229,11 +206,10 @@ def optimize(topology: StackTopology, p: str, q: str,
         """Worst slack over all pairs; vp and ll broadcast elementwise."""
         nonlocal evaluations
         total = np.full(np.broadcast_shapes(vp.shape, ll.shape), np.inf)
-        grid_fn = _linear_margin_grid if all_linear else _nonlinear_margin_grid
         for info in pairs:
             f = info["flip"]
-            m = grid_fn(f * vp, f * ll, g_l, info["p_spec"], info["q_spec"],
-                        info["s_p"], info["s_q"])
+            m = _margin_grid(f * vp, f * ll, g_l, info["p_spec"], info["q_spec"],
+                             info["s_p"], info["s_q"], all_linear)
             np.minimum(total, m, out=total)
         evaluations += int(total.size)
         return total

@@ -16,7 +16,7 @@ import numpy as np
 from . import device as dev
 from . import margins
 from .device import DeviceState, Logic, MemristorSpec, ThresholdSample
-from .solver import NodeSolution, SwitchEvent, settle_states, solve_node
+from .solver import NodeSolution, SwitchEvent, settle_states
 from .topology import CurrentSourceLoad, ImpConfig, StackTopology
 
 __all__ = [
@@ -53,6 +53,12 @@ class WriteStep:
     cell: str
     value: int
     op: str = field(default="write", init=False)
+
+    def __post_init__(self):
+        if self.value not in (0, 1):
+            raise ProgramError(
+                f"write of {self.value!r} to {self.cell!r}: value must be 0 or 1")
+        object.__setattr__(self, "value", int(self.value))
 
 
 @dataclass(frozen=True)
@@ -144,7 +150,7 @@ class StepProgram:
         for i, s in enumerate(obj.get("steps", [])):
             op = s.get("op")
             if op == "write":
-                steps.append(WriteStep(cell=s["cell"], value=int(s["value"])))
+                steps.append(WriteStep(cell=s["cell"], value=s["value"]))
             elif op == "reset":
                 steps.append(ResetStep(cell=s["cell"]))
             elif op == "imp":
@@ -163,7 +169,6 @@ class StepRecord:
     index: int
     op: str
     detail: dict
-    states_before: dict[str, tuple[str, float]]
     states_after: dict[str, tuple[str, float]]
     node: NodeSolution | None
     events: tuple[SwitchEvent, ...]
@@ -252,7 +257,6 @@ def execute(program: StepProgram, topology: StackTopology,
     full = trace_level == "full"
 
     for i, step in enumerate(program.steps):
-        before = _snapshot(states) if full else {}
         node = None
         events: tuple[SwitchEvent, ...] = ()
         read_bit = None
@@ -269,10 +273,8 @@ def execute(program: StepProgram, topology: StackTopology,
         elif isinstance(step, ImpStep):
             config = _resolve_config(step, topology, configs)
             th = {step.p: thresholds_for(step.p), step.q: thresholds_for(step.q)}
-            if full:
-                node = solve_node(topology, specs, states, config, step.p, step.q)
-            states, ev = settle_states(topology, specs, states, config, step.p,
-                                       step.q, th, partial_reset_factor)
+            states, ev, node = settle_states(topology, specs, states, config, step.p,
+                                             step.q, th, partial_reset_factor)
             events = tuple(ev)
             detail = {"p": step.p, "q": step.q, "config": step.config_ref}
         else:
@@ -283,7 +285,6 @@ def execute(program: StepProgram, topology: StackTopology,
 
         if full:
             records.append(StepRecord(index=i, op=step.op, detail=detail,
-                                      states_before=before,
                                       states_after=_snapshot(states),
                                       node=node, events=events,
                                       read_bit=read_bit))
@@ -317,7 +318,7 @@ def with_inputs(program: StepProgram, values: dict[str, int]) -> StepProgram:
     missing = set(program.declared_inputs) - set(values)
     if missing:
         raise ProgramError(f"missing input values for {sorted(missing)}")
-    writes = tuple(WriteStep(program.declared_inputs[var], int(values[var]))
+    writes = tuple(WriteStep(program.declared_inputs[var], values[var])
                    for var in sorted(program.declared_inputs))
     return StepProgram(writes + program.steps, program.declared_inputs,
                        program.declared_outputs)
@@ -498,7 +499,7 @@ def default_configs(spec: MemristorSpec) -> dict[str, ImpConfig]:
     """Current-source bias pair at the analytic optimum for the given spec:
     ``drive_neg`` for steps whose target sets away from the common node,
     ``drive_pos`` for the mirrored class."""
-    vs = margins.v_star(spec)
+    vs = spec.v_set_star
     ideal = margins.delta_ideal_parallel(0.0, spec.g_on, spec.g_off, vs)
     v_p = -2.0 * ideal
     i_l = margins.optimal_i_l(spec.g_off, vs)

@@ -92,11 +92,26 @@ def _balance(x: float, p_spec: MemristorSpec, p_state: DeviceState, v_p: float,
 def _solve_linear(p_spec: MemristorSpec, p_state: DeviceState, v_p: float,
                   q_spec: MemristorSpec, q_state: DeviceState,
                   load: ResistiveLoad | CurrentSourceLoad) -> float:
-    g_p = (p_spec.g_on if p_state.logic is Logic.ON else p_spec.g_off) * p_state.conductance_scale
-    g_q = (q_spec.g_on if q_state.logic is Logic.ON else q_spec.g_off) * q_state.conductance_scale
+    g_p = dev.differential_conductance(p_spec, p_state, 0.0)
+    g_q = dev.differential_conductance(q_spec, q_state, 0.0)
     if isinstance(load, ResistiveLoad):
         return (-g_p * v_p - load.g_l * load.v_l) / (load.g_l + g_p + g_q)
     return (-g_p * v_p - load.i_l) / (g_p + g_q)
+
+
+def _bracket_overflow(p_spec: MemristorSpec, p_state: DeviceState, v_p: float,
+                      q_spec: MemristorSpec, q_state: DeviceState) -> NoConvergence:
+    """Name the bracket end and the device whose I-V overflows there."""
+    for x in (-BRACKET, BRACKET):
+        for role, spec, state, v in (("P", p_spec, p_state, v_p + x),
+                                     ("Q", q_spec, q_state, x)):
+            try:  # cosh >= |sinh|: it overflows wherever the current does
+                dev.differential_conductance(spec, state, v)
+            except OverflowError:
+                return NoConvergence(
+                    f"I-V of device {role} ({state.logic.name}) overflows at the "
+                    f"{x:+g} V end of the Newton bracket (drop {v:+.4g} V)")
+    return NoConvergence("I-V overflow on the Newton bracket")
 
 
 def _solve_iterative(p_spec: MemristorSpec, p_state: DeviceState, v_p: float,
@@ -109,8 +124,11 @@ def _solve_iterative(p_spec: MemristorSpec, p_state: DeviceState, v_p: float,
     bracket fall back to bisection.
     """
     lo, hi = -BRACKET, BRACKET
-    f_lo, _ = _balance(lo, p_spec, p_state, v_p, q_spec, q_state, load)
-    f_hi, _ = _balance(hi, p_spec, p_state, v_p, q_spec, q_state, load)
+    try:
+        f_lo, _ = _balance(lo, p_spec, p_state, v_p, q_spec, q_state, load)
+        f_hi, _ = _balance(hi, p_spec, p_state, v_p, q_spec, q_state, load)
+    except OverflowError:
+        raise _bracket_overflow(p_spec, p_state, v_p, q_spec, q_state) from None
     if f_lo > 0.0 or f_hi < 0.0:
         raise NoConvergence(
             f"no current-balance root in [{-BRACKET}, {BRACKET}] V "
@@ -193,14 +211,15 @@ def settle_states(topology: StackTopology, specs: dict[str, MemristorSpec],
                   states: dict[str, DeviceState], config: ImpConfig,
                   p: str, q: str, thresholds: dict[str, ThresholdSample],
                   partial_reset_factor: float = dev.PARTIAL_RESET_FACTOR,
-                  ) -> tuple[dict[str, DeviceState], list[SwitchEvent]]:
+                  ) -> tuple[dict[str, DeviceState], list[SwitchEvent], NodeSolution]:
     """Apply the switching rules of one pulse to a fixed point.
 
     Each pass solves the node and then applies at most one event per rule:
     the target Q sets if its drop reaches its sampled set threshold; either
     driven device resets (partially for drops between the full level and
     the onset, fully below the full level). The state lattice is monotone
-    within a pulse, so the loop terminates in a handful of passes.
+    within a pulse, so the loop terminates in a handful of passes. Also
+    returns the first pass's node solution: the bias point before switching.
     """
     states = dict(states)
     events: list[SwitchEvent] = []
@@ -210,6 +229,8 @@ def settle_states(topology: StackTopology, specs: dict[str, MemristorSpec],
 
     for iteration in range(1, 9):
         sol = solve_node(topology, specs, states, config, p, q)
+        if iteration == 1:
+            first = sol
         fired: list[SwitchEvent] = []
 
         if (not set_done and states[q].logic is Logic.OFF
@@ -234,7 +255,7 @@ def settle_states(topology: StackTopology, specs: dict[str, MemristorSpec],
                 partial_done[cell] = True
 
         if not fired:
-            return states, events
+            return states, events, first
         events.extend(fired)
 
     raise NoConvergence("switching did not reach a fixed point")

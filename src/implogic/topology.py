@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
+from .device import check_finite
+
 __all__ = [
     "Level",
     "Orientation",
@@ -86,6 +88,7 @@ class ResistiveLoad:
     v_l: float
 
     def __post_init__(self):
+        check_finite(self)
         if self.g_l <= 0.0:
             raise ValueError("resistive load requires g_l > 0")
 
@@ -97,6 +100,9 @@ class CurrentSourceLoad:
 
     i_l: float
 
+    def __post_init__(self):
+        check_finite(self)
+
 
 @dataclass(frozen=True)
 class ImpConfig:
@@ -107,6 +113,9 @@ class ImpConfig:
     v_p: float
     load: ResistiveLoad | CurrentSourceLoad
     pulse_s: float = 10e-3
+
+    def __post_init__(self):
+        check_finite(self)
 
     def to_json(self) -> dict:
         if isinstance(self.load, ResistiveLoad):
@@ -155,13 +164,6 @@ class StackTopology:
             nodes.setdefault(cell.node, set()).add(cell.id)
         return nodes
 
-    @property
-    def outer_wires(self) -> dict[str, set[str]]:
-        wires: dict[str, set[str]] = {}
-        for cell in self.cells.values():
-            wires.setdefault(cell.outer, set()).add(cell.id)
-        return wires
-
     def usable_cells(self) -> list[str]:
         return sorted(set(self.cells) - self.unusable_cells)
 
@@ -197,14 +199,6 @@ class StackTopology:
         if common not in (cell.node, cell.outer):
             raise NotAdjacent(f"{cell_id} does not attach to wire {common!r}")
         return -1 if cell.set_terminal_wire() == common else +1
-
-    def far_wire(self, cell_id: str, common: str) -> str:
-        cell = self.cells[cell_id]
-        if common == cell.node:
-            return cell.outer
-        if common == cell.outer:
-            return cell.node
-        raise NotAdjacent(f"{cell_id} does not attach to wire {common!r}")
 
     def pair_polarity(self, p: str, q: str) -> Polarity:
         """PARALLEL iff both devices present the same set polarity toward

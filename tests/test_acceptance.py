@@ -175,7 +175,7 @@ def test_criterion_6_yield_properties(default_stack, ideal_specs, ideal_configs)
                             v_reset_max=-2.2, g_on=115e-6, g_off=10e-6)
     specs = {"bottom": spec, "top": spec}
     configs = il.default_configs(spec)
-    zero_var = il.ideal_device_spec(v_set=il.v_star(spec), g_on=spec.g_on,
+    zero_var = il.ideal_device_spec(v_set=spec.v_set_star, g_on=spec.g_on,
                                     g_off=spec.g_off)
     for p, q in (("B1", "T2"), ("B2", "T2")):
         cfg = configs["drive_neg"]

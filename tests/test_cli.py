@@ -14,23 +14,24 @@ def spec_file(tmp_path):
     return str(path)
 
 
+def _circuit(spec):
+    """The default four-cell stack with one spec on both levels."""
+    obj = il.build_default_stack().to_json()
+    obj["specs"] = {"bottom": spec.to_json(), "top": spec.to_json()}
+    return obj
+
+
 @pytest.fixture
 def circuit_file(tmp_path):
-    spec = il.bottom_device_spec().to_json()
-    obj = il.build_default_stack().to_json()
-    obj["specs"] = {"bottom": spec, "top": spec}
     path = tmp_path / "circuit.json"
-    path.write_text(json.dumps(obj))
+    path.write_text(json.dumps(_circuit(il.bottom_device_spec())))
     return str(path)
 
 
 @pytest.fixture
 def ideal_circuit_file(tmp_path):
-    spec = il.ideal_device_spec().to_json()
-    obj = il.build_default_stack().to_json()
-    obj["specs"] = {"bottom": spec, "top": spec}
     path = tmp_path / "ideal_circuit.json"
-    path.write_text(json.dumps(obj))
+    path.write_text(json.dumps(_circuit(il.ideal_device_spec())))
     return str(path)
 
 
@@ -150,6 +151,52 @@ def test_run_rejects_malformed_program(tmp_path, ideal_circuit_file):
     bad.write_text("{not json")
     rc = main(["run", "--program", str(bad), "--topology", ideal_circuit_file])
     assert rc == 2
+
+
+def _run_exit(tmp_path, capsys, circuit, program):
+    """Exit code and stdout JSON of ``run`` on a circuit/program object pair."""
+    circuit_path, program_path = tmp_path / "c.json", tmp_path / "p.json"
+    circuit_path.write_text(json.dumps(circuit))
+    program_path.write_text(json.dumps(program))
+    capsys.readouterr()
+    rc = main(["run", "--program", str(program_path), "--topology",
+               str(circuit_path)])
+    return rc, json.loads(capsys.readouterr().out)
+
+
+def _nand_program(a=1, b=1):
+    return il.with_inputs(il.nand_macro("B1", "B2", "T2"),
+                          {"a": a, "b": b}).to_json()
+
+
+def test_run_rejects_non_binary_write(tmp_path, capsys):
+    prog = _nand_program()
+    prog["steps"][0]["value"] = 7
+    rc, body = _run_exit(tmp_path, capsys, _circuit(il.ideal_device_spec()), prog)
+    assert rc == 1
+    assert body["error"] == "programerror"
+
+
+def test_run_rejects_non_finite_bias(tmp_path, capsys):
+    spec = il.ideal_device_spec()
+    prog = _nand_program(0, 0)
+    prog["configs"] = {name: cfg.to_json()
+                       for name, cfg in il.default_configs(spec).items()}
+    prog["configs"]["drive_neg"]["v_p"] = float("nan")
+    rc, body = _run_exit(tmp_path, capsys, _circuit(spec), prog)
+    assert rc == 2
+    assert body["error"] == "config"
+
+
+def test_run_sinh_overflow_is_no_convergence(tmp_path, capsys):
+    iv = il.sinh_iv_from_conductances(115e-6, 10e-6, 80.0, 80.0)
+    spec = il.MemristorSpec(v_set_min=1.1, v_set_max=1.9, v_reset_min=-1.5,
+                            v_reset_max=-2.2, g_on=115e-6, g_off=10e-6,
+                            iv_model=iv)
+    rc, body = _run_exit(tmp_path, capsys, _circuit(spec), _nand_program())
+    assert rc == 1
+    assert body["error"] == "noconvergence"
+    assert "bracket" in body["message"]
 
 
 def test_adder_command(tmp_path):

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -126,3 +127,28 @@ def test_decode_bit_uses_geometric_midpoint(bottom_spec):
 def test_spec_json_roundtrip(bottom_spec, sinh_spec):
     for spec in (bottom_spec, sinh_spec):
         assert il.MemristorSpec.from_json(spec.to_json()) == spec
+
+
+_FINITE_CONSTRUCTORS = (
+    (il.MemristorSpec, dict(v_set_min=1.1, v_set_max=1.9, v_reset_min=-1.5,
+                            v_reset_max=-2.2, g_on=115e-6, g_off=10e-6)),
+    (il.SinhIV, dict(a_on=115e-6 / 1.5, b_on=1.5, a_off=10e-6 / 1.5, b_off=1.5)),
+    (il.ResistiveLoad, dict(g_l=3e-5, v_l=-1.0)),
+    (il.CurrentSourceLoad, dict(i_l=-3e-5)),
+    (functools.partial(il.ImpConfig, load=il.CurrentSourceLoad(-3e-5)),
+     dict(v_p=-0.8, pulse_s=10e-3)),
+)
+
+
+@given(data=st.data())
+def test_constructors_hold_only_finite_fields(data):
+    # each field keeps its valid value or takes any float, inf and nan included
+    for make, valid in _FINITE_CONSTRUCTORS:
+        kwargs = {name: data.draw(st.one_of(st.just(value), st.floats()),
+                                  label=name)
+                  for name, value in valid.items()}
+        try:
+            obj = make(**kwargs)
+        except ValueError:
+            continue
+        assert all(math.isfinite(getattr(obj, name)) for name in valid)

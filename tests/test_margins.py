@@ -8,9 +8,9 @@ from implogic.topology import Polarity
 
 
 def test_v_star_examples(bottom_spec, top_spec):
-    assert il.v_star(bottom_spec) == pytest.approx(1.5)          # [1.1, 1.9]
-    assert il.v_star(top_spec) == pytest.approx(1.15)            # [0.7, 1.6]
-    assert il.v_star(il.ideal_device_spec(v_set=1.23)) == pytest.approx(1.23)
+    assert bottom_spec.v_set_star == pytest.approx(1.5)          # [1.1, 1.9]
+    assert top_spec.v_set_star == pytest.approx(1.15)            # [0.7, 1.6]
+    assert il.ideal_device_spec(v_set=1.23).v_set_star == pytest.approx(1.23)
 
 
 def test_delta_ideal_ratio_ten_no_load():
@@ -98,7 +98,7 @@ def test_optimal_bias_requires_positive_load():
 
 def test_delta_actual_measured_bottom_device(bottom_spec):
     ideal = il.delta_ideal_parallel(0.0, bottom_spec.g_on, bottom_spec.g_off,
-                                    il.v_star(bottom_spec))
+                                    bottom_spec.v_set_star)
     assert ideal == pytest.approx(1.5 * 105 / 355)       # 0.4437 V
     actual = il.delta_actual(ideal, bottom_spec)
     assert actual == pytest.approx(1.5 * 105 / 355 - 0.4)  # 0.0437 V
@@ -111,12 +111,12 @@ def test_delta_actual_zero_variation_equals_ideal(ideal_spec):
 def test_delta_actual_negative_when_variation_dominates():
     wide = il.MemristorSpec(v_set_min=0.5, v_set_max=2.5, v_reset_min=-1.5,
                             v_reset_max=-2.2, g_on=115e-6, g_off=10e-6)
-    ideal = il.delta_ideal_parallel(0.0, wide.g_on, wide.g_off, il.v_star(wide))
+    ideal = il.delta_ideal_parallel(0.0, wide.g_on, wide.g_off, wide.v_set_star)
     assert il.delta_actual(ideal, wide) < 0.0
 
 
 def test_delta_general_reduces_to_identical_parallel(bottom_spec):
-    vstar = il.v_star(bottom_spec)
+    vstar = bottom_spec.v_set_star
     via_general = il.delta_general(bottom_spec, bottom_spec, Polarity.PARALLEL,
                                    bottom_spec.g_on, bottom_spec.g_off)
     via_ideal = il.delta_actual(

@@ -31,7 +31,7 @@ def test_half_width_below_margin_yield_one(default_stack):
     specs = {"bottom": spec, "top": spec}
     configs = il.default_configs(spec)
     cfg = configs["drive_neg"]
-    zero_var = il.ideal_device_spec(v_set=il.v_star(spec), g_on=spec.g_on,
+    zero_var = il.ideal_device_spec(v_set=spec.v_set_star, g_on=spec.g_on,
                                     g_off=spec.g_off)
     ideal_slacks = il.evaluate_margin(default_stack, "B1", "T2", cfg,
                                       zero_var, zero_var)

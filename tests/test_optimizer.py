@@ -41,7 +41,7 @@ def test_optimize_resistive_recovers_closed_forms(default_stack):
                             v_reset_max=-2.2, g_on=115e-6, g_off=10e-6)
     specs = _specs_for(default_stack, spec)
     g_l = il.legacy_load(spec.g_on, spec.g_off)
-    vstar = il.v_star(spec)
+    vstar = spec.v_set_star
     v_p_ref, v_l_ref = il.optimal_bias(g_l, spec.g_on, spec.g_off, vstar)
     res = il.optimize(default_stack, "T1", "T2", specs, load_kind="resistive",
                       g_l=g_l)
@@ -85,7 +85,7 @@ def test_optimize_infeasible_when_variation_dominates(default_stack):
     # set-threshold half-width above the v*/3 ceiling: no config can work
     spec = il.MemristorSpec(v_set_min=0.7, v_set_max=2.3, v_reset_min=-1.5,
                             v_reset_max=-2.2, g_on=115e-6, g_off=10e-6)
-    assert spec.set_half_width > il.v_star(spec) / 3
+    assert spec.set_half_width > spec.v_set_star / 3
     specs = _specs_for(default_stack, spec)
     with pytest.raises(Infeasible):
         il.optimize(default_stack, "T1", "T2", specs)
@@ -103,7 +103,7 @@ def test_refinement_consistency(default_stack, bottom_spec):
     specs = _specs_for(default_stack, bottom_spec)
     a = il.optimize(default_stack, "T1", "T2", specs, rounds=8)
     b = il.optimize(default_stack, "T1", "T2", specs, rounds=10)
-    assert abs(a.margin - b.margin) < 1e-4 * il.v_star(bottom_spec)
+    assert abs(a.margin - b.margin) < 1e-4 * bottom_spec.v_set_star
 
 
 def test_optimize_deterministic(default_stack, bottom_spec):
@@ -138,7 +138,7 @@ def test_nonlinear_margin_near_linear_theory(default_stack, sinh_spec):
     specs = _specs_for(default_stack, sinh_spec)
     res = il.optimize(default_stack, "T1", "T2", specs)
     linear = il.delta_ideal_parallel(0.0, sinh_spec.g_on, sinh_spec.g_off,
-                                     il.v_star(sinh_spec))
+                                     sinh_spec.v_set_star)
     assert res.margin < linear            # nonlinearity costs margin
     assert res.margin > 0.7 * linear      # but stays within 30%
 
@@ -156,34 +156,47 @@ def test_nonlinear_optimum_beats_brute_force_grid(default_stack, sinh_spec):
     assert res.margin >= best_grid - 1e-6
 
 
-def test_nonlinear_grid_matches_scalar_solver(default_stack, sinh_spec):
-    # the vectorized bisection grid must agree with the Newton-based
-    # point evaluator it steers for
-    from implogic.optimizer import _nonlinear_margin_grid
+def _grid_cases(sinh_spec, ohmic_spec):
+    """(spec, closed form?) inputs of the grid-vs-point-evaluator checks:
+    sinh devices through the bisection, ohmic ones through both branches."""
+    return ((sinh_spec, False), (ohmic_spec, True), (ohmic_spec, False))
+
+
+def test_nonlinear_grid_matches_scalar_solver(default_stack, sinh_spec,
+                                              bottom_spec):
+    # the vectorized grid must agree with the Newton-based point evaluator
+    # it steers for
+    from implogic.optimizer import _margin_grid
     vp = np.linspace(-1.5, 0.5, 7)[:, None]
     ll = np.linspace(-1e-4, 2e-5, 5)[None, :]
-    grid = _nonlinear_margin_grid(vp, ll, 0.0, sinh_spec, sinh_spec, 1, 1)
-    for i, v in enumerate(vp[:, 0]):
-        for j, cur in enumerate(ll[0]):
-            cfg = il.ImpConfig(v_p=float(v), load=il.CurrentSourceLoad(float(cur)))
-            slacks = il.evaluate_margin(default_stack, "T1", "T2", cfg,
-                                        sinh_spec, sinh_spec)
-            assert grid[i, j] == pytest.approx(il.worst_slack(slacks), abs=1e-9)
+    for spec, closed in _grid_cases(sinh_spec, bottom_spec):
+        grid = _margin_grid(vp, ll, 0.0, spec, spec, 1, 1, closed)
+        for i, v in enumerate(vp[:, 0]):
+            for j, cur in enumerate(ll[0]):
+                cfg = il.ImpConfig(v_p=float(v),
+                                   load=il.CurrentSourceLoad(float(cur)))
+                slacks = il.evaluate_margin(default_stack, "T1", "T2", cfg,
+                                            spec, spec)
+                assert grid[i, j] == pytest.approx(il.worst_slack(slacks),
+                                                   abs=1e-9)
 
 
-def test_nonlinear_resistive_grid_matches_scalar_solver(default_stack, sinh_spec):
-    from implogic.optimizer import _nonlinear_margin_grid
+def test_nonlinear_resistive_grid_matches_scalar_solver(default_stack, sinh_spec,
+                                                        bottom_spec):
+    from implogic.optimizer import _margin_grid
     g_l = 3e-5
     vp = np.linspace(-1.2, 0.2, 5)[:, None]
     ll = np.linspace(-1.2e-4, 0.0, 5)[None, :]
-    grid = _nonlinear_margin_grid(vp, ll, g_l, sinh_spec, sinh_spec, 1, 1)
-    for i, v in enumerate(vp[:, 0]):
-        for j, cur in enumerate(ll[0]):
-            cfg = il.ImpConfig(v_p=float(v),
-                               load=il.ResistiveLoad(g_l=g_l, v_l=float(cur) / g_l))
-            slacks = il.evaluate_margin(default_stack, "T1", "T2", cfg,
-                                        sinh_spec, sinh_spec)
-            assert grid[i, j] == pytest.approx(il.worst_slack(slacks), abs=1e-9)
+    for spec, closed in _grid_cases(sinh_spec, bottom_spec):
+        grid = _margin_grid(vp, ll, g_l, spec, spec, 1, 1, closed)
+        for i, v in enumerate(vp[:, 0]):
+            for j, cur in enumerate(ll[0]):
+                cfg = il.ImpConfig(v_p=float(v), load=il.ResistiveLoad(
+                    g_l=g_l, v_l=float(cur) / g_l))
+                slacks = il.evaluate_margin(default_stack, "T1", "T2", cfg,
+                                            spec, spec)
+                assert grid[i, j] == pytest.approx(il.worst_slack(slacks),
+                                                   abs=1e-9)
 
 
 def test_optimize_rejects_bad_load_kind(default_stack, bottom_spec):

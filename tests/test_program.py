@@ -4,7 +4,7 @@ import json
 import pytest
 
 import implogic as il
-from implogic.program import PlacementInfeasible, ProgramError
+from implogic.program import PlacementInfeasible, ProgramError, _resolve_config
 
 
 def _run_bits(program, topology, specs, configs, **kw):
@@ -199,14 +199,38 @@ def test_with_inputs_requires_all_values(adder_stack):
         il.with_inputs(fa, {"a": 1, "b": 0})
 
 
+def test_writes_must_be_binary():
+    with pytest.raises(ProgramError):
+        il.WriteStep("B1", 7)
+    with pytest.raises(ProgramError):
+        il.with_inputs(il.nand_macro("B1", "B2", "T2"), {"a": 5, "b": 1})
+    for value in (2, -1, 0.5, "1", None):
+        with pytest.raises(ProgramError):
+            il.StepProgram.from_json(
+                {"steps": [{"op": "write", "cell": "B1", "value": value}]})
+    assert il.WriteStep("B1", 1.0) == il.WriteStep("B1", 1)
+
+
 def test_trace_jsonl_records(default_stack, ideal_specs, ideal_configs):
-    prog = il.with_inputs(il.nand_macro("B1", "B2", "T2"), {"a": 1, "b": 1})
-    trace = il.execute(prog, default_stack, ideal_specs, ideal_configs)
-    records = trace.jsonl_records()
-    assert len(records) == len(prog.steps)
-    imp_recs = [r for r in records if r["op"] == "imp"]
-    assert all("v_c" in r and "drop_p" in r and "drop_q" in r for r in imp_recs)
-    assert all("states" in r for r in records)
+    for a, b in itertools.product((0, 1), repeat=2):
+        prog = il.with_inputs(il.nand_macro("B1", "B2", "T2"), {"a": a, "b": b})
+        trace = il.execute(prog, default_stack, ideal_specs, ideal_configs)
+        records = trace.jsonl_records()
+        assert len(records) == len(prog.steps)
+        assert all("states" in r for r in records)
+        for k, rec in enumerate(records):
+            if rec["op"] != "imp":
+                continue
+            # the recorded node is the bias point before the step switched
+            # anything: a solve on the previous record's states
+            states = {c: il.DeviceState(il.Logic[s["logic"]], s["scale"])
+                      for c, s in records[k - 1]["states"].items()}
+            step = prog.steps[k]
+            cfg = _resolve_config(step, default_stack, ideal_configs)
+            sol = il.solve_node(default_stack, ideal_specs, states, cfg,
+                                step.p, step.q)
+            assert (rec["v_c"], rec["drop_p"], rec["drop_q"]) == (
+                sol.v_c, sol.drop_p, sol.drop_q)
 
 
 def test_seeded_execution_deterministic(default_stack, ideal_configs):

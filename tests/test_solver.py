@@ -121,8 +121,8 @@ def _nominal(specs, stack):
 def test_settle_forced_set(default_stack, ideal_specs, ideal_configs, off_states):
     th = _nominal(ideal_specs, default_stack)
     cfg = ideal_configs["drive_neg"]
-    states, events = il.settle_states(default_stack, ideal_specs, off_states,
-                                      cfg, "T1", "T2", th)
+    states, events, _ = il.settle_states(default_stack, ideal_specs, off_states,
+                                         cfg, "T1", "T2", th)
     assert states["T2"].logic is Logic.ON
     assert [e.kind.value for e in events] == ["set"]
     assert events[0].cell == "T2"
@@ -134,8 +134,8 @@ def test_settle_true_antecedent_blocks_set(default_stack, ideal_specs,
     states = dict(off_states)
     states["T1"] = DeviceState(Logic.ON)
     th = _nominal(ideal_specs, default_stack)
-    new_states, events = il.settle_states(default_stack, ideal_specs, states,
-                                          ideal_configs["drive_neg"], "T1", "T2", th)
+    new_states, events, _ = il.settle_states(default_stack, ideal_specs, states,
+                                             ideal_configs["drive_neg"], "T1", "T2", th)
     assert new_states["T2"].logic is Logic.OFF
     assert events == []
 
@@ -146,8 +146,8 @@ def test_settle_no_conditioning_disturbance(default_stack, ideal_specs,
     # (reset onset, set threshold): no second event fires
     th = _nominal(ideal_specs, default_stack)
     cfg = ideal_configs["drive_neg"]
-    states, events = il.settle_states(default_stack, ideal_specs, off_states,
-                                      cfg, "T1", "T2", th)
+    states, events, _ = il.settle_states(default_stack, ideal_specs, off_states,
+                                         cfg, "T1", "T2", th)
     assert len(events) == 1
     sol = il.solve_node(default_stack, ideal_specs, states, cfg, "T1", "T2")
     assert th["T1"].v_reset_onset < sol.drop_p < th["T1"].v_set
@@ -163,8 +163,8 @@ def test_settle_fixed_point_within_two_state_changes(default_stack, ideal_specs,
             states = dict(off_states)
             if p_on:
                 states[p] = DeviceState(Logic.ON)
-            _, events = il.settle_states(default_stack, ideal_specs, states,
-                                         cfg, p, q, th)
+            _, events, _ = il.settle_states(default_stack, ideal_specs, states,
+                                            cfg, p, q, th)
             assert len(events) <= 2
 
 
@@ -175,8 +175,8 @@ def test_settle_partial_reset_marks_scale(default_stack, ideal_specs, off_states
     states["T1"] = DeviceState(Logic.ON)
     cfg = il.ImpConfig(v_p=-2.1, load=il.ResistiveLoad(g_l=1e-3, v_l=0.0))
     th = _nominal(ideal_specs, default_stack)
-    new_states, events = il.settle_states(default_stack, ideal_specs, states,
-                                          cfg, "T1", "T2", th)
+    new_states, events, _ = il.settle_states(default_stack, ideal_specs, states,
+                                             cfg, "T1", "T2", th)
     assert [e.kind.value for e in events] == ["partial_reset"]
     assert new_states["T1"].logic is Logic.ON
     assert new_states["T1"].conductance_scale == pytest.approx(0.7)
@@ -188,8 +188,8 @@ def test_settle_full_reset_restores_off_scale_one(default_stack, ideal_specs,
     states["T1"] = DeviceState(Logic.ON, 0.7)
     cfg = il.ImpConfig(v_p=-3.0, load=il.ResistiveLoad(g_l=1e-3, v_l=0.0))
     th = _nominal(ideal_specs, default_stack)
-    new_states, events = il.settle_states(default_stack, ideal_specs, states,
-                                          cfg, "T1", "T2", th)
+    new_states, events, _ = il.settle_states(default_stack, ideal_specs, states,
+                                             cfg, "T1", "T2", th)
     assert any(e.kind.value == "full_reset" and e.cell == "T1" for e in events)
     assert new_states["T1"] == DeviceState(Logic.OFF, 1.0)
 
