@@ -217,7 +217,7 @@ def _cmd_yield(args) -> int:
             writer = csv.DictWriter(fh, fieldnames=["trial", "passed",
                                                     "failed_step"])
             writer.writeheader()
-            writer.writerows(report.per_trial_rows())
+            writer.writerows(report.iter_per_trial_rows())
     out = report.to_json()
     out["expected_outputs"] = expected
     _dump_json(out, args.out)

@@ -137,10 +137,6 @@ class MarginReport:
     def delta_ideal_normalized(self) -> float:
         return self.delta_ideal / self.v_star
 
-    @property
-    def delta_actual_normalized(self) -> float:
-        return self.delta_actual / self.v_star
-
     def to_json(self) -> dict:
         return {
             "delta_ideal": self.delta_ideal,

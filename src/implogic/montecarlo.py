@@ -1,27 +1,33 @@
 """Variation-aware yield estimation for step programs.
 
-Each trial reruns the program with thresholds resampled per step from an
-independent substream, so trials are reproducible given the seed and could
-be evaluated in any order or in parallel with identical results.
+Trial t of a study with seed s reruns the program with every threshold
+drawn from its own substream, ``numpy.random.default_rng((s, t))``, in the
+order ``execute`` draws them. All trials run as one batch axis
+(``program.execute_trials``): device states are arrays over trials, and
+each step acts on every trial at once. Trials are processed
+``program.BATCH_TRIALS`` at a time, so memory stays bounded however many
+are asked for. Since no trial's draws depend on another's, the same seed
+gives the same report and per-trial rows, byte for byte, in any grouping
+of trials, and trial t matches ``execute(..., variation="seeded",
+rng=default_rng((s, t)))`` step for step.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable, Iterator, Mapping
 
 import numpy as np
 
 from . import device as dev
 from .device import MemristorSpec
-from .program import (ExecutionTrace, ImpStep, StepProgram, WriteStep,
-                      execute)
+from .program import StepProgram, WriteStep, execute_trials
 from .topology import ImpConfig, StackTopology
 
 __all__ = ["YieldReport", "TrialOutcome", "estimate_yield"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TrialOutcome:
     trial: int
     passed: bool
@@ -52,11 +58,15 @@ class YieldReport:
         }
 
     def per_trial_rows(self) -> list[dict]:
+        return list(self.iter_per_trial_rows())
+
+    def iter_per_trial_rows(self) -> Iterator[dict]:
+        """The per-trial rows one at a time, so a writer need not hold them all."""
         if self.per_trial is None:
             raise ValueError("run estimate_yield with collect_outcomes=True")
-        return [{"trial": t.trial, "passed": int(t.passed),
+        return ({"trial": t.trial, "passed": int(t.passed),
                  "failed_step": "" if t.failed_step is None else t.failed_step}
-                for t in self.per_trial]
+                for t in self.per_trial)
 
 
 def _program_input_values(program: StepProgram) -> dict[str, int]:
@@ -68,14 +78,6 @@ def _program_input_values(program: StepProgram) -> dict[str, int]:
     return {var: by_cell[cell]
             for var, cell in program.declared_inputs.items()
             if cell in by_cell}
-
-
-def _first_divergent_step(trace: ExecutionTrace,
-                          reference: ExecutionTrace) -> int:
-    for rec, ref in zip(trace.steps, reference.steps):
-        if rec.states_after != ref.states_after:
-            return rec.index
-    return len(trace.steps) - 1
 
 
 def estimate_yield(program: StepProgram, topology: StackTopology,
@@ -104,43 +106,29 @@ def estimate_yield(program: StepProgram, topology: StackTopology,
     if unknown:
         raise ValueError(f"oracle names undeclared outputs {sorted(unknown)}")
 
-    reference = execute(program, topology, specs, configs, variation="off",
-                        partial_reset_factor=partial_reset_factor)
-
-    imp_indices = [i for i, s in enumerate(program.steps) if isinstance(s, ImpStep)]
-    passes = 0
-    degraded_steps = 0
+    batch = execute_trials(program, topology, specs, configs, trials, seed,
+                           partial_reset_factor, ratio_degradation_threshold)
+    passed = np.ones(trials, dtype=bool)
+    for var, want in expected.items():
+        passed &= batch.outputs[var] == want
+    failed_at = np.where(batch.first_divergence >= 0, batch.first_divergence,
+                         len(program.steps) - 1)
     histogram: dict[int, int] = {}
-    outcomes: list[TrialOutcome] = []
-    for trial in range(trials):
-        rng = np.random.default_rng((seed, trial))
-        trace = execute(program, topology, specs, configs, variation="seeded",
-                        rng=rng, partial_reset_factor=partial_reset_factor)
-        got = trace.output_bits(program)
-        ok = all(got[var] == expected[var] for var in expected)
-        failed_step = None
-        if ok:
-            passes += 1
-        else:
-            failed_step = _first_divergent_step(trace, reference)
-            histogram[failed_step] = histogram.get(failed_step, 0) + 1
-        if collect_outcomes:
-            outcomes.append(TrialOutcome(trial, ok, failed_step))
-        for i in imp_indices:
-            rec = trace.steps[i]
-            step = program.steps[i]
-            after = rec.states_after
-            if (after[step.p][1] < ratio_degradation_threshold
-                    or after[step.q][1] < ratio_degradation_threshold):
-                degraded_steps += 1
-
-    total_imps = trials * len(imp_indices)
+    for step in failed_at[~passed].tolist():
+        histogram[step] = histogram.get(step, 0) + 1
+    outcomes = None
+    if collect_outcomes:
+        outcomes = tuple(TrialOutcome(t, ok, None if ok else step) for t, (ok, step)
+                         in enumerate(zip(passed.tolist(), failed_at.tolist())))
+    passes = int(np.count_nonzero(passed))
+    total_imps = trials * program.census()[1]
     return YieldReport(
         trials=trials,
         passes=passes,
         yield_fraction=passes / trials,
         failure_histogram=histogram,
-        degraded_ratio_fraction=(degraded_steps / total_imps) if total_imps else 0.0,
+        degraded_ratio_fraction=(batch.degraded_steps / total_imps
+                                 if total_imps else 0.0),
         seed=seed,
-        per_trial=tuple(outcomes) if collect_outcomes else None,
+        per_trial=outcomes,
     )

@@ -9,6 +9,7 @@ a reset followed by one. Values move between cells as complement pairs
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -16,8 +17,10 @@ import numpy as np
 from . import device as dev
 from . import margins
 from .device import DeviceState, Logic, MemristorSpec, ThresholdSample
-from .solver import NodeSolution, SwitchEvent, settle_states
-from .topology import CurrentSourceLoad, ImpConfig, StackTopology
+from .solver import (MAX_SETTLE_PASSES, NoConvergence, NodeSolution,
+                     SwitchEvent, settle_states, solve_pair)
+from .topology import (CurrentSourceLoad, ImpConfig, ResistiveLoad,
+                       StackTopology)
 
 __all__ = [
     "ProgramError",
@@ -31,6 +34,9 @@ __all__ = [
     "StepRecord",
     "ExecutionTrace",
     "execute",
+    "execute_trials",
+    "TrialBatch",
+    "BATCH_TRIALS",
     "nand_macro",
     "not_macro",
     "compile_full_adder",
@@ -224,6 +230,16 @@ def _resolve_config(step: ImpStep, topology: StackTopology,
     raise ProgramError(f"unknown config {step.config_ref!r}")
 
 
+def _where(index: int, step: ImpStep, config: ImpConfig) -> str:
+    """Name an implication step and its bias, for error messages."""
+    load = config.load
+    if isinstance(load, ResistiveLoad):
+        bias = f"g_l {load.g_l:.6g} S to v_l {load.v_l:+.6g} V"
+    else:
+        bias = f"i_l {load.i_l:+.6g} A"
+    return f"step {index} (imp {step.p} -> {step.q}, v_p {config.v_p:+.6g} V, {bias})"
+
+
 def execute(program: StepProgram, topology: StackTopology,
             specs: dict[str, MemristorSpec], configs: dict[str, ImpConfig],
             variation: str = "off", seed: int | None = None,
@@ -273,8 +289,12 @@ def execute(program: StepProgram, topology: StackTopology,
         elif isinstance(step, ImpStep):
             config = _resolve_config(step, topology, configs)
             th = {step.p: thresholds_for(step.p), step.q: thresholds_for(step.q)}
-            states, ev, node = settle_states(topology, specs, states, config, step.p,
-                                             step.q, th, partial_reset_factor)
+            try:
+                states, ev, node = settle_states(topology, specs, states, config,
+                                                 step.p, step.q, th,
+                                                 partial_reset_factor)
+            except NoConvergence as exc:
+                raise NoConvergence(f"{_where(i, step, config)}: {exc}") from exc
             events = tuple(ev)
             detail = {"p": step.p, "q": step.q, "config": step.config_ref}
         else:
@@ -293,6 +313,238 @@ def execute(program: StepProgram, topology: StackTopology,
                   for cid, st in states.items()}
     return ExecutionTrace(steps=records, reads=reads, final_bits=final_bits,
                           variation=variation, seed=seed)
+
+
+# Trials per batch of execute_trials. A batch holds a threshold table of
+# BATCH_TRIALS x 2 floats per draw: 0.9 MB for the full adder's 57 draws.
+BATCH_TRIALS = 1024
+
+
+@dataclass(frozen=True, eq=False)
+class TrialBatch:
+    """Per-trial results of ``execute_trials``, indexed by trial number:
+    each declared output's decoded bit, and the first step after which the
+    trial's device states differ from the zero-variation run's (-1 if
+    none). ``degraded_steps`` counts the (trial, implication) pairs that
+    leave P or Q with a conductance scale below the threshold."""
+
+    outputs: dict[str, np.ndarray]
+    first_divergence: np.ndarray
+    degraded_steps: int
+
+
+class _StateTable:
+    """The device states one run can reach, each under a small integer code.
+
+    OFF (code 0) always has scale 1. ON has scale ``factor ** k`` after k
+    partial resets, built by the repeated product of ``settle_states``, and
+    a cell takes at most one partial reset per implication. Equal states
+    share a code, so codes compare like states.
+    """
+
+    def __init__(self, partial_reset_factor: float, imps: int):
+        self.factor = partial_reset_factor
+        self.states = [dev.OFF, dev.ON]
+        self.code = {dev.OFF: 0, dev.ON: 1}
+        successor = [0, -1]  # -1: the next scale is out of range, or never reached
+        last = 1
+        for _ in range(imps):
+            try:
+                nxt = DeviceState(Logic.ON,
+                                  self.states[last].conductance_scale * self.factor)
+            except ValueError:
+                break
+            if nxt in self.code:
+                successor[last] = self.code[nxt]
+                break
+            successor[last] = last = self.code[nxt] = len(self.states)
+            self.states.append(nxt)
+            successor.append(-1)
+        self.successor = np.array(successor)
+
+    def code_of(self, logic_name: str, scale: float) -> int:
+        """The code of a state as a trace snapshot records it; -1 if unreachable."""
+        return self.code.get(DeviceState(Logic[logic_name], scale), -1)
+
+    def after_partial_reset(self, codes: np.ndarray) -> np.ndarray:
+        nxt = self.successor[codes]
+        if nxt.min() < 0:  # raise the range error settle_states would
+            scale = self.states[codes[np.argmin(nxt)]].conductance_scale
+            DeviceState(Logic.ON, scale * self.factor)
+        return nxt
+
+
+@dataclass(frozen=True, eq=False)
+class _BatchImp:
+    """An implication step as ``execute_trials`` runs it. Arrays with two
+    rows hold P's value, then Q's. ``drops`` maps a (P, Q) state-pair code
+    to its solved drops and is shared by every step with the same specs,
+    drop signs and bias."""
+
+    index: int
+    step: ImpStep
+    config: ImpConfig
+    p_spec: MemristorSpec
+    q_spec: MemristorSpec
+    s_p: int
+    s_q: int
+    rows: np.ndarray         # state rows of P and Q
+    v_set_col: int           # threshold column of Q's v_set
+    onset_cols: np.ndarray   # threshold columns of P's and Q's reset onsets
+    full: np.ndarray         # (2, 1): P's and Q's full-reset levels
+    reference: np.ndarray    # (2, 1): P's and Q's codes after the step, at zero variation
+    drops: dict[int, tuple[float, float]]
+
+
+def _pair_drops(imp: _BatchImp, pq: np.ndarray, table: _StateTable,
+                first_trial: int) -> np.ndarray:
+    """Signed drops across P and Q (rows) in each trial of a batch. Each
+    distinct state pair is solved once, by the scalar solver of ``execute``."""
+    n = len(table.states)
+    pair = pq[0] * n + pq[1]
+    present = np.flatnonzero(np.bincount(pair))
+    by_pair = np.empty((present[-1] + 1, 2))
+    for code in present.tolist():
+        drops = imp.drops.get(code)
+        if drops is None:
+            try:
+                sol = solve_pair(imp.p_spec, table.states[code // n], imp.q_spec,
+                                 table.states[code % n], imp.config, imp.s_p, imp.s_q)
+            except NoConvergence as exc:
+                trial = first_trial + int(np.flatnonzero(pair == code)[0])
+                where = _where(imp.index, imp.step, imp.config)
+                raise NoConvergence(f"trial {trial}, {where}: {exc}") from exc
+            drops = imp.drops[code] = (sol.drop_p, sol.drop_q)
+        by_pair[code] = drops
+    return by_pair[pair].T
+
+
+def _settle_batch(imp: _BatchImp, pq: np.ndarray, th: np.ndarray,
+                  table: _StateTable, first_trial: int) -> None:
+    """Settle one implication in every trial of a batch, updating P's and
+    Q's state codes ``pq`` in place. The rules are those of ``settle_states``,
+    applied to the trials still switching until none fires an event."""
+    n = pq.shape[1]
+    v_set_q = th[imp.v_set_col]
+    onset = th[imp.onset_cols]
+    set_done = np.zeros(n, dtype=bool)
+    partial_done = np.zeros((2, n), dtype=bool)
+    full_done = np.zeros((2, n), dtype=bool)
+    active = np.ones(n, dtype=bool)
+    for _ in range(MAX_SETTLE_PASSES):
+        drops = _pair_drops(imp, pq, table, first_trial)
+        to_set = active & ~set_done & (pq[1] == 0) & (drops[1] >= v_set_q)
+        pq[1, to_set] = 1
+        set_done |= to_set
+        on = pq != 0
+        full_hit = active & ~full_done & (drops <= imp.full)
+        partial_hit = active & ~full_hit & ~partial_done & (drops <= onset)
+        full_done |= full_hit
+        partial_done |= partial_hit
+        to_partial = partial_hit & on
+        to_full = full_hit & on
+        if to_partial.any():
+            pq[to_partial] = table.after_partial_reset(pq[to_partial])
+        pq[to_full] = 0
+        active = to_set | (to_partial | to_full).any(axis=0)
+        if not active.any():
+            return
+    trial = first_trial + int(np.flatnonzero(active)[0])
+    raise NoConvergence(f"trial {trial}, {_where(imp.index, imp.step, imp.config)}: "
+                        "switching did not reach a fixed point")
+
+
+def execute_trials(program: StepProgram, topology: StackTopology,
+                   specs: dict[str, MemristorSpec], configs: dict[str, ImpConfig],
+                   trials: int, seed: int, partial_reset_factor: float,
+                   degraded_below: float) -> TrialBatch:
+    """Run ``trials`` seeded variation trials of the program as one batch.
+
+    Trial t is ``execute(..., variation="seeded", rng=default_rng((seed, t)))``:
+    it takes all its thresholds from its own substream at once, in the order
+    ``execute`` draws them (a reset's cell; an implication's P, then Q; each
+    as v_set, then reset onset), so its result depends on no other trial and
+    on no grouping of trials. Trials run ``BATCH_TRIALS`` at a time, each
+    step over the whole batch, with a ``_StateTable`` code per cell and
+    trial. Instead of per-step snapshots, the run keeps the first step at
+    which each trial leaves the zero-variation run, and the degraded count.
+    """
+    reference = execute(program, topology, specs, configs, variation="off",
+                        partial_reset_factor=partial_reset_factor)
+    rows = {c: r for r, c in enumerate(topology.usable_cells())}
+    table = _StateTable(partial_reset_factor, program.census()[1])
+    lo: list[float] = []
+    span: list[float] = []
+
+    def draw(cell: str) -> int:
+        spec = specs[topology.cells[cell].spec_ref]
+        lo.extend((spec.v_set_min, spec.v_reset_max))
+        span.extend((spec.v_set_max - spec.v_set_min,
+                     spec.v_reset_min - spec.v_reset_max))
+        return len(lo) - 2
+
+    ops: list[tuple[int, int] | _BatchImp] = []  # (row, state code) or an implication
+    shared: dict[tuple, dict[int, tuple[float, float]]] = {}
+    for i, step in enumerate(program.steps):
+        if isinstance(step, WriteStep):
+            ops.append((rows[step.cell], step.value))  # codes: OFF 0, ON 1
+        elif isinstance(step, ResetStep):
+            draw(step.cell)
+            ops.append((rows[step.cell], 0))
+        elif isinstance(step, ImpStep):
+            config = _resolve_config(step, topology, configs)
+            common = topology.common_wire(step.p, step.q)
+            p_spec = specs[topology.cells[step.p].spec_ref]
+            q_spec = specs[topology.cells[step.q].spec_ref]
+            s_p = topology.step_sign(step.p, common)
+            s_q = topology.step_sign(step.q, common)
+            p_col, q_col = draw(step.p), draw(step.q)
+            after = reference.steps[i].states_after
+            ops.append(_BatchImp(
+                i, step, config, p_spec, q_spec, s_p, s_q,
+                rows=np.array([rows[step.p], rows[step.q]]), v_set_col=q_col,
+                onset_cols=np.array([p_col + 1, q_col + 1]),
+                full=np.array([[p_spec.v_reset_max], [q_spec.v_reset_max]]),
+                reference=np.array([[table.code_of(*after[step.p])],
+                                    [table.code_of(*after[step.q])]]),
+                drops=shared.setdefault((p_spec, q_spec, s_p, s_q, config), {})))
+
+    lo_v, span_v = np.array(lo), np.array(span)
+    degraded_code = np.array([s.conductance_scale < degraded_below
+                              for s in table.states])
+    bit_of_code = {
+        var: np.array([dev.decode_bit(specs[topology.cells[cell].spec_ref], s)
+                       for s in table.states])
+        for var, cell in program.declared_outputs.items()}
+    outputs = {var: np.empty(trials, dtype=int) for var in bit_of_code}
+    first_divergence = np.full(trials, -1)
+    degraded = 0
+    for start in range(0, trials, BATCH_TRIALS):
+        n = min(BATCH_TRIALS, trials - start)
+        th = np.empty((n, lo_v.size))
+        if lo_v.size:
+            for j in range(n):
+                np.random.default_rng((seed, start + j)).random(out=th[j])
+        # numpy's uniform(low, high) is low + (high - low) * random()
+        th *= span_v
+        th += lo_v
+        state = np.zeros((len(rows), n), dtype=np.intp)
+        diverged = first_divergence[start:start + n]  # a view: writes reach the result
+        for op in ops:
+            if isinstance(op, tuple):
+                state[op[0]] = op[1]
+                continue
+            pq = state[op.rows]
+            _settle_batch(op, pq, th.T, table, start)
+            state[op.rows] = pq
+            degraded += int(np.count_nonzero(degraded_code[pq].any(axis=0)))
+            # before its first divergence a trial matches the reference in
+            # every cell, and only an implication's P and Q can change
+            new = (diverged < 0) & (pq != op.reference).any(axis=0)
+            diverged[new] = op.index
+        for var, cell in program.declared_outputs.items():
+            outputs[var][start:start + n] = bit_of_code[var][state[rows[cell]]]
+    return TrialBatch(outputs, first_divergence, degraded)
 
 
 def nand_macro(a: str, b: str, out: str) -> StepProgram:
@@ -351,12 +603,22 @@ for _v in ("s", "cout"):
 _SEARCH_BUDGET = 500_000
 
 
-def _schedule_full_adder(adj: dict[str, set[str]], cells: list[str],
-                         placement: dict[str, str], moves: int = 2) -> list[tuple]:
+@functools.lru_cache(maxsize=64)
+def _schedule_full_adder(cells: tuple[str, ...],
+                         adjacency: tuple[frozenset[str], ...],
+                         placement: tuple[tuple[str, str], ...],
+                         moves: int = 2) -> tuple[tuple, ...]:
     """Backtracking search for an order and cell assignment of the 9-NAND
     dataflow plus exactly ``moves`` complement-pair copies, ending with the
     carry in the carry-in cell. Deterministic: candidates are explored in
-    sorted order and the first complete schedule wins."""
+    sorted order and the first complete schedule wins.
+
+    ``adjacency`` holds each cell's neighbours and ``placement`` the
+    (variable, cell) pairs of a, b and c. Schedules are memoized on the
+    arguments; a PlacementInfeasible is not, so it is raised on every call.
+    """
+    adj = dict(zip(cells, adjacency))
+    placement = dict(placement)
     cin_cell = placement["c"]
     index = {c: i for i, c in enumerate(cells)}
     visited: set = set()
@@ -442,7 +704,7 @@ def _schedule_full_adder(adj: dict[str, set[str]], cells: list[str],
         init[index[placement[var]]] = var
     sched: list[tuple] = []
     if dfs(canon(tuple(init), frozenset()), frozenset(), moves, sched):
-        return sched
+        return tuple(sched)
     raise PlacementInfeasible(
         f"no 9-NAND/{2 * moves}-NOT schedule for placement {placement}")
 
@@ -464,10 +726,9 @@ def compile_full_adder(stack: StackTopology,
             raise ProgramError(f"placement cell {cid!r} not usable")
 
     usable = stack.usable_cells()
-    adj = {c: stack.neighbors(c) for c in usable}
     sched = _schedule_full_adder(
-        adj, usable, {"a": placement["a"], "b": placement["b"],
-                      "c": placement["c_in"]})
+        tuple(usable), tuple(frozenset(stack.neighbors(c)) for c in usable),
+        (("a", placement["a"]), ("b", placement["b"]), ("c", placement["c_in"])))
 
     steps: list[Step] = []
     holds: dict[str, str] = {placement["a"]: "a", placement["b"]: "b",

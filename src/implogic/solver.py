@@ -36,12 +36,16 @@ __all__ = [
     "solve_node",
     "settle_states",
     "TOL_CURRENT",
+    "MAX_SETTLE_PASSES",
 ]
 
 TOL_CURRENT = 1e-12
 TOL_STEP = 1e-12
 MAX_ITERATIONS = 100
 BRACKET = 10.0
+# A pulse settles in at most five switching passes (one set and one partial
+# and one full reset per driven device), so more than this means a fault.
+MAX_SETTLE_PASSES = 8
 
 
 class NoConvergence(Exception):
@@ -227,7 +231,7 @@ def settle_states(topology: StackTopology, specs: dict[str, MemristorSpec],
     partial_done = {p: False, q: False}
     full_done = {p: False, q: False}
 
-    for iteration in range(1, 9):
+    for iteration in range(1, MAX_SETTLE_PASSES + 1):
         sol = solve_node(topology, specs, states, config, p, q)
         if iteration == 1:
             first = sol

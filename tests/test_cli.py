@@ -197,6 +197,7 @@ def test_run_sinh_overflow_is_no_convergence(tmp_path, capsys):
     assert rc == 1
     assert body["error"] == "noconvergence"
     assert "bracket" in body["message"]
+    assert body["message"].startswith("step 3 (imp B1 -> T2, v_p ")
 
 
 def test_adder_command(tmp_path):

@@ -1,8 +1,13 @@
+import itertools
 import json
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import implogic as il
+import implogic.program as program_module
 
 
 def _nand_program(a, b):
@@ -135,3 +140,192 @@ def test_per_trial_outcomes(default_stack, ideal_specs, ideal_configs):
                                 ideal_configs, _nand_oracle, trials=5, seed=1)
     with pytest.raises(ValueError):
         without.per_trial_rows()
+
+
+# ---------------------------------------------------------------------------
+# the batched trials against one execute per trial
+# ---------------------------------------------------------------------------
+
+def _oracle(program, topology, specs, configs, expected, trials, seed):
+    """YieldReport.to_json() and per_trial_rows() rebuilt from one execute
+    per trial on its own substream, attributing a failure to the first step
+    whose post-step states differ from the zero-variation trace's."""
+    reference = il.execute(program, topology, specs, configs, variation="off")
+    imps = [i for i, s in enumerate(program.steps) if isinstance(s, il.ImpStep)]
+    passes, degraded, histogram, rows = 0, 0, {}, []
+    for t in range(trials):
+        trace = il.execute(program, topology, specs, configs, variation="seeded",
+                           rng=np.random.default_rng((seed, t)))
+        got = trace.output_bits(program)
+        ok = all(got[var] == want for var, want in expected.items())
+        step = None
+        if ok:
+            passes += 1
+        else:
+            step = next((rec.index for rec, ref in zip(trace.steps, reference.steps)
+                         if rec.states_after != ref.states_after),
+                        len(program.steps) - 1)
+            histogram[step] = histogram.get(step, 0) + 1
+        rows.append({"trial": t, "passed": int(ok),
+                     "failed_step": "" if step is None else step})
+        for i in imps:
+            after = trace.steps[i].states_after
+            if min(after[program.steps[i].p][1], after[program.steps[i].q][1]) < 0.9:
+                degraded += 1
+    report = {"trials": trials, "passes": passes, "yield": passes / trials,
+              "failure_histogram": {str(k): v for k, v in sorted(histogram.items())},
+              "degraded_ratio_fraction": (degraded / (trials * len(imps))
+                                          if imps else 0.0),
+              "seed": seed}
+    return report, rows
+
+
+def _batched(program, topology, specs, configs, expected, trials, seed):
+    report = il.estimate_yield(program, topology, specs, configs, expected,
+                               trials=trials, seed=seed, collect_outcomes=True)
+    return report.to_json(), report.per_trial_rows()
+
+
+def _wide_spec(iv=None):
+    return il.MemristorSpec(v_set_min=1.0, v_set_max=2.0, v_reset_min=-1.5,
+                            v_reset_max=-2.2, g_on=115e-6, g_off=10e-6,
+                            iv_model=iv or il.LinearIV())
+
+
+def _bias_pair(v_p, load, mirrored_load):
+    return {"drive_neg": il.ImpConfig(v_p=v_p, load=load),
+            "drive_pos": il.ImpConfig(v_p=-v_p, load=mirrored_load)}
+
+
+def test_batched_yield_matches_per_trial_execute(default_stack, adder_stack):
+    spec = _wide_spec()
+    specs = {"bottom": spec, "top": spec}
+    biases = {
+        "current source": il.default_configs(spec),
+        # a drive that partially resets the target in some cycles
+        "resistive": _bias_pair(5.2, il.ResistiveLoad(20e-6, -6.6),
+                                il.ResistiveLoad(20e-6, 6.6)),
+    }
+    cases = []
+    for (name, configs), (a, b) in itertools.product(
+            biases.items(), itertools.product((0, 1), repeat=2)):
+        prog = _nand_program(a, b)
+        cases.append((f"nand {a}{b} {name}", prog, default_stack, specs, configs,
+                      _nand_oracle({"a": a, "b": b}), 300, 5))
+
+    # only P switches: a partial reset in some cycles, none at zero
+    # variation, and at this ON/OFF ratio it reads as 0
+    weak = il.MemristorSpec(v_set_min=1.0, v_set_max=2.0, v_reset_min=-1.5,
+                            v_reset_max=-2.2, g_on=40e-6, g_off=30e-6)
+    prog = il.StepProgram(
+        (il.WriteStep("T1", 1), il.WriteStep("T2", 0), il.ImpStep("T1", "T2"),
+         il.ReadStep("T1")),
+        declared_inputs={"p": "T1", "q": "T2"}, declared_outputs={"p": "T1"})
+    cases.append(("p degrades", prog, default_stack, {"bottom": weak, "top": weak},
+                  _bias_pair(-2.0, il.CurrentSourceLoad(52e-6),
+                             il.CurrentSourceLoad(-52e-6)),
+                  {"p": 1}, 300, 5))
+
+    sinh = _wide_spec(il.sinh_iv_from_conductances(115e-6, 10e-6, 1.5, 1.5))
+    sinh_specs = {"bottom": sinh, "top": sinh}
+    sinh_configs = _bias_pair(-0.71, il.CurrentSourceLoad(-7.16e-5),
+                              il.CurrentSourceLoad(7.16e-5))
+    fa = il.compile_full_adder(adder_stack)
+    for a, b, c in itertools.product((0, 1), repeat=3):
+        prog = il.with_inputs(fa, {"a": a, "b": b, "c_in": c})
+        expected = {"s": (a + b + c) & 1, "c_out": (a + b + c) >> 1}
+        cases.append((f"sinh adder {a}{b}{c}", prog, adder_stack, sinh_specs,
+                      sinh_configs, expected, 12, 20151))
+
+    reports = []
+    for name, *args in cases:
+        want = _oracle(*args)
+        got = _batched(*args)
+        assert (json.dumps(got[0], sort_keys=True)
+                == json.dumps(want[0], sort_keys=True)), name
+        assert got[1] == want[1], name
+        reports.append(got[0])
+    assert any(r["yield"] < 1.0 for r in reports)
+    assert any(r["degraded_ratio_fraction"] > 0.0 for r in reports)
+    assert any(r["yield"] < 1.0 for r in reports[-8:])  # the sinh rows too
+
+
+def test_batched_yield_independent_of_batch_size(default_stack, monkeypatch):
+    spec = _wide_spec()
+    specs = {"bottom": spec, "top": spec}
+    configs = il.default_configs(spec)
+    prog = _nand_program(1, 1)
+    whole = _batched(prog, default_stack, specs, configs, {"out": 0}, 50, 9)
+    monkeypatch.setattr(program_module, "BATCH_TRIALS", 7)
+    assert _batched(prog, default_stack, specs, configs, {"out": 0}, 50, 9) == whole
+    assert whole[0]["yield"] < 1.0
+
+
+@settings(max_examples=40, deadline=None)
+@given(v_star=st.floats(1.0, 1.8), half=st.floats(0.0, 0.6),
+       g_off=st.floats(5e-6, 20e-6), ratio=st.floats(3.0, 20.0),
+       onset=st.floats(1.0, 1.8), reset_span=st.floats(0.0, 0.8),
+       v_p=st.floats(-5.0, 5.0), resistive=st.booleans(),
+       g_l=st.floats(1e-6, 2e-4), drive=st.floats(-4.0, 4.0),
+       a=st.integers(0, 1), b=st.integers(0, 1), seed=st.integers(0, 2 ** 32 - 1))
+def test_batched_yield_property(v_star, half, g_off, ratio, onset, reset_span,
+                                v_p, resistive, g_l, drive, a, b, seed):
+    spec = il.MemristorSpec(v_set_min=v_star - half, v_set_max=v_star + half,
+                            v_reset_min=-onset, v_reset_max=-onset - reset_span,
+                            g_on=g_off * ratio, g_off=g_off)
+    specs = {"bottom": spec, "top": spec}
+    if resistive:
+        configs = _bias_pair(v_p, il.ResistiveLoad(g_l, drive),
+                             il.ResistiveLoad(g_l, -drive))
+    else:
+        configs = _bias_pair(v_p, il.CurrentSourceLoad(drive * 1e-4),
+                             il.CurrentSourceLoad(-drive * 1e-4))
+    args = (_nand_program(a, b), il.build_default_stack(), specs, configs,
+            _nand_oracle({"a": a, "b": b}), 16, seed)
+    try:
+        want = _oracle(*args)
+    except (il.NoConvergence, il.ProgramError, ValueError) as exc:
+        with pytest.raises(type(exc)):
+            _batched(*args)
+        return
+    assert _batched(*args) == want
+
+
+def _overflowing_sinh_spec(b_on, b_off):
+    return _wide_spec(il.SinhIV(a_on=115e-6 / b_on, b_on=b_on,
+                                a_off=10e-6 / b_off, b_off=b_off))
+
+
+def test_estimate_yield_sinh_overflow_raises(default_stack):
+    spec = _overflowing_sinh_spec(80.0, 80.0)
+    with pytest.raises(il.NoConvergence, match=r"step 3 \(imp B1 -> T2, v_p "):
+        il.estimate_yield(_nand_program(1, 1), default_stack,
+                          {"bottom": spec, "top": spec}, il.default_configs(spec),
+                          _nand_oracle, trials=20, seed=0)
+
+
+def test_batched_no_convergence_names_first_failing_trial(default_stack):
+    # an ON device overflows the Newton bracket, an OFF one does not: the
+    # zero-variation run never sets T2, but trials with a low set threshold do
+    spec = _overflowing_sinh_spec(80.0, 1.5)
+    specs = {"bottom": spec, "top": spec}
+    configs = _bias_pair(-2.5, il.CurrentSourceLoad(0.0), il.CurrentSourceLoad(0.0))
+    prog = il.StepProgram(
+        (il.WriteStep("B1", 0), il.WriteStep("T2", 0), il.ImpStep("B1", "T2")),
+        declared_inputs={"p": "B1", "q": "T2"}, declared_outputs={"out": "T2"})
+    il.execute(prog, default_stack, specs, configs)  # the reference runs
+    first = None
+    for t in range(50):
+        try:
+            il.execute(prog, default_stack, specs, configs, variation="seeded",
+                       rng=np.random.default_rng((4, t)))
+        except il.NoConvergence as exc:
+            assert "step 2 (imp B1 -> T2" in str(exc)
+            first = t
+            break
+    assert first is not None
+    with pytest.raises(il.NoConvergence,
+                       match=rf"^trial {first}, step 2 \(imp B1 -> T2, v_p -2\.5 V, "
+                             r"i_l \+0 A\): I-V of device Q \(ON\) overflows"):
+        il.estimate_yield(prog, default_stack, specs, configs, {"out": 0},
+                          trials=50, seed=4)

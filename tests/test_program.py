@@ -4,7 +4,8 @@ import json
 import pytest
 
 import implogic as il
-from implogic.program import PlacementInfeasible, ProgramError, _resolve_config
+from implogic.program import (PlacementInfeasible, ProgramError, _resolve_config,
+                              _schedule_full_adder)
 
 
 def _run_bits(program, topology, specs, configs, **kw):
@@ -110,6 +111,25 @@ def test_full_adder_custom_placement(adder_stack, ideal_specs, ideal_configs):
 def test_full_adder_infeasible_on_four_cells(default_stack):
     with pytest.raises(PlacementInfeasible):
         il.compile_full_adder(default_stack, {"a": "B1", "b": "B2", "c_in": "T1"})
+
+
+def test_full_adder_schedule_is_memoized(adder_stack):
+    first = il.compile_full_adder(adder_stack)
+    hits = _schedule_full_adder.cache_info().hits
+    again = il.compile_full_adder(il.build_adder_stack())  # an equal, new stack
+    assert again == first
+    assert _schedule_full_adder.cache_info().hits == hits + 1
+    placement = {"a": "B2", "b": "B1", "c_in": "T4"}
+    assert il.compile_full_adder(adder_stack, placement) == il.compile_full_adder(
+        adder_stack, placement) != first
+
+
+def test_full_adder_infeasible_raises_every_time(adder_stack):
+    cached = _schedule_full_adder.cache_info().currsize
+    for _ in range(2):
+        with pytest.raises(PlacementInfeasible):
+            il.compile_full_adder(adder_stack, {"a": "B1", "b": "B2", "c_in": "T1"})
+    assert _schedule_full_adder.cache_info().currsize == cached
 
 
 def test_full_adder_placement_validation(adder_stack):
