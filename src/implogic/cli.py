@@ -10,18 +10,19 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
+import math
 import sys
 
 from . import margins as mg
-from .device import MemristorSpec
+from .device import MemristorSpec, _check_json
 from .montecarlo import estimate_yield
 from .optimizer import Infeasible, optimize
 from .program import (ProgramError, StepProgram, default_configs, execute,
                       ripple_adder_8bit)
 from .solver import NoConvergence
-from .topology import (Cell, ImpConfig, Level, NotAdjacent, Orientation,
-                       StackTopology)
+from .topology import ImpConfig, NotAdjacent, StackTopology, build_default_stack
 
 __all__ = ["main"]
 
@@ -59,9 +60,9 @@ def _load_spec_file(path: str) -> MemristorSpec:
 
 
 def _load_circuit_file(path: str) -> tuple[StackTopology, dict[str, MemristorSpec]]:
-    obj = _load_json(path)
+    obj = _check_json(_load_json(path), dict, "circuit")
     specs = {name: MemristorSpec.from_json(sp)
-             for name, sp in obj.get("specs", {}).items()}
+             for name, sp in _check_json(obj.get("specs", {}), dict, "specs").items()}
     topo = StackTopology.from_json(obj)
     missing = {c.spec_ref for c in topo.cells.values()} - set(specs)
     if missing:
@@ -73,7 +74,7 @@ def _load_program_file(path: str) -> tuple[StepProgram, dict[str, ImpConfig]]:
     obj = _load_json(path)
     program = StepProgram.from_json(obj)
     configs = {name: ImpConfig.from_json(c)
-               for name, c in obj.get("configs", {}).items()}
+               for name, c in _check_json(obj.get("configs", {}), dict, "configs").items()}
     return program, configs
 
 
@@ -120,17 +121,8 @@ def _numeric_rows(spec: MemristorSpec, gl_over_gon: list[float],
     """Margin points from the full numerical optimizer for the given device,
     at zero threshold variation so they compare against the ideal curves."""
     vs = spec.v_set_star
-    ideal = MemristorSpec(v_set_min=vs, v_set_max=vs,
-                          v_reset_min=spec.v_reset_min,
-                          v_reset_max=spec.v_reset_max, g_on=spec.g_on,
-                          g_off=spec.g_off, iv_model=spec.iv_model)
-    cells = {
-        "P": Cell("P", Level.TOP, "d", "M", "tp",
-                  Orientation.ACTIVE_AWAY_FROM_NODE),
-        "Q": Cell("Q", Level.TOP, "d", "M", "tq",
-                  Orientation.ACTIVE_AWAY_FROM_NODE),
-    }
-    topo = StackTopology(cells=cells)
+    ideal = dataclasses.replace(spec, v_set_min=vs, v_set_max=vs)
+    topo = build_default_stack()  # T1 and T2: a parallel top-level pair
     ratio = spec.g_on / spec.g_off
     legacy = mg.delta_ideal_parallel(mg.legacy_load(spec.g_on, spec.g_off),
                                      spec.g_on, spec.g_off, vs) / vs
@@ -138,7 +130,7 @@ def _numeric_rows(spec: MemristorSpec, gl_over_gon: list[float],
     for gl_norm in gl_over_gon:
         g_l = gl_norm * spec.g_on
         kind = "resistive" if g_l > 0 else "current_source"
-        result = optimize(topo, "P", "Q", {"d": ideal}, load_kind=kind,
+        result = optimize(topo, "T1", "T2", {"top": ideal}, load_kind=kind,
                           g_l=g_l, rounds=rounds)
         rows.append({"g_l_over_g_on": gl_norm, "ratio": ratio,
                      "delta_over_v_star": result.margin / vs,
@@ -233,13 +225,29 @@ def _sweep_triplet(text: str) -> tuple[float, float, int]:
     if len(parts) != 3:
         raise argparse.ArgumentTypeError("expected gl_min,gl_max,steps")
     lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
-    if n < 2 or lo < 0 or hi < lo:
-        raise argparse.ArgumentTypeError("need 0 <= gl_min <= gl_max, steps >= 2")
+    if n < 2 or not 0 <= lo <= hi < math.inf:
+        raise argparse.ArgumentTypeError(
+            "need 0 <= gl_min <= gl_max, both finite, and steps >= 2")
     return lo, hi, n
 
 
-def _float_list(text: str) -> list[float]:
-    return [float(tok) for tok in text.split(",") if tok.strip()]
+def _bounded_list(least: float):
+    """An argparse type: comma-separated finite numbers, each >= ``least``."""
+    def parse(text: str) -> list[float]:
+        values = [float(tok) for tok in text.split(",") if tok.strip()]
+        for value in values:
+            if not least <= value < math.inf:
+                raise argparse.ArgumentTypeError(
+                    f"{value!r}: values must be finite and >= {least:g}")
+        return values
+    return parse
+
+
+def _rounds(text: str) -> int:
+    rounds = int(text)
+    if rounds < 0:
+        raise argparse.ArgumentTypeError("--rounds must be >= 0")
+    return rounds
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -252,14 +260,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spec", required=True, help="device spec JSON file")
     p.add_argument("--sweep", required=True, type=_sweep_triplet,
                    metavar="GLMIN,GLMAX,STEPS", help="normalized g_l/g_on grid")
-    p.add_argument("--ratios", required=True, type=_float_list,
+    p.add_argument("--ratios", required=True, type=_bounded_list(1.0),
                    help="comma-separated ON/OFF conductance ratios")
     p.add_argument("--out", required=True, help="output CSV path")
     p.add_argument("--numeric", action="store_true",
                    help="append numerically optimized margin points")
-    p.add_argument("--numeric-gl", type=_float_list, default=None,
+    p.add_argument("--numeric-gl", type=_bounded_list(0.0), default=None,
                    help="normalized g_l list for the numeric points")
-    p.add_argument("--rounds", type=int, default=6)
+    p.add_argument("--rounds", type=_rounds, default=6)
     p.set_defaults(func=_cmd_margins)
 
     p = sub.add_parser("optimize", help="maximize the bias margin for pairs")
@@ -268,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated P:Q pairs; first is primary")
     p.add_argument("--load", default="current",
                    help="'current' or 'resistive:GL'")
-    p.add_argument("--rounds", type=int, default=8)
+    p.add_argument("--rounds", type=_rounds, default=8)
     p.add_argument("--out", default=None, help="output JSON path (default stdout)")
     p.set_defaults(func=_cmd_optimize)
 

@@ -52,6 +52,25 @@ def check_finite(obj) -> None:
             raise ValueError(f"{type(obj).__name__}.{name} must be finite, got {value!r}")
 
 
+_JSON_KINDS = {dict: "an object", list: "an array", str: "a string", float: "a number"}
+
+
+def _check_json(value, kind: type, what: str):
+    """Return a value parsed from JSON if it has the JSON type ``kind``
+    (dict, list, str, or float for any number but a boolean, returned as a
+    float); otherwise raise ValueError naming ``what``."""
+    if kind is float:
+        ok = isinstance(value, (int, float)) and not isinstance(value, bool)
+    else:
+        ok = isinstance(value, kind)
+    if not ok:
+        raise ValueError(f"{what} must be {_JSON_KINDS[kind]}, got {type(value).__name__}")
+    try:
+        return float(value) if kind is float else value
+    except OverflowError:  # an integer literal beyond the float range
+        raise ValueError(f"{what} is out of the float range") from None
+
+
 @dataclass(frozen=True)
 class LinearIV:
     """Ohmic branch per state: I = G * V."""
@@ -146,17 +165,18 @@ class MemristorSpec:
 
     @classmethod
     def from_json(cls, obj: dict) -> "MemristorSpec":
-        iv = obj.get("iv", {"kind": "linear"})
+        obj = _check_json(obj, dict, "device spec")
+        iv = _check_json(obj.get("iv", {"kind": "linear"}), dict, "iv")
         if iv.get("kind", "linear") == "linear":
             model: LinearIV | SinhIV = LinearIV()
         elif iv["kind"] == "sinh":
-            model = SinhIV(a_on=float(iv["a_on"]), b_on=float(iv["b_on"]),
-                           a_off=float(iv["a_off"]), b_off=float(iv["b_off"]))
+            model = SinhIV(*(_check_json(iv[k], float, f"iv.{k}")
+                             for k in ("a_on", "b_on", "a_off", "b_off")))
         else:
             raise ValueError(f"unknown iv kind {iv.get('kind')!r}")
-        return cls(v_set_min=float(obj["v_set_min"]), v_set_max=float(obj["v_set_max"]),
-                   v_reset_min=float(obj["v_reset_min"]), v_reset_max=float(obj["v_reset_max"]),
-                   g_on=float(obj["g_on"]), g_off=float(obj["g_off"]), iv_model=model)
+        return cls(*(_check_json(obj[k], float, k) for k in (
+            "v_set_min", "v_set_max", "v_reset_min", "v_reset_max", "g_on", "g_off")),
+            iv_model=model)
 
 
 @dataclass(frozen=True)

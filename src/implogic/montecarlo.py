@@ -2,14 +2,14 @@
 
 Trial t of a study with seed s reruns the program with every threshold
 drawn from its own substream, ``numpy.random.default_rng((s, t))``, in the
-order ``execute`` draws them. All trials run as one batch axis
-(``program.execute_trials``): device states are arrays over trials, and
-each step acts on every trial at once. Trials are processed
-``program.BATCH_TRIALS`` at a time, so memory stays bounded however many
-are asked for. Since no trial's draws depend on another's, the same seed
-gives the same report and per-trial rows, byte for byte, in any grouping
-of trials, and trial t matches ``execute(..., variation="seeded",
-rng=default_rng((s, t)))`` step for step.
+draw order owned by the program's compiled plan, which ``execute`` runs
+too. All trials run as one batch axis (``program.execute_trials``): device
+states are arrays over trials, and each step acts on every trial at once.
+Trials are processed ``program.BATCH_TRIALS`` at a time, so memory stays
+bounded however many are asked for. Since no trial's draws depend on
+another's, the same seed gives the same report and per-trial rows, byte
+for byte, in any grouping of trials, and trial t matches
+``execute(..., variation="seeded", rng=default_rng((s, t)))`` step for step.
 """
 
 from __future__ import annotations

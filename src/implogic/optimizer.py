@@ -11,6 +11,7 @@ shrinking refinement grids around the incumbent.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,8 +73,7 @@ _SLACK_NAMES = {
 
 
 def evaluate_margin(topology: StackTopology, p: str, q: str, config: ImpConfig,
-                    p_spec: MemristorSpec, q_spec: MemristorSpec,
-                    method: str = "auto") -> dict[str, float]:
+                    p_spec: MemristorSpec, q_spec: MemristorSpec) -> dict[str, float]:
     """Signed slacks of the correctness inequalities for one bias point.
 
     Twelve slacks: the must-set condition at (OFF, OFF), the must-not-set
@@ -87,8 +87,7 @@ def evaluate_margin(topology: StackTopology, p: str, q: str, config: ImpConfig,
     s_q = topology.step_sign(q, common)
     slacks: dict[str, float] = {}
     for p_state, q_state in _COMBOS:
-        sol = solve_pair(p_spec, p_state, q_spec, q_state, config, s_p, s_q,
-                         method=method)
+        sol = solve_pair(p_spec, p_state, q_spec, q_state, config, s_p, s_q)
         slacks.update(zip(_SLACK_NAMES[p_state, q_state], _slacks(
             p_state.logic, q_state.logic, sol.drop_p, sol.drop_q, p_spec, q_spec)))
     return slacks
@@ -99,6 +98,7 @@ def worst_slack(slacks: dict[str, float]) -> float:
 
 
 _GRID_BISECTIONS = 60  # halves a 20 V bracket to ~2e-17 V
+_COARSE = 41  # grid points per axis and round
 
 
 def _margin_grid(vp: np.ndarray, ll: np.ndarray, g_l: float,
@@ -160,7 +160,7 @@ def _config_from(v_p: float, ll: float, g_l: float) -> ImpConfig:
 def optimize(topology: StackTopology, p: str, q: str,
              specs: dict[str, MemristorSpec], load_kind: str = "current_source",
              g_l: float = 0.0, constraints: list[tuple[str, str]] | None = None,
-             coarse: int = 41, rounds: int = 8) -> OptimizationResult:
+             rounds: int = 8) -> OptimizationResult:
     """Maximize the worst-case margin over (v_p, load) for the pair (p, q),
     optionally jointly with additional pairs sharing the same bias.
 
@@ -171,13 +171,17 @@ def optimize(topology: StackTopology, p: str, q: str,
     1-D refinements: for each v_p on the current grid, the load axis is
     refined to convergence (a 1-D concave sample-argmax always brackets the
     true conditional optimum), and the resulting profile drives the v_p
-    refinement. Grids are ``coarse`` points per axis shrinking 5x per round.
+    refinement. Grids are ``_COARSE`` points per axis shrinking 5x per round.
 
     Pairs whose target sets toward the common node get the bias with both
     signs flipped, so one parameter magnitude serves both output levels.
     Deterministic: ties resolve to the lexicographically smallest
     (v_p, load). Raises Infeasible when the best margin is negative.
     """
+    if not math.isfinite(g_l):
+        raise ValueError(f"g_l must be finite, got {g_l!r}")
+    if rounds < 0:
+        raise ValueError(f"rounds must be >= 0, got {rounds!r}")
     if load_kind == "resistive":
         if g_l <= 0.0:
             raise ValueError("resistive load requires g_l > 0")
@@ -214,7 +218,7 @@ def optimize(topology: StackTopology, p: str, q: str,
         evaluations += int(total.size)
         return total
 
-    unit = np.linspace(0.0, 1.0, coarse)
+    unit = np.linspace(0.0, 1.0, _COARSE)
 
     def load_profile(vp_axis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """For each v_p, refine the load axis to its conditional optimum.
@@ -241,7 +245,7 @@ def optimize(topology: StackTopology, p: str, q: str,
     best = (-np.inf, 0.0, 0.0)
     vp_lo, vp_hi = vp_box
     for _ in range(rounds + 1):
-        vp_axis = np.linspace(vp_lo, vp_hi, coarse)
+        vp_axis = np.linspace(vp_lo, vp_hi, _COARSE)
         profile, loads = load_profile(vp_axis)
         i = int(np.argmax(profile))
         if profile[i] > best[0]:

@@ -5,6 +5,10 @@ Implication is the only compute step: ``q' <- p IMP q`` conditionally sets
 the target cell, so NAND is a reset followed by two implications and NOT is
 a reset followed by one. Values move between cells as complement pairs
 (two NOTs).
+
+``execute`` (one run) and ``execute_trials`` (a batch of seeded trials) run
+the same compiled plan of a program. The plan owns the threshold draw order
+and resolves each distinct implication's bias once per run.
 """
 
 from __future__ import annotations
@@ -16,9 +20,9 @@ import numpy as np
 
 from . import device as dev
 from . import margins
-from .device import DeviceState, Logic, MemristorSpec, ThresholdSample
+from .device import DeviceState, Logic, MemristorSpec, ThresholdSample, _check_json
 from .solver import (MAX_SETTLE_PASSES, NoConvergence, NodeSolution,
-                     SwitchEvent, settle_states, solve_pair)
+                     SwitchEvent, _settle, solve_pair)
 from .topology import (CurrentSourceLoad, ImpConfig, ResistiveLoad,
                        StackTopology)
 
@@ -152,22 +156,32 @@ class StepProgram:
 
     @classmethod
     def from_json(cls, obj: dict) -> "StepProgram":
+        obj = _check_json(obj, dict, "program")
         steps: list[Step] = []
-        for i, s in enumerate(obj.get("steps", [])):
+        for i, s in enumerate(_check_json(obj.get("steps", []), list, "steps")):
+            s = _check_json(s, dict, f"step {i}")
+
+            def name(key: str) -> str:
+                return _check_json(s[key], str, f"step {i} {key}")
+
             op = s.get("op")
             if op == "write":
-                steps.append(WriteStep(cell=s["cell"], value=s["value"]))
+                steps.append(WriteStep(cell=name("cell"), value=s["value"]))
             elif op == "reset":
-                steps.append(ResetStep(cell=s["cell"]))
+                steps.append(ResetStep(cell=name("cell")))
             elif op == "imp":
-                steps.append(ImpStep(p=s["p"], q=s["q"],
-                                     config_ref=s.get("config", "auto")))
+                steps.append(ImpStep(p=name("p"), q=name("q"),
+                                     config_ref=_check_json(s.get("config", "auto"), str,
+                                                            f"step {i} config")))
             elif op == "read":
-                steps.append(ReadStep(cell=s["cell"]))
+                steps.append(ReadStep(cell=name("cell")))
             else:
                 raise ProgramError(f"step {i}: unknown op {op!r}")
-        return cls(steps=tuple(steps), declared_inputs=dict(obj.get("inputs", {})),
-                   declared_outputs=dict(obj.get("outputs", {})))
+        maps = {key: {var: _check_json(cell, str, f"{key} {var!r}") for var, cell
+                      in _check_json(obj.get(key, {}), dict, key).items()}
+                for key in ("inputs", "outputs")}
+        return cls(steps=tuple(steps), declared_inputs=maps["inputs"],
+                   declared_outputs=maps["outputs"])
 
 
 @dataclass(frozen=True)
@@ -240,6 +254,111 @@ def _where(index: int, step: ImpStep, config: ImpConfig) -> str:
     return f"step {index} (imp {step.p} -> {step.q}, v_p {config.v_p:+.6g} V, {bias})"
 
 
+@dataclass(frozen=True, eq=False)
+class _Imp:
+    """An implication's bias, P's and Q's specs and drop signs, and the node
+    solutions found so far in a run, keyed by (P state, Q state)."""
+
+    config: ImpConfig
+    p_spec: MemristorSpec
+    q_spec: MemristorSpec
+    s_p: int
+    s_q: int
+    solutions: dict = field(default_factory=dict)
+
+    def solve(self, p_state: DeviceState, q_state: DeviceState) -> NodeSolution:
+        sol = self.solutions.get((p_state, q_state))
+        if sol is None:
+            sol = self.solutions[p_state, q_state] = solve_pair(
+                self.p_spec, p_state, self.q_spec, q_state, self.config, self.s_p, self.s_q)
+        return sol
+
+
+class _Plan:
+    """A program validated and compiled for one topology, spec map and
+    config map, run by ``execute`` and ``execute_trials``. Draws are
+    numbered in step order (a reset's cell; an implication's P, then Q):
+    draw k takes v_set and reset onset from columns 2k and 2k + 1 of
+    ``lo + span * U``, or is ``nominal[k]``. ``imps[i]`` is implication step
+    i's ``_Imp``, resolved once and shared by equal ones, and the number of
+    its P draw (None for other steps)."""
+
+    def __init__(self, program: StepProgram, topology: StackTopology,
+                 specs: dict[str, MemristorSpec], configs: dict[str, ImpConfig]):
+        program.validate(topology)
+        self.steps = program.steps
+        self.specs = {c: specs[topology.cells[c].spec_ref] for c in topology.usable_cells()}
+        rows = {c: r for r, c in enumerate(self.specs)}
+        drawn: list[int] = []  # the row of each draw's cell, in draw order
+        resolved: dict[ImpStep, _Imp] = {}
+        shared: dict[tuple, _Imp] = {}
+        imps: list[tuple[_Imp, int] | None] = []
+        for step in program.steps:
+            entry = None
+            if isinstance(step, ResetStep):
+                drawn.append(rows[step.cell])
+            elif isinstance(step, ImpStep):
+                imp = resolved.get(step)
+                if imp is None:
+                    config = _resolve_config(step, topology, configs)
+                    common = topology.common_wire(step.p, step.q)
+                    key = (config, self.specs[step.p], self.specs[step.q],
+                           topology.step_sign(step.p, common),
+                           topology.step_sign(step.q, common))
+                    imp = resolved[step] = shared.setdefault(key, _Imp(*key))
+                entry = (imp, len(drawn))
+                drawn += (rows[step.p], rows[step.q])
+            imps.append(entry)
+        self.imps = tuple(imps)
+        by_row = list(self.specs.values())
+        lo = np.array([(s.v_set_min, s.v_reset_max) for s in by_row]).reshape(-1, 2)
+        hi = np.array([(s.v_set_max, s.v_reset_min) for s in by_row]).reshape(-1, 2)
+        self.lo, self.span = lo[drawn].ravel(), (hi - lo)[drawn].ravel()
+        mid = [dev.nominal_thresholds(s) for s in by_row]
+        self.nominal = [mid[r] for r in drawn]
+
+    def run(self, th: list[ThresholdSample], partial_reset_factor: float, full: bool,
+            variation: str, seed: int | None) -> ExecutionTrace:
+        """One run with draw k's thresholds ``th[k]``; ``full`` keeps per-step records."""
+        states = dict.fromkeys(self.specs, dev.OFF)
+        records: list[StepRecord] = []
+        reads: list[tuple[int, str, int]] = []
+        for i, (step, entry) in enumerate(zip(self.steps, self.imps)):
+            node = None
+            events: tuple[SwitchEvent, ...] = ()
+            read_bit = None
+            if isinstance(step, WriteStep):
+                states[step.cell] = dev.ON if step.value else dev.OFF
+                detail: dict = {"cell": step.cell, "value": step.value}
+            elif isinstance(step, ResetStep):
+                states[step.cell] = dev.OFF
+                detail = {"cell": step.cell}
+            elif isinstance(step, ImpStep):
+                imp, k = entry
+                try:
+                    ev, node = _settle(lambda s: imp.solve(s[step.p], s[step.q]), states,
+                                       step.p, step.q, {step.p: th[k], step.q: th[k + 1]},
+                                       partial_reset_factor)
+                except NoConvergence as exc:
+                    raise NoConvergence(f"{_where(i, step, imp.config)}: {exc}") from exc
+                events = tuple(ev)
+                detail = {"p": step.p, "q": step.q, "config": step.config_ref}
+            else:
+                read_bit = dev.decode_bit(self.specs[step.cell], states[step.cell])
+                reads.append((i, step.cell, read_bit))
+                detail = {"cell": step.cell}
+
+            if full:
+                records.append(StepRecord(index=i, op=step.op, detail=detail,
+                                          states_after=_snapshot(states),
+                                          node=node, events=events,
+                                          read_bit=read_bit))
+
+        final_bits = {c: dev.decode_bit(self.specs[c], s) for c, s in states.items()}
+        return ExecutionTrace(steps=records, reads=reads, final_bits=final_bits,
+                              variation=variation, seed=seed)
+
+
 def execute(program: StepProgram, topology: StackTopology,
             specs: dict[str, MemristorSpec], configs: dict[str, ImpConfig],
             variation: str = "off", seed: int | None = None,
@@ -250,69 +369,21 @@ def execute(program: StepProgram, topology: StackTopology,
 
     Writes are ideal; resets drive the cell fully OFF unconditionally;
     implication steps settle through the node solver with thresholds taken
-    per step (sampled when variation is "seeded", midpoints when "off").
-    ``trace_level`` "reads" skips per-step records for bulk runs.
+    per step (sampled when variation is "seeded", midpoints when "off"),
+    in the draw order of ``_Plan``; config errors are raised before any
+    step runs. ``trace_level`` "reads" skips per-step records for bulk runs.
     """
     if variation not in ("off", "seeded"):
         raise ValueError("variation must be 'off' or 'seeded'")
     if variation == "seeded" and rng is None:
         rng = np.random.default_rng(seed)
-    program.validate(topology)
-
-    nominal = {ref: dev.nominal_thresholds(spec) for ref, spec in specs.items()}
-
-    def thresholds_for(cell_id: str) -> ThresholdSample:
-        spec = specs[topology.cells[cell_id].spec_ref]
-        if variation == "seeded":
-            return dev.sample_thresholds(spec, rng)
-        return nominal[topology.cells[cell_id].spec_ref]
-
-    states = {cid: DeviceState(Logic.OFF, 1.0) for cid in topology.usable_cells()}
-    records: list[StepRecord] = []
-    reads: list[tuple[int, str, int]] = []
-    full = trace_level == "full"
-
-    for i, step in enumerate(program.steps):
-        node = None
-        events: tuple[SwitchEvent, ...] = ()
-        read_bit = None
-        detail: dict = {}
-
-        if isinstance(step, WriteStep):
-            states[step.cell] = DeviceState(
-                Logic.ON if step.value else Logic.OFF, 1.0)
-            detail = {"cell": step.cell, "value": step.value}
-        elif isinstance(step, ResetStep):
-            thresholds_for(step.cell)  # consume the cycle's draw
-            states[step.cell] = DeviceState(Logic.OFF, 1.0)
-            detail = {"cell": step.cell}
-        elif isinstance(step, ImpStep):
-            config = _resolve_config(step, topology, configs)
-            th = {step.p: thresholds_for(step.p), step.q: thresholds_for(step.q)}
-            try:
-                states, ev, node = settle_states(topology, specs, states, config,
-                                                 step.p, step.q, th,
-                                                 partial_reset_factor)
-            except NoConvergence as exc:
-                raise NoConvergence(f"{_where(i, step, config)}: {exc}") from exc
-            events = tuple(ev)
-            detail = {"p": step.p, "q": step.q, "config": step.config_ref}
-        else:
-            spec = specs[topology.cells[step.cell].spec_ref]
-            read_bit = dev.decode_bit(spec, states[step.cell])
-            reads.append((i, step.cell, read_bit))
-            detail = {"cell": step.cell}
-
-        if full:
-            records.append(StepRecord(index=i, op=step.op, detail=detail,
-                                      states_after=_snapshot(states),
-                                      node=node, events=events,
-                                      read_bit=read_bit))
-
-    final_bits = {cid: dev.decode_bit(specs[topology.cells[cid].spec_ref], st)
-                  for cid, st in states.items()}
-    return ExecutionTrace(steps=records, reads=reads, final_bits=final_bits,
-                          variation=variation, seed=seed)
+    plan = _Plan(program, topology, specs, configs)
+    th = plan.nominal
+    if variation == "seeded":  # numpy's uniform(low, high) is low + (high - low) * random()
+        u = (plan.lo + plan.span * rng.random(plan.lo.size)).tolist()
+        th = [ThresholdSample(v_set, onset, mid.v_reset_full)
+              for v_set, onset, mid in zip(u[::2], u[1::2], plan.nominal)]
+    return plan.run(th, partial_reset_factor, trace_level == "full", variation, seed)
 
 
 # Trials per batch of execute_trials. A batch holds a threshold table of
@@ -337,9 +408,9 @@ class _StateTable:
     """The device states one run can reach, each under a small integer code.
 
     OFF (code 0) always has scale 1. ON has scale ``factor ** k`` after k
-    partial resets, built by the repeated product of ``settle_states``, and
-    a cell takes at most one partial reset per implication. Equal states
-    share a code, so codes compare like states.
+    partial resets, built by the repeated product of the switching rules,
+    and a cell takes at most one partial reset per implication. Equal
+    states share a code, so codes compare like states.
     """
 
     def __init__(self, partial_reset_factor: float, imps: int):
@@ -362,82 +433,52 @@ class _StateTable:
             successor.append(-1)
         self.successor = np.array(successor)
 
-    def code_of(self, logic_name: str, scale: float) -> int:
-        """The code of a state as a trace snapshot records it; -1 if unreachable."""
-        return self.code.get(DeviceState(Logic[logic_name], scale), -1)
-
     def after_partial_reset(self, codes: np.ndarray) -> np.ndarray:
         nxt = self.successor[codes]
-        if nxt.min() < 0:  # raise the range error settle_states would
+        if nxt.min() < 0:  # raise the range error the scalar rules would
             scale = self.states[codes[np.argmin(nxt)]].conductance_scale
             DeviceState(Logic.ON, scale * self.factor)
         return nxt
 
 
-@dataclass(frozen=True, eq=False)
-class _BatchImp:
-    """An implication step as ``execute_trials`` runs it. Arrays with two
-    rows hold P's value, then Q's. ``drops`` maps a (P, Q) state-pair code
-    to its solved drops and is shared by every step with the same specs,
-    drop signs and bias."""
-
-    index: int
-    step: ImpStep
-    config: ImpConfig
-    p_spec: MemristorSpec
-    q_spec: MemristorSpec
-    s_p: int
-    s_q: int
-    rows: np.ndarray         # state rows of P and Q
-    v_set_col: int           # threshold column of Q's v_set
-    onset_cols: np.ndarray   # threshold columns of P's and Q's reset onsets
-    full: np.ndarray         # (2, 1): P's and Q's full-reset levels
-    reference: np.ndarray    # (2, 1): P's and Q's codes after the step, at zero variation
-    drops: dict[int, tuple[float, float]]
-
-
-def _pair_drops(imp: _BatchImp, pq: np.ndarray, table: _StateTable,
+def _pair_drops(where: str, imp: _Imp, pq: np.ndarray, table: _StateTable,
                 first_trial: int) -> np.ndarray:
     """Signed drops across P and Q (rows) in each trial of a batch. Each
-    distinct state pair is solved once, by the scalar solver of ``execute``."""
+    distinct state pair is solved once per run, through the plan's memo."""
     n = len(table.states)
     pair = pq[0] * n + pq[1]
     present = np.flatnonzero(np.bincount(pair))
     by_pair = np.empty((present[-1] + 1, 2))
     for code in present.tolist():
-        drops = imp.drops.get(code)
-        if drops is None:
-            try:
-                sol = solve_pair(imp.p_spec, table.states[code // n], imp.q_spec,
-                                 table.states[code % n], imp.config, imp.s_p, imp.s_q)
-            except NoConvergence as exc:
-                trial = first_trial + int(np.flatnonzero(pair == code)[0])
-                where = _where(imp.index, imp.step, imp.config)
-                raise NoConvergence(f"trial {trial}, {where}: {exc}") from exc
-            drops = imp.drops[code] = (sol.drop_p, sol.drop_q)
-        by_pair[code] = drops
+        try:
+            sol = imp.solve(table.states[code // n], table.states[code % n])
+        except NoConvergence as exc:
+            trial = first_trial + int(np.flatnonzero(pair == code)[0])
+            raise NoConvergence(f"trial {trial}, {where}: {exc}") from exc
+        by_pair[code] = sol.drop_p, sol.drop_q
     return by_pair[pair].T
 
 
-def _settle_batch(imp: _BatchImp, pq: np.ndarray, th: np.ndarray,
+def _settle_batch(where: str, imp: _Imp, k: int, pq: np.ndarray, th: np.ndarray,
                   table: _StateTable, first_trial: int) -> None:
-    """Settle one implication in every trial of a batch, updating P's and
-    Q's state codes ``pq`` in place. The rules are those of ``settle_states``,
-    applied to the trials still switching until none fires an event."""
+    """Settle one implication (P's draw ``k``) in every trial of a batch,
+    updating P's and Q's state codes ``pq`` in place. The rules are those of
+    ``solver._settle``, applied to the trials still switching until none fires."""
     n = pq.shape[1]
-    v_set_q = th[imp.v_set_col]
-    onset = th[imp.onset_cols]
+    v_set_q = th[2 * k + 2]
+    onset = th[[2 * k + 1, 2 * k + 3]]
+    full = np.array([[imp.p_spec.v_reset_max], [imp.q_spec.v_reset_max]])
     set_done = np.zeros(n, dtype=bool)
     partial_done = np.zeros((2, n), dtype=bool)
     full_done = np.zeros((2, n), dtype=bool)
     active = np.ones(n, dtype=bool)
     for _ in range(MAX_SETTLE_PASSES):
-        drops = _pair_drops(imp, pq, table, first_trial)
+        drops = _pair_drops(where, imp, pq, table, first_trial)
         to_set = active & ~set_done & (pq[1] == 0) & (drops[1] >= v_set_q)
         pq[1, to_set] = 1
         set_done |= to_set
         on = pq != 0
-        full_hit = active & ~full_done & (drops <= imp.full)
+        full_hit = active & ~full_done & (drops <= full)
         partial_hit = active & ~full_hit & ~partial_done & (drops <= onset)
         full_done |= full_hit
         partial_done |= partial_hit
@@ -450,8 +491,7 @@ def _settle_batch(imp: _BatchImp, pq: np.ndarray, th: np.ndarray,
         if not active.any():
             return
     trial = first_trial + int(np.flatnonzero(active)[0])
-    raise NoConvergence(f"trial {trial}, {_where(imp.index, imp.step, imp.config)}: "
-                        "switching did not reach a fixed point")
+    raise NoConvergence(f"trial {trial}, {where}: switching did not reach a fixed point")
 
 
 def execute_trials(program: StepProgram, topology: StackTopology,
@@ -460,88 +500,55 @@ def execute_trials(program: StepProgram, topology: StackTopology,
                    degraded_below: float) -> TrialBatch:
     """Run ``trials`` seeded variation trials of the program as one batch.
 
-    Trial t is ``execute(..., variation="seeded", rng=default_rng((seed, t)))``:
-    it takes all its thresholds from its own substream at once, in the order
-    ``execute`` draws them (a reset's cell; an implication's P, then Q; each
-    as v_set, then reset onset), so its result depends on no other trial and
-    on no grouping of trials. Trials run ``BATCH_TRIALS`` at a time, each
-    step over the whole batch, with a ``_StateTable`` code per cell and
-    trial. Instead of per-step snapshots, the run keeps the first step at
-    which each trial leaves the zero-variation run, and the degraded count.
+    Trial t is ``execute(..., variation="seeded", rng=default_rng((seed, t)))``
+    on the same compiled plan: it fills its threshold row from its own
+    substream at once, so its result depends on no other trial and on no
+    grouping of trials. Trials run ``BATCH_TRIALS`` at a time, each step
+    over the whole batch, with a ``_StateTable`` code per cell and trial.
+    Instead of per-step snapshots, the run keeps the first step at which
+    each trial leaves the zero-variation run, and the degraded count.
     """
-    reference = execute(program, topology, specs, configs, variation="off",
-                        partial_reset_factor=partial_reset_factor)
-    rows = {c: r for r, c in enumerate(topology.usable_cells())}
+    plan = _Plan(program, topology, specs, configs)
+    reference = plan.run(plan.nominal, partial_reset_factor, True, "off", None)
+    rows = {c: r for r, c in enumerate(plan.specs)}
     table = _StateTable(partial_reset_factor, program.census()[1])
-    lo: list[float] = []
-    span: list[float] = []
-
-    def draw(cell: str) -> int:
-        spec = specs[topology.cells[cell].spec_ref]
-        lo.extend((spec.v_set_min, spec.v_reset_max))
-        span.extend((spec.v_set_max - spec.v_set_min,
-                     spec.v_reset_min - spec.v_reset_max))
-        return len(lo) - 2
-
-    ops: list[tuple[int, int] | _BatchImp] = []  # (row, state code) or an implication
-    shared: dict[tuple, dict[int, tuple[float, float]]] = {}
-    for i, step in enumerate(program.steps):
-        if isinstance(step, WriteStep):
-            ops.append((rows[step.cell], step.value))  # codes: OFF 0, ON 1
-        elif isinstance(step, ResetStep):
-            draw(step.cell)
-            ops.append((rows[step.cell], 0))
-        elif isinstance(step, ImpStep):
-            config = _resolve_config(step, topology, configs)
-            common = topology.common_wire(step.p, step.q)
-            p_spec = specs[topology.cells[step.p].spec_ref]
-            q_spec = specs[topology.cells[step.q].spec_ref]
-            s_p = topology.step_sign(step.p, common)
-            s_q = topology.step_sign(step.q, common)
-            p_col, q_col = draw(step.p), draw(step.q)
-            after = reference.steps[i].states_after
-            ops.append(_BatchImp(
-                i, step, config, p_spec, q_spec, s_p, s_q,
-                rows=np.array([rows[step.p], rows[step.q]]), v_set_col=q_col,
-                onset_cols=np.array([p_col + 1, q_col + 1]),
-                full=np.array([[p_spec.v_reset_max], [q_spec.v_reset_max]]),
-                reference=np.array([[table.code_of(*after[step.p])],
-                                    [table.code_of(*after[step.q])]]),
-                drops=shared.setdefault((p_spec, q_spec, s_p, s_q, config), {})))
-
-    lo_v, span_v = np.array(lo), np.array(span)
     degraded_code = np.array([s.conductance_scale < degraded_below
                               for s in table.states])
     bit_of_code = {
-        var: np.array([dev.decode_bit(specs[topology.cells[cell].spec_ref], s)
-                       for s in table.states])
+        var: np.array([dev.decode_bit(plan.specs[cell], s) for s in table.states])
         for var, cell in program.declared_outputs.items()}
     outputs = {var: np.empty(trials, dtype=int) for var in bit_of_code}
     first_divergence = np.full(trials, -1)
     degraded = 0
     for start in range(0, trials, BATCH_TRIALS):
         n = min(BATCH_TRIALS, trials - start)
-        th = np.empty((n, lo_v.size))
-        if lo_v.size:
+        th = np.empty((n, plan.lo.size))
+        if plan.lo.size:
             for j in range(n):
                 np.random.default_rng((seed, start + j)).random(out=th[j])
-        # numpy's uniform(low, high) is low + (high - low) * random()
-        th *= span_v
-        th += lo_v
+        th *= plan.span
+        th += plan.lo
         state = np.zeros((len(rows), n), dtype=np.intp)
         diverged = first_divergence[start:start + n]  # a view: writes reach the result
-        for op in ops:
-            if isinstance(op, tuple):
-                state[op[0]] = op[1]
-                continue
-            pq = state[op.rows]
-            _settle_batch(op, pq, th.T, table, start)
-            state[op.rows] = pq
-            degraded += int(np.count_nonzero(degraded_code[pq].any(axis=0)))
-            # before its first divergence a trial matches the reference in
-            # every cell, and only an implication's P and Q can change
-            new = (diverged < 0) & (pq != op.reference).any(axis=0)
-            diverged[new] = op.index
+        for i, (step, entry) in enumerate(zip(program.steps, plan.imps)):
+            if isinstance(step, WriteStep):
+                state[rows[step.cell]] = step.value  # codes: OFF 0, ON 1
+            elif isinstance(step, ResetStep):
+                state[rows[step.cell]] = 0
+            elif isinstance(step, ImpStep):
+                pq_rows = [rows[step.p], rows[step.q]]
+                pq = state[pq_rows]
+                where = _where(i, step, entry[0].config)
+                _settle_batch(where, *entry, pq, th.T, table, start)
+                state[pq_rows] = pq
+                degraded += int(np.count_nonzero(degraded_code[pq].any(axis=0)))
+                # before its first divergence a trial matches the reference in
+                # every cell, and only an implication's P and Q can change
+                after = reference.steps[i].states_after
+                ref = [[table.code[DeviceState(Logic[logic], scale)]]
+                       for logic, scale in (after[step.p], after[step.q])]
+                new = (diverged < 0) & (pq != ref).any(axis=0)
+                diverged[new] = i
         for var, cell in program.declared_outputs.items():
             outputs[var][start:start + n] = bit_of_code[var][state[rows[cell]]]
     return TrialBatch(outputs, first_divergence, degraded)
@@ -601,15 +608,15 @@ for _v in ("s", "cout"):
     _FA_CONSUMERS.setdefault(_v, frozenset())
 
 _SEARCH_BUDGET = 500_000
+_FA_MOVES = 2  # complement-pair copies: four NOTs
 
 
 @functools.lru_cache(maxsize=64)
 def _schedule_full_adder(cells: tuple[str, ...],
                          adjacency: tuple[frozenset[str], ...],
-                         placement: tuple[tuple[str, str], ...],
-                         moves: int = 2) -> tuple[tuple, ...]:
+                         placement: tuple[tuple[str, str], ...]) -> tuple[tuple, ...]:
     """Backtracking search for an order and cell assignment of the 9-NAND
-    dataflow plus exactly ``moves`` complement-pair copies, ending with the
+    dataflow plus exactly ``_FA_MOVES`` complement-pair copies, ending with the
     carry in the carry-in cell. Deterministic: candidates are explored in
     sorted order and the first complete schedule wins.
 
@@ -703,10 +710,10 @@ def _schedule_full_adder(cells: tuple[str, ...],
     for var in ("a", "b", "c"):
         init[index[placement[var]]] = var
     sched: list[tuple] = []
-    if dfs(canon(tuple(init), frozenset()), frozenset(), moves, sched):
+    if dfs(canon(tuple(init), frozenset()), frozenset(), _FA_MOVES, sched):
         return tuple(sched)
     raise PlacementInfeasible(
-        f"no 9-NAND/{2 * moves}-NOT schedule for placement {placement}")
+        f"no 9-NAND/{2 * _FA_MOVES}-NOT schedule for placement {placement}")
 
 
 def compile_full_adder(stack: StackTopology,
@@ -776,12 +783,12 @@ def ripple_adder_8bit(a: int, b: int, c0: int, bits: int = 8,
                       configs: dict[str, ImpConfig] | None = None,
                       placement: dict[str, str] | None = None,
                       variation: str = "off", seed: int | None = None,
-                      trace_level: str = "reads",
                       ) -> tuple[int, int, ExecutionTrace, StepProgram]:
     """Add two ``bits``-wide integers by running the full adder once per bit
     on the same six cells, carrying through the carry cell.
 
-    Returns (sum, carry_out, trace, program). The composed program writes
+    Returns (sum, carry_out, trace, program); the trace keeps the reads but
+    no per-step records. The composed program writes
     a_i and b_i each round; the carry-in is written only in round zero and
     thereafter picked up where the previous round left it.
     """
@@ -822,7 +829,7 @@ def ripple_adder_8bit(a: int, b: int, c0: int, bits: int = 8,
                           declared_outputs={"sum_bit": s_cell,
                                             "c_out": fa.declared_outputs["c_out"]})
     trace = execute(program, stack, specs, configs, variation=variation,
-                    seed=seed, trace_level=trace_level)
+                    seed=seed, trace_level="reads")
 
     sum_reads = [bit for _, cell, bit in trace.reads if cell == s_cell]
     total = sum(bit << i for i, bit in enumerate(sum_reads[:bits]))

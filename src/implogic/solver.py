@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import Callable
 
 from . import device as dev
 from .device import DeviceState, Logic, MemristorSpec, ThresholdSample
@@ -216,23 +217,34 @@ def settle_states(topology: StackTopology, specs: dict[str, MemristorSpec],
                   p: str, q: str, thresholds: dict[str, ThresholdSample],
                   partial_reset_factor: float = dev.PARTIAL_RESET_FACTOR,
                   ) -> tuple[dict[str, DeviceState], list[SwitchEvent], NodeSolution]:
-    """Apply the switching rules of one pulse to a fixed point.
+    """``_settle`` on a copy of ``states``, solving the node with ``solve_node``."""
+    states = dict(states)
+    events, first = _settle(lambda s: solve_node(topology, specs, s, config, p, q),
+                            states, p, q, thresholds, partial_reset_factor)
+    return states, events, first
+
+
+def _settle(solve: Callable[[dict[str, DeviceState]], NodeSolution],
+            states: dict[str, DeviceState], p: str, q: str,
+            thresholds: dict[str, ThresholdSample], partial_reset_factor: float,
+            ) -> tuple[list[SwitchEvent], NodeSolution]:
+    """Apply the switching rules of one pulse to a fixed point, updating
+    ``states`` in place; ``solve`` maps them to the node solution.
 
     Each pass solves the node and then applies at most one event per rule:
     the target Q sets if its drop reaches its sampled set threshold; either
     driven device resets (partially for drops between the full level and
     the onset, fully below the full level). The state lattice is monotone
-    within a pulse, so the loop terminates in a handful of passes. Also
-    returns the first pass's node solution: the bias point before switching.
+    within a pulse, so the loop terminates in a handful of passes. Returns
+    the events and the first pass's solution: the bias point before switching.
     """
-    states = dict(states)
     events: list[SwitchEvent] = []
     set_done = False
     partial_done = {p: False, q: False}
     full_done = {p: False, q: False}
 
     for iteration in range(1, MAX_SETTLE_PASSES + 1):
-        sol = solve_node(topology, specs, states, config, p, q)
+        sol = solve(states)
         if iteration == 1:
             first = sol
         fired: list[SwitchEvent] = []
@@ -259,7 +271,7 @@ def settle_states(topology: StackTopology, specs: dict[str, MemristorSpec],
                 partial_done[cell] = True
 
         if not fired:
-            return states, events, first
+            return events, first
         events.extend(fired)
 
     raise NoConvergence("switching did not reach a fixed point")

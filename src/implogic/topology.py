@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .device import check_finite
+from .device import _check_json, check_finite
 
 __all__ = [
     "Level",
@@ -126,16 +126,18 @@ class ImpConfig:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ImpConfig":
-        load = obj["load"]
+        obj = _check_json(obj, dict, "config")
+        load = _check_json(obj["load"], dict, "load")
         if load["kind"] == "resistive":
             ld: ResistiveLoad | CurrentSourceLoad = ResistiveLoad(
-                g_l=float(load["g_l"]), v_l=float(load["v_l"]))
+                g_l=_check_json(load["g_l"], float, "g_l"),
+                v_l=_check_json(load["v_l"], float, "v_l"))
         elif load["kind"] == "current_source":
-            ld = CurrentSourceLoad(i_l=float(load["i_l"]))
+            ld = CurrentSourceLoad(i_l=_check_json(load["i_l"], float, "i_l"))
         else:
             raise ValueError(f"unknown load kind {load.get('kind')!r}")
-        return cls(v_p=float(obj["v_p"]), load=ld,
-                   pulse_s=float(obj.get("pulse_s", 10e-3)))
+        return cls(v_p=_check_json(obj["v_p"], float, "v_p"), load=ld,
+                   pulse_s=_check_json(obj.get("pulse_s", 10e-3), float, "pulse_s"))
 
 
 @dataclass(frozen=True)
@@ -209,10 +211,10 @@ class StackTopology:
             return Polarity.PARALLEL
         return Polarity.ANTI_PARALLEL
 
-    def neighbors(self, cell_id: str, usable_only: bool = True) -> set[str]:
+    def neighbors(self, cell_id: str) -> set[str]:
+        """The usable cells that share a wire with ``cell_id``."""
         out = set()
-        pool = self.usable_cells() if usable_only else list(self.cells)
-        for other in pool:
+        for other in self.usable_cells():
             if other != cell_id and self.are_adjacent(cell_id, other):
                 out.add(other)
         return out
@@ -231,19 +233,25 @@ class StackTopology:
 
     @classmethod
     def from_json(cls, obj: dict) -> "StackTopology":
+        obj = _check_json(obj, dict, "circuit")
         cells = {}
-        for c in obj["cells"]:
-            if c["id"] in cells:
-                raise ValueError(f"duplicate cell id {c['id']!r}")
+        for c in _check_json(obj["cells"], list, "cells"):
+            c = _check_json(c, dict, "cell")
+            cid, spec, node, outer = (_check_json(c[k], str, f"cell {k}")
+                                      for k in ("id", "spec", "node", "outer"))
+            if cid in cells:
+                raise ValueError(f"duplicate cell id {cid!r}")
             level = Level(c["level"])
             orientation = (Orientation(c["orientation"]) if "orientation" in c
                            else _DEFAULT_ORIENTATION[level])
-            cells[c["id"]] = Cell(id=c["id"], level=level, spec_ref=c["spec"],
-                                  node=c["node"], outer=c["outer"],
-                                  orientation=orientation)
-        topo = cls(cells=cells, unusable_cells=frozenset(obj.get("unusable", ())))
+            cells[cid] = Cell(id=cid, level=level, spec_ref=spec, node=node,
+                              outer=outer, orientation=orientation)
+        unusable = _check_json(obj.get("unusable", []), list, "unusable")
+        topo = cls(cells=cells, unusable_cells=frozenset(
+            _check_json(cid, str, "unusable cell") for cid in unusable))
         declared = obj.get("nodes")
         if declared is not None:
+            _check_json(declared, dict, "nodes")
             actual = {n: sorted(m) for n, m in topo.shared_nodes.items()}
             if {k: v for k, v in declared.items()} != actual:
                 raise ValueError("declared node map disagrees with cell wiring")

@@ -299,3 +299,85 @@ def test_margins_numeric_with_sinh_spec(tmp_path):
         analytic = il.delta_ideal_parallel(gl_norm * spec.g_on, spec.g_on,
                                            spec.g_off, 1.0) / 1.0
         assert 0.0 < delta < analytic
+
+
+def _spec_of_both(field, value):
+    def mutate(circuit, program):
+        for spec in circuit["specs"].values():
+            spec[field] = value
+    return mutate
+
+
+def _set(which, key, value):
+    def mutate(circuit, program):
+        (circuit if which == "circuit" else program)[key] = value
+    return mutate
+
+
+def _first_step(key, value):
+    def mutate(circuit, program):
+        program["steps"][0][key] = value
+    return mutate
+
+
+# each of these used to end in a traceback, or (outputs) ran silently misparsed
+MALFORMED = {
+    "steps not a list": _set("program", "steps", 5),
+    "step is a list": _set("program", "steps", [["write", "B1", 1]]),
+    "inputs not an object": _set("program", "inputs", 5),
+    "outputs a list": _set("program", "outputs", ["T2"]),
+    "configs not an object": _set("program", "configs", 5),
+    "cell is a list": _first_step("cell", ["B1"]),
+    "cells not a list": _set("circuit", "cells", 5),
+    "cell not an object": _set("circuit", "cells", [1]),
+    "specs a list": _set("circuit", "specs", [1]),
+    "unusable not a list": _set("circuit", "unusable", 5),
+    "iv a string": _spec_of_both("iv", "sinh"),
+    "g_on null": _spec_of_both("g_on", None),
+    "g_on beyond float": _spec_of_both("g_on", 10 ** 400),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED) + ["program a list", "circuit a list"])
+def test_run_rejects_malformed_files(tmp_path, capsys, case):
+    circuit, program = _circuit(il.ideal_device_spec()), _nand_program()
+    if case == "program a list":
+        program = [program]
+    elif case == "circuit a list":
+        circuit = [circuit]
+    else:
+        MALFORMED[case](circuit, program)
+    rc, body = _run_exit(tmp_path, capsys, circuit, program)
+    assert rc == 2
+    assert body["error"] == "config"
+
+
+@pytest.mark.parametrize("argv", [
+    ["--ratios", "0"], ["--ratios", "nan"], ["--ratios", "0.5"], ["--ratios", "3,inf"],
+    ["--sweep", "0,nan,3"], ["--sweep", "nan,1,3"], ["--sweep", "0,inf,3"],
+    ["--numeric", "--numeric-gl", "-1"], ["--numeric", "--numeric-gl", "0,nan"],
+    ["--numeric", "--rounds", "-1"],
+], ids=" ".join)
+def test_margins_rejects_out_of_range_flags(tmp_path, spec_file, argv):
+    # these used to raise ZeroDivisionError, or write NaN or mislabelled rows
+    out = tmp_path / "x.csv"
+    with pytest.raises(SystemExit) as exc:  # a repeated flag overrides the first
+        main(["margins", "--spec", spec_file, "--sweep", "0,1,3", "--ratios", "10",
+              "--out", str(out), *argv])
+    assert exc.value.code == 2
+    assert not out.exists()
+
+
+def test_optimize_rejects_negative_rounds_flag(circuit_file):
+    with pytest.raises(SystemExit) as exc:
+        main(["optimize", "--topology", circuit_file, "--pairs", "T1:T2",
+              "--rounds", "-1"])
+    assert exc.value.code == 2
+
+
+def test_optimize_rejects_non_finite_load(circuit_file, capsys):
+    capsys.readouterr()
+    rc = main(["optimize", "--topology", circuit_file, "--pairs", "T1:T2",
+               "--load", "resistive:nan"])
+    assert rc == 2
+    assert json.loads(capsys.readouterr().out)["error"] == "config"

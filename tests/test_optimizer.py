@@ -206,3 +206,19 @@ def test_optimize_rejects_bad_load_kind(default_stack, bottom_spec):
     with pytest.raises(ValueError):
         il.optimize(default_stack, "T1", "T2", specs, load_kind="resistive",
                     g_l=0.0)
+
+
+@pytest.mark.parametrize("kind,g_l", [("resistive", float("nan")),
+                                      ("current_source", float("nan")),
+                                      ("current_source", float("inf"))])
+def test_optimize_rejects_non_finite_g_l(default_stack, bottom_spec, kind, g_l):
+    # a NaN g_l used to pass the g_l <= 0 check and run as a current source
+    specs = _specs_for(default_stack, bottom_spec)
+    with pytest.raises(ValueError, match="g_l must be finite"):
+        il.optimize(default_stack, "T1", "T2", specs, load_kind=kind, g_l=g_l)
+
+
+def test_optimize_rejects_negative_rounds(default_stack, bottom_spec):
+    specs = _specs_for(default_stack, bottom_spec)
+    with pytest.raises(ValueError, match="rounds must be >= 0"):
+        il.optimize(default_stack, "T1", "T2", specs, rounds=-1)

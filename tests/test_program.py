@@ -1,9 +1,14 @@
 import itertools
 import json
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import implogic as il
+import implogic.program as program_module
+import implogic.solver as solver_module
 from implogic.program import (PlacementInfeasible, ProgramError, _resolve_config,
                               _schedule_full_adder)
 
@@ -307,3 +312,196 @@ def test_seeded_ripple_deterministic():
                                  variation="seeded", seed=5)[:2]
             for _ in range(2)]
     assert runs[0] == runs[1]
+
+
+# ---------------------------------------------------------------------------
+# execute against a reference built from public per-step calls
+# ---------------------------------------------------------------------------
+
+def _reference_execute(program, topology, specs, configs, rng):
+    """What execute documents, one public call at a time: configs resolved
+    before any step runs; a reset draws once for its cell, an implication
+    once for P and then once for Q (``sample_thresholds``, each v_set then
+    reset onset); implications settle through ``settle_states``. Returns
+    each step's (states after, node, events) and the reads."""
+    program.validate(topology)
+    resolved = {i: _resolve_config(s, topology, configs)
+                for i, s in enumerate(program.steps) if isinstance(s, il.ImpStep)}
+
+    def spec(cell):
+        return specs[topology.cells[cell].spec_ref]
+
+    states = {c: il.DeviceState(il.Logic.OFF) for c in topology.usable_cells()}
+    records, reads = [], []
+    for i, step in enumerate(program.steps):
+        node, events = None, []
+        if isinstance(step, il.WriteStep):
+            states[step.cell] = il.DeviceState(il.Logic(step.value))
+        elif isinstance(step, il.ResetStep):
+            il.sample_thresholds(spec(step.cell), rng)
+            states[step.cell] = il.DeviceState(il.Logic.OFF)
+        elif isinstance(step, il.ImpStep):
+            th_p = il.sample_thresholds(spec(step.p), rng)
+            th_q = il.sample_thresholds(spec(step.q), rng)
+            states, events, node = il.settle_states(
+                topology, specs, states, resolved[i], step.p, step.q,
+                {step.p: th_p, step.q: th_q})
+        else:
+            reads.append((i, step.cell, il.decode_bit(spec(step.cell), states[step.cell])))
+        records.append(({c: (s.logic.name, s.conductance_scale) for c, s in states.items()},
+                        node, tuple(events)))
+    return records, reads
+
+
+def _seeded_run(program, topology, specs, configs, seed):
+    trace = il.execute(program, topology, specs, configs, variation="seeded", seed=seed)
+    return [(r.states_after, r.node, r.events) for r in trace.steps], trace.reads
+
+
+def _wide_spec(iv=None):
+    return il.MemristorSpec(v_set_min=1.0, v_set_max=2.0, v_reset_min=-1.5,
+                            v_reset_max=-2.2, g_on=115e-6, g_off=10e-6,
+                            iv_model=iv or il.LinearIV())
+
+
+def _bias_pair(v_p, load, mirrored_load):
+    return {"drive_neg": il.ImpConfig(v_p=v_p, load=load),
+            "drive_pos": il.ImpConfig(v_p=-v_p, load=mirrored_load)}
+
+
+def test_seeded_execute_matches_per_step_reference(default_stack, adder_stack):
+    spec = _wide_spec()
+    cases = []
+    for specs, configs in (
+            ({"bottom": spec, "top": spec}, il.default_configs(spec)),
+            # partially resets the target in some cycles
+            ({"bottom": spec, "top": spec},
+             _bias_pair(5.2, il.ResistiveLoad(20e-6, -6.6), il.ResistiveLoad(20e-6, 6.6))),
+            # P and Q draw from different ranges
+            ({"bottom": il.bottom_device_spec(), "top": il.top_device_spec()},
+             il.default_configs(il.bottom_device_spec()))):
+        for a, b in itertools.product((0, 1), repeat=2):
+            prog = il.with_inputs(il.nand_macro("B1", "B2", "T2"), {"a": a, "b": b})
+            cases += [(prog, default_stack, specs, configs, seed) for seed in range(12)]
+    sinh = _wide_spec(il.sinh_iv_from_conductances(115e-6, 10e-6, 1.5, 1.5))
+    sinh_configs = _bias_pair(-0.71, il.CurrentSourceLoad(-7.16e-5),
+                              il.CurrentSourceLoad(7.16e-5))
+    fa = il.compile_full_adder(adder_stack)
+    for a, b, c in itertools.product((0, 1), repeat=3):
+        prog = il.with_inputs(fa, {"a": a, "b": b, "c_in": c})
+        cases += [(prog, adder_stack, {"bottom": sinh, "top": sinh}, sinh_configs, seed)
+                  for seed in (0, 7, 20151)]
+    kinds = set()
+    for prog, stack, specs_, configs, seed in cases:
+        got = _seeded_run(prog, stack, specs_, configs, seed)
+        assert got == _reference_execute(prog, stack, specs_, configs,
+                                         np.random.default_rng(seed))
+        kinds |= {e.kind.value for _, _, events in got[0] for e in events}
+    assert kinds == {"set", "partial_reset", "full_reset"}
+
+
+@st.composite
+def _random_runs(draw):
+    """A small random program, spec and bias on one of the two stacks."""
+    stack = draw(st.sampled_from([il.build_default_stack(), il.build_adder_stack()]))
+    cells = stack.usable_cells()
+    pairs = [(p, q) for p in cells for q in cells if p != q and stack.are_adjacent(p, q)]
+    steps, defined = [], set()
+    for _ in range(draw(st.integers(1, 12))):
+        kind = draw(st.sampled_from(["write", "reset", "imp", "read"]))
+        if kind == "write":
+            steps.append(il.WriteStep(draw(st.sampled_from(cells)), draw(st.integers(0, 1))))
+        elif kind == "reset":
+            steps.append(il.ResetStep(draw(st.sampled_from(cells))))
+        elif kind == "imp":
+            p, q = draw(st.sampled_from(pairs))
+            ref = draw(st.sampled_from(["auto"] * 5 + ["drive_neg", "drive_pos", "nope"]))
+            steps.append(il.ImpStep(p, q, ref))
+        elif defined:
+            steps.append(il.ReadStep(draw(st.sampled_from(sorted(defined)))))
+            continue
+        else:
+            continue
+        defined.add(steps[-1].q if kind == "imp" else steps[-1].cell)
+    v_star, half = draw(st.floats(1.0, 1.8)), draw(st.floats(0.0, 0.6))
+    onset, reset_span = draw(st.floats(1.0, 1.8)), draw(st.floats(0.0, 0.8))
+    g_off, ratio = draw(st.floats(5e-6, 20e-6)), draw(st.floats(3.0, 20.0))
+    iv = None
+    if draw(st.booleans()):
+        iv = il.sinh_iv_from_conductances(g_off * ratio, g_off, draw(st.floats(0.5, 3.0)),
+                                          draw(st.floats(0.5, 3.0)))
+    spec = il.MemristorSpec(v_set_min=v_star - half, v_set_max=v_star + half,
+                            v_reset_min=-onset, v_reset_max=-onset - reset_span,
+                            g_on=g_off * ratio, g_off=g_off, iv_model=iv or il.LinearIV())
+    v_p, drive = draw(st.floats(-5.0, 5.0)), draw(st.floats(-4.0, 4.0))
+    bias = draw(st.sampled_from(["near design", "current source", "resistive"]))
+    if bias == "near design":  # scaled from the analytic optimum: mostly switches
+        design = il.default_configs(spec)["drive_neg"]
+        i_l = design.load.i_l * draw(st.floats(0.5, 2.0))
+        configs = _bias_pair(design.v_p * draw(st.floats(0.5, 2.0)),
+                             il.CurrentSourceLoad(i_l), il.CurrentSourceLoad(-i_l))
+    elif bias == "current source":
+        configs = _bias_pair(v_p, il.CurrentSourceLoad(drive * 1e-4),
+                             il.CurrentSourceLoad(-drive * 1e-4))
+    else:
+        g_l = draw(st.floats(1e-6, 2e-4))
+        configs = _bias_pair(v_p, il.ResistiveLoad(g_l, drive), il.ResistiveLoad(g_l, -drive))
+    if draw(st.integers(0, 3)) == 0:
+        del configs["drive_pos"]  # an auto config of the mirrored class fails
+    return (il.StepProgram(tuple(steps)), stack, {"bottom": spec, "top": spec},
+            configs, draw(st.integers(0, 2 ** 32 - 1)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(run=_random_runs())
+def test_seeded_execute_property(run):
+    program, stack, specs, configs, seed = run
+    try:
+        want = _reference_execute(program, stack, specs, configs,
+                                  np.random.default_rng(seed))
+    except (il.NoConvergence, ProgramError, ValueError) as exc:
+        with pytest.raises(type(exc)):
+            _seeded_run(program, stack, specs, configs, seed)
+        return
+    assert _seeded_run(program, stack, specs, configs, seed) == want
+
+
+def test_config_errors_raise_before_any_step(default_stack):
+    # step 3 overflows the Newton bracket; a later unknown config used to be
+    # reached only after it, and is now found when the program is compiled
+    iv = il.sinh_iv_from_conductances(115e-6, 10e-6, 80.0, 80.0)
+    spec = _wide_spec(iv)
+    specs = {"bottom": spec, "top": spec}
+    configs = il.default_configs(spec)
+    nand = il.with_inputs(il.nand_macro("B1", "B2", "T2"), {"a": 1, "b": 1})
+    with pytest.raises(il.NoConvergence):
+        il.execute(nand, default_stack, specs, configs)
+    bad = il.StepProgram(nand.steps + (il.ImpStep("T2", "T1", config_ref="nope"),),
+                         nand.declared_inputs, nand.declared_outputs)
+    with pytest.raises(ProgramError, match="unknown config 'nope'"):
+        il.execute(bad, default_stack, specs, configs)
+    with pytest.raises(ProgramError, match="unknown config 'nope'"):
+        il.estimate_yield(bad, default_stack, specs, configs, {"out": 0}, trials=4)
+
+
+def test_ripple_resolves_and_solves_each_distinct_point_once(monkeypatch):
+    """One bias resolution per distinct implication and one solve per
+    distinct (bias, P state, Q state) per run: 15 and 16 for this addition
+    (the per-pass solves of the step-by-step executor were 240)."""
+    counts = {"resolve": 0, "solve": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(program_module, "_resolve_config",
+                        counting("resolve", program_module._resolve_config))
+    solve = counting("solve", solver_module.solve_pair)
+    for module in (program_module, solver_module):
+        monkeypatch.setattr(module, "solve_pair", solve)
+    total, carry, _, program = il.ripple_adder_8bit(173, 91, 1)
+    assert (total, carry) == (9, 1)
+    assert counts["resolve"] == len({s for s in program.steps if isinstance(s, il.ImpStep)})
+    assert counts == {"resolve": 15, "solve": 16}
