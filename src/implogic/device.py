@@ -230,15 +230,16 @@ def current(spec: MemristorSpec, state: DeviceState, v):
     return scale * g * v
 
 
-def differential_conductance(spec: MemristorSpec, state: DeviceState, v: float) -> float:
-    """dI/dV at drop v; used by the Newton node solver and, for ohmic
-    devices, as the conductance of the closed forms."""
+def differential_conductance(spec: MemristorSpec, state: DeviceState, v):
+    """dI/dV at drop v (a float or an array, as for ``current``); used by
+    the Newton node solvers and, for ohmic devices, in the closed forms."""
     scale = state.conductance_scale
     model = spec.iv_model
     if isinstance(model, SinhIV):
+        cosh = np.cosh if isinstance(v, np.ndarray) else math.cosh
         if state.logic is Logic.ON:
-            return scale * model.a_on * model.b_on * math.cosh(model.b_on * v)
-        return scale * model.a_off * model.b_off * math.cosh(model.b_off * v)
+            return scale * model.a_on * model.b_on * cosh(model.b_on * v)
+        return scale * model.a_off * model.b_off * cosh(model.b_off * v)
     g = spec.g_on if state.logic is Logic.ON else spec.g_off
     return scale * g
 

@@ -6,7 +6,9 @@ node solver across all four initial-state combinations: the target must
 set when both devices start OFF, must not set otherwise, and the
 conditioning device must neither set nor begin to reset in any
 combination. The optimizer runs a coarse grid over (v_p, load) followed by
-shrinking refinement grids around the incumbent.
+shrinking refinement grids around the incumbent. Grids solve all nodes at
+once (closed form if ohmic, else the array Newton ``solver.solve_grid``);
+the slacks reported for the winning bias come from the scalar solver.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import numpy as np
 
 from . import device as dev
 from .device import LinearIV, Logic, MemristorSpec
-from .solver import BRACKET, solve_pair
+from .solver import solve_grid, solve_pair
 from .topology import (CurrentSourceLoad, ImpConfig, ResistiveLoad,
                        StackTopology)
 
@@ -97,7 +99,6 @@ def worst_slack(slacks: dict[str, float]) -> float:
     return min(slacks.values())
 
 
-_GRID_BISECTIONS = 60  # halves a 20 V bracket to ~2e-17 V
 _COARSE = 41  # grid points per axis and round
 
 
@@ -106,8 +107,8 @@ def _margin_grid(vp: np.ndarray, ll: np.ndarray, g_l: float,
                  s_p: int, s_q: int, closed: bool) -> np.ndarray:
     """Vectorized worst slack; ``ll`` is the load current (g_l * v_l for a
     resistive load, i_l for a current source). The node voltage comes from
-    the closed form when ``closed`` (every device ohmic), else from a
-    fixed-depth bisection of the monotone balance over the whole grid.
+    the closed form when ``closed`` (every device ohmic), else from the
+    array-valued safeguarded Newton ``solver.solve_grid``.
 
     Used only to steer the refinement; the slacks finally reported for the
     winning bias are recomputed through the scalar solver.
@@ -120,18 +121,7 @@ def _margin_grid(vp: np.ndarray, ll: np.ndarray, g_l: float,
             g_q = dev.differential_conductance(q_spec, q_state, 0.0)
             x = (-g_p * vp - ll) / (g_p + g_q + g_l)
         else:
-            lo = np.full(shape, -BRACKET)
-            hi = np.full(shape, BRACKET)
-            with np.errstate(over="ignore"):  # saturated sinh still signs f correctly
-                for _ in range(_GRID_BISECTIONS):
-                    mid = 0.5 * (lo + hi)
-                    f = (dev.current(p_spec, p_state, vp + mid)
-                         + dev.current(q_spec, q_state, mid)
-                         + ll + g_l * mid)
-                    above = f > 0.0
-                    hi = np.where(above, mid, hi)
-                    lo = np.where(above, lo, mid)
-            x = 0.5 * (lo + hi)
+            x = solve_grid(p_spec, p_state, vp, q_spec, q_state, ll, g_l)
         for slack in _slacks(p_state.logic, q_state.logic, s_p * (vp + x),
                              s_q * x, p_spec, q_spec):
             np.minimum(margin, slack, out=margin)

@@ -24,6 +24,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
+import numpy as np
+
 from . import device as dev
 from .device import DeviceState, Logic, MemristorSpec, ThresholdSample
 from .topology import CurrentSourceLoad, ImpConfig, ResistiveLoad, StackTopology
@@ -35,6 +37,7 @@ __all__ = [
     "EventKind",
     "solve_pair",
     "solve_node",
+    "solve_grid",
     "settle_states",
     "TOL_CURRENT",
     "MAX_SETTLE_PASSES",
@@ -162,6 +165,68 @@ def _solve_iterative(p_spec: MemristorSpec, p_state: DeviceState, v_p: float,
     if abs(f) <= TOL_CURRENT:
         return x, f, MAX_ITERATIONS
     raise NoConvergence(f"residual {f:.3g} A after {MAX_ITERATIONS} iterations")
+
+
+def solve_grid(p_spec: MemristorSpec, p_state: DeviceState, vp: np.ndarray,
+               q_spec: MemristorSpec, q_state: DeviceState, ll: np.ndarray,
+               g_l: float) -> np.ndarray:
+    """``_solve_iterative`` over the broadcast (vp, ll) grid: the node
+    coordinate x (= v_c) of every point, where ``ll`` is the load current
+    (g_l * v_l for a resistive load, i_l for a current source).
+
+    Each point keeps its own bracket and leaves the iteration once it has
+    converged; ``f == 0`` counts as converged, and a Newton step may land
+    on a bracket end. A step that leaves the bracket, is NaN, or is not
+    below half the step before last falls back to bisection; the last rule
+    stops Newton crawling down a steep sinh at ~1/b volts per step.
+    Never raises: a point whose balance has no sign change on the bracket
+    takes the end its root lies beyond, sinh overflow saturates (NaN counts
+    as f <= 0, which keeps ``f > 0`` monotone in x), and a point still open
+    after ``MAX_ITERATIONS`` keeps its last iterate.
+    """
+    shape = np.broadcast_shapes(vp.shape, ll.shape)
+    vp, ll = (a.ravel() for a in np.broadcast_arrays(vp, ll))
+
+    def balance(x, vp, ll):
+        v = vp + x
+        f = (dev.current(p_spec, p_state, v) + dev.current(q_spec, q_state, x)
+             + ll + g_l * x)
+        df = (dev.differential_conductance(p_spec, p_state, v)
+              + dev.differential_conductance(q_spec, q_state, x) + g_l)
+        return f, df
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        f_lo, _ = balance(np.full(vp.size, -BRACKET), vp, ll)
+        f_hi, _ = balance(np.full(vp.size, BRACKET), vp, ll)
+        x = np.where(f_lo > 0.0, -BRACKET, BRACKET)
+        i = np.flatnonzero(~(f_lo > 0.0) & (f_hi > 0.0))
+        vp, ll = vp[i], ll[i]
+        xi = np.zeros(i.size)
+        lo = np.full(i.size, -BRACKET)
+        hi = np.full(i.size, BRACKET)
+        step = np.full(i.size, np.inf)
+        step_old = step
+        for _ in range(MAX_ITERATIONS):
+            if not i.size:
+                break
+            f, df = balance(xi, vp, ll)
+            dx = f / df  # df is a float when both devices are ohmic
+            done = (f == 0.0) | ((np.abs(f) <= TOL_CURRENT) & (np.abs(step) <= TOL_STEP))
+            if done.any():
+                x[i[done]] = xi[done]
+                keep = ~done
+                i, xi, f, dx, vp, ll = i[keep], xi[keep], f[keep], dx[keep], vp[keep], ll[keep]
+                lo, hi, step, step_old = lo[keep], hi[keep], step[keep], step_old[keep]
+            above = f > 0.0
+            hi = np.where(above, xi, hi)
+            lo = np.where(above, lo, xi)
+            x_new = xi - dx
+            newton = (lo <= x_new) & (x_new <= hi) & (2.0 * np.abs(dx) <= np.abs(step_old))
+            x_new = np.where(newton, x_new, 0.5 * (lo + hi))
+            step_old, step = step, x_new - xi
+            xi = x_new
+        x[i] = xi
+    return x.reshape(shape)
 
 
 def solve_pair(p_spec: MemristorSpec, p_state: DeviceState,

@@ -116,6 +116,8 @@ class ImpConfig:
 
     def __post_init__(self):
         check_finite(self)
+        if self.pulse_s <= 0.0:
+            raise ValueError(f"ImpConfig.pulse_s must be > 0, got {self.pulse_s!r}")
 
     def to_json(self) -> dict:
         if isinstance(self.load, ResistiveLoad):

@@ -188,6 +188,19 @@ def test_run_rejects_non_finite_bias(tmp_path, capsys):
     assert body["error"] == "config"
 
 
+@pytest.mark.parametrize("pulse_s", [0, -1])
+def test_run_rejects_non_positive_pulse(tmp_path, capsys, pulse_s):
+    spec = il.ideal_device_spec()
+    prog = _nand_program(0, 0)
+    prog["configs"] = {name: cfg.to_json()
+                       for name, cfg in il.default_configs(spec).items()}
+    prog["configs"]["drive_neg"]["pulse_s"] = pulse_s
+    rc, body = _run_exit(tmp_path, capsys, _circuit(spec), prog)
+    assert rc == 2
+    assert body["error"] == "config"
+    assert "pulse_s must be > 0" in body["message"]
+
+
 def test_run_sinh_overflow_is_no_convergence(tmp_path, capsys):
     iv = il.sinh_iv_from_conductances(115e-6, 10e-6, 80.0, 80.0)
     spec = il.MemristorSpec(v_set_min=1.1, v_set_max=1.9, v_reset_min=-1.5,

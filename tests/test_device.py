@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import implogic as il
-from implogic.device import Logic, ON, OFF
+from implogic.device import Logic, ON, OFF, differential_conductance
 
 
 def test_linear_on_current_at_read_voltage(bottom_spec):
@@ -27,6 +27,16 @@ def test_sinh_small_signal_matches_conductance(sinh_spec):
     # frozen from the series expansion a*sinh(b*v) = g*v*(1 + (b*v)^2/6 + ...)
     expected = (10e-6 / 1.5) * math.sinh(1.5 * 0.01)
     assert i == pytest.approx(expected, rel=1e-12)
+
+
+def test_differential_conductance_array_matches_float(bottom_spec, sinh_spec):
+    v = np.linspace(-4.0, 4.0, 17)
+    for spec in (bottom_spec, sinh_spec):
+        for state in (ON, OFF, il.DeviceState(Logic.ON, 0.7),
+                      il.DeviceState(Logic.OFF, 0.49)):
+            got = np.broadcast_to(differential_conductance(spec, state, v), v.shape)
+            want = [differential_conductance(spec, state, float(x)) for x in v]
+            np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
 
 
 def test_sinh_slope_validation_rejects_mismatch():

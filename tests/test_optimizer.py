@@ -1,8 +1,13 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import implogic as il
-from implogic.optimizer import Infeasible
+from implogic import device as dev
+from implogic.optimizer import _COMBOS, Infeasible, _margin_grid, _slacks
+from implogic.solver import BRACKET, solve_grid
 
 
 def _specs_for(default_stack, spec):
@@ -158,7 +163,7 @@ def test_nonlinear_optimum_beats_brute_force_grid(default_stack, sinh_spec):
 
 def _grid_cases(sinh_spec, ohmic_spec):
     """(spec, closed form?) inputs of the grid-vs-point-evaluator checks:
-    sinh devices through the bisection, ohmic ones through both branches."""
+    sinh devices through the array Newton, ohmic ones through both branches."""
     return ((sinh_spec, False), (ohmic_spec, True), (ohmic_spec, False))
 
 
@@ -222,3 +227,136 @@ def test_optimize_rejects_negative_rounds(default_stack, bottom_spec):
     specs = _specs_for(default_stack, bottom_spec)
     with pytest.raises(ValueError, match="rounds must be >= 0"):
         il.optimize(default_stack, "T1", "T2", specs, rounds=-1)
+
+
+def _bisection_node(p_spec, p_state, vp, q_spec, q_state, ll, g_l):
+    """Reference node solve for ``solve_grid``: 60 bisections of the
+    monotone balance over the whole grid (f > 0 moves the upper end, so a
+    NaN f counts as f <= 0, and a point without a root in the bracket ends
+    at the bracket end its root lies beyond)."""
+    shape = np.broadcast_shapes(vp.shape, ll.shape)
+    lo = np.full(shape, -BRACKET)
+    hi = np.full(shape, BRACKET)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(60):  # halves a 20 V bracket to ~2e-17 V
+            mid = 0.5 * (lo + hi)
+            f = (dev.current(p_spec, p_state, vp + mid)
+                 + dev.current(q_spec, q_state, mid) + ll + g_l * mid)
+            above = f > 0.0
+            hi = np.where(above, mid, hi)
+            lo = np.where(above, lo, mid)
+    return 0.5 * (lo + hi)
+
+
+def _bisection_margin_grid(vp, ll, g_l, p_spec, q_spec, s_p, s_q):
+    """``_margin_grid(..., closed=False)`` on the bisection node solve."""
+    margin = np.full(np.broadcast_shapes(vp.shape, ll.shape), np.inf)
+    for p_state, q_state in _COMBOS:
+        x = _bisection_node(p_spec, p_state, vp, q_spec, q_state, ll, g_l)
+        for slack in _slacks(p_state.logic, q_state.logic, s_p * (vp + x),
+                             s_q * x, p_spec, q_spec):
+            np.minimum(margin, slack, out=margin)
+    return margin
+
+
+def _assert_grid_matches_bisection(vp, ll, g_l, p_spec, q_spec, s_p=1, s_q=1):
+    for p_state, q_state in _COMBOS:
+        np.testing.assert_allclose(
+            solve_grid(p_spec, p_state, vp, q_spec, q_state, ll, g_l),
+            _bisection_node(p_spec, p_state, vp, q_spec, q_state, ll, g_l),
+            rtol=0.0, atol=1e-9)
+    np.testing.assert_allclose(
+        _margin_grid(vp, ll, g_l, p_spec, q_spec, s_p, s_q, closed=False),
+        _bisection_margin_grid(vp, ll, g_l, p_spec, q_spec, s_p, s_q),
+        rtol=0.0, atol=1e-9)
+
+
+@st.composite
+def _grid_specs(draw):
+    g_off = draw(st.floats(1e-6, 50e-6))
+    g_on = g_off * draw(st.floats(2.0, 50.0))
+    iv = None
+    if draw(st.booleans()):
+        iv = il.sinh_iv_from_conductances(g_on, g_off, draw(st.floats(0.1, 100.0)),
+                                          draw(st.floats(0.1, 100.0)))
+    v_set_min = draw(st.floats(0.3, 2.0))
+    return il.MemristorSpec(v_set_min=v_set_min,
+                            v_set_max=v_set_min + draw(st.floats(0.0, 1.0)),
+                            v_reset_min=-1.5, v_reset_max=-2.2, g_on=g_on,
+                            g_off=g_off, iv_model=iv or il.LinearIV())
+
+
+@settings(max_examples=150, deadline=None)
+@given(p_spec=_grid_specs(), q_spec=_grid_specs(),
+       vp=st.lists(st.floats(-15.0, 15.0), min_size=1, max_size=5),
+       ll=st.lists(st.floats(-1e-3, 1e-3), min_size=1, max_size=5),
+       g_l=st.one_of(st.just(0.0), st.floats(1e-6, 1e-3)),
+       s_p=st.sampled_from((-1, 1)), s_q=st.sampled_from((-1, 1)))
+def test_newton_grid_matches_bisection(p_spec, q_spec, vp, ll, g_l, s_p, s_q):
+    # the Newton grid replaced a 60-step bisection; every point, overflowing
+    # and out-of-bracket ones included, must land where the bisection did
+    _assert_grid_matches_bisection(np.array(vp)[:, None], np.array(ll)[None, :],
+                                   g_l, p_spec, q_spec, s_p, s_q)
+
+
+def test_newton_grid_root_outside_bracket(bottom_spec):
+    # 1 mA into the node needs |v_c| of tens of volts: the point takes the
+    # bracket end its root lies beyond, as the bisection did
+    vp = np.array([[0.0], [1.0]])
+    ll = np.array([[-1e-3, 1e-3]])
+    x = solve_grid(bottom_spec, dev.OFF, vp, bottom_spec, dev.OFF, ll, 0.0)
+    np.testing.assert_array_equal(x, [[BRACKET, -BRACKET], [BRACKET, -BRACKET]])
+    _assert_grid_matches_bisection(vp, ll, 0.0, bottom_spec, bottom_spec)
+
+
+def test_newton_grid_sinh_overflow_saturates():
+    # b = 100 overflows sinh beyond 7.1 V; at v_p = 16 V both devices
+    # overflow around the balance point, with f = -inf, NaN and +inf
+    spec = il.MemristorSpec(v_set_min=1.1, v_set_max=1.9, v_reset_min=-1.5,
+                            v_reset_max=-2.2, g_on=115e-6, g_off=10e-6,
+                            iv_model=il.sinh_iv_from_conductances(
+                                115e-6, 10e-6, 100.0, 100.0))
+    vp = np.array([[-16.0], [-9.0], [0.0], [9.0], [16.0]])
+    ll = np.array([[-1e-4, 0.0, 3e-5]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x = solve_grid(spec, dev.ON, vp, spec, dev.OFF, ll, 0.0)
+        _assert_grid_matches_bisection(vp, ll, 0.0, spec, spec)
+        _assert_grid_matches_bisection(vp, ll, 2e-5, spec, spec, -1, 1)
+    assert np.all(np.abs(x) <= BRACKET)
+
+
+def test_newton_grid_returns_exact_roots():
+    # f == 0.0 exactly at x = 0 (no drive) and at x = 1 (reached by one
+    # exact Newton step): both converge there instead of bisecting away
+    spec = il.MemristorSpec(v_set_min=1.1, v_set_max=1.9, v_reset_min=-1.5,
+                            v_reset_max=-2.2, g_on=100e-6, g_off=10e-6)
+    vp = np.array([[0.0]])
+    ll = np.array([[0.0, -2e-5]])
+    x = solve_grid(spec, dev.OFF, vp, spec, dev.OFF, ll, 0.0)
+    np.testing.assert_array_equal(x, [[0.0, 1.0]])
+    _assert_grid_matches_bisection(vp, ll, 0.0, spec, spec)
+
+
+@pytest.mark.parametrize("case,want", [
+    ("current_source", (0.354985425265681, -0.7099714559999999,
+                        -7.162778495999995e-05)),
+    ("resistive", (0.3143250448669681, -0.62865024, -3.8676313776040456)),
+    ("joint", (0.354985425265681, -0.7099714559999999, -7.162778495999995e-05)),
+])
+def test_sinh_optimize_results_pinned(default_stack, adder_stack, sinh_spec,
+                                      case, want):
+    # the results of the bisection grid, which the Newton grid must steer to
+    specs = {"bottom": sinh_spec, "top": sinh_spec}
+    if case == "current_source":
+        res = il.optimize(default_stack, "T1", "T2", specs)
+    elif case == "resistive":
+        res = il.optimize(default_stack, "T1", "T2", specs, load_kind="resistive",
+                          g_l=il.legacy_load(sinh_spec.g_on, sinh_spec.g_off))
+    else:
+        res = il.optimize(adder_stack, "B1", "T1", specs, constraints=[("T1", "B1")])
+    load = res.best_config.load
+    got = (res.margin, res.best_config.v_p,
+           load.i_l if case != "resistive" else load.v_l)
+    assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+    assert res.evaluations == 136161

@@ -113,6 +113,16 @@ def test_imp_config_json_roundtrip():
         assert il.ImpConfig.from_json(cfg.to_json()) == cfg
 
 
+@pytest.mark.parametrize("pulse_s", [0.0, -1.0, -1e-3])
+def test_imp_config_rejects_non_positive_pulse(pulse_s):
+    with pytest.raises(ValueError, match="pulse_s must be > 0"):
+        il.ImpConfig(0.1, il.CurrentSourceLoad(0.0), pulse_s=pulse_s)
+    obj = il.ImpConfig(0.1, il.CurrentSourceLoad(0.0)).to_json()
+    obj["pulse_s"] = pulse_s
+    with pytest.raises(ValueError, match="pulse_s must be > 0"):
+        il.ImpConfig.from_json(obj)
+
+
 def test_topology_json_default_orientation():
     obj = {"cells": [
         {"id": "B1", "level": "bottom", "spec": "d", "node": "M", "outer": "b1"},
