@@ -2,13 +2,15 @@
 
 Trial t of a study with seed s reruns the program with every threshold
 drawn from its own substream, ``numpy.random.default_rng((s, t))``, in the
-draw order owned by the program's compiled plan, which ``execute`` runs
-too. All trials run as one batch axis (``program.execute_trials``): device
-states are arrays over trials, and each step acts on every trial at once.
-Trials are processed ``program.BATCH_TRIALS`` at a time, so memory stays
-bounded however many are asked for. Since no trial's draws depend on
-another's, the same seed gives the same report and per-trial rows, byte
-for byte, in any grouping of trials, and trial t matches
+draw order owned by the program's compiled plan. The trials are the batch
+axis of the plan's step interpreter (``program.execute_trials``), which
+``execute`` runs as a batch of one: each step acts on every trial at once.
+Failures are attributed against the zero-variation run of the same
+interpreter, settled from the implications' memos. Trials are processed
+``program.BATCH_TRIALS`` at a time, so memory stays bounded however many
+are asked for. Since no trial's draws depend on another's, the same seed
+gives the same report and per-trial rows, byte for byte, in any grouping
+of trials, and trial t matches
 ``execute(..., variation="seeded", rng=default_rng((s, t)))`` step for step.
 """
 
@@ -19,7 +21,6 @@ from typing import Callable, Iterator, Mapping
 
 import numpy as np
 
-from . import device as dev
 from .device import MemristorSpec
 from .program import StepProgram, WriteStep, execute_trials
 from .topology import ImpConfig, StackTopology
@@ -85,8 +86,6 @@ def estimate_yield(program: StepProgram, topology: StackTopology,
                    configs: dict[str, ImpConfig],
                    oracle: Callable[[dict[str, int]], Mapping[str, int]] | Mapping[str, int],
                    trials: int, seed: int = 0,
-                   partial_reset_factor: float = dev.PARTIAL_RESET_FACTOR,
-                   ratio_degradation_threshold: float = 0.9,
                    collect_outcomes: bool = False) -> YieldReport:
     """Run seeded variation trials and report the pass rate.
 
@@ -96,7 +95,7 @@ def estimate_yield(program: StepProgram, topology: StackTopology,
     attributed to the first step whose post-step device states diverge from
     the zero-variation reference trace. The degraded-ratio fraction counts
     implication steps after which a driven cell's conductance scale sits
-    below ``ratio_degradation_threshold``.
+    below ``program.DEGRADED_BELOW`` (0.9).
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -106,8 +105,7 @@ def estimate_yield(program: StepProgram, topology: StackTopology,
     if unknown:
         raise ValueError(f"oracle names undeclared outputs {sorted(unknown)}")
 
-    batch = execute_trials(program, topology, specs, configs, trials, seed,
-                           partial_reset_factor, ratio_degradation_threshold)
+    batch = execute_trials(program, topology, specs, configs, trials, seed)
     passed = np.ones(trials, dtype=bool)
     for var, want in expected.items():
         passed &= batch.outputs[var] == want

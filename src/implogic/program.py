@@ -6,23 +6,27 @@ the target cell, so NAND is a reset followed by two implications and NOT is
 a reset followed by one. Values move between cells as complement pairs
 (two NOTs).
 
-``execute`` (one run) and ``execute_trials`` (a batch of seeded trials) run
-the same compiled plan of a program. The plan owns the threshold draw order
-and resolves each distinct implication's bias once per run.
+A program compiles into a plan with one step interpreter, ``_Plan.run``,
+which ``execute`` runs as a batch of one trial and ``execute_trials`` over
+many. Each implication step applies ``solver.settle``, the one copy of the
+switching rules, to ``solver.STATES`` codes. The plan owns the threshold
+draw order. Implications are interned across plans, and at zero variation
+each one's pulse outcome per (P state, Q state) is memoized.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import device as dev
 from . import margins
-from .device import DeviceState, Logic, MemristorSpec, ThresholdSample, _check_json
-from .solver import (MAX_SETTLE_PASSES, NoConvergence, NodeSolution,
-                     SwitchEvent, _settle, solve_pair)
+from .device import MemristorSpec, _check_json
+from .solver import (STATES, NoConvergence, NodeSolution, SwitchEvent, settle,
+                     solve_pair)
 from .topology import (CurrentSourceLoad, ImpConfig, ResistiveLoad,
                        StackTopology)
 
@@ -94,6 +98,15 @@ class ReadStep:
 Step = WriteStep | ResetStep | ImpStep | ReadStep
 
 
+def _step_detail(s: Step) -> dict:
+    """A step's operands as in its JSON object."""
+    if isinstance(s, WriteStep):
+        return {"cell": s.cell, "value": s.value}
+    if isinstance(s, ImpStep):
+        return {"p": s.p, "q": s.q, "config": s.config_ref}
+    return {"cell": s.cell}
+
+
 @dataclass(frozen=True)
 class StepProgram:
     """Ordered steps plus the variable-to-cell maps for inputs/outputs."""
@@ -141,17 +154,8 @@ class StepProgram:
                 raise ProgramError(f"output {var!r} cell {cell!r} never written")
 
     def to_json(self) -> dict:
-        steps = []
-        for s in self.steps:
-            if isinstance(s, WriteStep):
-                steps.append({"op": "write", "cell": s.cell, "value": s.value})
-            elif isinstance(s, ResetStep):
-                steps.append({"op": "reset", "cell": s.cell})
-            elif isinstance(s, ImpStep):
-                steps.append({"op": "imp", "p": s.p, "q": s.q, "config": s.config_ref})
-            else:
-                steps.append({"op": "read", "cell": s.cell})
-        return {"steps": steps, "inputs": dict(self.declared_inputs),
+        return {"steps": [{"op": s.op, **_step_detail(s)} for s in self.steps],
+                "inputs": dict(self.declared_inputs),
                 "outputs": dict(self.declared_outputs)}
 
     @classmethod
@@ -227,10 +231,6 @@ class ExecutionTrace:
                 for var, cell in program.declared_outputs.items()}
 
 
-def _snapshot(states: dict[str, DeviceState]) -> dict[str, tuple[str, float]]:
-    return {c: (s.logic.name, s.conductance_scale) for c, s in states.items()}
-
-
 def _resolve_config(step: ImpStep, topology: StackTopology,
                     configs: dict[str, ImpConfig]) -> ImpConfig:
     if step.config_ref in configs:
@@ -254,34 +254,60 @@ def _where(index: int, step: ImpStep, config: ImpConfig) -> str:
     return f"step {index} (imp {step.p} -> {step.q}, v_p {config.v_p:+.6g} V, {bias})"
 
 
-@dataclass(frozen=True, eq=False)
 class _Imp:
-    """An implication's bias, P's and Q's specs and drop signs, and the node
-    solutions found so far in a run, keyed by (P state, Q state)."""
+    """An implication's bias, P's and Q's specs and drop signs, and two memos
+    per (P code, Q code) that hold in every run: the node solution, and the
+    new codes, events and first solution of a pulse at nominal thresholds."""
 
-    config: ImpConfig
-    p_spec: MemristorSpec
-    q_spec: MemristorSpec
-    s_p: int
-    s_q: int
-    solutions: dict = field(default_factory=dict)
+    def __init__(self, config: ImpConfig, p_spec: MemristorSpec, q_spec: MemristorSpec,
+                 s_p: int, s_q: int):
+        self.config, self.p_spec, self.q_spec, self.s_p, self.s_q = (
+            config, p_spec, q_spec, s_p, s_q)
+        # draws take the full-reset level of nominal_thresholds
+        nom_p, nom_q = dev.nominal_thresholds(p_spec), dev.nominal_thresholds(q_spec)
+        self.full = np.array([[nom_p.v_reset_full], [nom_q.v_reset_full]])
+        self.nominal = np.array([[nom_q.v_set], [nom_p.v_reset_onset], [nom_q.v_reset_onset]])
+        self.solutions: dict[tuple[int, int], NodeSolution] = {}
+        self.settled: dict[tuple[int, int], tuple] = {}
 
-    def solve(self, p_state: DeviceState, q_state: DeviceState) -> NodeSolution:
-        sol = self.solutions.get((p_state, q_state))
+    def solve(self, p_code: int, q_code: int) -> NodeSolution:
+        sol = self.solutions.get((p_code, q_code))
         if sol is None:
-            sol = self.solutions[p_state, q_state] = solve_pair(
-                self.p_spec, p_state, self.q_spec, q_state, self.config, self.s_p, self.s_q)
+            sol = self.solutions[p_code, q_code] = solve_pair(
+                self.p_spec, STATES.states[p_code], self.q_spec, STATES.states[q_code],
+                self.config, self.s_p, self.s_q)
         return sol
+
+    def settle_nominal(self, p_code: int, q_code: int) -> tuple:
+        """(P code, Q code, events, first solution) after a pulse at nominal
+        thresholds, from the memo or from ``settle`` on a batch of one."""
+        out = self.settled.get((p_code, q_code))
+        if out is None:
+            pq = np.array([[p_code], [q_code]])
+            events: list = []
+            node = settle(self.solve, pq, self.nominal, self.full, events)
+            out = self.settled[int(p_code), int(q_code)] = (
+                *pq[:, 0].tolist(), tuple(events), node)
+        return out
+
+
+@functools.lru_cache(maxsize=1024)
+def _intern_imp(config: ImpConfig, p_spec: MemristorSpec, q_spec: MemristorSpec,
+                s_p: int, s_q: int, zero_signs: tuple[float, ...]) -> _Imp:
+    """The one ``_Imp`` of a bias, specs and drop signs, so that its memos
+    outlive a run. Biases equal but for the sign of a zero give node
+    voltages of different sign, so ``zero_signs`` keeps them apart."""
+    return _Imp(config, p_spec, q_spec, s_p, s_q)
 
 
 class _Plan:
     """A program validated and compiled for one topology, spec map and
     config map, run by ``execute`` and ``execute_trials``. Draws are
     numbered in step order (a reset's cell; an implication's P, then Q):
-    draw k takes v_set and reset onset from columns 2k and 2k + 1 of
-    ``lo + span * U``, or is ``nominal[k]``. ``imps[i]`` is implication step
-    i's ``_Imp``, resolved once and shared by equal ones, and the number of
-    its P draw (None for other steps)."""
+    draw k takes v_set and reset onset from rows 2k and 2k + 1 of the
+    threshold table ``lo + span * U``. ``ops[i]`` is step i's cell row, or
+    for an implication its interned ``_Imp``, the number of its P draw, and
+    P's and Q's rows."""
 
     def __init__(self, program: StepProgram, topology: StackTopology,
                  specs: dict[str, MemristorSpec], configs: dict[str, ImpConfig]):
@@ -291,79 +317,83 @@ class _Plan:
         rows = {c: r for r, c in enumerate(self.specs)}
         drawn: list[int] = []  # the row of each draw's cell, in draw order
         resolved: dict[ImpStep, _Imp] = {}
-        shared: dict[tuple, _Imp] = {}
-        imps: list[tuple[_Imp, int] | None] = []
+        ops: list[tuple] = []
         for step in program.steps:
-            entry = None
-            if isinstance(step, ResetStep):
-                drawn.append(rows[step.cell])
-            elif isinstance(step, ImpStep):
+            if isinstance(step, ImpStep):
                 imp = resolved.get(step)
                 if imp is None:
                     config = _resolve_config(step, topology, configs)
                     common = topology.common_wire(step.p, step.q)
-                    key = (config, self.specs[step.p], self.specs[step.q],
-                           topology.step_sign(step.p, common),
-                           topology.step_sign(step.q, common))
-                    imp = resolved[step] = shared.setdefault(key, _Imp(*key))
-                entry = (imp, len(drawn))
+                    imp = resolved[step] = _intern_imp(
+                        config, self.specs[step.p], self.specs[step.q],
+                        topology.step_sign(step.p, common), topology.step_sign(step.q, common),
+                        tuple(math.copysign(1.0, x)
+                              for x in (config.v_p, *vars(config.load).values())))
+                ops.append((imp, len(drawn), rows[step.p], rows[step.q]))
                 drawn += (rows[step.p], rows[step.q])
-            imps.append(entry)
-        self.imps = tuple(imps)
+            else:
+                ops.append(rows[step.cell])
+                if isinstance(step, ResetStep):
+                    drawn.append(rows[step.cell])
+        self.ops = tuple(ops)
         by_row = list(self.specs.values())
         lo = np.array([(s.v_set_min, s.v_reset_max) for s in by_row]).reshape(-1, 2)
         hi = np.array([(s.v_set_max, s.v_reset_min) for s in by_row]).reshape(-1, 2)
         self.lo, self.span = lo[drawn].ravel(), (hi - lo)[drawn].ravel()
-        mid = [dev.nominal_thresholds(s) for s in by_row]
-        self.nominal = [mid[r] for r in drawn]
 
-    def run(self, th: list[ThresholdSample], partial_reset_factor: float, full: bool,
-            variation: str, seed: int | None) -> ExecutionTrace:
-        """One run with draw k's thresholds ``th[k]``; ``full`` keeps per-step records."""
-        states = dict.fromkeys(self.specs, dev.OFF)
-        records: list[StepRecord] = []
+    def run(self, th: np.ndarray | None = None, first_trial: int | None = None,
+            records: list | None = None, trail: list | None = None,
+            ) -> tuple[np.ndarray, list[tuple[int, str, int]]]:
+        """The one step interpreter. Runs the program over the columns of
+        ``th``, one trial's threshold table each, or once at nominal
+        thresholds when ``th`` is None, settling each implication through
+        its memo. Error messages name trial ``first_trial + column`` when a
+        first trial is given. ``records`` collects column 0's StepRecords,
+        ``trail`` each implication's P and Q codes after it (2 x columns).
+        Returns the final codes (cells x columns) and column 0's reads."""
+        state = np.zeros((len(self.specs), 1 if th is None else th.shape[1]), dtype=np.intp)
         reads: list[tuple[int, str, int]] = []
-        for i, (step, entry) in enumerate(zip(self.steps, self.imps)):
-            node = None
-            events: tuple[SwitchEvent, ...] = ()
-            read_bit = None
-            if isinstance(step, WriteStep):
-                states[step.cell] = dev.ON if step.value else dev.OFF
-                detail: dict = {"cell": step.cell, "value": step.value}
-            elif isinstance(step, ResetStep):
-                states[step.cell] = dev.OFF
-                detail = {"cell": step.cell}
-            elif isinstance(step, ImpStep):
-                imp, k = entry
+        for i, (step, op) in enumerate(zip(self.steps, self.ops)):
+            node, events, bit = None, (), None
+            if isinstance(step, ImpStep):
+                imp, k, p, q = op
                 try:
-                    ev, node = _settle(lambda s: imp.solve(s[step.p], s[step.q]), states,
-                                       step.p, step.q, {step.p: th[k], step.q: th[k + 1]},
-                                       partial_reset_factor)
+                    if th is None:
+                        state[p, 0], state[q, 0], events, node = imp.settle_nominal(
+                            state[p, 0], state[q, 0])
+                    else:
+                        pq = state[[p, q]]
+                        events = [] if records is not None else None
+                        node = settle(imp.solve, pq, th[[2 * k + 2, 2 * k + 1, 2 * k + 3]],
+                                      imp.full, events)
+                        state[[p, q]] = pq
                 except NoConvergence as exc:
-                    raise NoConvergence(f"{_where(i, step, imp.config)}: {exc}") from exc
-                events = tuple(ev)
-                detail = {"p": step.p, "q": step.q, "config": step.config_ref}
-            else:
-                read_bit = dev.decode_bit(self.specs[step.cell], states[step.cell])
-                reads.append((i, step.cell, read_bit))
-                detail = {"cell": step.cell}
-
-            if full:
-                records.append(StepRecord(index=i, op=step.op, detail=detail,
-                                          states_after=_snapshot(states),
-                                          node=node, events=events,
-                                          read_bit=read_bit))
-
-        final_bits = {c: dev.decode_bit(self.specs[c], s) for c, s in states.items()}
-        return ExecutionTrace(steps=records, reads=reads, final_bits=final_bits,
-                              variation=variation, seed=seed)
+                    where = _where(i, step, imp.config)
+                    if first_trial is not None:
+                        where = f"trial {first_trial + exc.column}, {where}"
+                    raise NoConvergence(f"{where}: {exc}") from exc
+                if trail is not None:
+                    trail.append(state[[p, q]])
+            elif isinstance(step, ReadStep):
+                bit = dev.decode_bit(self.specs[step.cell], STATES.states[state[op, 0]])
+                reads.append((i, step.cell, bit))
+            else:  # codes: OFF 0, ON 1
+                state[op] = step.value if isinstance(step, WriteStep) else 0
+            if records is not None:
+                if isinstance(step, ImpStep):
+                    events = tuple(SwitchEvent((step.p, step.q)[role], kind, drop, it)
+                                   for role, kind, drop, it in events)
+                after = {c: (s.logic.name, s.conductance_scale) for c, s in
+                         zip(self.specs, map(STATES.states.__getitem__, state[:, 0].tolist()))}
+                records.append(StepRecord(i, step.op, _step_detail(step), after, node, events,
+                                          bit))
+        return state, reads
 
 
 def execute(program: StepProgram, topology: StackTopology,
             specs: dict[str, MemristorSpec], configs: dict[str, ImpConfig],
             variation: str = "off", seed: int | None = None,
             rng: np.random.Generator | None = None,
-            partial_reset_factor: float = dev.PARTIAL_RESET_FACTOR,
             trace_level: str = "full") -> ExecutionTrace:
     """Run the program through the electrical solver.
 
@@ -371,24 +401,30 @@ def execute(program: StepProgram, topology: StackTopology,
     implication steps settle through the node solver with thresholds taken
     per step (sampled when variation is "seeded", midpoints when "off"),
     in the draw order of ``_Plan``; config errors are raised before any
-    step runs. ``trace_level`` "reads" skips per-step records for bulk runs.
+    step runs. The run is a batch of one on the plan's interpreter; at
+    zero variation each pulse's outcome comes from its implication's memo.
+    ``trace_level`` "reads" skips per-step records for bulk runs.
     """
     if variation not in ("off", "seeded"):
         raise ValueError("variation must be 'off' or 'seeded'")
-    if variation == "seeded" and rng is None:
-        rng = np.random.default_rng(seed)
     plan = _Plan(program, topology, specs, configs)
-    th = plan.nominal
+    th = None
     if variation == "seeded":  # numpy's uniform(low, high) is low + (high - low) * random()
-        u = (plan.lo + plan.span * rng.random(plan.lo.size)).tolist()
-        th = [ThresholdSample(v_set, onset, mid.v_reset_full)
-              for v_set, onset, mid in zip(u[::2], u[1::2], plan.nominal)]
-    return plan.run(th, partial_reset_factor, trace_level == "full", variation, seed)
+        if rng is None:
+            rng = np.random.default_rng(seed)
+        th = (plan.lo + plan.span * rng.random(plan.lo.size))[:, None]
+    records = [] if trace_level == "full" else None
+    state, reads = plan.run(th, records=records)
+    final_bits = {c: dev.decode_bit(spec, STATES.states[code])
+                  for (c, spec), code in zip(plan.specs.items(), state[:, 0].tolist())}
+    return ExecutionTrace(steps=records or [], reads=reads, final_bits=final_bits,
+                          variation=variation, seed=seed)
 
 
 # Trials per batch of execute_trials. A batch holds a threshold table of
 # BATCH_TRIALS x 2 floats per draw: 0.9 MB for the full adder's 57 draws.
 BATCH_TRIALS = 1024
+DEGRADED_BELOW = 0.9  # the conductance scale below which a device counts as degraded
 
 
 @dataclass(frozen=True, eq=False)
@@ -397,127 +433,32 @@ class TrialBatch:
     each declared output's decoded bit, and the first step after which the
     trial's device states differ from the zero-variation run's (-1 if
     none). ``degraded_steps`` counts the (trial, implication) pairs that
-    leave P or Q with a conductance scale below the threshold."""
+    leave P or Q with a conductance scale below ``DEGRADED_BELOW``."""
 
     outputs: dict[str, np.ndarray]
     first_divergence: np.ndarray
     degraded_steps: int
 
 
-class _StateTable:
-    """The device states one run can reach, each under a small integer code.
-
-    OFF (code 0) always has scale 1. ON has scale ``factor ** k`` after k
-    partial resets, built by the repeated product of the switching rules,
-    and a cell takes at most one partial reset per implication. Equal
-    states share a code, so codes compare like states.
-    """
-
-    def __init__(self, partial_reset_factor: float, imps: int):
-        self.factor = partial_reset_factor
-        self.states = [dev.OFF, dev.ON]
-        self.code = {dev.OFF: 0, dev.ON: 1}
-        successor = [0, -1]  # -1: the next scale is out of range, or never reached
-        last = 1
-        for _ in range(imps):
-            try:
-                nxt = DeviceState(Logic.ON,
-                                  self.states[last].conductance_scale * self.factor)
-            except ValueError:
-                break
-            if nxt in self.code:
-                successor[last] = self.code[nxt]
-                break
-            successor[last] = last = self.code[nxt] = len(self.states)
-            self.states.append(nxt)
-            successor.append(-1)
-        self.successor = np.array(successor)
-
-    def after_partial_reset(self, codes: np.ndarray) -> np.ndarray:
-        nxt = self.successor[codes]
-        if nxt.min() < 0:  # raise the range error the scalar rules would
-            scale = self.states[codes[np.argmin(nxt)]].conductance_scale
-            DeviceState(Logic.ON, scale * self.factor)
-        return nxt
-
-
-def _pair_drops(where: str, imp: _Imp, pq: np.ndarray, table: _StateTable,
-                first_trial: int) -> np.ndarray:
-    """Signed drops across P and Q (rows) in each trial of a batch. Each
-    distinct state pair is solved once per run, through the plan's memo."""
-    n = len(table.states)
-    pair = pq[0] * n + pq[1]
-    present = np.flatnonzero(np.bincount(pair))
-    by_pair = np.empty((present[-1] + 1, 2))
-    for code in present.tolist():
-        try:
-            sol = imp.solve(table.states[code // n], table.states[code % n])
-        except NoConvergence as exc:
-            trial = first_trial + int(np.flatnonzero(pair == code)[0])
-            raise NoConvergence(f"trial {trial}, {where}: {exc}") from exc
-        by_pair[code] = sol.drop_p, sol.drop_q
-    return by_pair[pair].T
-
-
-def _settle_batch(where: str, imp: _Imp, k: int, pq: np.ndarray, th: np.ndarray,
-                  table: _StateTable, first_trial: int) -> None:
-    """Settle one implication (P's draw ``k``) in every trial of a batch,
-    updating P's and Q's state codes ``pq`` in place. The rules are those of
-    ``solver._settle``, applied to the trials still switching until none fires."""
-    n = pq.shape[1]
-    v_set_q = th[2 * k + 2]
-    onset = th[[2 * k + 1, 2 * k + 3]]
-    full = np.array([[imp.p_spec.v_reset_max], [imp.q_spec.v_reset_max]])
-    set_done = np.zeros(n, dtype=bool)
-    partial_done = np.zeros((2, n), dtype=bool)
-    full_done = np.zeros((2, n), dtype=bool)
-    active = np.ones(n, dtype=bool)
-    for _ in range(MAX_SETTLE_PASSES):
-        drops = _pair_drops(where, imp, pq, table, first_trial)
-        to_set = active & ~set_done & (pq[1] == 0) & (drops[1] >= v_set_q)
-        pq[1, to_set] = 1
-        set_done |= to_set
-        on = pq != 0
-        full_hit = active & ~full_done & (drops <= full)
-        partial_hit = active & ~full_hit & ~partial_done & (drops <= onset)
-        full_done |= full_hit
-        partial_done |= partial_hit
-        to_partial = partial_hit & on
-        to_full = full_hit & on
-        if to_partial.any():
-            pq[to_partial] = table.after_partial_reset(pq[to_partial])
-        pq[to_full] = 0
-        active = to_set | (to_partial | to_full).any(axis=0)
-        if not active.any():
-            return
-    trial = first_trial + int(np.flatnonzero(active)[0])
-    raise NoConvergence(f"trial {trial}, {where}: switching did not reach a fixed point")
-
-
 def execute_trials(program: StepProgram, topology: StackTopology,
                    specs: dict[str, MemristorSpec], configs: dict[str, ImpConfig],
-                   trials: int, seed: int, partial_reset_factor: float,
-                   degraded_below: float) -> TrialBatch:
+                   trials: int, seed: int) -> TrialBatch:
     """Run ``trials`` seeded variation trials of the program as one batch.
 
     Trial t is ``execute(..., variation="seeded", rng=default_rng((seed, t)))``
     on the same compiled plan: it fills its threshold row from its own
     substream at once, so its result depends on no other trial and on no
-    grouping of trials. Trials run ``BATCH_TRIALS`` at a time, each step
-    over the whole batch, with a ``_StateTable`` code per cell and trial.
-    Instead of per-step snapshots, the run keeps the first step at which
-    each trial leaves the zero-variation run, and the degraded count.
+    grouping of trials. Trials run ``BATCH_TRIALS`` at a time as the columns
+    of one interpreter run. Instead of per-step snapshots, the run keeps the
+    first step at which each trial leaves the zero-variation run, and the
+    degraded count.
     """
     plan = _Plan(program, topology, specs, configs)
-    reference = plan.run(plan.nominal, partial_reset_factor, True, "off", None)
-    rows = {c: r for r, c in enumerate(plan.specs)}
-    table = _StateTable(partial_reset_factor, program.census()[1])
-    degraded_code = np.array([s.conductance_scale < degraded_below
-                              for s in table.states])
-    bit_of_code = {
-        var: np.array([dev.decode_bit(plan.specs[cell], s) for s in table.states])
-        for var, cell in program.declared_outputs.items()}
-    outputs = {var: np.empty(trials, dtype=int) for var in bit_of_code}
+    trail: list[np.ndarray] = []
+    plan.run(trail=trail)
+    reference = np.stack(trail) if trail else None
+    imp_steps = np.flatnonzero([isinstance(s, ImpStep) for s in program.steps])
+    outputs = {var: np.empty(trials, dtype=int) for var in program.declared_outputs}
     first_divergence = np.full(trials, -1)
     degraded = 0
     for start in range(0, trials, BATCH_TRIALS):
@@ -528,29 +469,20 @@ def execute_trials(program: StepProgram, topology: StackTopology,
                 np.random.default_rng((seed, start + j)).random(out=th[j])
         th *= plan.span
         th += plan.lo
-        state = np.zeros((len(rows), n), dtype=np.intp)
-        diverged = first_divergence[start:start + n]  # a view: writes reach the result
-        for i, (step, entry) in enumerate(zip(program.steps, plan.imps)):
-            if isinstance(step, WriteStep):
-                state[rows[step.cell]] = step.value  # codes: OFF 0, ON 1
-            elif isinstance(step, ResetStep):
-                state[rows[step.cell]] = 0
-            elif isinstance(step, ImpStep):
-                pq_rows = [rows[step.p], rows[step.q]]
-                pq = state[pq_rows]
-                where = _where(i, step, entry[0].config)
-                _settle_batch(where, *entry, pq, th.T, table, start)
-                state[pq_rows] = pq
-                degraded += int(np.count_nonzero(degraded_code[pq].any(axis=0)))
-                # before its first divergence a trial matches the reference in
-                # every cell, and only an implication's P and Q can change
-                after = reference.steps[i].states_after
-                ref = [[table.code[DeviceState(Logic[logic], scale)]]
-                       for logic, scale in (after[step.p], after[step.q])]
-                new = (diverged < 0) & (pq != ref).any(axis=0)
-                diverged[new] = i
+        trail = []
+        state, _ = plan.run(th.T, start, trail=trail)
+        if reference is not None:
+            # before its first divergence a trial matches the reference in
+            # every cell, and only an implication's P and Q can change
+            codes = np.stack(trail)
+            differs = (codes != reference).any(axis=1)
+            hit = differs.any(axis=0)
+            first_divergence[start:start + n][hit] = imp_steps[differs.argmax(axis=0)[hit]]
+            scales = np.array([s.conductance_scale for s in STATES.states])
+            degraded += int(np.count_nonzero((scales < DEGRADED_BELOW)[codes].any(axis=1)))
         for var, cell in program.declared_outputs.items():
-            outputs[var][start:start + n] = bit_of_code[var][state[rows[cell]]]
+            bit = np.array([dev.decode_bit(plan.specs[cell], s) for s in STATES.states])
+            outputs[var][start:start + n] = bit[state[list(plan.specs).index(cell)]]
     return TrialBatch(outputs, first_divergence, degraded)
 
 

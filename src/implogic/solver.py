@@ -16,10 +16,15 @@ device whose set terminal faces away from the common node. Signed device
 drops are reported in each device's own set convention: a drop at or above
 the device's set threshold switches it ON, a drop at or below its reset
 thresholds switches it (partially or fully) OFF.
+
+The switching rules of a pulse live here once, in ``settle``, over arrays
+of ``STATES`` codes with a column per trial: the program interpreter calls
+it at every implication step, and ``settle_states`` is a batch of one.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
@@ -53,7 +58,10 @@ MAX_SETTLE_PASSES = 8
 
 
 class NoConvergence(Exception):
-    """The current balance could not be driven below tolerance."""
+    """The current balance could not be driven below tolerance, or switching
+    did not settle; ``settle`` names the first batch column it arose in."""
+
+    column = 0
 
 
 @dataclass(frozen=True)
@@ -277,66 +285,126 @@ def solve_node(topology: StackTopology, specs: dict[str, MemristorSpec],
                       s_q=topology.step_sign(q, common), method=method)
 
 
+class StateTable:
+    """Device states under small integer codes, one table per process, so
+    that a code means the same state in every run and in every memo keyed
+    on codes. OFF and ON at scale 1 are codes 0 and 1; any other state
+    takes the next code when first seen. ``is_on`` is an array over codes."""
+
+    def __init__(self):
+        self.states: list[DeviceState] = []
+        self._codes: dict[DeviceState, int] = {}
+        self._lock = threading.Lock()
+        self.is_on = np.zeros(0, dtype=bool)
+        self.code(dev.OFF)
+        self.code(dev.ON)
+
+    def code(self, state: DeviceState) -> int:
+        code = self._codes.get(state)
+        if code is None:
+            with self._lock:
+                code = self._codes.setdefault(state, len(self.states))
+                if code == len(self.states):
+                    self.states.append(state)
+                    self.is_on = np.append(self.is_on, state.logic is Logic.ON)
+        return code
+
+
+STATES = StateTable()
+
+
+def _pair_drops(solve: Callable[[int, int], NodeSolution], pq: np.ndarray,
+                ) -> tuple[np.ndarray, NodeSolution]:
+    """P's and Q's drops (rows) in every column of the code pairs ``pq``,
+    solving each distinct pair once, and column 0's solution."""
+    size = int(pq.max()) + 1
+    pair = pq[0] * size + pq[1]
+    present = np.flatnonzero(np.bincount(pair))
+    by_pair = np.empty((present[-1] + 1, 2))
+    sols = {}
+    for key in present.tolist():
+        try:
+            sols[key] = sol = solve(*divmod(key, size))
+        except NoConvergence as exc:
+            exc.column = int(np.flatnonzero(pair == key)[0])
+            raise
+        by_pair[key] = sol.drop_p, sol.drop_q
+    return by_pair[pair].T, sols[pair[0]]
+
+
+def settle(solve: Callable[[int, int], NodeSolution], pq: np.ndarray, th: np.ndarray,
+           full: np.ndarray, events: list | None = None) -> NodeSolution:
+    """Apply the switching rules of one pulse to a fixed point in each
+    column (trial) of ``pq``, P's and Q's ``STATES`` codes (rows), in place.
+    The rows of ``th`` are Q's set threshold and P's and Q's reset onset,
+    those of ``full`` P's and Q's full-reset level, a column or one value
+    per trial; ``solve`` maps a (P code, Q code) pair to its node solution.
+
+    Each pass solves the node, then applies at most one event per rule to
+    each column still switching: Q sets if OFF and its drop reaches v_set;
+    P, then Q, resets fully (to OFF at scale 1) at or below its full level,
+    or else partially (ON only, scale times ``PARTIAL_RESET_FACTOR``) at or
+    below its onset. The lattice is monotone within a pulse, so a column
+    stops in a few passes. Column 0's events go to ``events`` as (0 for P or
+    1 for Q, kind, drop, pass). Returns column 0's first-pass solution, the
+    bias point before switching; a NoConvergence names its first column in
+    ``column``."""
+    v_set, onset = th[0], th[1:]
+    n = pq.shape[1]
+    set_done = np.zeros(n, dtype=bool)
+    partial_done = np.zeros((2, n), dtype=bool)
+    full_done = np.zeros((2, n), dtype=bool)
+    active = np.ones(n, dtype=bool)
+    for iteration in range(1, MAX_SETTLE_PASSES + 1):
+        drops, sol = _pair_drops(solve, pq)
+        if iteration == 1:
+            first = sol
+        to_set = active & ~set_done & ~STATES.is_on[pq[1]] & (drops[1] >= v_set)
+        pq[1, to_set] = 1
+        set_done |= to_set
+        full_hit = active & ~full_done & (drops <= full)
+        partial_hit = active & ~full_hit & ~partial_done & (drops <= onset)
+        full_done |= full_hit
+        partial_done |= partial_hit
+        to_full = full_hit & (pq != 0)
+        to_partial = partial_hit & STATES.is_on[pq]
+        if to_partial.any():  # a scale that leaves (0, 1] raises ValueError
+            codes, inverse = np.unique(pq[to_partial], return_inverse=True)
+            pq[to_partial] = np.array([STATES.code(DeviceState(
+                Logic.ON, STATES.states[c].conductance_scale * dev.PARTIAL_RESET_FACTOR))
+                for c in codes.tolist()], dtype=np.intp)[inverse]
+        pq[to_full] = 0
+        if events is not None:
+            drop = drops[:, 0].tolist()
+            if to_set[0]:
+                events.append((1, EventKind.SET, drop[1], iteration))
+            for role in (0, 1):
+                if to_full[role, 0]:
+                    events.append((role, EventKind.FULL_RESET, drop[role], iteration))
+                elif to_partial[role, 0]:
+                    events.append((role, EventKind.PARTIAL_RESET, drop[role], iteration))
+        active = to_set | (to_partial | to_full).any(axis=0)
+        if not active.any():
+            return first
+    exc = NoConvergence("switching did not reach a fixed point")
+    exc.column = int(np.flatnonzero(active)[0])
+    raise exc
+
+
 def settle_states(topology: StackTopology, specs: dict[str, MemristorSpec],
                   states: dict[str, DeviceState], config: ImpConfig,
                   p: str, q: str, thresholds: dict[str, ThresholdSample],
-                  partial_reset_factor: float = dev.PARTIAL_RESET_FACTOR,
                   ) -> tuple[dict[str, DeviceState], list[SwitchEvent], NodeSolution]:
-    """``_settle`` on a copy of ``states``, solving the node with ``solve_node``."""
-    states = dict(states)
-    events, first = _settle(lambda s: solve_node(topology, specs, s, config, p, q),
-                            states, p, q, thresholds, partial_reset_factor)
-    return states, events, first
-
-
-def _settle(solve: Callable[[dict[str, DeviceState]], NodeSolution],
-            states: dict[str, DeviceState], p: str, q: str,
-            thresholds: dict[str, ThresholdSample], partial_reset_factor: float,
-            ) -> tuple[list[SwitchEvent], NodeSolution]:
-    """Apply the switching rules of one pulse to a fixed point, updating
-    ``states`` in place; ``solve`` maps them to the node solution.
-
-    Each pass solves the node and then applies at most one event per rule:
-    the target Q sets if its drop reaches its sampled set threshold; either
-    driven device resets (partially for drops between the full level and
-    the onset, fully below the full level). The state lattice is monotone
-    within a pulse, so the loop terminates in a handful of passes. Returns
-    the events and the first pass's solution: the bias point before switching.
-    """
-    events: list[SwitchEvent] = []
-    set_done = False
-    partial_done = {p: False, q: False}
-    full_done = {p: False, q: False}
-
-    for iteration in range(1, MAX_SETTLE_PASSES + 1):
-        sol = solve(states)
-        if iteration == 1:
-            first = sol
-        fired: list[SwitchEvent] = []
-
-        if (not set_done and states[q].logic is Logic.OFF
-                and sol.drop_q >= thresholds[q].v_set):
-            states[q] = DeviceState(Logic.ON, 1.0)
-            fired.append(SwitchEvent(q, EventKind.SET, sol.drop_q, iteration))
-            set_done = True
-
-        for cell, drop in ((p, sol.drop_p), (q, sol.drop_q)):
-            th = thresholds[cell]
-            st = states[cell]
-            if drop <= th.v_reset_full and not full_done[cell]:
-                if st.logic is Logic.ON or st.conductance_scale != 1.0:
-                    states[cell] = DeviceState(Logic.OFF, 1.0)
-                    fired.append(SwitchEvent(cell, EventKind.FULL_RESET, drop, iteration))
-                full_done[cell] = True
-            elif drop <= th.v_reset_onset and not partial_done[cell]:
-                if st.logic is Logic.ON:
-                    states[cell] = DeviceState(
-                        Logic.ON, st.conductance_scale * partial_reset_factor)
-                    fired.append(SwitchEvent(cell, EventKind.PARTIAL_RESET, drop, iteration))
-                partial_done[cell] = True
-
-        if not fired:
-            return events, first
-        events.extend(fired)
-
-    raise NoConvergence("switching did not reach a fixed point")
+    """``settle`` as a batch of one on a copy of ``states``, solving the node
+    with ``solve_node``: the new states, the events and the first solution."""
+    th_p, th_q = thresholds[p], thresholds[q]
+    pq = np.array([[STATES.code(states[p])], [STATES.code(states[q])]])
+    events: list = []
+    first = settle(
+        lambda a, b: solve_node(topology, specs, {p: STATES.states[a], q: STATES.states[b]},
+                                config, p, q),
+        pq, np.array([[th_q.v_set], [th_p.v_reset_onset], [th_q.v_reset_onset]]),
+        np.array([[th_p.v_reset_full], [th_q.v_reset_full]]), events)
+    states = {**states, p: STATES.states[pq[0, 0]], q: STATES.states[pq[1, 0]]}
+    return states, [SwitchEvent((p, q)[r], kind, drop, it)
+                    for r, kind, drop, it in events], first

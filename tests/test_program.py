@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 
 import numpy as np
 import pytest
@@ -9,8 +10,10 @@ from hypothesis import strategies as st
 import implogic as il
 import implogic.program as program_module
 import implogic.solver as solver_module
+from implogic.device import PARTIAL_RESET_FACTOR
 from implogic.program import (PlacementInfeasible, ProgramError, _resolve_config,
                               _schedule_full_adder)
+from implogic.solver import EventKind
 
 
 def _run_bits(program, topology, specs, configs, **kw):
@@ -315,15 +318,60 @@ def test_seeded_ripple_deterministic():
 
 
 # ---------------------------------------------------------------------------
-# execute against a reference built from public per-step calls
+# execute and settle_states against references built from scalar rules and
+# public per-step calls
 # ---------------------------------------------------------------------------
+
+def _reference_settle(topology, specs, states, config, p, q, thresholds):
+    """The switching rules of one pulse on a dict of DeviceStates, as
+    ``settle_states`` documents them: each pass solves the node, then Q sets
+    if OFF and its drop reaches v_set, and P then Q reset fully (drop at or
+    below v_reset_full, unless already OFF at scale 1) or partially (drop at
+    or below the onset, ON only), each rule at most once per pulse, until a
+    pass fires nothing. Returns the new states, the events and the first
+    pass's solution."""
+    states = dict(states)
+    events = []
+    set_done = False
+    partial_done = {p: False, q: False}
+    full_done = {p: False, q: False}
+    for iteration in range(1, solver_module.MAX_SETTLE_PASSES + 1):
+        sol = il.solve_node(topology, specs, states, config, p, q)
+        if iteration == 1:
+            first = sol
+        fired = []
+        if (not set_done and states[q].logic is il.Logic.OFF
+                and sol.drop_q >= thresholds[q].v_set):
+            states[q] = il.DeviceState(il.Logic.ON, 1.0)
+            fired.append(il.SwitchEvent(q, EventKind.SET, sol.drop_q, iteration))
+            set_done = True
+        for cell, drop in ((p, sol.drop_p), (q, sol.drop_q)):
+            th = thresholds[cell]
+            st_ = states[cell]
+            if drop <= th.v_reset_full and not full_done[cell]:
+                if st_.logic is il.Logic.ON or st_.conductance_scale != 1.0:
+                    states[cell] = il.DeviceState(il.Logic.OFF, 1.0)
+                    fired.append(il.SwitchEvent(cell, EventKind.FULL_RESET, drop, iteration))
+                full_done[cell] = True
+            elif drop <= th.v_reset_onset and not partial_done[cell]:
+                if st_.logic is il.Logic.ON:
+                    states[cell] = il.DeviceState(
+                        il.Logic.ON, st_.conductance_scale * PARTIAL_RESET_FACTOR)
+                    fired.append(
+                        il.SwitchEvent(cell, EventKind.PARTIAL_RESET, drop, iteration))
+                partial_done[cell] = True
+        if not fired:
+            return states, events, first
+        events.extend(fired)
+    raise il.NoConvergence("switching did not reach a fixed point")
+
 
 def _reference_execute(program, topology, specs, configs, rng):
     """What execute documents, one public call at a time: configs resolved
     before any step runs; a reset draws once for its cell, an implication
     once for P and then once for Q (``sample_thresholds``, each v_set then
-    reset onset); implications settle through ``settle_states``. Returns
-    each step's (states after, node, events) and the reads."""
+    reset onset); implications settle through ``_reference_settle``.
+    Returns each step's (states after, node, events) and the reads."""
     program.validate(topology)
     resolved = {i: _resolve_config(s, topology, configs)
                 for i, s in enumerate(program.steps) if isinstance(s, il.ImpStep)}
@@ -343,7 +391,7 @@ def _reference_execute(program, topology, specs, configs, rng):
         elif isinstance(step, il.ImpStep):
             th_p = il.sample_thresholds(spec(step.p), rng)
             th_q = il.sample_thresholds(spec(step.q), rng)
-            states, events, node = il.settle_states(
+            states, events, node = _reference_settle(
                 topology, specs, states, resolved[i], step.p, step.q,
                 {step.p: th_p, step.q: th_q})
         else:
@@ -485,9 +533,10 @@ def test_config_errors_raise_before_any_step(default_stack):
 
 
 def test_ripple_resolves_and_solves_each_distinct_point_once(monkeypatch):
-    """One bias resolution per distinct implication and one solve per
-    distinct (bias, P state, Q state) per run: 15 and 16 for this addition
-    (the per-pass solves of the step-by-step executor were 240)."""
+    """One bias resolution per distinct implication per call, and on a cold
+    memo one solve per distinct (bias, P state, Q state): 15 and 16 for this
+    addition (the per-pass solves of the step-by-step executor were 240).
+    A repeat call settles every pulse from the interned memos."""
     counts = {"resolve": 0, "solve": 0}
 
     def counting(name, fn):
@@ -501,7 +550,127 @@ def test_ripple_resolves_and_solves_each_distinct_point_once(monkeypatch):
     solve = counting("solve", solver_module.solve_pair)
     for module in (program_module, solver_module):
         monkeypatch.setattr(module, "solve_pair", solve)
+    program_module._intern_imp.cache_clear()
     total, carry, _, program = il.ripple_adder_8bit(173, 91, 1)
     assert (total, carry) == (9, 1)
     assert counts["resolve"] == len({s for s in program.steps if isinstance(s, il.ImpStep)})
     assert counts == {"resolve": 15, "solve": 16}
+    assert il.ripple_adder_8bit(173, 91, 1)[:2] == (9, 1)
+    assert counts == {"resolve": 30, "solve": 16}
+
+
+def _reference_trace(program, topology, specs, configs):
+    """The StepRecords of a zero-variation run, from the scalar reference."""
+    nominal = {c: il.nominal_thresholds(specs[topology.cells[c].spec_ref])
+               for c in topology.usable_cells()}
+    states = {c: il.DeviceState(il.Logic.OFF) for c in topology.usable_cells()}
+    records = []
+    for i, step in enumerate(program.steps):
+        node, events, bit = None, (), None
+        if isinstance(step, il.WriteStep):
+            states[step.cell] = il.DeviceState(il.Logic(step.value))
+            detail = {"cell": step.cell, "value": step.value}
+        elif isinstance(step, il.ResetStep):
+            states[step.cell] = il.DeviceState(il.Logic.OFF)
+            detail = {"cell": step.cell}
+        elif isinstance(step, il.ImpStep):
+            detail = {"p": step.p, "q": step.q, "config": step.config_ref}
+            cfg = _resolve_config(step, topology, configs)
+            states, events, node = _reference_settle(topology, specs, states, cfg,
+                                                     step.p, step.q, nominal)
+            events = tuple(events)
+        else:
+            bit = il.decode_bit(specs[topology.cells[step.cell].spec_ref], states[step.cell])
+            detail = {"cell": step.cell}
+        records.append(program_module.StepRecord(
+            i, step.op, detail, {c: (s.logic.name, s.conductance_scale)
+                                 for c, s in states.items()}, node, events, bit))
+    return records
+
+
+def test_zero_variation_trace_same_on_cold_and_warm_memo(adder_stack):
+    sinh = _wide_spec(il.sinh_iv_from_conductances(115e-6, 10e-6, 1.5, 1.5))
+    cases = [({"bottom": sinh, "top": sinh},
+              _bias_pair(-0.71, il.CurrentSourceLoad(-7.16e-5),
+                         il.CurrentSourceLoad(7.16e-5))),
+             # partially resets the target
+             ({"bottom": _wide_spec(), "top": _wide_spec()},
+              _bias_pair(5.2, il.ResistiveLoad(20e-6, -6.6), il.ResistiveLoad(20e-6, 6.6)))]
+    fa = il.compile_full_adder(adder_stack)
+    kinds = set()
+    for specs, configs in cases:
+        for a, b, c in itertools.product((0, 1), repeat=3):
+            prog = il.with_inputs(fa, {"a": a, "b": b, "c_in": c})
+            program_module._intern_imp.cache_clear()
+            cold = il.execute(prog, adder_stack, specs, configs)
+            warm = il.execute(prog, adder_stack, specs, configs)
+            assert warm == cold
+            assert warm.steps == _reference_trace(prog, adder_stack, specs, configs)
+            kinds |= {e.kind for r in cold.steps for e in r.events}
+    assert kinds == set(EventKind)
+
+
+def test_memo_keeps_biases_apart_by_the_sign_of_zero(default_stack):
+    # 0.0 and -0.0 compare equal, but a zero bias of either sign gives a node
+    # voltage of the other sign; a warm memo must not hand one the other's
+    spec = il.bottom_device_spec()
+    specs = {"bottom": spec, "top": spec}
+    prog = il.with_inputs(il.nand_macro("B1", "B2", "T2"), {"a": 0, "b": 0})
+    off = {c: il.DeviceState(il.Logic.OFF) for c in default_stack.usable_cells()}
+    for zero in (0.0, -0.0, 0.0):
+        cfg = il.ImpConfig(zero, il.CurrentSourceLoad(zero))
+        trace = il.execute(prog, default_stack, specs, {"drive_neg": cfg, "drive_pos": cfg})
+        first = next(r.node for r in trace.steps if r.node)  # B1 -> T2, all OFF
+        want = il.solve_node(default_stack, specs, off, cfg, "B1", "T2")
+        assert math.copysign(1.0, first.v_c) == math.copysign(1.0, want.v_c)
+
+
+def _any_state(scale):
+    """A DeviceState of either logic level at a scale on or off the partial-reset chain."""
+    return st.builds(il.DeviceState, st.sampled_from(list(il.Logic)), scale)
+
+
+_scales = st.one_of(st.just(1.0), st.sampled_from([0.7, 0.49, 0.7 ** 3]),
+                    st.floats(1e-3, 1.0, exclude_min=True))
+
+
+@st.composite
+def _settle_cases(draw):
+    stack = il.build_default_stack()
+    cells = stack.usable_cells()
+    p, q = draw(st.sampled_from([(p, q) for p in cells for q in cells
+                                 if p != q and stack.are_adjacent(p, q)]))
+    g_off, ratio = draw(st.floats(5e-6, 20e-6)), draw(st.floats(3.0, 20.0))
+    iv = il.LinearIV()
+    if draw(st.booleans()):
+        b_on, b_off = draw(st.floats(0.5, 3.0)), draw(st.floats(0.5, 3.0))
+        if draw(st.integers(0, 5)) == 0:
+            b_on = 80.0  # overflows the Newton bracket
+        iv = il.sinh_iv_from_conductances(g_off * ratio, g_off, b_on, b_off)
+    spec = il.MemristorSpec(1.0, 2.0, -1.5, -2.2, g_off * ratio, g_off, iv_model=iv)
+    v_p, drive = draw(st.floats(-5.0, 5.0)), draw(st.floats(-4.0, 4.0))
+    if draw(st.booleans()):
+        load = il.ResistiveLoad(draw(st.floats(1e-6, 2e-4)), drive)
+    else:
+        load = il.CurrentSourceLoad(drive * 1e-4)
+    states = {c: draw(_any_state(_scales)) for c in cells}
+    thresholds = {}
+    for cell in (p, q):
+        onset = draw(st.floats(-2.5, -0.2))
+        # the full-reset level of a draw is the spec's v_reset_max; here it is not
+        thresholds[cell] = il.ThresholdSample(draw(st.floats(0.2, 2.5)), onset,
+                                              onset - draw(st.floats(0.0, 1.5)))
+    specs = {"bottom": spec, "top": spec}
+    return stack, specs, states, il.ImpConfig(v_p, load), p, q, thresholds
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_settle_cases())
+def test_settle_states_matches_scalar_rules(case):
+    try:
+        want = _reference_settle(*case)
+    except (il.NoConvergence, ValueError) as exc:
+        with pytest.raises(type(exc)):
+            il.settle_states(*case)
+        return
+    assert il.settle_states(*case) == (want[0], want[1], want[2])

@@ -1,9 +1,12 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
 import implogic as il
 from implogic.device import DeviceState, Logic
-from implogic.solver import solve_pair
+from implogic.solver import STATES, solve_pair
 
 
 def _bisect_oracle(p_spec, p_state, v_p, q_spec, q_state, load, tol=1e-13):
@@ -208,3 +211,30 @@ def test_unknown_method_rejected(default_stack, ideal_specs, off_states):
     with pytest.raises(ValueError):
         il.solve_node(default_stack, ideal_specs, off_states, cfg, "T1", "T2",
                       method="simulated_annealing")
+
+
+def test_state_codes_stay_unique_under_threads():
+    # STATES is shared by the whole process: threads that meet the same new
+    # states at once must agree on one code per state, and no two states may
+    # share a code
+    scales = [0.5 + k * 1e-7 for k in range(300)]  # states no other test makes
+    got = [[] for _ in range(8)]
+
+    def work(out):
+        for scale in scales:
+            out.append(STATES.code(DeviceState(Logic.ON, scale)))
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(out,)) for out in got]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(old)
+    assert all(codes == got[0] for codes in got)
+    assert [STATES.states[c] for c in got[0]] == [DeviceState(Logic.ON, s) for s in scales]
+    assert len(STATES.is_on) == len(STATES.states) and STATES.is_on[got[0]].all()
