@@ -232,7 +232,7 @@ def current(spec: MemristorSpec, state: DeviceState, v):
 
 def differential_conductance(spec: MemristorSpec, state: DeviceState, v):
     """dI/dV at drop v (a float or an array, as for ``current``); used by
-    the Newton node solvers and, for ohmic devices, in the closed forms."""
+    the Newton node solver and, for ohmic devices, in the closed form."""
     scale = state.conductance_scale
     model = spec.iv_model
     if isinstance(model, SinhIV):

@@ -7,8 +7,10 @@ set when both devices start OFF, must not set otherwise, and the
 conditioning device must neither set nor begin to reset in any
 combination. The optimizer runs a coarse grid over (v_p, load) followed by
 shrinking refinement grids around the incumbent. Grids solve all nodes at
-once (closed form if ohmic, else the array Newton ``solver.solve_grid``);
-the slacks reported for the winning bias come from the scalar solver.
+once with the node solver that the pair's specs call for, the closed form
+``solver.solve_linear`` if both devices are ohmic, else the array Newton
+``solver.solve_grid``; the slacks reported for the winning bias come from
+``solver.solve_pair``, the same two solvers on one point.
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import device as dev
-from .device import LinearIV, Logic, MemristorSpec
-from .solver import solve_grid, solve_pair
+from .device import Logic, MemristorSpec
+from .solver import is_ohmic, solve_grid, solve_linear, solve_pair
 from .topology import (CurrentSourceLoad, ImpConfig, ResistiveLoad,
                        StackTopology)
 
@@ -104,24 +106,19 @@ _COARSE = 41  # grid points per axis and round
 
 def _margin_grid(vp: np.ndarray, ll: np.ndarray, g_l: float,
                  p_spec: MemristorSpec, q_spec: MemristorSpec,
-                 s_p: int, s_q: int, closed: bool) -> np.ndarray:
+                 s_p: int, s_q: int) -> np.ndarray:
     """Vectorized worst slack; ``ll`` is the load current (g_l * v_l for a
     resistive load, i_l for a current source). The node voltage comes from
-    the closed form when ``closed`` (every device ohmic), else from the
-    array-valued safeguarded Newton ``solver.solve_grid``.
+    the closed form ``solver.solve_linear`` when both devices are ohmic, else
+    from the array-valued safeguarded Newton ``solver.solve_grid``.
 
     Used only to steer the refinement; the slacks finally reported for the
-    winning bias are recomputed through the scalar solver.
+    winning bias are recomputed point by point through ``solve_pair``.
     """
-    shape = np.broadcast_shapes(vp.shape, ll.shape)
-    margin = np.full(shape, np.inf)
+    solve = solve_linear if is_ohmic(p_spec, q_spec) else solve_grid
+    margin = np.full(np.broadcast_shapes(vp.shape, ll.shape), np.inf)
     for p_state, q_state in _COMBOS:
-        if closed:
-            g_p = dev.differential_conductance(p_spec, p_state, 0.0)
-            g_q = dev.differential_conductance(q_spec, q_state, 0.0)
-            x = (-g_p * vp - ll) / (g_p + g_q + g_l)
-        else:
-            x = solve_grid(p_spec, p_state, vp, q_spec, q_state, ll, g_l)
+        x = solve(p_spec, p_state, vp, q_spec, q_state, ll, g_l)
         for slack in _slacks(p_state.logic, q_state.logic, s_p * (vp + x),
                              s_q * x, p_spec, q_spec):
             np.minimum(margin, slack, out=margin)
@@ -192,7 +189,6 @@ def optimize(topology: StackTopology, p: str, q: str,
     g_on_max = max(s.g_on for s in all_specs)
     vp_box = (-2.0 * vstar, 2.0 * vstar)
     ll_box = (-4.0 * vstar * g_on_max, 4.0 * vstar * g_on_max)
-    all_linear = all(isinstance(s.iv_model, LinearIV) for s in all_specs)
 
     evaluations = 0
 
@@ -203,7 +199,7 @@ def optimize(topology: StackTopology, p: str, q: str,
         for info in pairs:
             f = info["flip"]
             m = _margin_grid(f * vp, f * ll, g_l, info["p_spec"], info["q_spec"],
-                             info["s_p"], info["s_q"], all_linear)
+                             info["s_p"], info["s_q"])
             np.minimum(total, m, out=total)
         evaluations += int(total.size)
         return total

@@ -6,6 +6,11 @@ two devices share. Every other device has a floating far terminal, carries
 no current, and equalizes to the common node, so the balance involves only
 P, Q, and the load.
 
+One current balance (``_balance``), one closed form for two ohmic devices
+(``solve_linear``) and one safeguarded Newton (``solve_grid``) take floats
+or arrays alike: ``solve_pair`` runs one of them on a single point, and the
+optimizer's margin grids run them over whole grids.
+
 Sign convention: the reported common-node voltage ``v_c`` is the negated
 electrical node potential, chosen so that for ohmic devices
 
@@ -43,6 +48,7 @@ __all__ = [
     "solve_pair",
     "solve_node",
     "solve_grid",
+    "solve_linear",
     "settle_states",
     "TOL_CURRENT",
     "MAX_SETTLE_PASSES",
@@ -90,29 +96,37 @@ class SwitchEvent:
     iteration: int
 
 
-def _balance(x: float, p_spec: MemristorSpec, p_state: DeviceState, v_p: float,
-             q_spec: MemristorSpec, q_state: DeviceState,
-             load: ResistiveLoad | CurrentSourceLoad) -> tuple[float, float]:
-    """Signed current sum and its derivative at node coordinate x (= v_c)."""
-    f = dev.current(p_spec, p_state, v_p + x) + dev.current(q_spec, q_state, x)
-    df = (dev.differential_conductance(p_spec, p_state, v_p + x)
-          + dev.differential_conductance(q_spec, q_state, x))
-    if isinstance(load, ResistiveLoad):
-        f += load.g_l * (load.v_l + x)
-        df += load.g_l
-    else:
-        f += load.i_l
+def _balance(x, p_spec: MemristorSpec, p_state: DeviceState, vp, q_spec: MemristorSpec,
+             q_state: DeviceState, ll, g_l: float):
+    """Signed current sum into the node and its derivative at node coordinate
+    x (= v_c), over floats or arrays as ``dev.current``; ``ll`` is the load
+    current (g_l * v_l for a resistive load, i_l for a current source)."""
+    v = vp + x
+    f = dev.current(p_spec, p_state, v) + dev.current(q_spec, q_state, x) + ll + g_l * x
+    df = (dev.differential_conductance(p_spec, p_state, v)
+          + dev.differential_conductance(q_spec, q_state, x) + g_l)
     return f, df
 
 
-def _solve_linear(p_spec: MemristorSpec, p_state: DeviceState, v_p: float,
-                  q_spec: MemristorSpec, q_state: DeviceState,
-                  load: ResistiveLoad | CurrentSourceLoad) -> float:
+def _load_terms(load: ResistiveLoad | CurrentSourceLoad) -> tuple[float, float]:
+    """(g_l, g_l * v_l) of a resistive load, (0, i_l) of a current source."""
+    if isinstance(load, ResistiveLoad):
+        return load.g_l, load.g_l * load.v_l
+    return 0.0, load.i_l
+
+
+def is_ohmic(p_spec: MemristorSpec, q_spec: MemristorSpec) -> bool:
+    """Whether both devices are ohmic, so that ``solve_linear`` applies."""
+    return all(isinstance(spec.iv_model, dev.LinearIV) for spec in (p_spec, q_spec))
+
+
+def solve_linear(p_spec: MemristorSpec, p_state: DeviceState, vp, q_spec: MemristorSpec,
+                 q_state: DeviceState, ll, g_l: float):
+    """The closed-form root of the balance of two ohmic devices, over floats
+    or arrays as ``_balance``."""
     g_p = dev.differential_conductance(p_spec, p_state, 0.0)
     g_q = dev.differential_conductance(q_spec, q_state, 0.0)
-    if isinstance(load, ResistiveLoad):
-        return (-g_p * v_p - load.g_l * load.v_l) / (load.g_l + g_p + g_q)
-    return (-g_p * v_p - load.i_l) / (g_p + g_q)
+    return (-g_p * vp - ll) / (g_l + g_p + g_q)
 
 
 def _bracket_overflow(p_spec: MemristorSpec, p_state: DeviceState, v_p: float,
@@ -130,107 +144,61 @@ def _bracket_overflow(p_spec: MemristorSpec, p_state: DeviceState, v_p: float,
     return NoConvergence("I-V overflow on the Newton bracket")
 
 
-def _solve_iterative(p_spec: MemristorSpec, p_state: DeviceState, v_p: float,
-                     q_spec: MemristorSpec, q_state: DeviceState,
-                     load: ResistiveLoad | CurrentSourceLoad) -> tuple[float, float, int]:
-    """Safeguarded Newton on the monotone current balance.
-
-    The balance is strictly increasing in x, so a sign change on the
-    bracket guarantees a unique root; Newton steps that leave the current
-    bracket fall back to bisection.
-    """
-    lo, hi = -BRACKET, BRACKET
-    try:
-        f_lo, _ = _balance(lo, p_spec, p_state, v_p, q_spec, q_state, load)
-        f_hi, _ = _balance(hi, p_spec, p_state, v_p, q_spec, q_state, load)
-    except OverflowError:
-        raise _bracket_overflow(p_spec, p_state, v_p, q_spec, q_state) from None
-    if f_lo > 0.0 or f_hi < 0.0:
-        raise NoConvergence(
-            f"no current-balance root in [{-BRACKET}, {BRACKET}] V "
-            f"(f({-BRACKET})={f_lo:.3g}, f({BRACKET})={f_hi:.3g})")
-    x = 0.0
-    step = float("inf")
-    for it in range(1, MAX_ITERATIONS + 1):
-        f, df = _balance(x, p_spec, p_state, v_p, q_spec, q_state, load)
-        # converge in both current and position: the residual tolerance
-        # alone leaves x loose where the local conductance is small
-        if abs(f) <= TOL_CURRENT and abs(step) <= TOL_STEP:
-            return x, f, it
-        if f > 0.0:
-            hi = x
-        else:
-            lo = x
-        if df > 0.0:
-            x_new = x - f / df
-            if not lo < x_new < hi:
-                x_new = 0.5 * (lo + hi)
-        else:
-            x_new = 0.5 * (lo + hi)
-        step = x_new - x
-        x = x_new
-    f, _ = _balance(x, p_spec, p_state, v_p, q_spec, q_state, load)
-    if abs(f) <= TOL_CURRENT:
-        return x, f, MAX_ITERATIONS
-    raise NoConvergence(f"residual {f:.3g} A after {MAX_ITERATIONS} iterations")
-
-
 def solve_grid(p_spec: MemristorSpec, p_state: DeviceState, vp: np.ndarray,
                q_spec: MemristorSpec, q_state: DeviceState, ll: np.ndarray,
-               g_l: float) -> np.ndarray:
-    """``_solve_iterative`` over the broadcast (vp, ll) grid: the node
-    coordinate x (= v_c) of every point, where ``ll`` is the load current
-    (g_l * v_l for a resistive load, i_l for a current source).
+               g_l: float, iterations: np.ndarray | None = None) -> np.ndarray:
+    """Safeguarded Newton on the monotone balance at every point of the
+    broadcast (vp, ll) grid: the node coordinate x (= v_c) of each point,
+    with ``ll`` the load current as for ``_balance``.
 
-    Each point keeps its own bracket and leaves the iteration once it has
-    converged; ``f == 0`` counts as converged, and a Newton step may land
-    on a bracket end. A step that leaves the bracket, is NaN, or is not
-    below half the step before last falls back to bisection; the last rule
-    stops Newton crawling down a steep sinh at ~1/b volts per step.
+    Each point starts at x = 0, keeps its own bracket and leaves the
+    iteration once it has converged: at an exact root, once the residual and
+    the last step are both within tolerance, or once its bracket has closed
+    to adjacent floats, whatever the residual (on a steep sinh one float
+    moves the balance by more than ``TOL_CURRENT``). A Newton step may land
+    on a bracket end; one that leaves the bracket, is NaN, or is not below
+    half the step before last falls back to bisection; the last rule stops
+    Newton crawling down a steep sinh at ~1/b volts per step.
     Never raises: a point whose balance has no sign change on the bracket
     takes the end its root lies beyond, sinh overflow saturates (NaN counts
     as f <= 0, which keeps ``f > 0`` monotone in x), and a point still open
-    after ``MAX_ITERATIONS`` keeps its last iterate.
+    after ``MAX_ITERATIONS`` keeps its last iterate. ``iterations``, a flat
+    integer array of the grid's size if given, receives the pass each point
+    converged in; the entries of the other points are left as they are.
     """
     shape = np.broadcast_shapes(vp.shape, ll.shape)
     vp, ll = (a.ravel() for a in np.broadcast_arrays(vp, ll))
-
-    def balance(x, vp, ll):
-        v = vp + x
-        f = (dev.current(p_spec, p_state, v) + dev.current(q_spec, q_state, x)
-             + ll + g_l * x)
-        df = (dev.differential_conductance(p_spec, p_state, v)
-              + dev.differential_conductance(q_spec, q_state, x) + g_l)
-        return f, df
-
     with np.errstate(over="ignore", invalid="ignore"):
-        f_lo, _ = balance(np.full(vp.size, -BRACKET), vp, ll)
-        f_hi, _ = balance(np.full(vp.size, BRACKET), vp, ll)
+        f_lo, f_hi = (_balance(np.full(vp.size, end), p_spec, p_state, vp, q_spec, q_state,
+                               ll, g_l)[0] for end in (-BRACKET, BRACKET))
         x = np.where(f_lo > 0.0, -BRACKET, BRACKET)
         i = np.flatnonzero(~(f_lo > 0.0) & (f_hi > 0.0))
         vp, ll = vp[i], ll[i]
         xi = np.zeros(i.size)
         lo = np.full(i.size, -BRACKET)
         hi = np.full(i.size, BRACKET)
-        step = np.full(i.size, np.inf)
-        step_old = step
-        for _ in range(MAX_ITERATIONS):
+        step = step_old = np.full(i.size, np.inf)
+        for it in range(1, MAX_ITERATIONS + 1):
             if not i.size:
                 break
-            f, df = balance(xi, vp, ll)
+            f, df = _balance(xi, p_spec, p_state, vp, q_spec, q_state, ll, g_l)
             dx = f / df  # df is a float when both devices are ohmic
-            done = (f == 0.0) | ((np.abs(f) <= TOL_CURRENT) & (np.abs(step) <= TOL_STEP))
-            if done.any():
-                x[i[done]] = xi[done]
-                keep = ~done
-                i, xi, f, dx, vp, ll = i[keep], xi[keep], f[keep], dx[keep], vp[keep], ll[keep]
-                lo, hi, step, step_old = lo[keep], hi[keep], step[keep], step_old[keep]
             above = f > 0.0
             hi = np.where(above, xi, hi)
             lo = np.where(above, lo, xi)
+            mid = 0.5 * (lo + hi)  # rounds to an end once the ends are adjacent floats
+            done = ((f == 0.0) | (mid == lo) | (mid == hi)
+                    | ((np.abs(f) <= TOL_CURRENT) & (np.abs(step) <= TOL_STEP)))
+            if done.any():
+                x[i[done]] = xi[done]
+                if iterations is not None:
+                    iterations[i[done]] = it
+                keep = ~done
+                i, xi, dx, mid, vp, ll, lo, hi, step, step_old = (
+                    a[keep] for a in (i, xi, dx, mid, vp, ll, lo, hi, step, step_old))
             x_new = xi - dx
             newton = (lo <= x_new) & (x_new <= hi) & (2.0 * np.abs(dx) <= np.abs(step_old))
-            x_new = np.where(newton, x_new, 0.5 * (lo + hi))
+            x_new = np.where(newton, x_new, mid)
             step_old, step = step, x_new - xi
             xi = x_new
         x[i] = xi
@@ -239,40 +207,46 @@ def solve_grid(p_spec: MemristorSpec, p_state: DeviceState, vp: np.ndarray,
 
 def solve_pair(p_spec: MemristorSpec, p_state: DeviceState,
                q_spec: MemristorSpec, q_state: DeviceState,
-               config: ImpConfig, s_p: int = 1, s_q: int = 1,
-               method: str = "auto") -> NodeSolution:
-    """Solve the two-device balance with explicit specs and drop signs.
+               config: ImpConfig, s_p: int = 1, s_q: int = 1) -> NodeSolution:
+    """Solve the two-device balance with explicit specs and drop signs: by
+    ``solve_linear`` when both devices are ohmic (``iterations`` is 0), else
+    by ``solve_grid`` on one point (``iterations`` counts its passes).
 
-    ``method`` is "auto" (closed form when every involved branch is ohmic,
-    Newton otherwise), "closed", or "iterative".
+    Raises NoConvergence when an I-V overflows at a bracket end, when the
+    balance has no root in the bracket, or when Newton is still open after
+    ``MAX_ITERATIONS`` with a residual above ``TOL_CURRENT``.
     """
-    all_linear = isinstance(p_spec.iv_model, dev.LinearIV) and isinstance(
-        q_spec.iv_model, dev.LinearIV)
-    if method == "closed" or (method == "auto" and all_linear):
-        if not all_linear:
-            raise ValueError("closed-form solve requires ohmic devices")
-        x = _solve_linear(p_spec, p_state, config.v_p, q_spec, q_state, config.load)
-        residual, _ = _balance(x, p_spec, p_state, config.v_p, q_spec, q_state,
-                               config.load)
-        iterations = 0
-    elif method in ("auto", "iterative"):
-        x, residual, iterations = _solve_iterative(
-            p_spec, p_state, config.v_p, q_spec, q_state, config.load)
+    v_p, (g_l, ll) = config.v_p, _load_terms(config.load)
+    point = (p_spec, p_state, v_p, q_spec, q_state, ll, g_l)
+    ohmic = is_ohmic(p_spec, q_spec)
+    if ohmic:
+        x, iterations = solve_linear(*point), 0
     else:
-        raise ValueError(f"unknown method {method!r}")
-
-    return NodeSolution(
-        v_c=x,
-        drop_p=s_p * (config.v_p + x),
-        drop_q=s_q * x,
-        residual=residual,
-        iterations=iterations,
-    )
+        try:
+            f_lo, _ = _balance(-BRACKET, *point)
+            f_hi, _ = _balance(BRACKET, *point)
+        except OverflowError:
+            raise _bracket_overflow(p_spec, p_state, v_p, q_spec, q_state) from None
+        if f_lo > 0.0 or f_hi < 0.0:
+            raise NoConvergence(
+                f"no current-balance root in [{-BRACKET}, {BRACKET}] V "
+                f"(f({-BRACKET})={f_lo:.3g}, f({BRACKET})={f_hi:.3g})")
+        count = np.zeros(1, dtype=np.intp)  # stays 0 if the point is still open
+        x = float(solve_grid(p_spec, p_state, np.array([v_p]), q_spec, q_state,
+                             np.array([ll]), g_l, count)[0])
+        iterations = int(count[0])
+    residual, _ = _balance(x, *point)
+    if not ohmic and iterations == 0:  # still open after MAX_ITERATIONS
+        if not abs(residual) <= TOL_CURRENT:
+            raise NoConvergence(f"residual {residual:.3g} A after {MAX_ITERATIONS} iterations")
+        iterations = MAX_ITERATIONS
+    return NodeSolution(v_c=x, drop_p=s_p * (v_p + x), drop_q=s_q * x,
+                        residual=residual, iterations=iterations)
 
 
 def solve_node(topology: StackTopology, specs: dict[str, MemristorSpec],
                states: dict[str, DeviceState], config: ImpConfig,
-               p: str, q: str, method: str = "auto") -> NodeSolution:
+               p: str, q: str) -> NodeSolution:
     """Solve the common node of an implication step between cells p and q.
 
     ``states`` may contain spectator cells; only p and q enter the balance.
@@ -282,7 +256,7 @@ def solve_node(topology: StackTopology, specs: dict[str, MemristorSpec],
     return solve_pair(specs[p_cell.spec_ref], states[p],
                       specs[q_cell.spec_ref], states[q], config,
                       s_p=topology.step_sign(p, common),
-                      s_q=topology.step_sign(q, common), method=method)
+                      s_q=topology.step_sign(q, common))
 
 
 class StateTable:

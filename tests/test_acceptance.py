@@ -11,7 +11,7 @@ import pytest
 import implogic as il
 from implogic.cli import main
 from implogic.device import DeviceState, Logic
-from implogic.solver import solve_pair
+from implogic.solver import _load_terms, solve_grid, solve_pair
 
 
 def test_criterion_1_margin_improvement_claim():
@@ -37,8 +37,8 @@ def test_criterion_2_asymptote_and_memory_bound():
 
 def test_criterion_3_analytic_numeric_equivalence(default_stack):
     """Optimizer recovers the closed forms on 100 random ohmic specs within
-    1e-3 relative; closed-form and iterative node solutions agree to 1e-12 V
-    on 1000 cases; all inside 10 s."""
+    1e-3 relative; the closed-form node solution and Newton (``solve_grid``)
+    on the same ohmic point agree to 1e-12 V on 1000 cases; all inside 10 s."""
     t0 = time.perf_counter()
     rng = np.random.default_rng(2024)
     specs_map_template = {c.spec_ref for c in default_stack.cells.values()}
@@ -74,12 +74,13 @@ def test_criterion_3_analytic_numeric_equivalence(default_stack):
         else:
             load = il.CurrentSourceLoad(i_l=float(rng.uniform(-3e-4, 3e-4)))
         cfg = il.ImpConfig(v_p=float(rng.uniform(-2, 2)), load=load)
-        closed = solve_pair(p_spec, p_state, q_spec, q_state, cfg, method="closed")
+        closed = solve_pair(p_spec, p_state, q_spec, q_state, cfg)
         if abs(closed.v_c) > 9.0:
             continue
-        iterative = solve_pair(p_spec, p_state, q_spec, q_state, cfg,
-                               method="iterative")
-        assert abs(closed.v_c - iterative.v_c) <= 1e-12
+        g_l, ll = _load_terms(load)
+        newton = solve_grid(p_spec, p_state, np.array(cfg.v_p), q_spec, q_state,
+                            np.array(ll), g_l)
+        assert abs(closed.v_c - newton) <= 1e-12
         agreed += 1
 
     assert time.perf_counter() - t0 < 10.0
@@ -245,7 +246,6 @@ def test_criterion_7_nonlinear_solver_oracle(sinh_spec):
         else:
             load = il.CurrentSourceLoad(i_l=float(rng.uniform(-3e-4, 3e-4)))
         cfg = il.ImpConfig(v_p=float(rng.uniform(-2, 2)), load=load)
-        sol = solve_pair(sinh_spec, p_state, sinh_spec, q_state, cfg,
-                         method="iterative")
+        sol = solve_pair(sinh_spec, p_state, sinh_spec, q_state, cfg)
         assert abs(sol.residual) <= 1e-12
         assert abs(sol.v_c - bisect(p_state, q_state, cfg)) <= 1e-9

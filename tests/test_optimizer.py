@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 import implogic as il
 from implogic import device as dev
 from implogic.optimizer import _COMBOS, Infeasible, _margin_grid, _slacks
-from implogic.solver import BRACKET, solve_grid
+from implogic.solver import BRACKET, is_ohmic, solve_grid
 
 
 def _specs_for(default_stack, spec):
@@ -161,10 +161,6 @@ def test_nonlinear_optimum_beats_brute_force_grid(default_stack, sinh_spec):
     assert res.margin >= best_grid - 1e-6
 
 
-def _grid_cases(sinh_spec, ohmic_spec):
-    """(spec, closed form?) inputs of the grid-vs-point-evaluator checks:
-    sinh devices through the array Newton, ohmic ones through both branches."""
-    return ((sinh_spec, False), (ohmic_spec, True), (ohmic_spec, False))
 
 
 def test_nonlinear_grid_matches_scalar_solver(default_stack, sinh_spec,
@@ -174,8 +170,8 @@ def test_nonlinear_grid_matches_scalar_solver(default_stack, sinh_spec,
     from implogic.optimizer import _margin_grid
     vp = np.linspace(-1.5, 0.5, 7)[:, None]
     ll = np.linspace(-1e-4, 2e-5, 5)[None, :]
-    for spec, closed in _grid_cases(sinh_spec, bottom_spec):
-        grid = _margin_grid(vp, ll, 0.0, spec, spec, 1, 1, closed)
+    for spec in (sinh_spec, bottom_spec):  # array Newton, closed form
+        grid = _margin_grid(vp, ll, 0.0, spec, spec, 1, 1)
         for i, v in enumerate(vp[:, 0]):
             for j, cur in enumerate(ll[0]):
                 cfg = il.ImpConfig(v_p=float(v),
@@ -192,8 +188,8 @@ def test_nonlinear_resistive_grid_matches_scalar_solver(default_stack, sinh_spec
     g_l = 3e-5
     vp = np.linspace(-1.2, 0.2, 5)[:, None]
     ll = np.linspace(-1.2e-4, 0.0, 5)[None, :]
-    for spec, closed in _grid_cases(sinh_spec, bottom_spec):
-        grid = _margin_grid(vp, ll, g_l, spec, spec, 1, 1, closed)
+    for spec in (sinh_spec, bottom_spec):
+        grid = _margin_grid(vp, ll, g_l, spec, spec, 1, 1)
         for i, v in enumerate(vp[:, 0]):
             for j, cur in enumerate(ll[0]):
                 cfg = il.ImpConfig(v_p=float(v), load=il.ResistiveLoad(
@@ -229,16 +225,16 @@ def test_optimize_rejects_negative_rounds(default_stack, bottom_spec):
         il.optimize(default_stack, "T1", "T2", specs, rounds=-1)
 
 
-def _bisection_node(p_spec, p_state, vp, q_spec, q_state, ll, g_l):
+def _bisection_node(p_spec, p_state, vp, q_spec, q_state, ll, g_l, bracket=BRACKET):
     """Reference node solve for ``solve_grid``: 60 bisections of the
     monotone balance over the whole grid (f > 0 moves the upper end, so a
     NaN f counts as f <= 0, and a point without a root in the bracket ends
     at the bracket end its root lies beyond)."""
     shape = np.broadcast_shapes(vp.shape, ll.shape)
-    lo = np.full(shape, -BRACKET)
-    hi = np.full(shape, BRACKET)
+    lo = np.full(shape, -bracket)
+    hi = np.full(shape, bracket)
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(60):  # halves a 20 V bracket to ~2e-17 V
+        for _ in range(60):  # halves a 20 V bracket to ~2e-17 V, 2 kV to ~2e-15 V
             mid = 0.5 * (lo + hi)
             f = (dev.current(p_spec, p_state, vp + mid)
                  + dev.current(q_spec, q_state, mid) + ll + g_l * mid)
@@ -248,11 +244,11 @@ def _bisection_node(p_spec, p_state, vp, q_spec, q_state, ll, g_l):
     return 0.5 * (lo + hi)
 
 
-def _bisection_margin_grid(vp, ll, g_l, p_spec, q_spec, s_p, s_q):
-    """``_margin_grid(..., closed=False)`` on the bisection node solve."""
+def _bisection_margin_grid(vp, ll, g_l, p_spec, q_spec, s_p, s_q, bracket=BRACKET):
+    """``_margin_grid`` on the bisection node solve."""
     margin = np.full(np.broadcast_shapes(vp.shape, ll.shape), np.inf)
     for p_state, q_state in _COMBOS:
-        x = _bisection_node(p_spec, p_state, vp, q_spec, q_state, ll, g_l)
+        x = _bisection_node(p_spec, p_state, vp, q_spec, q_state, ll, g_l, bracket)
         for slack in _slacks(p_state.logic, q_state.logic, s_p * (vp + x),
                              s_q * x, p_spec, q_spec):
             np.minimum(margin, slack, out=margin)
@@ -265,9 +261,12 @@ def _assert_grid_matches_bisection(vp, ll, g_l, p_spec, q_spec, s_p=1, s_q=1):
             solve_grid(p_spec, p_state, vp, q_spec, q_state, ll, g_l),
             _bisection_node(p_spec, p_state, vp, q_spec, q_state, ll, g_l),
             rtol=0.0, atol=1e-9)
+    # an ohmic pair's grid takes the closed form, which has no bracket; the
+    # drawn specs and loads keep its roots within 1 kV
+    bracket = 1e3 if is_ohmic(p_spec, q_spec) else BRACKET
     np.testing.assert_allclose(
-        _margin_grid(vp, ll, g_l, p_spec, q_spec, s_p, s_q, closed=False),
-        _bisection_margin_grid(vp, ll, g_l, p_spec, q_spec, s_p, s_q),
+        _margin_grid(vp, ll, g_l, p_spec, q_spec, s_p, s_q),
+        _bisection_margin_grid(vp, ll, g_l, p_spec, q_spec, s_p, s_q, bracket),
         rtol=0.0, atol=1e-9)
 
 

@@ -1,12 +1,15 @@
+import itertools
 import sys
 import threading
 
 import numpy as np
 import pytest
+from mpmath import mp
 
 import implogic as il
 from implogic.device import DeviceState, Logic
-from implogic.solver import STATES, solve_pair
+from implogic.solver import (STATES, TOL_CURRENT, _balance, _load_terms, solve_grid,
+                             solve_pair)
 
 
 def _bisect_oracle(p_spec, p_state, v_p, q_spec, q_state, load, tol=1e-13):
@@ -69,12 +72,13 @@ def test_closed_vs_iterative_agreement_1000():
         else:
             load = il.CurrentSourceLoad(i_l=float(rng.uniform(-3e-4, 3e-4)))
         cfg = il.ImpConfig(v_p=v_p, load=load)
-        closed = solve_pair(p_spec, p_state, q_spec, q_state, cfg, method="closed")
+        closed = solve_pair(p_spec, p_state, q_spec, q_state, cfg)
         if abs(closed.v_c) > 9.0:
-            continue  # outside the iterative solver's fixed bracket
-        iterative = solve_pair(p_spec, p_state, q_spec, q_state, cfg,
-                               method="iterative")
-        assert abs(closed.v_c - iterative.v_c) <= 1e-12
+            continue  # outside the Newton's fixed bracket
+        g_l, ll = _load_terms(load)
+        newton = solve_grid(p_spec, p_state, np.array(v_p), q_spec, q_state,
+                            np.array(ll), g_l)
+        assert abs(closed.v_c - newton) <= 1e-12
         checked += 1
 
 
@@ -85,12 +89,116 @@ def test_newton_matches_bisection_oracle(sinh_spec):
         q_state = DeviceState(Logic(rng.integers(2)))
         cfg = il.ImpConfig(v_p=float(rng.uniform(-2, 2)),
                            load=il.CurrentSourceLoad(float(rng.uniform(-3e-4, 3e-4))))
-        sol = solve_pair(sinh_spec, p_state, sinh_spec, q_state, cfg,
-                         method="iterative")
+        sol = solve_pair(sinh_spec, p_state, sinh_spec, q_state, cfg)
         ref = _bisect_oracle(sinh_spec, p_state, cfg.v_p, sinh_spec, q_state,
                              cfg.load)
         assert abs(sol.v_c - ref) <= 1e-9
         assert abs(sol.residual) <= 1e-12
+
+
+def _steep_bottom_spec(b):
+    return il.bottom_device_spec(il.sinh_iv_from_conductances(115e-6, 10e-6, b, b))
+
+
+def test_exact_root_at_zero_drive(sinh_spec):
+    # f == 0.0 exactly at the starting point x = 0: the first pass returns
+    # it instead of bisecting away and crawling back
+    cfg = il.ImpConfig(v_p=0.0, load=il.CurrentSourceLoad(0.0))
+    for p_state, q_state in itertools.product((DeviceState(Logic.OFF),
+                                               DeviceState(Logic.ON)), repeat=2):
+        sol = solve_pair(sinh_spec, p_state, sinh_spec, q_state, cfg)
+        assert sol.v_c == 0.0
+        assert sol.iterations == 1
+
+
+def _mp_root_error(spec, p_state, v_p, q_state, i_l, x):
+    """Distance from x to the root of the current-source balance of two
+    scale-1 states, found by bisection in 50-digit arithmetic (mpmath's
+    findroot does not converge on steep sinh balances) on x +- 1e-14 V,
+    which must bracket the root."""
+    def f(v):
+        total = mp.mpf(i_l)
+        for state, drop in ((p_state, v_p + v), (q_state, v)):
+            iv = spec.iv_model
+            a, b = (iv.a_on, iv.b_on) if state.logic is Logic.ON else (iv.a_off, iv.b_off)
+            total += mp.mpf(a) * mp.sinh(mp.mpf(b) * drop)
+        return total
+
+    with mp.workdps(50):
+        lo, hi = mp.mpf(x) - mp.mpf(1e-14), mp.mpf(x) + mp.mpf(1e-14)
+        assert f(lo) <= 0 < f(hi)
+        for _ in range(24):  # to ~1e-21 V
+            mid = (lo + hi) / 2
+            if f(mid) > 0:
+                hi = mid
+            else:
+                lo = mid
+        return float(abs((lo + hi) / 2 - mp.mpf(x)))
+
+
+@pytest.mark.parametrize("b", [1.5, 3.0, 10.0, 20.0])
+def test_newton_matches_50_digit_roots(b):
+    # both entry points of the one Newton land within 1e-15 V of the exact
+    # root, with the same bits, and never give up on a bracketed root
+    spec = _steep_bottom_spec(b)
+    rng = np.random.default_rng(int(b * 10))
+    states = [DeviceState(Logic.OFF), DeviceState(Logic.ON)]
+    points = {}
+    for _ in range(200):
+        p_state, q_state = states[rng.integers(2)], states[rng.integers(2)]
+        points.setdefault((p_state, q_state), []).append(
+            (float(rng.uniform(-2, 2)), float(rng.uniform(-3e-4, 3e-4))))
+    for (p_state, q_state), vp_il in points.items():
+        v_p, i_l = np.array(vp_il).T
+        grid = solve_grid(spec, p_state, v_p, spec, q_state, i_l, 0.0)
+        for k, (vp_k, il_k) in enumerate(vp_il):
+            sol = solve_pair(spec, p_state, spec, q_state,
+                             il.ImpConfig(v_p=vp_k, load=il.CurrentSourceLoad(il_k)))
+            assert sol.v_c == grid[k]
+            assert _mp_root_error(spec, p_state, vp_k, q_state, il_k, sol.v_c) <= 1e-15
+
+
+@pytest.mark.parametrize("b", [20.0, 40.0])
+def test_steep_solves_stop_at_float_resolution(b):
+    # one float step moves a steep balance by more than TOL_CURRENT, so a
+    # point whose bracket has closed to adjacent floats is converged: every
+    # solve returns, with its residual within tolerance or with the balance
+    # changing sign within one float of x
+    spec = _steep_bottom_spec(b)
+    rng = np.random.default_rng(int(b))
+    at_resolution = 0
+    for _ in range(300):
+        p_state = DeviceState(Logic(rng.integers(2)), float(rng.uniform(0.5, 1.0)))
+        q_state = DeviceState(Logic(rng.integers(2)), float(rng.uniform(0.5, 1.0)))
+        if rng.integers(2):
+            load = il.ResistiveLoad(g_l=float(rng.uniform(1e-6, 2e-4)),
+                                    v_l=float(rng.uniform(-3, 3)))
+        else:
+            load = il.CurrentSourceLoad(i_l=float(rng.uniform(-3e-4, 3e-4)))
+        cfg = il.ImpConfig(v_p=float(rng.uniform(-2.5, 2.5)), load=load)
+        x = solve_pair(spec, p_state, spec, q_state, cfg).v_c
+        g_l, ll = _load_terms(load)
+        f_below, f, f_above = (
+            _balance(v, spec, p_state, cfg.v_p, spec, q_state, ll, g_l)[0]
+            for v in (np.nextafter(x, -np.inf), x, np.nextafter(x, np.inf)))
+        if abs(f) > TOL_CURRENT:
+            at_resolution += 1
+            assert (f_below <= 0.0 < f) or (f <= 0.0 < f_above)
+    assert at_resolution > 0
+
+
+@pytest.mark.parametrize("spec_of", [il.bottom_device_spec, il.top_device_spec])
+def test_steep_sinh_full_adder_runs_converge(spec_of):
+    # Newton approaching a steep sinh from its convex side moves ~1/b V per
+    # step; it must bisect instead of running out of iterations
+    ohmic = spec_of()
+    spec = spec_of(il.sinh_iv_from_conductances(ohmic.g_on, ohmic.g_off, 20.0, 20.0))
+    stack = il.build_adder_stack()
+    fa = il.compile_full_adder(stack)
+    for seed, (a, b, c) in enumerate(itertools.product((0, 1), repeat=3)):
+        il.execute(il.with_inputs(fa, {"a": a, "b": b, "c_in": c}), stack,
+                   {"bottom": spec, "top": spec}, il.default_configs(spec),
+                   variation="seeded", seed=seed)
 
 
 def test_current_source_is_resistive_limit(default_stack, ideal_specs, off_states):
@@ -195,22 +303,6 @@ def test_settle_full_reset_restores_off_scale_one(default_stack, ideal_specs,
                                              cfg, "T1", "T2", th)
     assert any(e.kind.value == "full_reset" and e.cell == "T1" for e in events)
     assert new_states["T1"] == DeviceState(Logic.OFF, 1.0)
-
-
-def test_closed_method_rejects_nonlinear(sinh_spec, default_stack):
-    specs = {"bottom": sinh_spec, "top": sinh_spec}
-    states = {c: DeviceState(Logic.OFF) for c in default_stack.usable_cells()}
-    cfg = il.ImpConfig(v_p=-0.5, load=il.CurrentSourceLoad(-1e-5))
-    with pytest.raises(ValueError):
-        il.solve_node(default_stack, specs, states, cfg, "T1", "T2",
-                      method="closed")
-
-
-def test_unknown_method_rejected(default_stack, ideal_specs, off_states):
-    cfg = il.ImpConfig(v_p=0.0, load=il.CurrentSourceLoad(0.0))
-    with pytest.raises(ValueError):
-        il.solve_node(default_stack, ideal_specs, off_states, cfg, "T1", "T2",
-                      method="simulated_annealing")
 
 
 def test_state_codes_stay_unique_under_threads():
