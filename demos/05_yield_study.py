@@ -58,7 +58,7 @@ configs = il.default_configs(spec)
 for a, b in [(0, 0), (0, 1), (1, 0), (1, 1)]:
     prog = il.with_inputs(il.nand_macro("B1", "B2", "T2"), {"a": a, "b": b})
     report = il.estimate_yield(prog, stack, specs, configs, nand_oracle,
-                               trials=2000, seed=3, collect_outcomes=True)
+                               trials=2000, seed=3)
     hist = dict(sorted(report.failure_histogram.items()))
     print(f"   inputs ({a},{b}): yield {report.yield_fraction:.3f}, "
           f"degraded-ratio fraction {report.degraded_ratio_fraction:.4f}, "

@@ -17,7 +17,7 @@ from .margins import (MarginReport, analytic_report, delta_actual,
                       delta_general, delta_ideal_parallel, delta_memory,
                       implied_margins, legacy_load, optimal_bias,
                       optimal_i_l, sweep_rows)
-from .montecarlo import TrialOutcome, YieldReport, estimate_yield
+from .montecarlo import YieldReport, estimate_yield
 from .optimizer import (Infeasible, OptimizationResult, evaluate_margin,
                         optimize, worst_slack)
 from .program import (ExecutionTrace, ImpStep, PlacementInfeasible,

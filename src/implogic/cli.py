@@ -202,14 +202,12 @@ def _cmd_yield(args) -> int:
     reference = execute(program, topo, specs, configs, variation="off")
     expected = reference.output_bits(program)
     report = estimate_yield(program, topo, specs, configs, expected,
-                            trials=args.trials, seed=args.seed,
-                            collect_outcomes=bool(args.per_trial))
+                            trials=args.trials, seed=args.seed)
     if args.per_trial:
+        rows = "".join(f"{t},1,\r\n" if step < 0 else f"{t},0,{step}\r\n"
+                       for t, step in enumerate(report.failed_step.tolist()))
         with open(args.per_trial, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=["trial", "passed",
-                                                    "failed_step"])
-            writer.writeheader()
-            writer.writerows(report.iter_per_trial_rows())
+            fh.write("trial,passed,failed_step\r\n" + rows)
     out = report.to_json()
     out["expected_outputs"] = expected
     _dump_json(out, args.out)

@@ -11,13 +11,13 @@ interpreter, settled from the implications' memos. Trials are processed
 are asked for. Since no trial's draws depend on another's, the same seed
 gives the same report and per-trial rows, byte for byte, in any grouping
 of trials, and trial t matches
-``execute(..., variation="seeded", rng=default_rng((s, t)))`` step for step.
+``execute(..., variation="seeded", seed=(s, t))`` step for step.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -25,19 +25,14 @@ from .device import MemristorSpec
 from .program import StepProgram, WriteStep, execute_trials
 from .topology import ImpConfig, StackTopology
 
-__all__ = ["YieldReport", "TrialOutcome", "estimate_yield"]
+__all__ = ["YieldReport", "estimate_yield"]
 
 
-@dataclass(frozen=True, slots=True)
-class TrialOutcome:
-    trial: int
-    passed: bool
-    failed_step: int | None
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class YieldReport:
-    """Pass statistics over seeded trials of one program."""
+    """Pass statistics over seeded trials of one program. ``failed_step``
+    holds, per trial, the step its failure is attributed to, or -1 where
+    the trial passed."""
 
     trials: int
     passes: int
@@ -45,7 +40,7 @@ class YieldReport:
     failure_histogram: dict[int, int]
     degraded_ratio_fraction: float
     seed: int
-    per_trial: tuple[TrialOutcome, ...] | None = None
+    failed_step: np.ndarray
 
     def to_json(self) -> dict:
         return {
@@ -57,17 +52,6 @@ class YieldReport:
             "degraded_ratio_fraction": self.degraded_ratio_fraction,
             "seed": self.seed,
         }
-
-    def per_trial_rows(self) -> list[dict]:
-        return list(self.iter_per_trial_rows())
-
-    def iter_per_trial_rows(self) -> Iterator[dict]:
-        """The per-trial rows one at a time, so a writer need not hold them all."""
-        if self.per_trial is None:
-            raise ValueError("run estimate_yield with collect_outcomes=True")
-        return ({"trial": t.trial, "passed": int(t.passed),
-                 "failed_step": "" if t.failed_step is None else t.failed_step}
-                for t in self.per_trial)
 
 
 def _program_input_values(program: StepProgram) -> dict[str, int]:
@@ -85,8 +69,7 @@ def estimate_yield(program: StepProgram, topology: StackTopology,
                    specs: dict[str, MemristorSpec],
                    configs: dict[str, ImpConfig],
                    oracle: Callable[[dict[str, int]], Mapping[str, int]] | Mapping[str, int],
-                   trials: int, seed: int = 0,
-                   collect_outcomes: bool = False) -> YieldReport:
+                   trials: int, seed: int = 0) -> YieldReport:
     """Run seeded variation trials and report the pass rate.
 
     ``oracle`` maps the program's declared input values to the expected
@@ -109,15 +92,12 @@ def estimate_yield(program: StepProgram, topology: StackTopology,
     passed = np.ones(trials, dtype=bool)
     for var, want in expected.items():
         passed &= batch.outputs[var] == want
-    failed_at = np.where(batch.first_divergence >= 0, batch.first_divergence,
-                         len(program.steps) - 1)
+    failed_step = np.where(batch.first_divergence >= 0, batch.first_divergence,
+                           len(program.steps) - 1)
+    failed_step[passed] = -1
     histogram: dict[int, int] = {}
-    for step in failed_at[~passed].tolist():
+    for step in failed_step[~passed].tolist():
         histogram[step] = histogram.get(step, 0) + 1
-    outcomes = None
-    if collect_outcomes:
-        outcomes = tuple(TrialOutcome(t, ok, None if ok else step) for t, (ok, step)
-                         in enumerate(zip(passed.tolist(), failed_at.tolist())))
     passes = int(np.count_nonzero(passed))
     total_imps = trials * program.census()[1]
     return YieldReport(
@@ -128,5 +108,5 @@ def estimate_yield(program: StepProgram, topology: StackTopology,
         degraded_ratio_fraction=(batch.degraded_steps / total_imps
                                  if total_imps else 0.0),
         seed=seed,
-        per_trial=outcomes,
+        failed_step=failed_step,
     )

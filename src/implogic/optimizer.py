@@ -86,9 +86,7 @@ def evaluate_margin(topology: StackTopology, p: str, q: str, config: ImpConfig,
     are >= 0 iff the step is correct for every initial state; the margin is
     their minimum.
     """
-    common = topology.common_wire(p, q)
-    s_p = topology.step_sign(p, common)
-    s_q = topology.step_sign(q, common)
+    s_p, s_q = topology.step_signs(p, q)
     slacks: dict[str, float] = {}
     for p_state, q_state in _COMBOS:
         sol = solve_pair(p_spec, p_state, q_spec, q_state, config, s_p, s_q)
@@ -128,13 +126,13 @@ def _margin_grid(vp: np.ndarray, ll: np.ndarray, g_l: float,
 def _pair_info(topology: StackTopology, specs: dict[str, MemristorSpec],
                pair: tuple[str, str]):
     p, q = pair
-    common = topology.common_wire(p, q)
+    s_p, s_q = topology.step_signs(p, q)
     return {
         "pair": pair,
         "p_spec": specs[topology.cells[p].spec_ref],
         "q_spec": specs[topology.cells[q].spec_ref],
-        "s_p": topology.step_sign(p, common),
-        "s_q": topology.step_sign(q, common),
+        "s_p": s_p,
+        "s_q": s_q,
     }
 
 

@@ -205,7 +205,7 @@ class ExecutionTrace:
     reads: list[tuple[int, str, int]]
     final_bits: dict[str, int]
     variation: str
-    seed: int | None
+    seed: int | tuple[int, ...] | None
 
     def jsonl_records(self) -> list[dict]:
         out = []
@@ -236,8 +236,7 @@ def _resolve_config(step: ImpStep, topology: StackTopology,
     if step.config_ref in configs:
         return configs[step.config_ref]
     if step.config_ref == "auto":
-        common = topology.common_wire(step.p, step.q)
-        ref = "drive_neg" if topology.step_sign(step.q, common) > 0 else "drive_pos"
+        ref = "drive_neg" if topology.step_signs(step.p, step.q)[1] > 0 else "drive_pos"
         if ref in configs:
             return configs[ref]
         raise ProgramError(f"auto config needs {ref!r} in the config map")
@@ -323,10 +322,9 @@ class _Plan:
                 imp = resolved.get(step)
                 if imp is None:
                     config = _resolve_config(step, topology, configs)
-                    common = topology.common_wire(step.p, step.q)
                     imp = resolved[step] = _intern_imp(
                         config, self.specs[step.p], self.specs[step.q],
-                        topology.step_sign(step.p, common), topology.step_sign(step.q, common),
+                        *topology.step_signs(step.p, step.q),
                         tuple(math.copysign(1.0, x)
                               for x in (config.v_p, *vars(config.load).values())))
                 ops.append((imp, len(drawn), rows[step.p], rows[step.q]))
@@ -340,6 +338,18 @@ class _Plan:
         lo = np.array([(s.v_set_min, s.v_reset_max) for s in by_row]).reshape(-1, 2)
         hi = np.array([(s.v_set_max, s.v_reset_min) for s in by_row]).reshape(-1, 2)
         self.lo, self.span = lo[drawn].ravel(), (hi - lo)[drawn].ravel()
+
+    def thresholds(self, seeds: list) -> np.ndarray:
+        """One threshold table per seed, as the columns of the result: ``lo +
+        span * U`` with U from ``default_rng(seed)``, which is how numpy's
+        ``uniform(lo, hi)`` computes it."""
+        u = np.empty((len(seeds), self.lo.size))
+        if self.lo.size:
+            for j, seed in enumerate(seeds):
+                np.random.default_rng(seed).random(out=u[j])
+        u *= self.span
+        u += self.lo
+        return u.T
 
     def run(self, th: np.ndarray | None = None, first_trial: int | None = None,
             records: list | None = None, trail: list | None = None,
@@ -392,27 +402,24 @@ class _Plan:
 
 def execute(program: StepProgram, topology: StackTopology,
             specs: dict[str, MemristorSpec], configs: dict[str, ImpConfig],
-            variation: str = "off", seed: int | None = None,
-            rng: np.random.Generator | None = None,
+            variation: str = "off", seed: int | tuple[int, ...] | None = None,
             trace_level: str = "full") -> ExecutionTrace:
     """Run the program through the electrical solver.
 
     Writes are ideal; resets drive the cell fully OFF unconditionally;
     implication steps settle through the node solver with thresholds taken
-    per step (sampled when variation is "seeded", midpoints when "off"),
-    in the draw order of ``_Plan``; config errors are raised before any
-    step runs. The run is a batch of one on the plan's interpreter; at
-    zero variation each pulse's outcome comes from its implication's memo.
+    per step (sampled from ``default_rng(seed)`` when variation is
+    "seeded", midpoints when "off"), in the draw order of ``_Plan``, so
+    ``seed=(s, t)`` reruns trial t of a yield study with seed s; config
+    errors are raised before any step runs. The run is a batch of one on
+    the plan's interpreter; at zero variation each pulse's outcome comes
+    from its implication's memo.
     ``trace_level`` "reads" skips per-step records for bulk runs.
     """
     if variation not in ("off", "seeded"):
         raise ValueError("variation must be 'off' or 'seeded'")
     plan = _Plan(program, topology, specs, configs)
-    th = None
-    if variation == "seeded":  # numpy's uniform(low, high) is low + (high - low) * random()
-        if rng is None:
-            rng = np.random.default_rng(seed)
-        th = (plan.lo + plan.span * rng.random(plan.lo.size))[:, None]
+    th = plan.thresholds([seed]) if variation == "seeded" else None
     records = [] if trace_level == "full" else None
     state, reads = plan.run(th, records=records)
     final_bits = {c: dev.decode_bit(spec, STATES.states[code])
@@ -445,7 +452,7 @@ def execute_trials(program: StepProgram, topology: StackTopology,
                    trials: int, seed: int) -> TrialBatch:
     """Run ``trials`` seeded variation trials of the program as one batch.
 
-    Trial t is ``execute(..., variation="seeded", rng=default_rng((seed, t)))``
+    Trial t is ``execute(..., variation="seeded", seed=(seed, t))``
     on the same compiled plan: it fills its threshold row from its own
     substream at once, so its result depends on no other trial and on no
     grouping of trials. Trials run ``BATCH_TRIALS`` at a time as the columns
@@ -459,18 +466,13 @@ def execute_trials(program: StepProgram, topology: StackTopology,
     reference = np.stack(trail) if trail else None
     imp_steps = np.flatnonzero([isinstance(s, ImpStep) for s in program.steps])
     outputs = {var: np.empty(trials, dtype=int) for var in program.declared_outputs}
-    first_divergence = np.full(trials, -1)
+    first_divergence = np.full(trials, -1, dtype=np.int32)  # YieldReport keeps it: 4 B a trial
     degraded = 0
     for start in range(0, trials, BATCH_TRIALS):
         n = min(BATCH_TRIALS, trials - start)
-        th = np.empty((n, plan.lo.size))
-        if plan.lo.size:
-            for j in range(n):
-                np.random.default_rng((seed, start + j)).random(out=th[j])
-        th *= plan.span
-        th += plan.lo
         trail = []
-        state, _ = plan.run(th.T, start, trail=trail)
+        state, _ = plan.run(plan.thresholds([(seed, t) for t in range(start, start + n)]),
+                            start, trail=trail)
         if reference is not None:
             # before its first divergence a trial matches the reference in
             # every cell, and only an implication's P and Q can change
@@ -653,7 +655,10 @@ def compile_full_adder(stack: StackTopology,
     """Compile s = a xor b xor c_in and c_out = majority(a, b, c_in) onto the
     stack: nine NANDs plus four NOTs (two complement-pair copies), i.e. 13
     resets and 22 implications, with the carry ending in the carry-in cell
-    so rounds chain on one circuit."""
+    so rounds chain on one circuit. The program is valid by construction,
+    since the schedule uses only usable cells and puts every target next to
+    both its operands, so it is not validated here; ``execute`` validates
+    whatever it runs."""
     placement = dict(placement or {"a": "B1", "b": "B2", "c_in": "T3"})
     if set(placement) != {"a", "b", "c_in"}:
         raise ProgramError("placement must map exactly a, b, c_in")
@@ -691,7 +696,6 @@ def compile_full_adder(stack: StackTopology,
                                            "b": placement["b"],
                                            "c_in": placement["c_in"]},
                           declared_outputs={"s": s_cell, "c_out": cout_cell})
-    program.validate(stack)
     return program
 
 

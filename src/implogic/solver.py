@@ -251,12 +251,10 @@ def solve_node(topology: StackTopology, specs: dict[str, MemristorSpec],
 
     ``states`` may contain spectator cells; only p and q enter the balance.
     """
-    common = topology.common_wire(p, q)
+    s_p, s_q = topology.step_signs(p, q)
     p_cell, q_cell = topology.cells[p], topology.cells[q]
     return solve_pair(specs[p_cell.spec_ref], states[p],
-                      specs[q_cell.spec_ref], states[q], config,
-                      s_p=topology.step_sign(p, common),
-                      s_q=topology.step_sign(q, common))
+                      specs[q_cell.spec_ref], states[q], config, s_p=s_p, s_q=s_q)
 
 
 class StateTable:

@@ -204,12 +204,19 @@ class StackTopology:
             raise NotAdjacent(f"{cell_id} does not attach to wire {common!r}")
         return -1 if cell.set_terminal_wire() == common else +1
 
+    def step_signs(self, p: str, q: str) -> tuple[int, int]:
+        """The ``step_sign`` of p and of q on their common wire: the drop
+        signs of an implication step between them. Raises NotAdjacent if
+        they share no wire."""
+        common = self.common_wire(p, q)
+        return self.step_sign(p, common), self.step_sign(q, common)
+
     def pair_polarity(self, p: str, q: str) -> Polarity:
         """PARALLEL iff both devices present the same set polarity toward
         their common node. Same-level pairs are parallel by the stack
         construction; bottom-top pairs are anti-parallel."""
-        common = self.common_wire(p, q)
-        if self.step_sign(p, common) == self.step_sign(q, common):
+        s_p, s_q = self.step_signs(p, q)
+        if s_p == s_q:
             return Polarity.PARALLEL
         return Polarity.ANTI_PARALLEL
 

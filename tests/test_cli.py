@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 
 import pytest
@@ -258,6 +259,58 @@ def test_yield_per_trial_csv(tmp_path, circuit_file):
     rows = _read_rows(per_trial)
     assert len(rows) == 50
     assert {r["passed"] for r in rows} <= {"0", "1"}
+
+
+def _wide_nand_case():
+    spec = il.MemristorSpec(v_set_min=1.0, v_set_max=2.0, v_reset_min=-1.5,
+                            v_reset_max=-2.2, g_on=115e-6, g_off=10e-6)
+    prog = il.with_inputs(il.nand_macro("B1", "B2", "T2"), {"a": 1, "b": 1})
+    return (il.build_default_stack(), {"bottom": spec, "top": spec}, prog,
+            il.default_configs(spec), 300, 5)
+
+
+def _sinh_adder_case():
+    iv = il.sinh_iv_from_conductances(115e-6, 10e-6, 1.5, 1.5)
+    spec = il.MemristorSpec(v_set_min=1.0, v_set_max=2.0, v_reset_min=-1.5,
+                            v_reset_max=-2.2, g_on=115e-6, g_off=10e-6,
+                            iv_model=iv)
+    stack = il.build_adder_stack()
+    prog = il.with_inputs(il.compile_full_adder(stack), {"a": 1, "b": 0, "c_in": 1})
+    configs = {"drive_neg": il.ImpConfig(v_p=-0.71, load=il.CurrentSourceLoad(-7.16e-5)),
+               "drive_pos": il.ImpConfig(v_p=0.71, load=il.CurrentSourceLoad(7.16e-5))}
+    specs = {ref: spec for ref in {c.spec_ref for c in stack.cells.values()}}
+    return stack, specs, prog, configs, 200, 20151
+
+
+@pytest.mark.parametrize("case", [_wide_nand_case, _sinh_adder_case],
+                         ids=["wide nand", "sinh full adder"])
+def test_yield_per_trial_csv_bytes(tmp_path, case):
+    """The per-trial CSV is the bytes csv.DictWriter writes for the rows
+    (trial, passed as 0/1, failed step or empty) of the library's report."""
+    stack, specs, prog, configs, trials, seed = case()
+    circuit = stack.to_json()
+    circuit["specs"] = {ref: spec.to_json() for ref, spec in specs.items()}
+    (tmp_path / "circuit.json").write_text(json.dumps(circuit))
+    program = prog.to_json()
+    program["configs"] = {name: c.to_json() for name, c in configs.items()}
+    (tmp_path / "program.json").write_text(json.dumps(program))
+    per_trial = tmp_path / "trials.csv"
+    assert main(["yield", "--program", str(tmp_path / "program.json"), "--topology",
+                 str(tmp_path / "circuit.json"), "--trials", str(trials), "--seed",
+                 str(seed), "--per-trial", str(per_trial),
+                 "--out", str(tmp_path / "y.json")]) == 0
+
+    expected = il.execute(prog, stack, specs, configs).output_bits(prog)
+    report = il.estimate_yield(prog, stack, specs, configs, expected,
+                               trials=trials, seed=seed)
+    assert 0 < report.passes < trials
+    reference = io.StringIO()
+    writer = csv.DictWriter(reference, fieldnames=["trial", "passed", "failed_step"])
+    writer.writeheader()
+    writer.writerows({"trial": t, "passed": int(step < 0),
+                      "failed_step": "" if step < 0 else step}
+                     for t, step in enumerate(report.failed_step.tolist()))
+    assert per_trial.read_bytes() == reference.getvalue().encode()
 
 
 def test_yield_byte_identical(tmp_path, circuit_file):

@@ -1,7 +1,6 @@
 import itertools
 import json
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -130,16 +129,9 @@ def test_oracle_rejects_unknown_outputs(default_stack, ideal_specs, ideal_config
 
 def test_per_trial_outcomes(default_stack, ideal_specs, ideal_configs):
     report = il.estimate_yield(_nand_program(1, 1), default_stack, ideal_specs,
-                               ideal_configs, _nand_oracle, trials=25, seed=1,
-                               collect_outcomes=True)
-    assert len(report.per_trial) == 25
-    assert all(t.passed and t.failed_step is None for t in report.per_trial)
-    rows = report.per_trial_rows()
-    assert rows[0] == {"trial": 0, "passed": 1, "failed_step": ""}
-    without = il.estimate_yield(_nand_program(1, 1), default_stack, ideal_specs,
-                                ideal_configs, _nand_oracle, trials=5, seed=1)
-    with pytest.raises(ValueError):
-        without.per_trial_rows()
+                               ideal_configs, _nand_oracle, trials=25, seed=1)
+    assert report.failed_step.shape == (25,)
+    assert report.failed_step.tolist() == [-1] * 25
 
 
 # ---------------------------------------------------------------------------
@@ -147,18 +139,18 @@ def test_per_trial_outcomes(default_stack, ideal_specs, ideal_configs):
 # ---------------------------------------------------------------------------
 
 def _oracle(program, topology, specs, configs, expected, trials, seed):
-    """YieldReport.to_json() and per_trial_rows() rebuilt from one execute
-    per trial on its own substream, attributing a failure to the first step
+    """YieldReport.to_json() and failed_step rebuilt from one execute per
+    trial on its own substream, attributing a failure to the first step
     whose post-step states differ from the zero-variation trace's."""
     reference = il.execute(program, topology, specs, configs, variation="off")
     imps = [i for i, s in enumerate(program.steps) if isinstance(s, il.ImpStep)]
-    passes, degraded, histogram, rows = 0, 0, {}, []
+    passes, degraded, histogram, failed_steps = 0, 0, {}, []
     for t in range(trials):
         trace = il.execute(program, topology, specs, configs, variation="seeded",
-                           rng=np.random.default_rng((seed, t)))
+                           seed=(seed, t))
         got = trace.output_bits(program)
         ok = all(got[var] == want for var, want in expected.items())
-        step = None
+        step = -1
         if ok:
             passes += 1
         else:
@@ -166,8 +158,7 @@ def _oracle(program, topology, specs, configs, expected, trials, seed):
                          if rec.states_after != ref.states_after),
                         len(program.steps) - 1)
             histogram[step] = histogram.get(step, 0) + 1
-        rows.append({"trial": t, "passed": int(ok),
-                     "failed_step": "" if step is None else step})
+        failed_steps.append(step)
         for i in imps:
             after = trace.steps[i].states_after
             if min(after[program.steps[i].p][1], after[program.steps[i].q][1]) < 0.9:
@@ -177,13 +168,13 @@ def _oracle(program, topology, specs, configs, expected, trials, seed):
               "degraded_ratio_fraction": (degraded / (trials * len(imps))
                                           if imps else 0.0),
               "seed": seed}
-    return report, rows
+    return report, failed_steps
 
 
 def _batched(program, topology, specs, configs, expected, trials, seed):
     report = il.estimate_yield(program, topology, specs, configs, expected,
-                               trials=trials, seed=seed, collect_outcomes=True)
-    return report.to_json(), report.per_trial_rows()
+                               trials=trials, seed=seed)
+    return report.to_json(), report.failed_step.tolist()
 
 
 def _wide_spec(iv=None):
@@ -318,7 +309,7 @@ def test_batched_no_convergence_names_first_failing_trial(default_stack):
     for t in range(50):
         try:
             il.execute(prog, default_stack, specs, configs, variation="seeded",
-                       rng=np.random.default_rng((4, t)))
+                       seed=(4, t))
         except il.NoConvergence as exc:
             assert "step 2 (imp B1 -> T2" in str(exc)
             first = t

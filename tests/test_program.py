@@ -78,6 +78,7 @@ def test_nand_output_cascades(default_stack, ideal_specs, ideal_configs, a, b):
 
 def test_full_adder_census(adder_stack):
     fa = il.compile_full_adder(adder_stack)
+    fa.validate(adder_stack)  # valid by construction, so never checked on compile
     assert fa.census() == (13, 22)
 
 
@@ -109,6 +110,7 @@ def test_full_adder_carry_returns_to_carry_cell(adder_stack):
 
 def test_full_adder_custom_placement(adder_stack, ideal_specs, ideal_configs):
     fa = il.compile_full_adder(adder_stack, {"a": "B2", "b": "B1", "c_in": "T4"})
+    fa.validate(adder_stack)
     assert fa.census() == (13, 22)
     for a, b, c in itertools.product((0, 1), repeat=3):
         prog = il.with_inputs(fa, {"a": a, "b": b, "c_in": c})

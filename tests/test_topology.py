@@ -71,6 +71,7 @@ def test_step_sign_orientation(default_stack):
     # bottom devices set when the shared node is high: sign -1 at the node
     assert default_stack.step_sign("B1", "M") == -1
     assert default_stack.step_sign("T1", "M") == +1
+    assert default_stack.step_signs("B1", "T1") == (-1, +1)
 
 
 def test_outer_wire_adjacency_in_adder_stack(adder_stack):
@@ -79,6 +80,7 @@ def test_outer_wire_adjacency_in_adder_stack(adder_stack):
     # relative to t1 both set terminals face the common wire: parallel
     assert adder_stack.pair_polarity("T1", "T3") is Polarity.PARALLEL
     assert adder_stack.step_sign("T1", "t1") == -1
+    assert adder_stack.step_signs("T1", "T3") == (-1, -1)
 
 
 def test_topology_json_roundtrip(default_stack, adder_stack):
