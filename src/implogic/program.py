@@ -11,13 +11,17 @@ which ``execute`` runs as a batch of one trial and ``execute_trials`` over
 many. Each implication step applies ``solver.settle``, the one copy of the
 switching rules, to ``solver.STATES`` codes. The plan owns the threshold
 draw order. Implications are interned across plans, and at zero variation
-each one's pulse outcome per (P state, Q state) is memoized.
+each one's pulse outcome per (P state, Q state) is memoized. Write values
+are run-time inputs of a plan, so ``ripple_adder_8bit`` compiles one plan
+per (stack, specs, configs, placement, bits), caches it, and runs it with
+each addition's writes instead of recompiling.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,7 +32,7 @@ from .device import MemristorSpec, _check_json
 from .solver import (STATES, NoConvergence, NodeSolution, SwitchEvent, settle,
                      solve_pair)
 from .topology import (CurrentSourceLoad, ImpConfig, ResistiveLoad,
-                       StackTopology)
+                       StackTopology, build_adder_stack)
 
 __all__ = [
     "ProgramError",
@@ -299,14 +303,21 @@ def _intern_imp(config: ImpConfig, p_spec: MemristorSpec, q_spec: MemristorSpec,
     return _Imp(config, p_spec, q_spec, s_p, s_q)
 
 
+def _zero_signs(config: ImpConfig) -> tuple[float, ...]:
+    """The signs of a bias's fields, which tell 0.0 from -0.0."""
+    return tuple(math.copysign(1.0, x) for x in (config.v_p, *vars(config.load).values()))
+
+
 class _Plan:
     """A program validated and compiled for one topology, spec map and
-    config map, run by ``execute`` and ``execute_trials``. Draws are
+    config map, run by ``execute``, ``execute_trials`` and
+    ``ripple_adder_8bit``. Draws are
     numbered in step order (a reset's cell; an implication's P, then Q):
     draw k takes v_set and reset onset from rows 2k and 2k + 1 of the
     threshold table ``lo + span * U``. ``ops[i]`` is step i's cell row, or
     for an implication its interned ``_Imp``, the number of its P draw, and
-    P's and Q's rows."""
+    P's and Q's rows. ``writes`` holds the write steps' values, which a run
+    may replace, since validation does not depend on them."""
 
     def __init__(self, program: StepProgram, topology: StackTopology,
                  specs: dict[str, MemristorSpec], configs: dict[str, ImpConfig]):
@@ -317,6 +328,7 @@ class _Plan:
         drawn: list[int] = []  # the row of each draw's cell, in draw order
         resolved: dict[ImpStep, _Imp] = {}
         ops: list[tuple] = []
+        self.writes = tuple(s.value for s in program.steps if isinstance(s, WriteStep))
         for step in program.steps:
             if isinstance(step, ImpStep):
                 imp = resolved.get(step)
@@ -324,9 +336,7 @@ class _Plan:
                     config = _resolve_config(step, topology, configs)
                     imp = resolved[step] = _intern_imp(
                         config, self.specs[step.p], self.specs[step.q],
-                        *topology.step_signs(step.p, step.q),
-                        tuple(math.copysign(1.0, x)
-                              for x in (config.v_p, *vars(config.load).values())))
+                        *topology.step_signs(step.p, step.q), _zero_signs(config))
                 ops.append((imp, len(drawn), rows[step.p], rows[step.q]))
                 drawn += (rows[step.p], rows[step.q])
             else:
@@ -353,6 +363,7 @@ class _Plan:
 
     def run(self, th: np.ndarray | None = None, first_trial: int | None = None,
             records: list | None = None, trail: list | None = None,
+            writes: Sequence[int] | None = None,
             ) -> tuple[np.ndarray, list[tuple[int, str, int]]]:
         """The one step interpreter. Runs the program over the columns of
         ``th``, one trial's threshold table each, or once at nominal
@@ -360,9 +371,12 @@ class _Plan:
         its memo. Error messages name trial ``first_trial + column`` when a
         first trial is given. ``records`` collects column 0's StepRecords,
         ``trail`` each implication's P and Q codes after it (2 x columns).
-        Returns the final codes (cells x columns) and column 0's reads."""
+        ``writes`` gives the write steps their values, in step order, in
+        place of the program's. Returns the final codes (cells x columns)
+        and column 0's reads."""
         state = np.zeros((len(self.specs), 1 if th is None else th.shape[1]), dtype=np.intp)
         reads: list[tuple[int, str, int]] = []
+        values = iter(self.writes if writes is None else writes)
         for i, (step, op) in enumerate(zip(self.steps, self.ops)):
             node, events, bit = None, (), None
             if isinstance(step, ImpStep):
@@ -387,17 +401,35 @@ class _Plan:
             elif isinstance(step, ReadStep):
                 bit = dev.decode_bit(self.specs[step.cell], STATES.states[state[op, 0]])
                 reads.append((i, step.cell, bit))
-            else:  # codes: OFF 0, ON 1
-                state[op] = step.value if isinstance(step, WriteStep) else 0
+            elif isinstance(step, WriteStep):  # codes: OFF 0, ON 1
+                state[op] = value = next(values)
+            else:
+                state[op] = 0
             if records is not None:
+                detail = _step_detail(step)
                 if isinstance(step, ImpStep):
                     events = tuple(SwitchEvent((step.p, step.q)[role], kind, drop, it)
                                    for role, kind, drop, it in events)
+                elif isinstance(step, WriteStep):
+                    detail["value"] = value
                 after = {c: (s.logic.name, s.conductance_scale) for c, s in
                          zip(self.specs, map(STATES.states.__getitem__, state[:, 0].tolist()))}
-                records.append(StepRecord(i, step.op, _step_detail(step), after, node, events,
-                                          bit))
+                records.append(StepRecord(i, step.op, detail, after, node, events, bit))
         return state, reads
+
+    def trace(self, variation: str, seed: int | tuple[int, ...] | None, trace_level: str,
+              writes: Sequence[int] | None = None) -> ExecutionTrace:
+        """One run, at nominal thresholds or at thresholds drawn from
+        ``default_rng(seed)``, decoded into an ExecutionTrace."""
+        if variation not in ("off", "seeded"):
+            raise ValueError("variation must be 'off' or 'seeded'")
+        th = self.thresholds([seed]) if variation == "seeded" else None
+        records = [] if trace_level == "full" else None
+        state, reads = self.run(th, records=records, writes=writes)
+        final_bits = {c: dev.decode_bit(spec, STATES.states[code])
+                      for (c, spec), code in zip(self.specs.items(), state[:, 0].tolist())}
+        return ExecutionTrace(steps=records or [], reads=reads, final_bits=final_bits,
+                              variation=variation, seed=seed)
 
 
 def execute(program: StepProgram, topology: StackTopology,
@@ -416,16 +448,7 @@ def execute(program: StepProgram, topology: StackTopology,
     from its implication's memo.
     ``trace_level`` "reads" skips per-step records for bulk runs.
     """
-    if variation not in ("off", "seeded"):
-        raise ValueError("variation must be 'off' or 'seeded'")
-    plan = _Plan(program, topology, specs, configs)
-    th = plan.thresholds([seed]) if variation == "seeded" else None
-    records = [] if trace_level == "full" else None
-    state, reads = plan.run(th, records=records)
-    final_bits = {c: dev.decode_bit(spec, STATES.states[code])
-                  for (c, spec), code in zip(plan.specs.items(), state[:, 0].tolist())}
-    return ExecutionTrace(steps=records or [], reads=reads, final_bits=final_bits,
-                          variation=variation, seed=seed)
+    return _Plan(program, topology, specs, configs).trace(variation, seed, trace_level)
 
 
 # Trials per batch of execute_trials. A batch holds a threshold table of
@@ -713,6 +736,54 @@ def default_configs(spec: MemristorSpec) -> dict[str, ImpConfig]:
     }
 
 
+def _ripple_program(fa: StepProgram, a: int, b: int, c0: int,
+                    bits: int) -> tuple[StepProgram, list[int]]:
+    """The ``bits``-round ripple program of the full adder ``fa`` for one
+    addition, and its write values in step order."""
+    a_cell, b_cell, c_cell = (fa.declared_inputs[v] for v in ("a", "b", "c_in"))
+    s_cell, c_out = fa.declared_outputs["s"], fa.declared_outputs["c_out"]
+    steps: list[Step] = []
+    writes: list[int] = []
+    for i in range(bits):
+        loads = [(a_cell, (a >> i) & 1), (b_cell, (b >> i) & 1)]
+        if i == 0:
+            loads.append((c_cell, c0))
+        for cell, value in loads:
+            steps.append(WriteStep(cell, value))
+            writes.append(steps[-1].value)
+        steps += fa.steps
+        steps.append(ReadStep(s_cell))
+    steps.append(ReadStep(c_out))
+    program = StepProgram(tuple(steps),
+                          declared_inputs={"a": a_cell, "b": b_cell, "c0": c_cell},
+                          declared_outputs={"sum_bit": s_cell, "c_out": c_out})
+    return program, writes
+
+
+@functools.lru_cache(maxsize=64)
+def _ripple_plan(stack: tuple | None, specs: tuple | None, configs: tuple | None,
+                 placement: tuple | None, bits: int) -> tuple[StepProgram, _Plan]:
+    """The full adder and the validated plan of a ``bits``-round ripple
+    addition, memoized on the hashable forms of ``ripple_adder_8bit``'s
+    arguments, None standing for a default: the stack's (cell items,
+    unusable set), the spec and placement items, and each config's (name,
+    config, zero signs), which keep 0.0 and -0.0 biases apart as in
+    ``_intern_imp``. The plan is built on all-zero writes; each addition
+    runs it with its own."""
+    topology = (build_adder_stack() if stack is None
+                else StackTopology(dict(stack[0]), stack[1]))
+    if specs is None:
+        shared = dev.ideal_device_spec()
+        spec_map = {ref: shared for ref in {c.spec_ref for c in topology.cells.values()}}
+    else:
+        spec_map = dict(specs)
+    config_map = (default_configs(next(iter(spec_map.values()))) if configs is None
+                  else {name: config for name, config, _ in configs})
+    fa = compile_full_adder(topology, None if placement is None else dict(placement))
+    plan = _Plan(_ripple_program(fa, 0, 0, 0, bits)[0], topology, spec_map, config_map)
+    return fa, plan
+
+
 def ripple_adder_8bit(a: int, b: int, c0: int, bits: int = 8,
                       stack: StackTopology | None = None,
                       specs: dict[str, MemristorSpec] | None = None,
@@ -724,49 +795,34 @@ def ripple_adder_8bit(a: int, b: int, c0: int, bits: int = 8,
     on the same six cells, carrying through the carry cell.
 
     Returns (sum, carry_out, trace, program); the trace keeps the reads but
-    no per-step records. The composed program writes
-    a_i and b_i each round; the carry-in is written only in round zero and
-    thereafter picked up where the previous round left it.
+    no per-step records. The composed program writes a_i and b_i each
+    round; the carry-in is written only in round zero and thereafter picked
+    up where the previous round left it. The full adder and the validated
+    plan are compiled once per (stack, specs, configs, placement, bits) and
+    cached, so an addition builds its program and runs the cached plan with
+    its own write values, the same run ``execute`` makes of that program.
+    A ``bits`` that is not an int >= 1, operands that do not fit in it, or a
+    carry-in other than 0 or 1 raise ValueError.
     """
+    if not isinstance(bits, int) or isinstance(bits, bool) or bits < 1:
+        raise ValueError(f"bits must be an int >= 1, got {bits!r}")
     if not 0 <= a < 2 ** bits or not 0 <= b < 2 ** bits:
         raise ValueError(f"operands must fit in {bits} bits")
     if c0 not in (0, 1):
         raise ValueError("carry-in must be 0 or 1")
 
-    from .topology import build_adder_stack
-    if stack is None:
-        stack = build_adder_stack()
-    if specs is None:
-        shared = dev.ideal_device_spec()
-        specs = {ref: shared for ref in
-                 {c.spec_ref for c in stack.cells.values()}}
-    if configs is None:
-        ref_spec = next(iter(specs.values()))
-        configs = default_configs(ref_spec)
+    fa, plan = _ripple_plan(
+        None if stack is None else (tuple(stack.cells.items()),
+                                    frozenset(stack.unusable_cells)),
+        None if specs is None else tuple(specs.items()),
+        None if configs is None else tuple((name, config, _zero_signs(config))
+                                           for name, config in configs.items()),
+        None if placement is None else tuple(placement.items()),
+        bits)
+    program, writes = _ripple_program(fa, a, b, c0, bits)
+    trace = plan.trace(variation, seed, "reads", writes)
 
-    fa = compile_full_adder(stack, placement)
-    a_cell = fa.declared_inputs["a"]
-    b_cell = fa.declared_inputs["b"]
-    c_cell = fa.declared_inputs["c_in"]
     s_cell = fa.declared_outputs["s"]
-
-    steps: list[Step] = []
-    for i in range(bits):
-        steps.append(WriteStep(a_cell, (a >> i) & 1))
-        steps.append(WriteStep(b_cell, (b >> i) & 1))
-        if i == 0:
-            steps.append(WriteStep(c_cell, c0))
-        steps.extend(fa.steps)
-        steps.append(ReadStep(s_cell))
-    steps.append(ReadStep(fa.declared_outputs["c_out"]))
-
-    program = StepProgram(tuple(steps),
-                          declared_inputs={"a": a_cell, "b": b_cell, "c0": c_cell},
-                          declared_outputs={"sum_bit": s_cell,
-                                            "c_out": fa.declared_outputs["c_out"]})
-    trace = execute(program, stack, specs, configs, variation=variation,
-                    seed=seed, trace_level="reads")
-
     sum_reads = [bit for _, cell, bit in trace.reads if cell == s_cell]
     total = sum(bit << i for i, bit in enumerate(sum_reads[:bits]))
     carry = trace.reads[-1][2]

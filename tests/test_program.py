@@ -319,6 +319,86 @@ def test_seeded_ripple_deterministic():
     assert runs[0] == runs[1]
 
 
+def test_ripple_rejects_bad_bits():
+    before = program_module._ripple_plan.cache_info()
+    for bits in (0, -3, 8.0, True):
+        with pytest.raises(ValueError, match="bits must be an int >= 1"):
+            il.ripple_adder_8bit(0, 0, 0, bits)
+    assert program_module._ripple_plan.cache_info() == before
+
+
+_WIDE = il.MemristorSpec(v_set_min=1.2, v_set_max=1.8, v_reset_min=-1.5,
+                         v_reset_max=-2.2, g_on=115e-6, g_off=10e-6)
+# set thresholds spread so wide that most seeded additions go wrong
+_NOISY = il.MemristorSpec(v_set_min=1.0, v_set_max=2.0, v_reset_min=-1.5,
+                          v_reset_max=-2.2, g_on=115e-6, g_off=10e-6)
+_CUSTOM_PLACEMENT = {"a": "B2", "b": "B1", "c_in": "T4"}
+_operands = st.integers(1, 8).flatmap(lambda bits: st.tuples(
+    st.just(bits), st.integers(0, 2 ** bits - 1), st.integers(0, 2 ** bits - 1)))
+# (bits, a, b), c0, placement and spec (None: the defaults), seed (None: variation off)
+_ripple_calls = st.tuples(_operands, st.integers(0, 1),
+                          st.sampled_from([None, _CUSTOM_PLACEMENT]),
+                          st.sampled_from([None, _WIDE, _NOISY]),
+                          st.one_of(st.none(), st.integers(0, 2 ** 32)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(_ripple_calls, min_size=2, max_size=4))
+def test_ripple_matches_execute_on_its_program(calls):
+    """Additions with interleaved cache keys each give what a fresh plan of
+    the program they return gives, and the program is the placement's."""
+    stack = il.build_adder_stack()
+    for (bits, a, b), c0, placement, spec, seed in calls:
+        kw = {} if spec is None else {"specs": {"bottom": spec, "top": spec},
+                                      "configs": il.default_configs(spec)}
+        spec = spec or il.ideal_device_spec()
+        variation = "off" if seed is None else "seeded"
+        total, carry, trace, program = il.ripple_adder_8bit(
+            a, b, c0, bits, placement=placement, variation=variation, seed=seed, **kw)
+        cells = placement or {"a": "B1", "b": "B2", "c_in": "T3"}
+        assert program.declared_inputs == {"a": cells["a"], "b": cells["b"],
+                                           "c0": cells["c_in"]}
+        want = il.execute(program, stack, {"bottom": spec, "top": spec},
+                          il.default_configs(spec), variation=variation, seed=seed,
+                          trace_level="reads")
+        assert (trace.reads, trace.final_bits, trace.variation, trace.seed) == (
+            want.reads, want.final_bits, want.variation, want.seed)
+        assert total == sum(bit << i for i, (_, _, bit) in enumerate(want.reads[:bits]))
+        assert carry == want.reads[-1][2]
+
+
+def test_plan_runs_with_given_write_values(adder_stack, ideal_specs, ideal_configs):
+    # a plan built on one set of writes, run with another, gives the trace of
+    # the program that writes those values, step records included
+    fa = il.compile_full_adder(adder_stack)
+    plan = program_module._Plan(il.with_inputs(fa, {"a": 0, "b": 0, "c_in": 0}),
+                                adder_stack, ideal_specs, ideal_configs)
+    for a, b, c in itertools.product((0, 1), repeat=3):
+        prog = il.with_inputs(fa, {"a": a, "b": b, "c_in": c})
+        assert plan.trace("off", None, "full", [a, b, c]) == il.execute(
+            prog, adder_stack, ideal_specs, ideal_configs)
+
+
+def test_ripple_plans_keep_biases_apart_by_the_sign_of_zero():
+    # 0.0 == -0.0, but their implications are interned apart, so a plan
+    # built for one must not serve the other
+    stack = il.build_adder_stack()
+    spec = il.bottom_device_spec()
+    specs = {"bottom": spec, "top": spec}
+
+    def new_plans(zero):
+        cfg = il.ImpConfig(zero, il.CurrentSourceLoad(zero))
+        configs = {"drive_neg": cfg, "drive_pos": cfg}
+        misses = program_module._ripple_plan.cache_info().misses
+        _, _, trace, program = il.ripple_adder_8bit(1, 0, 0, 1, specs=specs, configs=configs)
+        assert trace.reads == il.execute(program, stack, specs, configs,
+                                         trace_level="reads").reads
+        return program_module._ripple_plan.cache_info().misses - misses
+
+    program_module._ripple_plan.cache_clear()
+    assert [new_plans(zero) for zero in (0.0, -0.0, 0.0, -0.0)] == [1, 1, 0, 0]
+
+
 # ---------------------------------------------------------------------------
 # execute and settle_states against references built from scalar rules and
 # public per-step calls
@@ -535,10 +615,11 @@ def test_config_errors_raise_before_any_step(default_stack):
 
 
 def test_ripple_resolves_and_solves_each_distinct_point_once(monkeypatch):
-    """One bias resolution per distinct implication per call, and on a cold
+    """One bias resolution per distinct implication per plan, and on a cold
     memo one solve per distinct (bias, P state, Q state): 15 and 16 for this
     addition (the per-pass solves of the step-by-step executor were 240).
-    A repeat call settles every pulse from the interned memos."""
+    A repeat call runs the cached plan and settles every pulse from the
+    interned memos."""
     counts = {"resolve": 0, "solve": 0}
 
     def counting(name, fn):
@@ -553,12 +634,13 @@ def test_ripple_resolves_and_solves_each_distinct_point_once(monkeypatch):
     for module in (program_module, solver_module):
         monkeypatch.setattr(module, "solve_pair", solve)
     program_module._intern_imp.cache_clear()
+    program_module._ripple_plan.cache_clear()
     total, carry, _, program = il.ripple_adder_8bit(173, 91, 1)
     assert (total, carry) == (9, 1)
     assert counts["resolve"] == len({s for s in program.steps if isinstance(s, il.ImpStep)})
     assert counts == {"resolve": 15, "solve": 16}
     assert il.ripple_adder_8bit(173, 91, 1)[:2] == (9, 1)
-    assert counts == {"resolve": 30, "solve": 16}
+    assert counts == {"resolve": 15, "solve": 16}
 
 
 def _reference_trace(program, topology, specs, configs):
