@@ -78,10 +78,14 @@ def estimate_yield(program: StepProgram, topology: StackTopology,
     attributed to the first step whose post-step device states diverge from
     the zero-variation reference trace. The degraded-ratio fraction counts
     implication steps after which a driven cell's conductance scale sits
-    below ``program.DEGRADED_BELOW`` (0.9).
+    below ``program.DEGRADED_BELOW`` (0.9). A ``trials`` that is not an int
+    >= 1, or a ``seed`` that is not an int >= 0, raises ValueError (bools
+    are not ints here).
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    if not isinstance(trials, int) or isinstance(trials, bool) or trials < 1:
+        raise ValueError(f"trials must be an int >= 1, got {trials!r}")
+    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+        raise ValueError(f"seed must be an int >= 0, got {seed!r}")
     expected = oracle(_program_input_values(program)) if callable(oracle) else oracle
     expected = dict(expected)
     unknown = set(expected) - set(program.declared_outputs)

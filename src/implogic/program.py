@@ -9,12 +9,14 @@ a reset followed by one. Values move between cells as complement pairs
 A program compiles into a plan with one step interpreter, ``_Plan.run``,
 which ``execute`` runs as a batch of one trial and ``execute_trials`` over
 many. Each implication step applies ``solver.settle``, the one copy of the
-switching rules, to ``solver.STATES`` codes. The plan owns the threshold
-draw order. Implications are interned across plans, and at zero variation
-each one's pulse outcome per (P state, Q state) is memoized. Write values
-are run-time inputs of a plan, so ``ripple_adder_8bit`` compiles one plan
-per (stack, specs, configs, placement, bits), caches it, and runs it with
-each addition's writes instead of recompiling.
+switching rules, to ``solver.STATES`` codes. A run keeps one entry per
+cell: an int code at nominal thresholds, or a row of codes, one per trial,
+in a batch. The plan owns the threshold draw order. Implications are
+interned across plans, and at zero variation each one's pulse outcome per
+(P code, Q code) is memoized on Python ints. Write values are run-time
+inputs of a plan, so ``ripple_adder_8bit`` compiles one plan and one step
+template per (stack, specs, configs, placement, bits), caches them, and
+gives each addition its own writes instead of recompiling.
 """
 
 from __future__ import annotations
@@ -289,8 +291,7 @@ class _Imp:
             pq = np.array([[p_code], [q_code]])
             events: list = []
             node = settle(self.solve, pq, self.nominal, self.full, events)
-            out = self.settled[int(p_code), int(q_code)] = (
-                *pq[:, 0].tolist(), tuple(events), node)
+            out = self.settled[p_code, q_code] = (*pq[:, 0].tolist(), tuple(events), node)
         return out
 
 
@@ -308,6 +309,11 @@ def _zero_signs(config: ImpConfig) -> tuple[float, ...]:
     return tuple(math.copysign(1.0, x) for x in (config.v_p, *vars(config.load).values()))
 
 
+def _column0(state: list) -> list[int]:
+    """Column 0 of a run state, as one int code per cell."""
+    return [s if isinstance(s, int) else int(s[0]) for s in state]
+
+
 class _Plan:
     """A program validated and compiled for one topology, spec map and
     config map, run by ``execute``, ``execute_trials`` and
@@ -317,7 +323,9 @@ class _Plan:
     threshold table ``lo + span * U``. ``ops[i]`` is step i's cell row, or
     for an implication its interned ``_Imp``, the number of its P draw, and
     P's and Q's rows. ``writes`` holds the write steps' values, which a run
-    may replace, since validation does not depend on them."""
+    may replace, since validation does not depend on them. A run's state is
+    a list with one entry per cell row: an int code at nominal thresholds,
+    or a 1-D ``np.intp`` row of codes, one per trial, in a batch."""
 
     def __init__(self, program: StepProgram, topology: StackTopology,
                  specs: dict[str, MemristorSpec], configs: dict[str, ImpConfig]):
@@ -364,17 +372,22 @@ class _Plan:
     def run(self, th: np.ndarray | None = None, first_trial: int | None = None,
             records: list | None = None, trail: list | None = None,
             writes: Sequence[int] | None = None,
-            ) -> tuple[np.ndarray, list[tuple[int, str, int]]]:
+            ) -> tuple[list, list[tuple[int, str, int]]]:
         """The one step interpreter. Runs the program over the columns of
         ``th``, one trial's threshold table each, or once at nominal
         thresholds when ``th`` is None, settling each implication through
-        its memo. Error messages name trial ``first_trial + column`` when a
+        its memo. The state holds one entry per cell: an int code at
+        nominal thresholds, else a row of codes with one column per trial.
+        Rows are replaced, never written in place, so entries may share
+        them. Error messages name trial ``first_trial + column`` when a
         first trial is given. ``records`` collects column 0's StepRecords,
-        ``trail`` each implication's P and Q codes after it (2 x columns).
-        ``writes`` gives the write steps their values, in step order, in
-        place of the program's. Returns the final codes (cells x columns)
-        and column 0's reads."""
-        state = np.zeros((len(self.specs), 1 if th is None else th.shape[1]), dtype=np.intp)
+        ``trail`` each implication's P and Q entries after it. ``writes``
+        gives the write steps their values, in step order, in place of the
+        program's. Returns the final state and column 0's reads."""
+        # codes: OFF 0, ON 1
+        filled = (0, 1) if th is None else tuple(
+            np.full(th.shape[1], code, dtype=np.intp) for code in (0, 1))
+        state = [filled[0]] * len(self.specs)
         reads: list[tuple[int, str, int]] = []
         values = iter(self.writes if writes is None else writes)
         for i, (step, op) in enumerate(zip(self.steps, self.ops)):
@@ -383,28 +396,30 @@ class _Plan:
                 imp, k, p, q = op
                 try:
                     if th is None:
-                        state[p, 0], state[q, 0], events, node = imp.settle_nominal(
-                            state[p, 0], state[q, 0])
+                        state[p], state[q], events, node = imp.settle_nominal(
+                            state[p], state[q])
                     else:
-                        pq = state[[p, q]]
+                        pq = np.stack((state[p], state[q]))
                         events = [] if records is not None else None
                         node = settle(imp.solve, pq, th[[2 * k + 2, 2 * k + 1, 2 * k + 3]],
                                       imp.full, events)
-                        state[[p, q]] = pq
+                        state[p], state[q] = pq
                 except NoConvergence as exc:
                     where = _where(i, step, imp.config)
                     if first_trial is not None:
                         where = f"trial {first_trial + exc.column}, {where}"
                     raise NoConvergence(f"{where}: {exc}") from exc
                 if trail is not None:
-                    trail.append(state[[p, q]])
-            elif isinstance(step, ReadStep):
-                bit = dev.decode_bit(self.specs[step.cell], STATES.states[state[op, 0]])
-                reads.append((i, step.cell, bit))
-            elif isinstance(step, WriteStep):  # codes: OFF 0, ON 1
-                state[op] = value = next(values)
+                    trail.append((state[p], state[q]))
+            elif isinstance(step, ResetStep):
+                state[op] = filled[0]
+            elif isinstance(step, WriteStep):
+                value = next(values)
+                state[op] = filled[value]
             else:
-                state[op] = 0
+                code = state[op] if th is None else int(state[op][0])
+                bit = dev.decode_bit(self.specs[step.cell], STATES.states[code])
+                reads.append((i, step.cell, bit))
             if records is not None:
                 detail = _step_detail(step)
                 if isinstance(step, ImpStep):
@@ -413,7 +428,7 @@ class _Plan:
                 elif isinstance(step, WriteStep):
                     detail["value"] = value
                 after = {c: (s.logic.name, s.conductance_scale) for c, s in
-                         zip(self.specs, map(STATES.states.__getitem__, state[:, 0].tolist()))}
+                         zip(self.specs, map(STATES.states.__getitem__, _column0(state)))}
                 records.append(StepRecord(i, step.op, detail, after, node, events, bit))
         return state, reads
 
@@ -427,7 +442,7 @@ class _Plan:
         records = [] if trace_level == "full" else None
         state, reads = self.run(th, records=records, writes=writes)
         final_bits = {c: dev.decode_bit(spec, STATES.states[code])
-                      for (c, spec), code in zip(self.specs.items(), state[:, 0].tolist())}
+                      for (c, spec), code in zip(self.specs.items(), _column0(state))}
         return ExecutionTrace(steps=records or [], reads=reads, final_bits=final_bits,
                               variation=variation, seed=seed)
 
@@ -484,9 +499,9 @@ def execute_trials(program: StepProgram, topology: StackTopology,
     degraded count.
     """
     plan = _Plan(program, topology, specs, configs)
-    trail: list[np.ndarray] = []
+    trail: list[tuple] = []
     plan.run(trail=trail)
-    reference = np.stack(trail) if trail else None
+    reference = np.array(trail)[:, :, None] if trail else None
     imp_steps = np.flatnonzero([isinstance(s, ImpStep) for s in program.steps])
     outputs = {var: np.empty(trials, dtype=int) for var in program.declared_outputs}
     first_divergence = np.full(trials, -1, dtype=np.int32)  # YieldReport keeps it: 4 B a trial
@@ -499,7 +514,7 @@ def execute_trials(program: StepProgram, topology: StackTopology,
         if reference is not None:
             # before its first divergence a trial matches the reference in
             # every cell, and only an implication's P and Q can change
-            codes = np.stack(trail)
+            codes = np.array(trail)
             differs = (codes != reference).any(axis=1)
             hit = differs.any(axis=0)
             first_divergence[start:start + n][hit] = imp_steps[differs.argmax(axis=0)[hit]]
@@ -736,34 +751,47 @@ def default_configs(spec: MemristorSpec) -> dict[str, ImpConfig]:
     }
 
 
-def _ripple_program(fa: StepProgram, a: int, b: int, c0: int,
-                    bits: int) -> tuple[StepProgram, list[int]]:
-    """The ``bits``-round ripple program of the full adder ``fa`` for one
-    addition, and its write values in step order."""
-    a_cell, b_cell, c_cell = (fa.declared_inputs[v] for v in ("a", "b", "c_in"))
-    s_cell, c_out = fa.declared_outputs["s"], fa.declared_outputs["c_out"]
-    steps: list[Step] = []
-    writes: list[int] = []
-    for i in range(bits):
-        loads = [(a_cell, (a >> i) & 1), (b_cell, (b >> i) & 1)]
-        if i == 0:
-            loads.append((c_cell, c0))
-        for cell, value in loads:
-            steps.append(WriteStep(cell, value))
-            writes.append(steps[-1].value)
-        steps += fa.steps
-        steps.append(ReadStep(s_cell))
-    steps.append(ReadStep(c_out))
-    program = StepProgram(tuple(steps),
-                          declared_inputs={"a": a_cell, "b": b_cell, "c0": c_cell},
-                          declared_outputs={"sum_bit": s_cell, "c_out": c_out})
-    return program, writes
+class _RippleTemplate:
+    """The composed steps of a ``bits``-round ripple addition of the full
+    adder ``fa``, with all-zero writes, and for each write step its position
+    and its cell's two interned WriteSteps (value 0, value 1). The program
+    writes a_i and b_i each round, and the carry-in in round zero only."""
+
+    def __init__(self, fa: StepProgram, bits: int):
+        a_cell, b_cell, c_cell = (fa.declared_inputs[v] for v in ("a", "b", "c_in"))
+        self.inputs = {"a": a_cell, "b": b_cell, "c0": c_cell}
+        self.outputs = {"sum_bit": fa.declared_outputs["s"],
+                        "c_out": fa.declared_outputs["c_out"]}
+        steps: list[Step] = []
+        slots: list[tuple[int, tuple[WriteStep, WriteStep]]] = []
+        for i in range(bits):
+            for cell in (a_cell, b_cell, c_cell) if i == 0 else (a_cell, b_cell):
+                slots.append((len(steps), (WriteStep(cell, 0), WriteStep(cell, 1))))
+                steps.append(slots[-1][1][0])
+            steps += fa.steps
+            steps.append(ReadStep(self.outputs["sum_bit"]))
+        steps.append(ReadStep(self.outputs["c_out"]))
+        self.bits, self.steps, self.slots = bits, tuple(steps), tuple(slots)
+
+    def writes(self, a: int, b: int, c0: int) -> list[int]:
+        """An addition's write values in step order: a_0, b_0, c0, then a_i, b_i."""
+        writes = [a & 1, b & 1, c0]
+        for i in range(1, self.bits):
+            writes += ((a >> i) & 1, (b >> i) & 1)
+        return writes
+
+    def program(self, writes: Sequence[int]) -> StepProgram:
+        """The program with the given write values, in step order."""
+        steps = list(self.steps)
+        for (position, by_value), value in zip(self.slots, writes):
+            steps[position] = by_value[value]
+        return StepProgram(tuple(steps), dict(self.inputs), dict(self.outputs))
 
 
 @functools.lru_cache(maxsize=64)
 def _ripple_plan(stack: tuple | None, specs: tuple | None, configs: tuple | None,
-                 placement: tuple | None, bits: int) -> tuple[StepProgram, _Plan]:
-    """The full adder and the validated plan of a ``bits``-round ripple
+                 placement: tuple | None, bits: int) -> tuple[_RippleTemplate, _Plan]:
+    """The step template and the validated plan of a ``bits``-round ripple
     addition, memoized on the hashable forms of ``ripple_adder_8bit``'s
     arguments, None standing for a default: the stack's (cell items,
     unusable set), the spec and placement items, and each config's (name,
@@ -780,8 +808,8 @@ def _ripple_plan(stack: tuple | None, specs: tuple | None, configs: tuple | None
     config_map = (default_configs(next(iter(spec_map.values()))) if configs is None
                   else {name: config for name, config, _ in configs})
     fa = compile_full_adder(topology, None if placement is None else dict(placement))
-    plan = _Plan(_ripple_program(fa, 0, 0, 0, bits)[0], topology, spec_map, config_map)
-    return fa, plan
+    template = _RippleTemplate(fa, bits)
+    return template, _Plan(template.program(()), topology, spec_map, config_map)
 
 
 def ripple_adder_8bit(a: int, b: int, c0: int, bits: int = 8,
@@ -797,21 +825,26 @@ def ripple_adder_8bit(a: int, b: int, c0: int, bits: int = 8,
     Returns (sum, carry_out, trace, program); the trace keeps the reads but
     no per-step records. The composed program writes a_i and b_i each
     round; the carry-in is written only in round zero and thereafter picked
-    up where the previous round left it. The full adder and the validated
-    plan are compiled once per (stack, specs, configs, placement, bits) and
-    cached, so an addition builds its program and runs the cached plan with
-    its own write values, the same run ``execute`` makes of that program.
-    A ``bits`` that is not an int >= 1, operands that do not fit in it, or a
+    up where the previous round left it. The full adder's composed steps
+    and the validated plan are compiled once per (stack, specs, configs,
+    placement, bits) and cached, so an addition puts its write values into
+    a copy of the cached steps and runs the cached plan with them, the same
+    run ``execute`` makes of that program.
+    A ``bits`` that is not an int >= 1, operands or a carry-in that are not
+    ints (bools included), operands that do not fit in ``bits``, or a
     carry-in other than 0 or 1 raise ValueError.
     """
     if not isinstance(bits, int) or isinstance(bits, bool) or bits < 1:
         raise ValueError(f"bits must be an int >= 1, got {bits!r}")
+    for name, value in (("a", a), ("b", b), ("c0", c0)):
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ValueError(f"{name} must be an int, got {value!r}")
     if not 0 <= a < 2 ** bits or not 0 <= b < 2 ** bits:
         raise ValueError(f"operands must fit in {bits} bits")
     if c0 not in (0, 1):
         raise ValueError("carry-in must be 0 or 1")
 
-    fa, plan = _ripple_plan(
+    template, plan = _ripple_plan(
         None if stack is None else (tuple(stack.cells.items()),
                                     frozenset(stack.unusable_cells)),
         None if specs is None else tuple(specs.items()),
@@ -819,11 +852,8 @@ def ripple_adder_8bit(a: int, b: int, c0: int, bits: int = 8,
                                            for name, config in configs.items()),
         None if placement is None else tuple(placement.items()),
         bits)
-    program, writes = _ripple_program(fa, a, b, c0, bits)
+    writes = template.writes(a, b, c0)
     trace = plan.trace(variation, seed, "reads", writes)
-
-    s_cell = fa.declared_outputs["s"]
-    sum_reads = [bit for _, cell, bit in trace.reads if cell == s_cell]
-    total = sum(bit << i for i, bit in enumerate(sum_reads[:bits]))
-    carry = trace.reads[-1][2]
-    return total, carry, trace, program
+    # the reads are each round's sum bit, then the carry-out
+    total = sum(bit << i for i, (_, _, bit) in enumerate(trace.reads[:bits]))
+    return total, trace.reads[-1][2], trace, template.program(writes)

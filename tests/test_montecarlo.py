@@ -121,6 +121,17 @@ def test_trials_must_be_positive(default_stack, ideal_specs, ideal_configs):
                           ideal_configs, _nand_oracle, trials=0, seed=1)
 
 
+@pytest.mark.parametrize("kw", [{"trials": 2.5}, {"trials": True}, {"trials": -3},
+                                {"trials": "10"}, {"seed": True}, {"seed": 1.5},
+                                {"seed": -1}, {"seed": None}])
+def test_rejects_bad_trials_and_seed(default_stack, ideal_specs, ideal_configs, kw):
+    args = {"trials": 10, "seed": 1, **kw}
+    name = next(iter(kw))
+    with pytest.raises(ValueError, match=f"{name} must be an int"):
+        il.estimate_yield(_nand_program(1, 1), default_stack, ideal_specs,
+                          ideal_configs, _nand_oracle, **args)
+
+
 def test_oracle_rejects_unknown_outputs(default_stack, ideal_specs, ideal_configs):
     with pytest.raises(ValueError):
         il.estimate_yield(_nand_program(1, 1), default_stack, ideal_specs,

@@ -176,6 +176,13 @@ def test_ripple_rejects_out_of_range():
         il.ripple_adder_8bit(0, 0, 2)
 
 
+@pytest.mark.parametrize("args", [(3.0, 0, 0), (0, 2.0, 0), (0, 0, 1.0), (True, 0, 0),
+                                  (0, False, 0), (0, 0, True), ("3", 0, 0), (0, 0, None)])
+def test_ripple_rejects_non_int_operands(args):
+    with pytest.raises(ValueError, match="must be an int"):
+        il.ripple_adder_8bit(*args)
+
+
 def test_program_json_roundtrip(adder_stack):
     fa = il.compile_full_adder(adder_stack)
     prog = il.with_inputs(fa, {"a": 1, "b": 0, "c_in": 1})
@@ -692,6 +699,34 @@ def test_zero_variation_trace_same_on_cold_and_warm_memo(adder_stack):
             assert warm.steps == _reference_trace(prog, adder_stack, specs, configs)
             kinds |= {e.kind for r in cold.steps for e in r.events}
     assert kinds == set(EventKind)
+
+
+@settings(max_examples=80, deadline=None)
+@given(run=_random_runs())
+def test_zero_variation_execute_property(run):
+    """A zero-variation run of a random program, on memos warmed by earlier
+    examples, gives the scalar reference's step records, reads and final
+    bits, or raises what the reference raises; config errors come first, as
+    ``execute`` resolves every config before any step runs."""
+    program, stack, specs, configs, _ = run
+    try:
+        for step in program.steps:
+            if isinstance(step, il.ImpStep):
+                _resolve_config(step, stack, configs)
+        want = _reference_trace(program, stack, specs, configs)
+    except (il.NoConvergence, ProgramError, ValueError) as exc:
+        with pytest.raises(type(exc)):
+            il.execute(program, stack, specs, configs, variation="off")
+        return
+    got = il.execute(program, stack, specs, configs, variation="off")
+    assert got.steps == want
+    assert got.reads == [(r.index, r.detail["cell"], r.read_bit) for r in want
+                         if r.read_bit is not None]
+    final = want[-1].states_after if want else {c: ("OFF", 1.0) for c in stack.usable_cells()}
+    assert got.final_bits == {
+        c: il.decode_bit(specs[stack.cells[c].spec_ref],
+                         il.DeviceState(il.Logic[final[c][0]], final[c][1]))
+        for c in stack.usable_cells()}
 
 
 def test_memo_keeps_biases_apart_by_the_sign_of_zero(default_stack):
