@@ -199,9 +199,7 @@ def _cmd_yield(args) -> int:
     topo, specs = _load_circuit_file(args.topology)
     program, file_configs = _load_program_file(args.program)
     configs = _auto_configs(specs, file_configs)
-    reference = execute(program, topo, specs, configs, variation="off")
-    expected = reference.output_bits(program)
-    report = estimate_yield(program, topo, specs, configs, expected,
+    report = estimate_yield(program, topo, specs, configs, None,
                             trials=args.trials, seed=args.seed)
     if args.per_trial:
         rows = "".join(f"{t},1,\r\n" if step < 0 else f"{t},0,{step}\r\n"
@@ -209,7 +207,7 @@ def _cmd_yield(args) -> int:
         with open(args.per_trial, "w", newline="") as fh:
             fh.write("trial,passed,failed_step\r\n" + rows)
     out = report.to_json()
-    out["expected_outputs"] = expected
+    out["expected_outputs"] = report.expected
     _dump_json(out, args.out)
     return 0
 
@@ -248,8 +246,18 @@ def _rounds(text: str) -> int:
     return rounds
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors print the JSON error body on
+    stdout, as every other failing command does, before argparse's usage
+    text on stderr and exit code 2."""
+
+    def error(self, message: str):
+        _dump_json({"error": "usage", "message": message}, None)
+        super().error(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="implogic",
         description="Stateful implication-logic simulator and design toolkit")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -23,6 +23,8 @@ __all__ = [
     "ThresholdSample",
     "current",
     "differential_conductance",
+    "iv",
+    "iv_params",
     "read_conductance",
     "sample_thresholds",
     "nominal_thresholds",
@@ -213,35 +215,50 @@ class ThresholdSample:
             raise ValueError("v_reset_full must be <= v_reset_onset")
 
 
-def current(spec: MemristorSpec, state: DeviceState, v):
-    """Device current at voltage drop v (a float or an array) for the given state.
-
-    Both I-V variants are odd in v, so the sign of the result follows the
-    sign of v. Where sinh overflows, a float raises OverflowError and an array saturates.
-    """
-    scale = state.conductance_scale
+def iv_params(spec: MemristorSpec, state: DeviceState) -> tuple[float, ...]:
+    """The parameters of ``spec``'s I-V law in ``state``, with the
+    conductance scale folded in: (a, b, a*b) of a sinh device, (g,) of an
+    ohmic one. Arrays of such entries, one per point, describe a grid of
+    devices for ``iv``."""
+    on = state.logic is Logic.ON
     model = spec.iv_model
     if isinstance(model, SinhIV):
-        sinh = np.sinh if isinstance(v, np.ndarray) else math.sinh
-        if state.logic is Logic.ON:
-            return scale * model.a_on * sinh(model.b_on * v)
-        return scale * model.a_off * sinh(model.b_off * v)
-    g = spec.g_on if state.logic is Logic.ON else spec.g_off
-    return scale * g * v
+        a = state.conductance_scale * (model.a_on if on else model.a_off)
+        b = model.b_on if on else model.b_off
+        return (a, b, a * b)
+    return (state.conductance_scale * (spec.g_on if on else spec.g_off),)
+
+
+def iv(params: tuple, v, slope: bool = True):
+    """The one I-V law: (current, dI/dV) at drop v for the parameters of
+    ``iv_params``, or the current alone when ``slope`` is False; the
+    parameters and v may be floats or arrays that broadcast together. Sinh:
+    a*sinh(b*v) and (a*b)*cosh(b*v), with b*v formed once; ohmic: g*v and
+    g. Both are odd in v, so the current takes the sign of v. Where sinh or
+    cosh overflows, a float raises OverflowError and an array saturates."""
+    if len(params) == 1:
+        g, = params
+        return (g * v, g) if slope else g * v
+    a, b, ab = params
+    bv = b * v
+    if isinstance(v, np.ndarray) or isinstance(b, np.ndarray):
+        sinh, cosh = np.sinh, np.cosh
+    else:
+        sinh, cosh = math.sinh, math.cosh
+    i = a * sinh(bv)
+    return (i, ab * cosh(bv)) if slope else i
+
+
+def current(spec: MemristorSpec, state: DeviceState, v):
+    """Device current at voltage drop v (a float or an array): ``iv`` at
+    the state's parameters."""
+    return iv(iv_params(spec, state), v, slope=False)
 
 
 def differential_conductance(spec: MemristorSpec, state: DeviceState, v):
     """dI/dV at drop v (a float or an array, as for ``current``); used by
     the Newton node solver and, for ohmic devices, in the closed form."""
-    scale = state.conductance_scale
-    model = spec.iv_model
-    if isinstance(model, SinhIV):
-        cosh = np.cosh if isinstance(v, np.ndarray) else math.cosh
-        if state.logic is Logic.ON:
-            return scale * model.a_on * model.b_on * cosh(model.b_on * v)
-        return scale * model.a_off * model.b_off * cosh(model.b_off * v)
-    g = spec.g_on if state.logic is Logic.ON else spec.g_off
-    return scale * g
+    return iv(iv_params(spec, state), v)[1]
 
 
 def read_conductance(spec: MemristorSpec, state: DeviceState,

@@ -32,7 +32,7 @@ __all__ = ["YieldReport", "estimate_yield"]
 class YieldReport:
     """Pass statistics over seeded trials of one program. ``failed_step``
     holds, per trial, the step its failure is attributed to, or -1 where
-    the trial passed."""
+    the trial passed; ``expected`` the output bits a trial had to give."""
 
     trials: int
     passes: int
@@ -41,6 +41,7 @@ class YieldReport:
     degraded_ratio_fraction: float
     seed: int
     failed_step: np.ndarray
+    expected: dict[str, int]
 
     def to_json(self) -> dict:
         return {
@@ -68,13 +69,15 @@ def _program_input_values(program: StepProgram) -> dict[str, int]:
 def estimate_yield(program: StepProgram, topology: StackTopology,
                    specs: dict[str, MemristorSpec],
                    configs: dict[str, ImpConfig],
-                   oracle: Callable[[dict[str, int]], Mapping[str, int]] | Mapping[str, int],
+                   oracle: (Callable[[dict[str, int]], Mapping[str, int]]
+                            | Mapping[str, int] | None),
                    trials: int, seed: int = 0) -> YieldReport:
     """Run seeded variation trials and report the pass rate.
 
     ``oracle`` maps the program's declared input values to the expected
-    declared output bits (or is that mapping directly). A trial passes iff
-    every declared output decodes to its expected value. Failures are
+    declared output bits (or is that mapping directly); None expects every
+    declared output of the zero-variation run. A trial passes iff every
+    expected output decodes to its expected value. Failures are
     attributed to the first step whose post-step device states diverge from
     the zero-variation reference trace. The degraded-ratio fraction counts
     implication steps after which a driven cell's conductance scale sits
@@ -86,13 +89,17 @@ def estimate_yield(program: StepProgram, topology: StackTopology,
         raise ValueError(f"trials must be an int >= 1, got {trials!r}")
     if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
         raise ValueError(f"seed must be an int >= 0, got {seed!r}")
-    expected = oracle(_program_input_values(program)) if callable(oracle) else oracle
-    expected = dict(expected)
-    unknown = set(expected) - set(program.declared_outputs)
-    if unknown:
-        raise ValueError(f"oracle names undeclared outputs {sorted(unknown)}")
+    expected = None
+    if oracle is not None:
+        expected = oracle(_program_input_values(program)) if callable(oracle) else oracle
+        expected = dict(expected)
+        unknown = set(expected) - set(program.declared_outputs)
+        if unknown:
+            raise ValueError(f"oracle names undeclared outputs {sorted(unknown)}")
 
     batch = execute_trials(program, topology, specs, configs, trials, seed)
+    if expected is None:
+        expected = batch.reference_outputs
     passed = np.ones(trials, dtype=bool)
     for var, want in expected.items():
         passed &= batch.outputs[var] == want
@@ -113,4 +120,5 @@ def estimate_yield(program: StepProgram, topology: StackTopology,
                                  if total_imps else 0.0),
         seed=seed,
         failed_step=failed_step,
+        expected=expected,
     )

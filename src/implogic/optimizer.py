@@ -6,11 +6,18 @@ node solver across all four initial-state combinations: the target must
 set when both devices start OFF, must not set otherwise, and the
 conditioning device must neither set nor begin to reset in any
 combination. The optimizer runs a coarse grid over (v_p, load) followed by
-shrinking refinement grids around the incumbent. Grids solve all nodes at
-once with the node solver that the pair's specs call for, the closed form
-``solver.solve_linear`` if both devices are ohmic, else the array Newton
-``solver.solve_grid``; the slacks reported for the winning bias come from
-``solver.solve_pair``, the same two solvers on one point.
+shrinking refinement grids around the incumbent.
+
+A grid stacks the four state combinations of every pair on a leading axis
+and gives each row its devices' I-V parameters (``device.iv_params``), so
+one solver call covers all of them: the closed form
+``solver.solve_linear`` for pairs of two ohmic devices, the array Newton
+``solver.solve_newton`` for the others, which freezes converged points and
+compacts its arrays only once fewer than half are still open. Each point
+takes the arithmetic it would take in a call of its own, so the stacked
+grid is bit for bit the grid of one solve per combination. The slacks
+reported for the winning bias come from ``evaluate_margin``, whose four
+combinations are one ``solver.solve_pairs`` call.
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ import numpy as np
 
 from . import device as dev
 from .device import Logic, MemristorSpec
-from .solver import is_ohmic, solve_grid, solve_linear, solve_pair
+from .solver import _columns, solve_linear, solve_newton, solve_pairs
 from .topology import (CurrentSourceLoad, ImpConfig, ResistiveLoad,
                        StackTopology)
 
@@ -84,12 +91,13 @@ def evaluate_margin(topology: StackTopology, p: str, q: str, config: ImpConfig,
     condition for the other three combinations, and the two conditioning-
     device disturbance bounds (no set, no reset onset) for all four. All
     are >= 0 iff the step is correct for every initial state; the margin is
-    their minimum.
+    their minimum. The four combinations are solved together by
+    ``solver.solve_pairs``, which raises as ``solve_pair`` does.
     """
     s_p, s_q = topology.step_signs(p, q)
     slacks: dict[str, float] = {}
-    for p_state, q_state in _COMBOS:
-        sol = solve_pair(p_spec, p_state, q_spec, q_state, config, s_p, s_q)
+    for (p_state, q_state), sol in zip(_COMBOS, solve_pairs(p_spec, q_spec, _COMBOS,
+                                                            config, s_p, s_q)):
         slacks.update(zip(_SLACK_NAMES[p_state, q_state], _slacks(
             p_state.logic, q_state.logic, sol.drop_p, sol.drop_q, p_spec, q_spec)))
     return slacks
@@ -102,38 +110,96 @@ def worst_slack(slacks: dict[str, float]) -> float:
 _COARSE = 41  # grid points per axis and round
 
 
-def _margin_grid(vp: np.ndarray, ll: np.ndarray, g_l: float,
-                 p_spec: MemristorSpec, q_spec: MemristorSpec,
-                 s_p: int, s_q: int) -> np.ndarray:
-    """Vectorized worst slack; ``ll`` is the load current (g_l * v_l for a
-    resistive load, i_l for a current source). The node voltage comes from
-    the closed form ``solver.solve_linear`` when both devices are ohmic, else
-    from the array-valued safeguarded Newton ``solver.solve_grid``.
+@dataclass(frozen=True)
+class _Pair:
+    """An implication pair as the optimizer sees it: specs, drop signs and
+    the sign its bias takes relative to the first pair's."""
 
-    Used only to steer the refinement; the slacks finally reported for the
-    winning bias are recomputed point by point through ``solve_pair``.
-    """
-    solve = solve_linear if is_ohmic(p_spec, q_spec) else solve_grid
-    margin = np.full(np.broadcast_shapes(vp.shape, ll.shape), np.inf)
-    for p_state, q_state in _COMBOS:
-        x = solve(p_spec, p_state, vp, q_spec, q_state, ll, g_l)
-        for slack in _slacks(p_state.logic, q_state.logic, s_p * (vp + x),
-                             s_q * x, p_spec, q_spec):
-            np.minimum(margin, slack, out=margin)
+    p_spec: MemristorSpec
+    q_spec: MemristorSpec
+    s_p: int
+    s_q: int
+    flip: float = 1.0
+
+
+def _stack(pairs: list[_Pair]) -> list[tuple]:
+    """The pairs' state combinations as the rows of stacked grids, one stack
+    per solver: (solver, P's and Q's I-V parameters with one entry per row,
+    each row's bias sign or None if all are 1, the pairs). Row 4k + c of a
+    stack is its pair k in combination c of ``_COMBOS``. Pairs of two ohmic
+    devices take ``solve_linear``, the others ``solve_newton``, grouped by
+    the length of each device's parameter tuple."""
+    groups: dict[tuple[int, int], list[_Pair]] = {}
+    for pair in pairs:
+        key = (len(dev.iv_params(pair.p_spec, dev.ON)), len(dev.iv_params(pair.q_spec, dev.ON)))
+        groups.setdefault(key, []).append(pair)
+    stacks = []
+    for key, members in groups.items():
+        p_iv = _columns([dev.iv_params(pair.p_spec, p) for pair in members for p, _ in _COMBOS])
+        q_iv = _columns([dev.iv_params(pair.q_spec, q) for pair in members for _, q in _COMBOS])
+        flips = np.repeat([pair.flip for pair in members], len(_COMBOS))
+        stacks.append((solve_linear if key == (1, 1) else solve_newton, p_iv, q_iv,
+                       None if (flips == 1.0).all() else flips, members))
+    return stacks
+
+
+def _stacked_margin(vp: np.ndarray, ll: np.ndarray, g_l: float,
+                    stacks: list[tuple]) -> np.ndarray:
+    """Worst slack over every pair and state combination of ``stacks``
+    (from ``_stack``) at each point of the broadcast (vp, ll) grid, with
+    each pair's bias times its sign; each stack takes one solver call."""
+    margin = np.full(np.broadcast(vp, ll).shape, np.inf)
+    rows = (-1,) + (1,) * margin.ndim
+    for solve, p_iv, q_iv, flips, members in stacks:
+        p_rows = [a.reshape(rows) if isinstance(a, np.ndarray) else a for a in p_iv]
+        q_rows = [a.reshape(rows) if isinstance(a, np.ndarray) else a for a in q_iv]
+        if flips is None:
+            x = solve(p_rows, vp, q_rows, ll, g_l)
+        else:
+            x = solve(p_rows, flips.reshape(rows) * vp, q_rows,
+                      flips.reshape(rows) * ll, g_l)
+        if x.ndim == margin.ndim:  # rows whose parameters all agree come back as one
+            x = np.broadcast_to(x, (len(_COMBOS) * len(members),) + margin.shape)
+        for k, pair in enumerate(members):
+            x_k = x[len(_COMBOS) * k:len(_COMBOS) * (k + 1)]
+            vp_k = vp if pair.flip == 1.0 else pair.flip * vp
+            # a drop sign of 1 leaves the drop as it is
+            drop_p = vp_k + x_k if pair.s_p == 1 else pair.s_p * (vp_k + x_k)
+            drop_q = x_k if pair.s_q == 1 else pair.s_q * x_k
+            # combination 0 must set; the other three share the must-not-set slacks
+            for at, (p_state, q_state) in ((slice(0, 1), _COMBOS[0]),
+                                           (slice(1, None), _COMBOS[1])):
+                target, p_no_set, p_no_reset = _slacks(
+                    p_state.logic, q_state.logic, drop_p[at], drop_q[at],
+                    pair.p_spec, pair.q_spec)
+                worst = np.minimum(np.minimum(target, p_no_set), p_no_reset)
+                np.minimum(margin, np.minimum.reduce(worst), out=margin)
     return margin
 
 
+def _margin_grid(vp: np.ndarray, ll: np.ndarray, g_l: float,
+                 p_spec: MemristorSpec, q_spec: MemristorSpec,
+                 s_p: int, s_q: int) -> np.ndarray:
+    """Vectorized worst slack of one pair; ``ll`` is the load current (g_l *
+    v_l for a resistive load, i_l for a current source). The node voltages
+    of all four state combinations come from one call of the closed form
+    ``solver.solve_linear`` when both devices are ohmic, else of the array
+    Newton ``solver.solve_newton``.
+
+    Used only to steer the refinement; the slacks finally reported for the
+    winning bias are recomputed by ``evaluate_margin``.
+    """
+    return _stacked_margin(vp, ll, g_l, _stack([_Pair(p_spec, q_spec, s_p, s_q)]))
+
+
 def _pair_info(topology: StackTopology, specs: dict[str, MemristorSpec],
-               pair: tuple[str, str]):
+               pair: tuple[str, str], ref_sign: int | None = None) -> _Pair:
+    """The pair's specs and drop signs, with its bias flipped where Q's drop
+    sign differs from ``ref_sign``, the first pair's."""
     p, q = pair
     s_p, s_q = topology.step_signs(p, q)
-    return {
-        "pair": pair,
-        "p_spec": specs[topology.cells[p].spec_ref],
-        "q_spec": specs[topology.cells[q].spec_ref],
-        "s_p": s_p,
-        "s_q": s_q,
-    }
+    return _Pair(specs[topology.cells[p].spec_ref], specs[topology.cells[q].spec_ref],
+                 s_p, s_q, 1.0 if ref_sign in (None, s_q) else -1.0)
 
 
 def _config_from(v_p: float, ll: float, g_l: float) -> ImpConfig:
@@ -175,55 +241,45 @@ def optimize(topology: StackTopology, p: str, q: str,
     else:
         raise ValueError(f"unknown load kind {load_kind!r}")
 
-    pairs = [_pair_info(topology, specs, (p, q))]
-    for extra in constraints or []:
-        pairs.append(_pair_info(topology, specs, tuple(extra)))
-    ref_sign = pairs[0]["s_q"]
-    for info in pairs:
-        info["flip"] = 1.0 if info["s_q"] == ref_sign else -1.0
+    names = [(p, q), *map(tuple, constraints or [])]
+    first = _pair_info(topology, specs, names[0])
+    pairs = [first] + [_pair_info(topology, specs, pair, first.s_q) for pair in names[1:]]
 
-    all_specs = [info[k] for info in pairs for k in ("p_spec", "q_spec")]
+    all_specs = [spec for pair in pairs for spec in (pair.p_spec, pair.q_spec)]
     vstar = max(s.v_set_star for s in all_specs)
     g_on_max = max(s.g_on for s in all_specs)
     vp_box = (-2.0 * vstar, 2.0 * vstar)
     ll_box = (-4.0 * vstar * g_on_max, 4.0 * vstar * g_on_max)
 
+    stacks = _stack(pairs)
     evaluations = 0
-
-    def joint_margin(vp: np.ndarray, ll: np.ndarray) -> np.ndarray:
-        """Worst slack over all pairs; vp and ll broadcast elementwise."""
-        nonlocal evaluations
-        total = np.full(np.broadcast_shapes(vp.shape, ll.shape), np.inf)
-        for info in pairs:
-            f = info["flip"]
-            m = _margin_grid(f * vp, f * ll, g_l, info["p_spec"], info["q_spec"],
-                             info["s_p"], info["s_q"])
-            np.minimum(total, m, out=total)
-        evaluations += int(total.size)
-        return total
-
     unit = np.linspace(0.0, 1.0, _COARSE)
 
     def load_profile(vp_axis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """For each v_p, refine the load axis to its conditional optimum.
+        """For each v_p, refine the load axis to its conditional optimum,
+        with the worst slack over all pairs as the objective.
         Returns (profile margins, argmax loads)."""
+        nonlocal evaluations
         n = vp_axis.size
+        rows = np.arange(n)
         lo = np.full(n, ll_box[0])
         hi = np.full(n, ll_box[1])
         vp = vp_axis[:, None]
         best_m = np.full(n, -np.inf)
         best_w = np.zeros(n)
         for _ in range(rounds + 1):
-            ll = lo[:, None] + (hi - lo)[:, None] * unit[None, :]
-            m = joint_margin(vp, ll)
-            j = np.argmax(m, axis=1)
-            rows = np.arange(n)
-            better = m[rows, j] > best_m
-            best_m = np.where(better, m[rows, j], best_m)
+            width = hi - lo
+            ll = lo[:, None] + width[:, None] * unit
+            m = _stacked_margin(vp, ll, g_l, stacks)
+            evaluations += m.size
+            j = m.argmax(axis=1)
+            m_j = m[rows, j]
+            better = m_j > best_m
+            best_m = np.where(better, m_j, best_m)
             best_w = np.where(better, ll[rows, j], best_w)
-            span = (hi - lo) / 5.0
-            lo = np.maximum(ll_box[0], best_w - 0.5 * span)
-            hi = np.minimum(ll_box[1], best_w + 0.5 * span)
+            half = 0.5 * (width / 5.0)
+            lo = np.maximum(ll_box[0], best_w - half)
+            hi = np.minimum(ll_box[1], best_w + half)
         return best_m, best_w
 
     best = (-np.inf, 0.0, 0.0)
@@ -241,12 +297,9 @@ def optimize(topology: StackTopology, p: str, q: str,
     margin, v_p_best, ll_best = best
     config = _config_from(v_p_best, ll_best, g_l)
     breakdown: dict[str, float] = {}
-    for info in pairs:
-        f = info["flip"]
-        cfg = _config_from(f * v_p_best, f * ll_best, g_l)
-        slacks = evaluate_margin(topology, *info["pair"], cfg,
-                                 info["p_spec"], info["q_spec"])
-        pp, qq = info["pair"]
+    for (pp, qq), pair in zip(names, pairs):
+        cfg = _config_from(pair.flip * v_p_best, pair.flip * ll_best, g_l)
+        slacks = evaluate_margin(topology, pp, qq, cfg, pair.p_spec, pair.q_spec)
         breakdown.update({f"{pp}>{qq}|{key}": val for key, val in slacks.items()})
     result = OptimizationResult(best_config=config,
                                 margin=worst_slack(breakdown),

@@ -356,6 +356,16 @@ class _Plan:
         lo = np.array([(s.v_set_min, s.v_reset_max) for s in by_row]).reshape(-1, 2)
         hi = np.array([(s.v_set_max, s.v_reset_min) for s in by_row]).reshape(-1, 2)
         self.lo, self.span = lo[drawn].ravel(), (hi - lo)[drawn].ravel()
+        self._bits: dict[tuple[str, int], int] = {}
+
+    def bit(self, cell: str, code: int) -> int:
+        """The bit that ``cell`` reads in the state of ``code``, decoded once
+        per plan (``STATES`` only grows, so a code keeps its state)."""
+        bit = self._bits.get((cell, code))
+        if bit is None:
+            bit = self._bits[cell, code] = dev.decode_bit(self.specs[cell],
+                                                          STATES.states[code])
+        return bit
 
     def thresholds(self, seeds: list) -> np.ndarray:
         """One threshold table per seed, as the columns of the result: ``lo +
@@ -418,7 +428,7 @@ class _Plan:
                 state[op] = filled[value]
             else:
                 code = state[op] if th is None else int(state[op][0])
-                bit = dev.decode_bit(self.specs[step.cell], STATES.states[code])
+                bit = self.bit(step.cell, code)
                 reads.append((i, step.cell, bit))
             if records is not None:
                 detail = _step_detail(step)
@@ -441,8 +451,7 @@ class _Plan:
         th = self.thresholds([seed]) if variation == "seeded" else None
         records = [] if trace_level == "full" else None
         state, reads = self.run(th, records=records, writes=writes)
-        final_bits = {c: dev.decode_bit(spec, STATES.states[code])
-                      for (c, spec), code in zip(self.specs.items(), _column0(state))}
+        final_bits = {c: self.bit(c, code) for c, code in zip(self.specs, _column0(state))}
         return ExecutionTrace(steps=records or [], reads=reads, final_bits=final_bits,
                               variation=variation, seed=seed)
 
@@ -478,11 +487,14 @@ class TrialBatch:
     each declared output's decoded bit, and the first step after which the
     trial's device states differ from the zero-variation run's (-1 if
     none). ``degraded_steps`` counts the (trial, implication) pairs that
-    leave P or Q with a conductance scale below ``DEGRADED_BELOW``."""
+    leave P or Q with a conductance scale below ``DEGRADED_BELOW``.
+    ``reference_outputs`` holds each declared output's bit in the
+    zero-variation run."""
 
     outputs: dict[str, np.ndarray]
     first_divergence: np.ndarray
     degraded_steps: int
+    reference_outputs: dict[str, int]
 
 
 def execute_trials(program: StepProgram, topology: StackTopology,
@@ -500,7 +512,10 @@ def execute_trials(program: StepProgram, topology: StackTopology,
     """
     plan = _Plan(program, topology, specs, configs)
     trail: list[tuple] = []
-    plan.run(trail=trail)
+    final, _ = plan.run(trail=trail)
+    rows = {cell: r for r, cell in enumerate(plan.specs)}
+    reference_outputs = {var: plan.bit(cell, final[rows[cell]])
+                         for var, cell in program.declared_outputs.items()}
     reference = np.array(trail)[:, :, None] if trail else None
     imp_steps = np.flatnonzero([isinstance(s, ImpStep) for s in program.steps])
     outputs = {var: np.empty(trials, dtype=int) for var in program.declared_outputs}
@@ -521,9 +536,9 @@ def execute_trials(program: StepProgram, topology: StackTopology,
             scales = np.array([s.conductance_scale for s in STATES.states])
             degraded += int(np.count_nonzero((scales < DEGRADED_BELOW)[codes].any(axis=1)))
         for var, cell in program.declared_outputs.items():
-            bit = np.array([dev.decode_bit(plan.specs[cell], s) for s in STATES.states])
-            outputs[var][start:start + n] = bit[state[list(plan.specs).index(cell)]]
-    return TrialBatch(outputs, first_divergence, degraded)
+            bit = np.array([plan.bit(cell, code) for code in range(len(STATES.states))])
+            outputs[var][start:start + n] = bit[state[rows[cell]]]
+    return TrialBatch(outputs, first_divergence, degraded, reference_outputs)
 
 
 def nand_macro(a: str, b: str, out: str) -> StepProgram:

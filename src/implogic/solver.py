@@ -6,10 +6,13 @@ two devices share. Every other device has a floating far terminal, carries
 no current, and equalizes to the common node, so the balance involves only
 P, Q, and the load.
 
-One current balance (``_balance``), one closed form for two ohmic devices
-(``solve_linear``) and one safeguarded Newton (``solve_grid``) take floats
-or arrays alike: ``solve_pair`` runs one of them on a single point, and the
-optimizer's margin grids run them over whole grids.
+A device enters the balance through the parameters of its one I-V law
+(``device.iv_params``), which may be floats or arrays with an entry per
+point. One current balance (``_balance``), one closed form for two ohmic
+devices (``solve_linear``) and one safeguarded Newton (``solve_newton``)
+take floats or arrays alike: ``solve_pairs`` runs one of them on the state
+pairs of one bias (``solve_pair`` on a single one), and the optimizer's
+margin grids run them over every state combination of a grid at once.
 
 Sign convention: the reported common-node voltage ``v_c`` is the negated
 electrical node potential, chosen so that for ohmic devices
@@ -46,8 +49,10 @@ __all__ = [
     "SwitchEvent",
     "EventKind",
     "solve_pair",
+    "solve_pairs",
     "solve_node",
     "solve_grid",
+    "solve_newton",
     "solve_linear",
     "settle_states",
     "TOL_CURRENT",
@@ -96,16 +101,14 @@ class SwitchEvent:
     iteration: int
 
 
-def _balance(x, p_spec: MemristorSpec, p_state: DeviceState, vp, q_spec: MemristorSpec,
-             q_state: DeviceState, ll, g_l: float):
+def _balance(x, p_iv: tuple, vp, q_iv: tuple, ll, g_l: float):
     """Signed current sum into the node and its derivative at node coordinate
-    x (= v_c), over floats or arrays as ``dev.current``; ``ll`` is the load
-    current (g_l * v_l for a resistive load, i_l for a current source)."""
-    v = vp + x
-    f = dev.current(p_spec, p_state, v) + dev.current(q_spec, q_state, x) + ll + g_l * x
-    df = (dev.differential_conductance(p_spec, p_state, v)
-          + dev.differential_conductance(q_spec, q_state, x) + g_l)
-    return f, df
+    x (= v_c), for P's and Q's I-V parameters (``dev.iv_params``), over
+    floats or arrays as ``dev.iv``; ``ll`` is the load current (g_l * v_l for
+    a resistive load, i_l for a current source)."""
+    i_p, g_p = dev.iv(p_iv, vp + x)
+    i_q, g_q = dev.iv(q_iv, x)
+    return i_p + i_q + ll + g_l * x, g_p + g_q + g_l
 
 
 def _load_terms(load: ResistiveLoad | CurrentSourceLoad) -> tuple[float, float]:
@@ -120,12 +123,10 @@ def is_ohmic(p_spec: MemristorSpec, q_spec: MemristorSpec) -> bool:
     return all(isinstance(spec.iv_model, dev.LinearIV) for spec in (p_spec, q_spec))
 
 
-def solve_linear(p_spec: MemristorSpec, p_state: DeviceState, vp, q_spec: MemristorSpec,
-                 q_state: DeviceState, ll, g_l: float):
+def solve_linear(p_iv: tuple, vp, q_iv: tuple, ll, g_l: float):
     """The closed-form root of the balance of two ohmic devices, over floats
     or arrays as ``_balance``."""
-    g_p = dev.differential_conductance(p_spec, p_state, 0.0)
-    g_q = dev.differential_conductance(q_spec, q_state, 0.0)
+    (g_p,), (g_q,) = p_iv, q_iv
     return (-g_p * vp - ll) / (g_l + g_p + g_q)
 
 
@@ -144,12 +145,28 @@ def _bracket_overflow(p_spec: MemristorSpec, p_state: DeviceState, v_p: float,
     return NoConvergence("I-V overflow on the Newton bracket")
 
 
-def solve_grid(p_spec: MemristorSpec, p_state: DeviceState, vp: np.ndarray,
-               q_spec: MemristorSpec, q_state: DeviceState, ll: np.ndarray,
-               g_l: float, iterations: np.ndarray | None = None) -> np.ndarray:
+def _per_point(a, shape: tuple) -> np.ndarray:
+    """``a`` broadcast to ``shape``, as a flat array with an entry per point."""
+    if np.shape(a) == shape:
+        return np.ravel(a)
+    out = np.empty(shape)
+    out[...] = a
+    return out.ravel()
+
+
+def _compact(keep: np.ndarray, arrays: list) -> list:
+    """The entries ``keep`` of each array; scalars pass through."""
+    return [a[keep] if isinstance(a, np.ndarray) else a for a in arrays]
+
+
+def solve_newton(p_iv: tuple, vp: np.ndarray, q_iv: tuple, ll: np.ndarray,
+                 g_l: float, iterations: np.ndarray | None = None) -> np.ndarray:
     """Safeguarded Newton on the monotone balance at every point of the
-    broadcast (vp, ll) grid: the node coordinate x (= v_c) of each point,
-    with ``ll`` the load current as for ``_balance``.
+    broadcast grid of ``vp``, ``ll`` and P's and Q's I-V parameters (floats,
+    or arrays with one entry per point): the node coordinate x (= v_c) of
+    each point, with ``ll`` the load current as for ``_balance``. Stacking
+    several devices' parameters on a leading axis solves them all at once,
+    and each point takes the same arithmetic it would take alone.
 
     Each point starts at x = 0, keeps its own bracket and leaves the
     iteration once it has converged: at an exact root, once the residual and
@@ -158,7 +175,9 @@ def solve_grid(p_spec: MemristorSpec, p_state: DeviceState, vp: np.ndarray,
     moves the balance by more than ``TOL_CURRENT``). A Newton step may land
     on a bracket end; one that leaves the bracket, is NaN, or is not below
     half the step before last falls back to bisection; the last rule stops
-    Newton crawling down a steep sinh at ~1/b volts per step.
+    Newton crawling down a steep sinh at ~1/b volts per step. A converged
+    point is frozen: its result is kept, and the arrays drop it only once
+    fewer than half of their points are still open.
     Never raises: a point whose balance has no sign change on the bracket
     takes the end its root lies beyond, sinh overflow saturates (NaN counts
     as f <= 0, which keeps ``f > 0`` monotone in x), and a point still open
@@ -166,43 +185,119 @@ def solve_grid(p_spec: MemristorSpec, p_state: DeviceState, vp: np.ndarray,
     integer array of the grid's size if given, receives the pass each point
     converged in; the entries of the other points are left as they are.
     """
-    shape = np.broadcast_shapes(vp.shape, ll.shape)
-    vp, ll = (a.ravel() for a in np.broadcast_arrays(vp, ll))
+    n_p = len(p_iv)
+    shape = np.broadcast_shapes(*map(np.shape, (vp, ll, *p_iv, *q_iv)))
+    vp, ll = (_per_point(a, shape) for a in (vp, ll))
+    params = [_per_point(a, shape) if np.ndim(a) else a for a in (*p_iv, *q_iv)]
     with np.errstate(over="ignore", invalid="ignore"):
-        f_lo, f_hi = (_balance(np.full(vp.size, end), p_spec, p_state, vp, q_spec, q_state,
+        f_lo, f_hi = (_balance(np.full(vp.size, end), params[:n_p], vp, params[n_p:],
                                ll, g_l)[0] for end in (-BRACKET, BRACKET))
         x = np.where(f_lo > 0.0, -BRACKET, BRACKET)
-        i = np.flatnonzero(~(f_lo > 0.0) & (f_hi > 0.0))
-        vp, ll = vp[i], ll[i]
-        xi = np.zeros(i.size)
-        lo = np.full(i.size, -BRACKET)
-        hi = np.full(i.size, BRACKET)
-        step = step_old = np.full(i.size, np.inf)
+        bracketed = ~(f_lo > 0.0) & (f_hi > 0.0)
+        del f_lo, f_hi  # freed before the iteration's arrays, for peak memory
+        i = None  # each working point's index in the grid, while not the identity
+        if not bracketed.all():
+            i = np.flatnonzero(bracketed)
+            vp, ll, *params = _compact(i, [vp, ll, *params])
+        xi = np.zeros(vp.size)
+        lo = np.full(vp.size, -BRACKET)
+        hi = np.full(vp.size, BRACKET)
+        step = step_old = np.full(vp.size, np.inf)  # the sizes of the last two steps
+        still = np.ones(vp.size, dtype=bool)  # the points not yet converged
+        n_open = vp.size
         for it in range(1, MAX_ITERATIONS + 1):
-            if not i.size:
+            if not n_open:
                 break
-            f, df = _balance(xi, p_spec, p_state, vp, q_spec, q_state, ll, g_l)
-            dx = f / df  # df is a float when both devices are ohmic
+            f, df = _balance(xi, params[:n_p], vp, params[n_p:], ll, g_l)
+            dx = f / df
             above = f > 0.0
             hi = np.where(above, xi, hi)
             lo = np.where(above, lo, xi)
             mid = 0.5 * (lo + hi)  # rounds to an end once the ends are adjacent floats
             done = ((f == 0.0) | (mid == lo) | (mid == hi)
-                    | ((np.abs(f) <= TOL_CURRENT) & (np.abs(step) <= TOL_STEP)))
+                    | ((np.abs(f) <= TOL_CURRENT) & (step <= TOL_STEP)))
+            if n_open < still.size:
+                done &= still
             if done.any():
-                x[i[done]] = xi[done]
+                at = done if i is None else i[done]
+                x[at] = xi[done]
                 if iterations is not None:
-                    iterations[i[done]] = it
-                keep = ~done
-                i, xi, dx, mid, vp, ll, lo, hi, step, step_old = (
-                    a[keep] for a in (i, xi, dx, mid, vp, ll, lo, hi, step, step_old))
+                    iterations[at] = it
+                still &= ~done
+                n_open = int(np.count_nonzero(still))
+                if 2 * n_open < still.size:
+                    i = np.flatnonzero(still) if i is None else i[still]
+                    xi, dx, mid, lo, hi, step, step_old, vp, ll, *params = _compact(
+                        still, [xi, dx, mid, lo, hi, step, step_old, vp, ll, *params])
+                    still = np.ones(n_open, dtype=bool)
             x_new = xi - dx
-            newton = (lo <= x_new) & (x_new <= hi) & (2.0 * np.abs(dx) <= np.abs(step_old))
+            newton = (lo <= x_new) & (x_new <= hi) & (2.0 * np.abs(dx) <= step_old)
             x_new = np.where(newton, x_new, mid)
-            step_old, step = step, x_new - xi
+            step_old, step = step, np.abs(x_new - xi)
             xi = x_new
-        x[i] = xi
+        x[still if i is None else i[still]] = xi[still]
     return x.reshape(shape)
+
+
+def solve_grid(p_spec: MemristorSpec, p_state: DeviceState, vp: np.ndarray,
+               q_spec: MemristorSpec, q_state: DeviceState, ll: np.ndarray,
+               g_l: float, iterations: np.ndarray | None = None) -> np.ndarray:
+    """``solve_newton`` over the broadcast (vp, ll) grid for one state of
+    each device."""
+    return solve_newton(dev.iv_params(p_spec, p_state), vp, dev.iv_params(q_spec, q_state),
+                        ll, g_l, iterations)
+
+
+def _columns(rows: list[tuple]) -> tuple:
+    """Per-device I-V parameter tuples as one tuple of columns: an array
+    with an entry per device, or one float that every device shares."""
+    return tuple(col[0] if len(set(col)) == 1 else np.array(col) for col in zip(*rows))
+
+
+def solve_pairs(p_spec: MemristorSpec, q_spec: MemristorSpec,
+                states: list[tuple[DeviceState, DeviceState]], config: ImpConfig,
+                s_p: int = 1, s_q: int = 1) -> list[NodeSolution]:
+    """``solve_pair`` for each (P state, Q state) of ``states`` under one
+    bias, from one closed-form or Newton solve over all of them. Raises the
+    NoConvergence that ``solve_pair`` would raise for the first state pair
+    in order that fails."""
+    v_p, (g_l, ll) = config.v_p, _load_terms(config.load)
+    points = [(dev.iv_params(p_spec, p), v_p, dev.iv_params(q_spec, q), ll, g_l)
+              for p, q in states]
+    p_iv, q_iv = (_columns([point[k] for point in points]) for k in (0, 2))
+    ohmic = is_ohmic(p_spec, q_spec)
+    errors: list[NoConvergence | None] = [None] * len(states)
+    vp = np.full(len(states), v_p)
+    if ohmic:
+        x, count = solve_linear(p_iv, vp, q_iv, ll, g_l), [0] * len(states)
+    else:
+        for k, ((p_state, q_state), point) in enumerate(zip(states, points)):
+            try:
+                f_lo, _ = _balance(-BRACKET, *point)
+                f_hi, _ = _balance(BRACKET, *point)
+            except OverflowError:
+                errors[k] = _bracket_overflow(p_spec, p_state, v_p, q_spec, q_state)
+                continue
+            if f_lo > 0.0 or f_hi < 0.0:
+                errors[k] = NoConvergence(
+                    f"no current-balance root in [{-BRACKET}, {BRACKET}] V "
+                    f"(f({-BRACKET})={f_lo:.3g}, f({BRACKET})={f_hi:.3g})")
+        count = np.zeros(len(states), dtype=np.intp)  # stays 0 where a point is still open
+        x = solve_newton(p_iv, vp, q_iv, np.array(ll), g_l, count)
+        count = count.tolist()
+    out = []
+    for x_k, iterations, point, error in zip(x.tolist(), count, points, errors):
+        if error is not None:
+            raise error from None
+        residual, _ = _balance(x_k, *point)
+        if not ohmic and iterations == 0:  # still open after MAX_ITERATIONS
+            if not abs(residual) <= TOL_CURRENT:
+                raise NoConvergence(
+                    f"residual {residual:.3g} A after {MAX_ITERATIONS} iterations")
+            iterations = MAX_ITERATIONS
+        out.append(NodeSolution(v_c=x_k, drop_p=s_p * (v_p + x_k), drop_q=s_q * x_k,
+                                residual=residual, iterations=iterations))
+    return out
 
 
 def solve_pair(p_spec: MemristorSpec, p_state: DeviceState,
@@ -210,38 +305,13 @@ def solve_pair(p_spec: MemristorSpec, p_state: DeviceState,
                config: ImpConfig, s_p: int = 1, s_q: int = 1) -> NodeSolution:
     """Solve the two-device balance with explicit specs and drop signs: by
     ``solve_linear`` when both devices are ohmic (``iterations`` is 0), else
-    by ``solve_grid`` on one point (``iterations`` counts its passes).
+    by ``solve_newton`` on one point (``iterations`` counts its passes).
 
     Raises NoConvergence when an I-V overflows at a bracket end, when the
     balance has no root in the bracket, or when Newton is still open after
     ``MAX_ITERATIONS`` with a residual above ``TOL_CURRENT``.
     """
-    v_p, (g_l, ll) = config.v_p, _load_terms(config.load)
-    point = (p_spec, p_state, v_p, q_spec, q_state, ll, g_l)
-    ohmic = is_ohmic(p_spec, q_spec)
-    if ohmic:
-        x, iterations = solve_linear(*point), 0
-    else:
-        try:
-            f_lo, _ = _balance(-BRACKET, *point)
-            f_hi, _ = _balance(BRACKET, *point)
-        except OverflowError:
-            raise _bracket_overflow(p_spec, p_state, v_p, q_spec, q_state) from None
-        if f_lo > 0.0 or f_hi < 0.0:
-            raise NoConvergence(
-                f"no current-balance root in [{-BRACKET}, {BRACKET}] V "
-                f"(f({-BRACKET})={f_lo:.3g}, f({BRACKET})={f_hi:.3g})")
-        count = np.zeros(1, dtype=np.intp)  # stays 0 if the point is still open
-        x = float(solve_grid(p_spec, p_state, np.array([v_p]), q_spec, q_state,
-                             np.array([ll]), g_l, count)[0])
-        iterations = int(count[0])
-    residual, _ = _balance(x, *point)
-    if not ohmic and iterations == 0:  # still open after MAX_ITERATIONS
-        if not abs(residual) <= TOL_CURRENT:
-            raise NoConvergence(f"residual {residual:.3g} A after {MAX_ITERATIONS} iterations")
-        iterations = MAX_ITERATIONS
-    return NodeSolution(v_c=x, drop_p=s_p * (v_p + x), drop_q=s_q * x,
-                        residual=residual, iterations=iterations)
+    return solve_pairs(p_spec, q_spec, [(p_state, q_state)], config, s_p, s_q)[0]
 
 
 def solve_node(topology: StackTopology, specs: dict[str, MemristorSpec],

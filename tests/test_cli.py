@@ -1,8 +1,12 @@
+import contextlib
 import csv
 import io
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import implogic as il
 from implogic.cli import main
@@ -447,3 +451,118 @@ def test_optimize_rejects_non_finite_load(circuit_file, capsys):
                "--load", "resistive:nan"])
     assert rc == 2
     assert json.loads(capsys.readouterr().out)["error"] == "config"
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: argv and file contents
+# ---------------------------------------------------------------------------
+
+_BASE_ARGV = {
+    "margins": {"--spec": "spec", "--sweep": "0,1,3", "--ratios": "10", "--out": "out"},
+    "optimize": {"--topology": "circuit", "--pairs": "T1:T2", "--rounds": "1"},
+    "run": {"--program": "program", "--topology": "circuit"},
+    "adder": {"--a": "3", "--b": "1", "--cin": "0", "--bits": "2"},
+    "yield": {"--program": "program", "--topology": "circuit", "--trials": "3"},
+}
+_EXTRA_FLAGS = {
+    "margins": ("--numeric", "--numeric-gl", "--rounds"),
+    "optimize": ("--load", "--out"),
+    "run": ("--seed", "--variation", "--trace", "--out"),
+    "adder": ("--seed", "--variation", "--out"),
+    "yield": ("--seed", "--per-trial", "--out"),
+}
+_FILE_FLAGS = {"--spec", "--topology", "--program"}
+_OUT_FLAGS = {"--out", "--trace", "--per-trial"}
+_TOKENS = ("0", "1", "2", "3", "-1", "0.5", "1e400", "nan", "inf", "", "x", "0,1,3",
+           "1,10", "0,nan,3", "1,0,3", "T1:T2", "B1:T1,T1:B1", "T1", "T1:Z9", "current",
+           "resistive:3e-5", "resistive:nan", "resistive:", "on", "off")
+_JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 3), st.just(10 ** 400),
+    st.floats(allow_nan=True, allow_infinity=True), st.text(max_size=4),
+    st.lists(st.integers(0, 3), max_size=2), st.just({}))
+
+
+@st.composite
+def _flag_value(draw, flag):
+    if flag == "--numeric":
+        return None
+    if flag in _FILE_FLAGS:
+        return draw(st.sampled_from(("circuit", "program", "spec", "missing")))
+    if flag in _OUT_FLAGS:
+        return draw(st.sampled_from(("out", "dir")))
+    return draw(st.sampled_from(_TOKENS))
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(list(_BASE_ARGV) + ["bogus"]))
+    flags = dict(_BASE_ARGV.get(command, {}))
+    for flag in draw(st.lists(st.sampled_from(
+            list(flags) + list(_EXTRA_FLAGS.get(command, ())) + ["--zzz"]), max_size=3)):
+        if draw(st.booleans()) and flag in flags:
+            del flags[flag]
+        else:
+            flags[flag] = draw(_flag_value(flag))
+    argv = [command]
+    for flag, value in flags.items():
+        argv += [flag] if value is None else [flag, value]
+    return argv
+
+
+def _json_paths(obj, out):
+    """Every (container, key) pair inside a parsed JSON value."""
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj)
+    for key, value in items:
+        out.append((obj, key))
+        if isinstance(value, (dict, list)):
+            _json_paths(value, out)
+    return out
+
+
+@st.composite
+def _file_text(draw, obj):
+    """``obj`` as JSON, with up to two values replaced or keys dropped, or
+    some other text."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(st.text(max_size=20))
+    for _ in range(draw(st.integers(0, 2))):
+        container, key = draw(st.sampled_from(_json_paths(obj, [])))
+        if isinstance(container, dict) and draw(st.booleans()):
+            del container[key]
+        else:
+            container[key] = draw(_JSON_VALUES)
+    return json.dumps(obj)
+
+
+@st.composite
+def _files(draw):
+    spec = draw(st.sampled_from((il.ideal_device_spec(), il.bottom_device_spec())))
+    return {"circuit": draw(_file_text(_circuit(spec))),
+            "program": draw(_file_text(_nand_program())),
+            "spec": draw(_file_text(spec.to_json()))}
+
+
+@settings(max_examples=50, deadline=None)
+@given(argv=_argv(), files=_files())
+def test_cli_fuzz_exits_cleanly(argv, files):
+    # any flags and any file contents: exit 0, 1, 2 or 3 without a
+    # traceback, and a JSON error body on stdout for every non-zero exit
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {name: os.path.join(tmp, f"{name}.json") for name in files}
+        for name, text in files.items():
+            with open(paths[name], "w") as fh:
+                fh.write(text)
+        paths.update(missing=os.path.join(tmp, "missing.json"),
+                     out=os.path.join(tmp, "out.txt"), dir=tmp)
+        argv = [paths.get(token, token) for token in argv]
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            try:
+                rc = main(argv)
+            except SystemExit as exc:
+                rc = exc.code
+    assert rc in (0, 1, 2, 3)
+    assert "Traceback" not in stderr.getvalue()
+    if rc:
+        body = json.loads(stdout.getvalue())
+        assert set(body) >= {"error", "message"}

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -6,8 +7,10 @@ from hypothesis import given, settings, strategies as st
 
 import implogic as il
 from implogic import device as dev
-from implogic.optimizer import _COMBOS, Infeasible, _margin_grid, _slacks
-from implogic.solver import BRACKET, is_ohmic, solve_grid
+from implogic.optimizer import (_COMBOS, Infeasible, _margin_grid, _Pair, _slacks,
+                                _stack, _stacked_margin)
+from implogic.solver import (BRACKET, is_ohmic, solve_grid, solve_linear, solve_newton,
+                             solve_pair)
 
 
 def _specs_for(default_stack, spec):
@@ -359,3 +362,201 @@ def test_sinh_optimize_results_pinned(default_stack, adder_stack, sinh_spec,
            load.i_l if case != "resistive" else load.v_l)
     assert got == pytest.approx(want, rel=1e-12, abs=0.0)
     assert res.evaluations == 136161
+
+
+# the full to_json of the three sinh optimizations, recorded from the
+# per-combination grids before they were stacked into one solve
+_SINH_OPTIMIZE_JSON = {
+    "current_source": {
+        "config": {"v_p": -0.7099714559999999,
+                   "load": {"kind": "current_source", "i_l": -7.162778495999995e-05},
+                   "pulse_s": 0.01},
+        "margin": 0.354985425265681,
+        "slacks": {
+            "T1>T2|must_not_set@p=off,q=on": 0.9346943911279961,
+            "T1>T2|must_not_set@p=on,q=off": 0.354985425265681,
+            "T1>T2|must_not_set@p=on,q=on": 0.8800903000891669,
+            "T1>T2|must_set@p=off,q=off": 0.3549858534102106,
+            "T1>T2|p_no_reset@p=off,q=off": 2.6450143974102107,
+            "T1>T2|p_no_reset@p=off,q=on": 1.355334152872004,
+            "T1>T2|p_no_reset@p=on,q=off": 1.9350431187343191,
+            "T1>T2|p_no_reset@p=on,q=on": 1.4099382439108332,
+            "T1>T2|p_no_set@p=off,q=off": 0.3549856025897893,
+            "T1>T2|p_no_set@p=off,q=on": 1.644665847127996,
+            "T1>T2|p_no_set@p=on,q=off": 1.0649568812656809,
+            "T1>T2|p_no_set@p=on,q=on": 1.5900617560891668,
+        },
+        "evaluations": 136161,
+    },
+    "resistive": {
+        "config": {"v_p": -0.62865024,
+                   "load": {"kind": "resistive", "g_l": 3.391164991562634e-05, "v_l": -3.8676313776040456},
+                   "pulse_s": 0.01},
+        "margin": 0.3143250448669681,
+        "slacks": {
+            "T1>T2|must_not_set@p=off,q=on": 0.7547061568798331,
+            "T1>T2|must_not_set@p=on,q=off": 0.3143251307686943,
+            "T1>T2|must_not_set@p=on,q=on": 0.7908392408475841,
+            "T1>T2|must_set@p=off,q=off": 0.3143251951330319,
+            "T1>T2|p_no_reset@p=off,q=off": 2.685674955133032,
+            "T1>T2|p_no_reset@p=off,q=on": 1.616643603120167,
+            "T1>T2|p_no_reset@p=on,q=off": 2.0570246292313055,
+            "T1>T2|p_no_reset@p=on,q=on": 1.580510519152416,
+            "T1>T2|p_no_set@p=off,q=off": 0.3143250448669681,
+            "T1>T2|p_no_set@p=off,q=on": 1.383356396879833,
+            "T1>T2|p_no_set@p=on,q=off": 0.9429753707686943,
+            "T1>T2|p_no_set@p=on,q=on": 1.419489480847584,
+        },
+        "evaluations": 136161,
+    },
+    "joint": {
+        "config": {"v_p": -0.7099714559999999,
+                   "load": {"kind": "current_source", "i_l": -7.162778495999995e-05},
+                   "pulse_s": 0.01},
+        "margin": 0.354985425265681,
+        "slacks": {
+            "B1>T1|must_not_set@p=off,q=on": 0.9346943911279961,
+            "B1>T1|must_not_set@p=on,q=off": 0.354985425265681,
+            "B1>T1|must_not_set@p=on,q=on": 0.8800903000891669,
+            "B1>T1|must_set@p=off,q=off": 0.3549858534102106,
+            "B1>T1|p_no_reset@p=off,q=off": 0.3549856025897893,
+            "B1>T1|p_no_reset@p=off,q=on": 1.644665847127996,
+            "B1>T1|p_no_reset@p=on,q=off": 1.0649568812656809,
+            "B1>T1|p_no_reset@p=on,q=on": 1.5900617560891668,
+            "B1>T1|p_no_set@p=off,q=off": 2.6450143974102107,
+            "B1>T1|p_no_set@p=off,q=on": 1.355334152872004,
+            "B1>T1|p_no_set@p=on,q=off": 1.9350431187343191,
+            "B1>T1|p_no_set@p=on,q=on": 1.4099382439108332,
+            "T1>B1|must_not_set@p=off,q=on": 0.9346943911279961,
+            "T1>B1|must_not_set@p=on,q=off": 0.354985425265681,
+            "T1>B1|must_not_set@p=on,q=on": 0.8800903000891669,
+            "T1>B1|must_set@p=off,q=off": 0.3549858534102106,
+            "T1>B1|p_no_reset@p=off,q=off": 0.3549856025897893,
+            "T1>B1|p_no_reset@p=off,q=on": 1.644665847127996,
+            "T1>B1|p_no_reset@p=on,q=off": 1.0649568812656809,
+            "T1>B1|p_no_reset@p=on,q=on": 1.5900617560891668,
+            "T1>B1|p_no_set@p=off,q=off": 2.6450143974102107,
+            "T1>B1|p_no_set@p=off,q=on": 1.355334152872004,
+            "T1>B1|p_no_set@p=on,q=off": 1.9350431187343191,
+            "T1>B1|p_no_set@p=on,q=on": 1.4099382439108332,
+        },
+        "evaluations": 136161,
+    },
+}
+
+
+
+def _sinh_optimize(case, default_stack, adder_stack, spec):
+    specs = {"bottom": spec, "top": spec}
+    if case == "current_source":
+        return il.optimize(default_stack, "T1", "T2", specs)
+    if case == "resistive":
+        return il.optimize(default_stack, "T1", "T2", specs, load_kind="resistive",
+                           g_l=il.legacy_load(spec.g_on, spec.g_off))
+    return il.optimize(adder_stack, "B1", "T1", specs, constraints=[("T1", "B1")])
+
+
+@pytest.mark.parametrize("case", list(_SINH_OPTIMIZE_JSON))
+def test_sinh_optimize_json_exact(default_stack, adder_stack, sinh_spec, case):
+    # every float of the result, bit for bit: the stacked grids and the
+    # batched evaluate_margin must steer to and report the same numbers
+    got = _sinh_optimize(case, default_stack, adder_stack, sinh_spec).to_json()
+    assert got == _SINH_OPTIMIZE_JSON[case]
+
+
+def _per_combination_margin(vp, ll, g_l, pairs):
+    """The worst slack over ``pairs`` with one solver call per pair and
+    state combination, on each pair's signed bias."""
+    margin = np.full(np.broadcast_shapes(vp.shape, ll.shape), np.inf)
+    for pair in pairs:
+        f_vp, f_ll = pair.flip * vp, pair.flip * ll
+        for p_state, q_state in _COMBOS:
+            if is_ohmic(pair.p_spec, pair.q_spec):
+                x = solve_linear(dev.iv_params(pair.p_spec, p_state), f_vp,
+                                 dev.iv_params(pair.q_spec, q_state), f_ll, g_l)
+            else:
+                x = solve_grid(pair.p_spec, p_state, f_vp, pair.q_spec, q_state, f_ll, g_l)
+            for slack in _slacks(p_state.logic, q_state.logic, pair.s_p * (f_vp + x),
+                                 pair.s_q * x, pair.p_spec, pair.q_spec):
+                np.minimum(margin, slack, out=margin)
+    return margin
+
+
+@st.composite
+def _stacked_grids(draw):
+    rows, cols = draw(st.integers(1, 9)), draw(st.integers(1, 40))
+    values = st.floats(-3.0, 3.0)
+    vp = np.array(draw(st.lists(values, min_size=rows, max_size=rows)))
+    ll = np.array(draw(st.lists(st.floats(-7e-4, 7e-4), min_size=cols, max_size=cols)))
+    # (rows, 1) x (cols,), (rows, cols) x (rows, cols), or one flat axis
+    layout = draw(st.sampled_from(("outer", "full", "flat")))
+    if layout == "outer":
+        vp, ll = vp[:, None], ll[None, :]
+    elif layout == "full":
+        vp, ll = np.broadcast_arrays(vp[:, None], ll[None, :])
+        vp, ll = vp.copy(), ll.copy()
+    else:
+        vp = np.resize(vp, cols)
+    return vp, ll
+
+
+@settings(max_examples=60, deadline=None)
+@given(grid=_stacked_grids(),
+       pairs=st.lists(st.builds(_Pair, _grid_specs(), _grid_specs(),
+                                st.sampled_from((-1, 1)), st.sampled_from((-1, 1)),
+                                st.sampled_from((-1.0, 1.0))), min_size=1, max_size=2),
+       g_l=st.one_of(st.just(0.0), st.floats(1e-6, 1e-3)))
+def test_stacked_grid_equals_per_combination_solves(grid, pairs, g_l):
+    # all pairs' state combinations in one solver call per kind of I-V law
+    # give the bits of one solve_grid or solve_linear call per combination
+    vp, ll = grid
+    np.testing.assert_array_equal(_stacked_margin(vp, ll, g_l, _stack(pairs)),
+                                  _per_combination_margin(vp, ll, g_l, pairs))
+    pair = pairs[0]
+    if not is_ohmic(pair.p_spec, pair.q_spec):
+        p_iv, q_iv = ([np.array(col)[:, None, None] for col in zip(
+            *(dev.iv_params(spec, combo[k]) for combo in _COMBOS))]
+            for k, spec in ((0, pair.p_spec), (1, pair.q_spec)))
+        x = solve_newton(p_iv, np.atleast_2d(vp), q_iv, np.atleast_2d(ll), g_l)
+        for row, (p_state, q_state) in enumerate(_COMBOS):
+            np.testing.assert_array_equal(x[row], solve_grid(
+                pair.p_spec, p_state, np.atleast_2d(vp), pair.q_spec, q_state,
+                np.atleast_2d(ll), g_l))
+
+
+def test_stacked_grid_with_one_law_for_both_states():
+    # ON and OFF may share one sinh law within the 1% slope tolerance, so
+    # every row of the stack has the same parameters
+    iv = il.SinhIV(a_on=10.02e-6 / 1.5, b_on=1.5, a_off=10.02e-6 / 1.5, b_off=1.5)
+    spec = il.MemristorSpec(v_set_min=0.5, v_set_max=0.7, v_reset_min=-1.5,
+                            v_reset_max=-2.2, g_on=10.1e-6, g_off=10e-6, iv_model=iv)
+    vp = np.linspace(-2.0, 2.0, 5)[:, None]
+    ll = np.linspace(-3e-5, 3e-5, 7)[None, :]
+    pairs = [_Pair(spec, spec, 1, 1)]
+    np.testing.assert_array_equal(_stacked_margin(vp, ll, 0.0, _stack(pairs)),
+                                  _per_combination_margin(vp, ll, 0.0, pairs))
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=_grid_specs(), v_p=st.floats(-3.0, 3.0), ll=st.floats(-7e-4, 7e-4),
+       g_l=st.one_of(st.just(0.0), st.floats(1e-6, 1e-3)),
+       pair=st.sampled_from((("T1", "T2"), ("B1", "T1"), ("T1", "B1"))))
+def test_evaluate_margin_equals_pointwise_solves(spec, v_p, ll, g_l, pair):
+    # the four combinations solved together give the slacks of four
+    # solve_pair calls, bit for bit, and raise where one of those raises
+    stack = il.build_default_stack()
+    load = (il.ResistiveLoad(g_l=g_l, v_l=ll / g_l) if g_l > 0.0
+            else il.CurrentSourceLoad(i_l=ll))
+    cfg = il.ImpConfig(v_p=v_p, load=load)
+    s_p, s_q = stack.step_signs(*pair)
+    want = []
+    try:
+        for p_state, q_state in _COMBOS:
+            sol = solve_pair(spec, p_state, spec, q_state, cfg, s_p, s_q)
+            want += _slacks(p_state.logic, q_state.logic, sol.drop_p, sol.drop_q,
+                            spec, spec)
+    except il.NoConvergence as exc:
+        with pytest.raises(il.NoConvergence, match=re.escape(str(exc))):
+            il.evaluate_margin(stack, *pair, cfg, spec, spec)
+        return
+    assert list(il.evaluate_margin(stack, *pair, cfg, spec, spec).values()) == want

@@ -7,7 +7,7 @@ import pytest
 from mpmath import mp
 
 import implogic as il
-from implogic.device import DeviceState, Logic
+from implogic.device import DeviceState, Logic, iv_params
 from implogic.solver import (STATES, TOL_CURRENT, _balance, _load_terms, solve_grid,
                              solve_pair)
 
@@ -179,7 +179,7 @@ def test_steep_solves_stop_at_float_resolution(b):
         x = solve_pair(spec, p_state, spec, q_state, cfg).v_c
         g_l, ll = _load_terms(load)
         f_below, f, f_above = (
-            _balance(v, spec, p_state, cfg.v_p, spec, q_state, ll, g_l)[0]
+            _balance(v, iv_params(spec, p_state), cfg.v_p, iv_params(spec, q_state), ll, g_l)[0]
             for v in (np.nextafter(x, -np.inf), x, np.nextafter(x, np.inf)))
         if abs(f) > TOL_CURRENT:
             at_resolution += 1
