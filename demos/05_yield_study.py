@@ -76,22 +76,17 @@ print("=" * 70)
 # a drop inside the gradual reset window (between the onset and the
 # guaranteed-full level) knocks the ON conductance down without clearing
 # the bit; the scale compounds across pulses
-states = {c: il.DeviceState(il.Logic.OFF) for c in stack.usable_cells()}
-states["T1"] = il.DeviceState(il.Logic.ON)
-stress = il.ImpConfig(v_p=-2.1, load=il.ResistiveLoad(g_l=1e-3, v_l=0.0))
-thresholds = {c: il.nominal_thresholds(specs[stack.cells[c].spec_ref])
-              for c in stack.usable_cells()}
-for pulse in (1, 2):
-    states, events, _ = il.settle_states(stack, specs, states, stress,
-                                         "T1", "T2", thresholds)
-    st = states["T1"]
+pulses = {"stress": il.ImpConfig(v_p=-2.1, load=il.ResistiveLoad(g_l=1e-3, v_l=0.0)),
+          "full": il.ImpConfig(v_p=-3.0, load=il.ResistiveLoad(g_l=1e-3, v_l=0.0))}
+program = il.StepProgram((il.WriteStep("T1", 1), il.ImpStep("T1", "T2", "stress"),
+                          il.ImpStep("T1", "T2", "stress"), il.ImpStep("T1", "T2", "full")))
+_, *stressed, deeper = il.execute(program, stack, specs, pulses).steps
+for pulse, record in enumerate(stressed, 1):
+    logic, scale = record.states_after["T1"]
     print(f"   stress pulse {pulse}: events "
-          f"{[e.kind.value for e in events] or 'none'}, T1 scale "
-          f"{st.conductance_scale:.2f}, still reads "
-          f"{il.decode_bit(spec, st)}")
-full = il.ImpConfig(v_p=-3.0, load=il.ResistiveLoad(g_l=1e-3, v_l=0.0))
-states, events, _ = il.settle_states(stack, specs, states, full, "T1", "T2",
-                                     thresholds)
-print(f"   deeper pulse: events {[e.kind.value for e in events]}, "
-      f"T1 -> {states['T1'].logic.name} scale "
-      f"{states['T1'].conductance_scale:.1f} (a full reset restores scale 1)")
+          f"{[e.kind.value for e in record.events] or 'none'}, T1 scale "
+          f"{scale:.2f}, still reads "
+          f"{il.decode_bit(spec, il.DeviceState(il.Logic[logic], scale))}")
+logic, scale = deeper.states_after["T1"]
+print(f"   deeper pulse: events {[e.kind.value for e in deeper.events]}, "
+      f"T1 -> {logic} scale {scale:.1f} (a full reset restores scale 1)")

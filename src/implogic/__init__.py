@@ -11,8 +11,8 @@ full-adder / ripple-carry-adder micro-programs.
 from .device import (DeviceState, LinearIV, Logic, MemristorSpec, SinhIV,
                      ThresholdSample, bottom_device_spec, current,
                      decode_bit, ideal_device_spec, nominal_thresholds,
-                     read_conductance, sample_thresholds,
-                     sinh_iv_from_conductances, top_device_spec)
+                     read_conductance, sinh_iv_from_conductances,
+                     top_device_spec)
 from .margins import (MarginReport, analytic_report, delta_actual,
                       delta_general, delta_ideal_parallel, delta_memory,
                       implied_margins, legacy_load, optimal_bias,
@@ -25,8 +25,7 @@ from .program import (ExecutionTrace, ImpStep, PlacementInfeasible,
                       WriteStep, compile_full_adder, default_configs,
                       execute, nand_macro, not_macro, ripple_adder_8bit,
                       with_inputs)
-from .solver import (NodeSolution, NoConvergence, SwitchEvent, settle_states,
-                     solve_node, solve_pair)
+from .solver import NodeSolution, NoConvergence, SwitchEvent, solve_pair
 from .topology import (Cell, CurrentSourceLoad, ImpConfig, Level,
                        NotAdjacent, Orientation, Polarity, ResistiveLoad,
                        StackTopology, build_adder_stack, build_default_stack)

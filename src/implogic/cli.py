@@ -338,7 +338,7 @@ def main(argv: list[str] | None = None) -> int:
         _dump_json(err, None)
         return 3
     except (OSError, json.JSONDecodeError, KeyError, ValueError,
-            NotAdjacent) as exc:
+            NotAdjacent, MemoryError) as exc:
         _dump_json({"error": "config", "message": f"{type(exc).__name__}: {exc}"},
                    None)
         return 2

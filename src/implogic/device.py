@@ -22,11 +22,9 @@ __all__ = [
     "DeviceState",
     "ThresholdSample",
     "current",
-    "differential_conductance",
     "iv",
     "iv_params",
     "read_conductance",
-    "sample_thresholds",
     "nominal_thresholds",
     "decode_bit",
     "sinh_iv_from_conductances",
@@ -255,12 +253,6 @@ def current(spec: MemristorSpec, state: DeviceState, v):
     return iv(iv_params(spec, state), v, slope=False)
 
 
-def differential_conductance(spec: MemristorSpec, state: DeviceState, v):
-    """dI/dV at drop v (a float or an array, as for ``current``); used by
-    the Newton node solver and, for ohmic devices, in the closed form."""
-    return iv(iv_params(spec, state), v)[1]
-
-
 def read_conductance(spec: MemristorSpec, state: DeviceState,
                      v_read: float = READ_VOLTAGE) -> float:
     """Static conductance I(v_read)/v_read at the read voltage."""
@@ -271,18 +263,6 @@ def decode_bit(spec: MemristorSpec, state: DeviceState) -> int:
     """Read out a logic bit: 1 if the read conductance is above the
     geometric mean of the ON and OFF conductances, else 0."""
     return int(read_conductance(spec, state) > math.sqrt(spec.g_on * spec.g_off))
-
-
-def sample_thresholds(spec: MemristorSpec, rng: np.random.Generator) -> ThresholdSample:
-    """Draw one cycle's thresholds from the cycle-to-cycle ranges.
-
-    The set threshold and the reset onset are uniform on their ranges; the
-    guaranteed full-reset level is taken deterministically.
-    """
-    v_set = float(rng.uniform(spec.v_set_min, spec.v_set_max))
-    v_onset = float(rng.uniform(spec.v_reset_max, spec.v_reset_min))
-    return ThresholdSample(v_set=v_set, v_reset_onset=v_onset,
-                           v_reset_full=spec.v_reset_max)
 
 
 def nominal_thresholds(spec: MemristorSpec) -> ThresholdSample:

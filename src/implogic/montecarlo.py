@@ -3,15 +3,15 @@
 Trial t of a study with seed s reruns the program with every threshold
 drawn from its own substream, ``numpy.random.default_rng((s, t))``, in the
 draw order owned by the program's compiled plan. The trials are the batch
-axis of the plan's step interpreter (``program.execute_trials``), which
+axis of the plan's step interpreter (``program._Plan.run``), which
 ``execute`` runs as a batch of one: each step acts on every trial at once.
-Failures are attributed against the zero-variation run of the same
+Failures are attributed here, against the zero-variation run of the same
 interpreter, settled from the implications' memos. Trials are processed
-``program.BATCH_TRIALS`` at a time, so memory stays bounded however many
-are asked for. Since no trial's draws depend on another's, the same seed
-gives the same report and per-trial rows, byte for byte, in any grouping
-of trials, and trial t matches
-``execute(..., variation="seeded", seed=(s, t))`` step for step.
+``BATCH_TRIALS`` at a time, so beyond the 4 bytes a trial that the report
+keeps, memory stays bounded however many are asked for. Since no trial's
+draws depend on another's, the same seed gives the same report and
+per-trial rows, byte for byte, in any grouping of trials, and trial t
+matches ``execute(..., variation="seeded", seed=(s, t))`` step for step.
 """
 
 from __future__ import annotations
@@ -22,10 +22,16 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .device import MemristorSpec
-from .program import StepProgram, WriteStep, execute_trials
+from .program import ImpStep, StepProgram, WriteStep, _Plan
+from .solver import STATES
 from .topology import ImpConfig, StackTopology
 
 __all__ = ["YieldReport", "estimate_yield"]
+
+# Trials per batch. A batch holds a threshold table of BATCH_TRIALS x 2
+# floats per draw: 0.9 MB for the full adder's 57 draws.
+BATCH_TRIALS = 1024
+DEGRADED_BELOW = 0.9  # the conductance scale below which a device counts as degraded
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,9 +87,10 @@ def estimate_yield(program: StepProgram, topology: StackTopology,
     attributed to the first step whose post-step device states diverge from
     the zero-variation reference trace. The degraded-ratio fraction counts
     implication steps after which a driven cell's conductance scale sits
-    below ``program.DEGRADED_BELOW`` (0.9). A ``trials`` that is not an int
+    below ``DEGRADED_BELOW`` (0.9). A ``trials`` that is not an int
     >= 1, or a ``seed`` that is not an int >= 0, raises ValueError (bools
-    are not ints here).
+    are not ints here); a ``trials`` too large for the per-trial results
+    to be allocated raises MemoryError before any trial runs.
     """
     if not isinstance(trials, int) or isinstance(trials, bool) or trials < 1:
         raise ValueError(f"trials must be an int >= 1, got {trials!r}")
@@ -97,26 +104,51 @@ def estimate_yield(program: StepProgram, topology: StackTopology,
         if unknown:
             raise ValueError(f"oracle names undeclared outputs {sorted(unknown)}")
 
-    batch = execute_trials(program, topology, specs, configs, trials, seed)
+    plan = _Plan(program, topology, specs, configs)
+    trail: list[tuple] = []
+    final, _ = plan.run(trail=trail)
+    rows = {cell: r for r, cell in enumerate(plan.specs)}
     if expected is None:
-        expected = batch.reference_outputs
-    passed = np.ones(trials, dtype=bool)
-    for var, want in expected.items():
-        passed &= batch.outputs[var] == want
-    failed_step = np.where(batch.first_divergence >= 0, batch.first_divergence,
-                           len(program.steps) - 1)
-    failed_step[passed] = -1
+        expected = {var: plan.bit(cell, final[rows[cell]])
+                    for var, cell in program.declared_outputs.items()}
+    # each implication's P and Q codes after it in the zero-variation run
+    reference = np.array(trail)[:, :, None] if trail else None
+    imp_steps = np.flatnonzero([isinstance(s, ImpStep) for s in program.steps])
+    failed_step = np.empty(trials, dtype=np.int32)
+    degraded = 0
+    for start in range(0, trials, BATCH_TRIALS):
+        n = min(BATCH_TRIALS, trials - start)
+        trail = []
+        state, _ = plan.run(plan.thresholds([(seed, t) for t in range(start, start + n)]),
+                            start, trail=trail)
+        failed = failed_step[start:start + n]  # a view
+        failed[:] = len(program.steps) - 1
+        if reference is not None:
+            # before its first divergence a trial matches the reference in
+            # every cell, and only an implication's P and Q can change
+            codes = np.array(trail)
+            differs = (codes != reference).any(axis=1)
+            hit = differs.any(axis=0)
+            failed[hit] = imp_steps[differs.argmax(axis=0)[hit]]
+            scales = np.array([s.conductance_scale for s in STATES.states])
+            degraded += int(np.count_nonzero((scales < DEGRADED_BELOW)[codes].any(axis=1)))
+        passed = np.ones(n, dtype=bool)
+        for var, want in expected.items():
+            cell = program.declared_outputs[var]
+            bit = np.array([plan.bit(cell, code) for code in range(len(STATES.states))])
+            passed &= bit[state[rows[cell]]] == want
+        failed[passed] = -1
     histogram: dict[int, int] = {}
-    for step in failed_step[~passed].tolist():
+    for step in failed_step[failed_step >= 0].tolist():
         histogram[step] = histogram.get(step, 0) + 1
-    passes = int(np.count_nonzero(passed))
+    passes = int(np.count_nonzero(failed_step < 0))
     total_imps = trials * program.census()[1]
     return YieldReport(
         trials=trials,
         passes=passes,
         yield_fraction=passes / trials,
         failure_histogram=histogram,
-        degraded_ratio_fraction=(batch.degraded_steps / total_imps
+        degraded_ratio_fraction=(degraded / total_imps
                                  if total_imps else 0.0),
         seed=seed,
         failed_step=failed_step,

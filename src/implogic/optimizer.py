@@ -177,21 +177,6 @@ def _stacked_margin(vp: np.ndarray, ll: np.ndarray, g_l: float,
     return margin
 
 
-def _margin_grid(vp: np.ndarray, ll: np.ndarray, g_l: float,
-                 p_spec: MemristorSpec, q_spec: MemristorSpec,
-                 s_p: int, s_q: int) -> np.ndarray:
-    """Vectorized worst slack of one pair; ``ll`` is the load current (g_l *
-    v_l for a resistive load, i_l for a current source). The node voltages
-    of all four state combinations come from one call of the closed form
-    ``solver.solve_linear`` when both devices are ohmic, else of the array
-    Newton ``solver.solve_newton``.
-
-    Used only to steer the refinement; the slacks finally reported for the
-    winning bias are recomputed by ``evaluate_margin``.
-    """
-    return _stacked_margin(vp, ll, g_l, _stack([_Pair(p_spec, q_spec, s_p, s_q)]))
-
-
 def _pair_info(topology: StackTopology, specs: dict[str, MemristorSpec],
                pair: tuple[str, str], ref_sign: int | None = None) -> _Pair:
     """The pair's specs and drop signs, with its bias flipped where Q's drop

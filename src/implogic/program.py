@@ -7,11 +7,12 @@ a reset followed by one. Values move between cells as complement pairs
 (two NOTs).
 
 A program compiles into a plan with one step interpreter, ``_Plan.run``,
-which ``execute`` runs as a batch of one trial and ``execute_trials`` over
-many. Each implication step applies ``solver.settle``, the one copy of the
-switching rules, to ``solver.STATES`` codes. A run keeps one entry per
-cell: an int code at nominal thresholds, or a row of codes, one per trial,
-in a batch. The plan owns the threshold draw order. Implications are
+which ``execute`` runs as a batch of one trial and
+``montecarlo.estimate_yield`` over many. Each implication step applies
+``solver.settle``, the one copy of the switching rules, to
+``solver.STATES`` codes. A run keeps one entry per cell: an int code at
+nominal thresholds, or a row of codes, one per trial, in a batch. The plan
+owns the threshold draw order (``_Plan.thresholds``). Implications are
 interned across plans, and at zero variation each one's pulse outcome per
 (P code, Q code) is memoized on Python ints. Write values are run-time
 inputs of a plan, so ``ripple_adder_8bit`` compiles one plan and one step
@@ -48,9 +49,6 @@ __all__ = [
     "StepRecord",
     "ExecutionTrace",
     "execute",
-    "execute_trials",
-    "TrialBatch",
-    "BATCH_TRIALS",
     "nand_macro",
     "not_macro",
     "compile_full_adder",
@@ -316,16 +314,16 @@ def _column0(state: list) -> list[int]:
 
 class _Plan:
     """A program validated and compiled for one topology, spec map and
-    config map, run by ``execute``, ``execute_trials`` and
-    ``ripple_adder_8bit``. Draws are
-    numbered in step order (a reset's cell; an implication's P, then Q):
-    draw k takes v_set and reset onset from rows 2k and 2k + 1 of the
-    threshold table ``lo + span * U``. ``ops[i]`` is step i's cell row, or
-    for an implication its interned ``_Imp``, the number of its P draw, and
-    P's and Q's rows. ``writes`` holds the write steps' values, which a run
-    may replace, since validation does not depend on them. A run's state is
-    a list with one entry per cell row: an int code at nominal thresholds,
-    or a 1-D ``np.intp`` row of codes, one per trial, in a batch."""
+    config map, run by ``execute``, ``ripple_adder_8bit`` and
+    ``montecarlo.estimate_yield``. Draws are numbered in step order (a
+    reset's cell; an implication's P, then Q): draw k takes v_set and reset
+    onset from rows 2k and 2k + 1 of the threshold table ``lo + span * U``.
+    ``ops[i]`` is step i's cell row, or for an implication its interned
+    ``_Imp``, the number of its P draw, and P's and Q's rows. ``writes``
+    holds the write steps' values, which a run may replace, since
+    validation does not depend on them. A run's state is a list with one
+    entry per cell row: an int code at nominal thresholds, or a 1-D
+    ``np.intp`` row of codes, one per trial, in a batch."""
 
     def __init__(self, program: StepProgram, topology: StackTopology,
                  specs: dict[str, MemristorSpec], configs: dict[str, ImpConfig]):
@@ -473,72 +471,6 @@ def execute(program: StepProgram, topology: StackTopology,
     ``trace_level`` "reads" skips per-step records for bulk runs.
     """
     return _Plan(program, topology, specs, configs).trace(variation, seed, trace_level)
-
-
-# Trials per batch of execute_trials. A batch holds a threshold table of
-# BATCH_TRIALS x 2 floats per draw: 0.9 MB for the full adder's 57 draws.
-BATCH_TRIALS = 1024
-DEGRADED_BELOW = 0.9  # the conductance scale below which a device counts as degraded
-
-
-@dataclass(frozen=True, eq=False)
-class TrialBatch:
-    """Per-trial results of ``execute_trials``, indexed by trial number:
-    each declared output's decoded bit, and the first step after which the
-    trial's device states differ from the zero-variation run's (-1 if
-    none). ``degraded_steps`` counts the (trial, implication) pairs that
-    leave P or Q with a conductance scale below ``DEGRADED_BELOW``.
-    ``reference_outputs`` holds each declared output's bit in the
-    zero-variation run."""
-
-    outputs: dict[str, np.ndarray]
-    first_divergence: np.ndarray
-    degraded_steps: int
-    reference_outputs: dict[str, int]
-
-
-def execute_trials(program: StepProgram, topology: StackTopology,
-                   specs: dict[str, MemristorSpec], configs: dict[str, ImpConfig],
-                   trials: int, seed: int) -> TrialBatch:
-    """Run ``trials`` seeded variation trials of the program as one batch.
-
-    Trial t is ``execute(..., variation="seeded", seed=(seed, t))``
-    on the same compiled plan: it fills its threshold row from its own
-    substream at once, so its result depends on no other trial and on no
-    grouping of trials. Trials run ``BATCH_TRIALS`` at a time as the columns
-    of one interpreter run. Instead of per-step snapshots, the run keeps the
-    first step at which each trial leaves the zero-variation run, and the
-    degraded count.
-    """
-    plan = _Plan(program, topology, specs, configs)
-    trail: list[tuple] = []
-    final, _ = plan.run(trail=trail)
-    rows = {cell: r for r, cell in enumerate(plan.specs)}
-    reference_outputs = {var: plan.bit(cell, final[rows[cell]])
-                         for var, cell in program.declared_outputs.items()}
-    reference = np.array(trail)[:, :, None] if trail else None
-    imp_steps = np.flatnonzero([isinstance(s, ImpStep) for s in program.steps])
-    outputs = {var: np.empty(trials, dtype=int) for var in program.declared_outputs}
-    first_divergence = np.full(trials, -1, dtype=np.int32)  # YieldReport keeps it: 4 B a trial
-    degraded = 0
-    for start in range(0, trials, BATCH_TRIALS):
-        n = min(BATCH_TRIALS, trials - start)
-        trail = []
-        state, _ = plan.run(plan.thresholds([(seed, t) for t in range(start, start + n)]),
-                            start, trail=trail)
-        if reference is not None:
-            # before its first divergence a trial matches the reference in
-            # every cell, and only an implication's P and Q can change
-            codes = np.array(trail)
-            differs = (codes != reference).any(axis=1)
-            hit = differs.any(axis=0)
-            first_divergence[start:start + n][hit] = imp_steps[differs.argmax(axis=0)[hit]]
-            scales = np.array([s.conductance_scale for s in STATES.states])
-            degraded += int(np.count_nonzero((scales < DEGRADED_BELOW)[codes].any(axis=1)))
-        for var, cell in program.declared_outputs.items():
-            bit = np.array([plan.bit(cell, code) for code in range(len(STATES.states))])
-            outputs[var][start:start + n] = bit[state[rows[cell]]]
-    return TrialBatch(outputs, first_divergence, degraded, reference_outputs)
 
 
 def nand_macro(a: str, b: str, out: str) -> StepProgram:

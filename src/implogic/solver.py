@@ -26,8 +26,9 @@ the device's set threshold switches it ON, a drop at or below its reset
 thresholds switches it (partially or fully) OFF.
 
 The switching rules of a pulse live here once, in ``settle``, over arrays
-of ``STATES`` codes with a column per trial: the program interpreter calls
-it at every implication step, and ``settle_states`` is a batch of one.
+of ``STATES`` codes with a column per trial: the program's step
+interpreter (``program._Plan.run``) calls it at every implication step, on
+a batch of one trial or of many.
 """
 
 from __future__ import annotations
@@ -40,8 +41,8 @@ from typing import Callable
 import numpy as np
 
 from . import device as dev
-from .device import DeviceState, Logic, MemristorSpec, ThresholdSample
-from .topology import CurrentSourceLoad, ImpConfig, ResistiveLoad, StackTopology
+from .device import DeviceState, Logic, MemristorSpec
+from .topology import CurrentSourceLoad, ImpConfig, ResistiveLoad
 
 __all__ = [
     "NodeSolution",
@@ -50,11 +51,8 @@ __all__ = [
     "EventKind",
     "solve_pair",
     "solve_pairs",
-    "solve_node",
-    "solve_grid",
     "solve_newton",
     "solve_linear",
-    "settle_states",
     "TOL_CURRENT",
     "MAX_SETTLE_PASSES",
 ]
@@ -136,8 +134,8 @@ def _bracket_overflow(p_spec: MemristorSpec, p_state: DeviceState, v_p: float,
     for x in (-BRACKET, BRACKET):
         for role, spec, state, v in (("P", p_spec, p_state, v_p + x),
                                      ("Q", q_spec, q_state, x)):
-            try:  # cosh >= |sinh|: it overflows wherever the current does
-                dev.differential_conductance(spec, state, v)
+            try:
+                dev.iv(dev.iv_params(spec, state), v)
             except OverflowError:
                 return NoConvergence(
                     f"I-V of device {role} ({state.logic.name}) overflows at the "
@@ -239,15 +237,6 @@ def solve_newton(p_iv: tuple, vp: np.ndarray, q_iv: tuple, ll: np.ndarray,
     return x.reshape(shape)
 
 
-def solve_grid(p_spec: MemristorSpec, p_state: DeviceState, vp: np.ndarray,
-               q_spec: MemristorSpec, q_state: DeviceState, ll: np.ndarray,
-               g_l: float, iterations: np.ndarray | None = None) -> np.ndarray:
-    """``solve_newton`` over the broadcast (vp, ll) grid for one state of
-    each device."""
-    return solve_newton(dev.iv_params(p_spec, p_state), vp, dev.iv_params(q_spec, q_state),
-                        ll, g_l, iterations)
-
-
 def _columns(rows: list[tuple]) -> tuple:
     """Per-device I-V parameter tuples as one tuple of columns: an array
     with an entry per device, or one float that every device shares."""
@@ -303,7 +292,8 @@ def solve_pairs(p_spec: MemristorSpec, q_spec: MemristorSpec,
 def solve_pair(p_spec: MemristorSpec, p_state: DeviceState,
                q_spec: MemristorSpec, q_state: DeviceState,
                config: ImpConfig, s_p: int = 1, s_q: int = 1) -> NodeSolution:
-    """Solve the two-device balance with explicit specs and drop signs: by
+    """Solve the two-device balance with explicit specs and drop signs (a
+    step's come from ``StackTopology.step_signs``): by
     ``solve_linear`` when both devices are ohmic (``iterations`` is 0), else
     by ``solve_newton`` on one point (``iterations`` counts its passes).
 
@@ -312,19 +302,6 @@ def solve_pair(p_spec: MemristorSpec, p_state: DeviceState,
     ``MAX_ITERATIONS`` with a residual above ``TOL_CURRENT``.
     """
     return solve_pairs(p_spec, q_spec, [(p_state, q_state)], config, s_p, s_q)[0]
-
-
-def solve_node(topology: StackTopology, specs: dict[str, MemristorSpec],
-               states: dict[str, DeviceState], config: ImpConfig,
-               p: str, q: str) -> NodeSolution:
-    """Solve the common node of an implication step between cells p and q.
-
-    ``states`` may contain spectator cells; only p and q enter the balance.
-    """
-    s_p, s_q = topology.step_signs(p, q)
-    p_cell, q_cell = topology.cells[p], topology.cells[q]
-    return solve_pair(specs[p_cell.spec_ref], states[p],
-                      specs[q_cell.spec_ref], states[q], config, s_p=s_p, s_q=s_q)
 
 
 class StateTable:
@@ -432,21 +409,3 @@ def settle(solve: Callable[[int, int], NodeSolution], pq: np.ndarray, th: np.nda
     exc.column = int(np.flatnonzero(active)[0])
     raise exc
 
-
-def settle_states(topology: StackTopology, specs: dict[str, MemristorSpec],
-                  states: dict[str, DeviceState], config: ImpConfig,
-                  p: str, q: str, thresholds: dict[str, ThresholdSample],
-                  ) -> tuple[dict[str, DeviceState], list[SwitchEvent], NodeSolution]:
-    """``settle`` as a batch of one on a copy of ``states``, solving the node
-    with ``solve_node``: the new states, the events and the first solution."""
-    th_p, th_q = thresholds[p], thresholds[q]
-    pq = np.array([[STATES.code(states[p])], [STATES.code(states[q])]])
-    events: list = []
-    first = settle(
-        lambda a, b: solve_node(topology, specs, {p: STATES.states[a], q: STATES.states[b]},
-                                config, p, q),
-        pq, np.array([[th_q.v_set], [th_p.v_reset_onset], [th_q.v_reset_onset]]),
-        np.array([[th_p.v_reset_full], [th_q.v_reset_full]]), events)
-    states = {**states, p: STATES.states[pq[0, 0]], q: STATES.states[pq[1, 0]]}
-    return states, [SwitchEvent((p, q)[r], kind, drop, it)
-                    for r, kind, drop, it in events], first

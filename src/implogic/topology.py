@@ -260,9 +260,12 @@ class StackTopology:
             _check_json(cid, str, "unusable cell") for cid in unusable))
         declared = obj.get("nodes")
         if declared is not None:
-            _check_json(declared, dict, "nodes")
+            # a node lists its cells in any order
+            listed = {node: sorted(_check_json(cid, str, f"nodes {node!r} member")
+                                   for cid in _check_json(members, list, f"nodes {node!r}"))
+                      for node, members in _check_json(declared, dict, "nodes").items()}
             actual = {n: sorted(m) for n, m in topo.shared_nodes.items()}
-            if {k: v for k, v in declared.items()} != actual:
+            if listed != actual:
                 raise ValueError("declared node map disagrees with cell wiring")
         return topo
 

@@ -10,8 +10,8 @@ import pytest
 
 import implogic as il
 from implogic.cli import main
-from implogic.device import DeviceState, Logic
-from implogic.solver import _load_terms, solve_grid, solve_pair
+from implogic.device import DeviceState, Logic, iv_params
+from implogic.solver import _load_terms, solve_newton, solve_pair
 
 
 def test_criterion_1_margin_improvement_claim():
@@ -37,7 +37,7 @@ def test_criterion_2_asymptote_and_memory_bound():
 
 def test_criterion_3_analytic_numeric_equivalence(default_stack):
     """Optimizer recovers the closed forms on 100 random ohmic specs within
-    1e-3 relative; the closed-form node solution and Newton (``solve_grid``)
+    1e-3 relative; the closed-form node solution and Newton (``solve_newton``)
     on the same ohmic point agree to 1e-12 V on 1000 cases; all inside 10 s."""
     t0 = time.perf_counter()
     rng = np.random.default_rng(2024)
@@ -78,8 +78,8 @@ def test_criterion_3_analytic_numeric_equivalence(default_stack):
         if abs(closed.v_c) > 9.0:
             continue
         g_l, ll = _load_terms(load)
-        newton = solve_grid(p_spec, p_state, np.array(cfg.v_p), q_spec, q_state,
-                            np.array(ll), g_l)
+        newton = solve_newton(iv_params(p_spec, p_state), np.array(cfg.v_p),
+                              iv_params(q_spec, q_state), np.array(ll), g_l)
         assert abs(closed.v_c - newton) <= 1e-12
         agreed += 1
 
@@ -191,9 +191,9 @@ def test_criterion_6_yield_properties(default_stack, ideal_specs, ideal_configs)
     violating = il.MemristorSpec(v_set_min=1.3, v_set_max=2.2, v_reset_min=-1.5,
                                  v_reset_max=-2.2, g_on=115e-6, g_off=10e-6)
     vspecs = {"bottom": violating, "top": violating}
-    states = {c: DeviceState(Logic.OFF) for c in default_stack.usable_cells()}
-    sol = il.solve_node(default_stack, vspecs, states,
-                        ideal_configs["drive_neg"], "B1", "T2")
+    off = DeviceState(Logic.OFF)
+    sol = il.solve_pair(violating, off, violating, off, ideal_configs["drive_neg"],
+                        *default_stack.step_signs("B1", "T2"))
     assert sol.drop_q < violating.v_set_max  # confirmed by direct solve
     vprog = il.StepProgram(
         (il.WriteStep("B1", 0), il.WriteStep("T2", 0), il.ImpStep("B1", "T2"),

@@ -253,6 +253,18 @@ def test_yield_zero_trials_usage_error(tmp_path, circuit_file):
     assert exc.value.code == 2
 
 
+def test_yield_huge_trial_count_config_error(tmp_path, circuit_file, capsys):
+    # the per-trial result array of 10^15 trials cannot be allocated
+    prog_file = _nand_program_file(tmp_path, 1, 0)
+    capsys.readouterr()
+    rc = main(["yield", "--program", prog_file, "--topology", circuit_file,
+               "--trials", str(10 ** 15)])
+    assert rc == 2
+    body = json.loads(capsys.readouterr().out)
+    assert body["error"] == "config"
+    assert body["message"].startswith("MemoryError")
+
+
 def test_yield_per_trial_csv(tmp_path, circuit_file):
     prog_file = _nand_program_file(tmp_path, 0, 0)
     per_trial = str(tmp_path / "trials.csv")

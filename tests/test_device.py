@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 import implogic as il
-from implogic.device import Logic, ON, OFF, differential_conductance
+from implogic.device import Logic, ON, OFF, iv, iv_params
+from implogic.program import _Plan
 
 
 def test_linear_on_current_at_read_voltage(bottom_spec):
@@ -29,13 +30,14 @@ def test_sinh_small_signal_matches_conductance(sinh_spec):
     assert i == pytest.approx(expected, rel=1e-12)
 
 
-def test_differential_conductance_array_matches_float(bottom_spec, sinh_spec):
+def test_iv_slope_array_matches_float(bottom_spec, sinh_spec):
     v = np.linspace(-4.0, 4.0, 17)
     for spec in (bottom_spec, sinh_spec):
         for state in (ON, OFF, il.DeviceState(Logic.ON, 0.7),
                       il.DeviceState(Logic.OFF, 0.49)):
-            got = np.broadcast_to(differential_conductance(spec, state, v), v.shape)
-            want = [differential_conductance(spec, state, float(x)) for x in v]
+            params = iv_params(spec, state)
+            got = np.broadcast_to(iv(params, v)[1], v.shape)
+            want = [iv(params, float(x))[1] for x in v]
             np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
 
 
@@ -98,33 +100,49 @@ def test_scale_bounds():
         il.DeviceState(Logic.ON, 1.5)
 
 
-def test_sample_thresholds_degenerate_interval():
+def _nand_plan(specs):
+    """The compiled plan of a NAND on the default stack, and the spec of each
+    of its threshold draws in draw order: a reset's cell, an implication's P
+    and then its Q."""
+    stack = il.build_default_stack()
+    program = il.with_inputs(il.nand_macro("B1", "B2", "T2"), {"a": 1, "b": 0})
+    plan = _Plan(program, stack, specs, il.default_configs(specs["bottom"]))
+    cells = []
+    for step in program.steps:
+        if isinstance(step, il.ResetStep):
+            cells.append(step.cell)
+        elif isinstance(step, il.ImpStep):
+            cells += [step.p, step.q]
+    return plan, [specs[stack.cells[c].spec_ref] for c in cells]
+
+
+def test_plan_thresholds_degenerate_interval():
     spec = il.ideal_device_spec(v_set=1.5)
-    rng = np.random.default_rng(0)
-    for _ in range(10):
-        assert il.sample_thresholds(spec, rng).v_set == 1.5
+    plan, drawn = _nand_plan({"bottom": spec, "top": spec})
+    th = plan.thresholds(list(range(10)))
+    assert th.shape == (2 * len(drawn), 10)
+    assert (th[0::2] == 1.5).all()  # each draw's v_set row
 
 
-def test_sample_thresholds_within_ranges(bottom_spec):
-    rng = np.random.default_rng(123)
-    for _ in range(500):
-        s = il.sample_thresholds(bottom_spec, rng)
-        assert bottom_spec.v_set_min <= s.v_set <= bottom_spec.v_set_max
-        assert bottom_spec.v_reset_max <= s.v_reset_onset <= bottom_spec.v_reset_min
-        assert s.v_reset_full <= s.v_reset_onset
+def test_plan_thresholds_within_ranges(bottom_spec, top_spec):
+    plan, drawn = _nand_plan({"bottom": bottom_spec, "top": top_spec})
+    th = plan.thresholds([(123, t) for t in range(500)])
+    assert th.shape == (2 * len(drawn), 500)
+    for k, spec in enumerate(drawn):
+        v_set, onset = th[2 * k], th[2 * k + 1]
+        assert ((spec.v_set_min <= v_set) & (v_set <= spec.v_set_max)).all()
+        assert ((spec.v_reset_max <= onset) & (onset <= spec.v_reset_min)).all()
 
 
-def test_sample_thresholds_deterministic(bottom_spec):
-    a = [il.sample_thresholds(bottom_spec, np.random.default_rng(42))
-         for _ in range(1)]
-    b = [il.sample_thresholds(bottom_spec, np.random.default_rng(42))
-         for _ in range(1)]
-    assert a == b
-    # same seed, same draw index -> identical sample even mid-stream
-    rng1, rng2 = np.random.default_rng(7), np.random.default_rng(7)
-    for _ in range(5):
-        assert il.sample_thresholds(bottom_spec, rng1) == il.sample_thresholds(
-            bottom_spec, rng2)
+def test_plan_thresholds_deterministic(bottom_spec):
+    plan, _ = _nand_plan({"bottom": bottom_spec, "top": bottom_spec})
+    seeds = [42, 7, (7, 3)]
+    table = plan.thresholds(seeds)
+    np.testing.assert_array_equal(plan.thresholds(seeds), table)
+    assert (table[:, 0] != table[:, 1]).all()
+    # a seed's column does not depend on the other seeds of the batch
+    for j, seed in enumerate(seeds):
+        np.testing.assert_array_equal(plan.thresholds([seed])[:, 0], table[:, j])
 
 
 def test_decode_bit_uses_geometric_midpoint(bottom_spec):

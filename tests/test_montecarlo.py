@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import implogic as il
-import implogic.program as program_module
+import implogic.montecarlo as montecarlo_module
 
 
 def _nand_program(a, b):
@@ -56,10 +56,10 @@ def test_constructed_set_violation_lowers_yield(default_stack, ideal_configs,
     violating = il.MemristorSpec(v_set_min=1.3, v_set_max=2.2,
                                  v_reset_min=-1.5, v_reset_max=-2.2,
                                  g_on=115e-6, g_off=10e-6)
-    states = {c: il.DeviceState(il.Logic.OFF)
-              for c in default_stack.usable_cells()}
     specs = {"bottom": violating, "top": violating}
-    sol = il.solve_node(default_stack, specs, states, cfg, "B1", "T2")
+    off = il.DeviceState(il.Logic.OFF)
+    sol = il.solve_pair(violating, off, violating, off, cfg,
+                        *default_stack.step_signs("B1", "T2"))
     assert sol.drop_q < violating.v_set_max  # the violation, by direct solve
 
     prog = il.StepProgram(
@@ -258,7 +258,7 @@ def test_batched_yield_independent_of_batch_size(default_stack, monkeypatch):
     configs = il.default_configs(spec)
     prog = _nand_program(1, 1)
     whole = _batched(prog, default_stack, specs, configs, {"out": 0}, 50, 9)
-    monkeypatch.setattr(program_module, "BATCH_TRIALS", 7)
+    monkeypatch.setattr(montecarlo_module, "BATCH_TRIALS", 7)
     assert _batched(prog, default_stack, specs, configs, {"out": 0}, 50, 9) == whole
     assert whole[0]["yield"] < 1.0
 

@@ -7,10 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 import implogic as il
 from implogic import device as dev
-from implogic.optimizer import (_COMBOS, Infeasible, _margin_grid, _Pair, _slacks,
-                                _stack, _stacked_margin)
-from implogic.solver import (BRACKET, is_ohmic, solve_grid, solve_linear, solve_newton,
-                             solve_pair)
+from implogic.optimizer import (_COMBOS, Infeasible, _Pair, _slacks, _stack,
+                                _stacked_margin)
+from implogic.solver import BRACKET, is_ohmic, solve_linear, solve_newton, solve_pair
 
 
 def _specs_for(default_stack, spec):
@@ -170,11 +169,10 @@ def test_nonlinear_grid_matches_scalar_solver(default_stack, sinh_spec,
                                               bottom_spec):
     # the vectorized grid must agree with the Newton-based point evaluator
     # it steers for
-    from implogic.optimizer import _margin_grid
     vp = np.linspace(-1.5, 0.5, 7)[:, None]
     ll = np.linspace(-1e-4, 2e-5, 5)[None, :]
     for spec in (sinh_spec, bottom_spec):  # array Newton, closed form
-        grid = _margin_grid(vp, ll, 0.0, spec, spec, 1, 1)
+        grid = _stacked_margin(vp, ll, 0.0, _stack([_Pair(spec, spec, 1, 1)]))
         for i, v in enumerate(vp[:, 0]):
             for j, cur in enumerate(ll[0]):
                 cfg = il.ImpConfig(v_p=float(v),
@@ -187,12 +185,11 @@ def test_nonlinear_grid_matches_scalar_solver(default_stack, sinh_spec,
 
 def test_nonlinear_resistive_grid_matches_scalar_solver(default_stack, sinh_spec,
                                                         bottom_spec):
-    from implogic.optimizer import _margin_grid
     g_l = 3e-5
     vp = np.linspace(-1.2, 0.2, 5)[:, None]
     ll = np.linspace(-1.2e-4, 0.0, 5)[None, :]
     for spec in (sinh_spec, bottom_spec):
-        grid = _margin_grid(vp, ll, g_l, spec, spec, 1, 1)
+        grid = _stacked_margin(vp, ll, g_l, _stack([_Pair(spec, spec, 1, 1)]))
         for i, v in enumerate(vp[:, 0]):
             for j, cur in enumerate(ll[0]):
                 cfg = il.ImpConfig(v_p=float(v), load=il.ResistiveLoad(
@@ -229,7 +226,7 @@ def test_optimize_rejects_negative_rounds(default_stack, bottom_spec):
 
 
 def _bisection_node(p_spec, p_state, vp, q_spec, q_state, ll, g_l, bracket=BRACKET):
-    """Reference node solve for ``solve_grid``: 60 bisections of the
+    """Reference node solve for ``solve_newton``: 60 bisections of the
     monotone balance over the whole grid (f > 0 moves the upper end, so a
     NaN f counts as f <= 0, and a point without a root in the bracket ends
     at the bracket end its root lies beyond)."""
@@ -247,8 +244,8 @@ def _bisection_node(p_spec, p_state, vp, q_spec, q_state, ll, g_l, bracket=BRACK
     return 0.5 * (lo + hi)
 
 
-def _bisection_margin_grid(vp, ll, g_l, p_spec, q_spec, s_p, s_q, bracket=BRACKET):
-    """``_margin_grid`` on the bisection node solve."""
+def _bisection_margin(vp, ll, g_l, p_spec, q_spec, s_p, s_q, bracket=BRACKET):
+    """The stacked margin grid of one pair on the bisection node solve."""
     margin = np.full(np.broadcast_shapes(vp.shape, ll.shape), np.inf)
     for p_state, q_state in _COMBOS:
         x = _bisection_node(p_spec, p_state, vp, q_spec, q_state, ll, g_l, bracket)
@@ -261,15 +258,16 @@ def _bisection_margin_grid(vp, ll, g_l, p_spec, q_spec, s_p, s_q, bracket=BRACKE
 def _assert_grid_matches_bisection(vp, ll, g_l, p_spec, q_spec, s_p=1, s_q=1):
     for p_state, q_state in _COMBOS:
         np.testing.assert_allclose(
-            solve_grid(p_spec, p_state, vp, q_spec, q_state, ll, g_l),
+            solve_newton(dev.iv_params(p_spec, p_state), vp, dev.iv_params(q_spec, q_state),
+                         ll, g_l),
             _bisection_node(p_spec, p_state, vp, q_spec, q_state, ll, g_l),
             rtol=0.0, atol=1e-9)
     # an ohmic pair's grid takes the closed form, which has no bracket; the
     # drawn specs and loads keep its roots within 1 kV
     bracket = 1e3 if is_ohmic(p_spec, q_spec) else BRACKET
     np.testing.assert_allclose(
-        _margin_grid(vp, ll, g_l, p_spec, q_spec, s_p, s_q),
-        _bisection_margin_grid(vp, ll, g_l, p_spec, q_spec, s_p, s_q, bracket),
+        _stacked_margin(vp, ll, g_l, _stack([_Pair(p_spec, q_spec, s_p, s_q)])),
+        _bisection_margin(vp, ll, g_l, p_spec, q_spec, s_p, s_q, bracket),
         rtol=0.0, atol=1e-9)
 
 
@@ -306,7 +304,8 @@ def test_newton_grid_root_outside_bracket(bottom_spec):
     # bracket end its root lies beyond, as the bisection did
     vp = np.array([[0.0], [1.0]])
     ll = np.array([[-1e-3, 1e-3]])
-    x = solve_grid(bottom_spec, dev.OFF, vp, bottom_spec, dev.OFF, ll, 0.0)
+    off = dev.iv_params(bottom_spec, dev.OFF)
+    x = solve_newton(off, vp, off, ll, 0.0)
     np.testing.assert_array_equal(x, [[BRACKET, -BRACKET], [BRACKET, -BRACKET]])
     _assert_grid_matches_bisection(vp, ll, 0.0, bottom_spec, bottom_spec)
 
@@ -322,7 +321,7 @@ def test_newton_grid_sinh_overflow_saturates():
     ll = np.array([[-1e-4, 0.0, 3e-5]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        x = solve_grid(spec, dev.ON, vp, spec, dev.OFF, ll, 0.0)
+        x = solve_newton(dev.iv_params(spec, dev.ON), vp, dev.iv_params(spec, dev.OFF), ll, 0.0)
         _assert_grid_matches_bisection(vp, ll, 0.0, spec, spec)
         _assert_grid_matches_bisection(vp, ll, 2e-5, spec, spec, -1, 1)
     assert np.all(np.abs(x) <= BRACKET)
@@ -335,7 +334,8 @@ def test_newton_grid_returns_exact_roots():
                             v_reset_max=-2.2, g_on=100e-6, g_off=10e-6)
     vp = np.array([[0.0]])
     ll = np.array([[0.0, -2e-5]])
-    x = solve_grid(spec, dev.OFF, vp, spec, dev.OFF, ll, 0.0)
+    off = dev.iv_params(spec, dev.OFF)
+    x = solve_newton(off, vp, off, ll, 0.0)
     np.testing.assert_array_equal(x, [[0.0, 1.0]])
     _assert_grid_matches_bisection(vp, ll, 0.0, spec, spec)
 
@@ -471,11 +471,9 @@ def _per_combination_margin(vp, ll, g_l, pairs):
     for pair in pairs:
         f_vp, f_ll = pair.flip * vp, pair.flip * ll
         for p_state, q_state in _COMBOS:
-            if is_ohmic(pair.p_spec, pair.q_spec):
-                x = solve_linear(dev.iv_params(pair.p_spec, p_state), f_vp,
-                                 dev.iv_params(pair.q_spec, q_state), f_ll, g_l)
-            else:
-                x = solve_grid(pair.p_spec, p_state, f_vp, pair.q_spec, q_state, f_ll, g_l)
+            solve = solve_linear if is_ohmic(pair.p_spec, pair.q_spec) else solve_newton
+            x = solve(dev.iv_params(pair.p_spec, p_state), f_vp,
+                      dev.iv_params(pair.q_spec, q_state), f_ll, g_l)
             for slack in _slacks(p_state.logic, q_state.logic, pair.s_p * (f_vp + x),
                                  pair.s_q * x, pair.p_spec, pair.q_spec):
                 np.minimum(margin, slack, out=margin)
@@ -508,7 +506,7 @@ def _stacked_grids(draw):
        g_l=st.one_of(st.just(0.0), st.floats(1e-6, 1e-3)))
 def test_stacked_grid_equals_per_combination_solves(grid, pairs, g_l):
     # all pairs' state combinations in one solver call per kind of I-V law
-    # give the bits of one solve_grid or solve_linear call per combination
+    # give the bits of one solve_newton or solve_linear call per combination
     vp, ll = grid
     np.testing.assert_array_equal(_stacked_margin(vp, ll, g_l, _stack(pairs)),
                                   _per_combination_margin(vp, ll, g_l, pairs))
@@ -519,9 +517,9 @@ def test_stacked_grid_equals_per_combination_solves(grid, pairs, g_l):
             for k, spec in ((0, pair.p_spec), (1, pair.q_spec)))
         x = solve_newton(p_iv, np.atleast_2d(vp), q_iv, np.atleast_2d(ll), g_l)
         for row, (p_state, q_state) in enumerate(_COMBOS):
-            np.testing.assert_array_equal(x[row], solve_grid(
-                pair.p_spec, p_state, np.atleast_2d(vp), pair.q_spec, q_state,
-                np.atleast_2d(ll), g_l))
+            np.testing.assert_array_equal(x[row], solve_newton(
+                dev.iv_params(pair.p_spec, p_state), np.atleast_2d(vp),
+                dev.iv_params(pair.q_spec, q_state), np.atleast_2d(ll), g_l))
 
 
 def test_stacked_grid_with_one_law_for_both_states():

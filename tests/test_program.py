@@ -13,7 +13,7 @@ import implogic.solver as solver_module
 from implogic.device import PARTIAL_RESET_FACTOR
 from implogic.program import (PlacementInfeasible, ProgramError, _resolve_config,
                               _schedule_full_adder)
-from implogic.solver import EventKind
+from implogic.solver import STATES, EventKind
 
 
 def _run_bits(program, topology, specs, configs, **kw):
@@ -264,8 +264,9 @@ def test_trace_jsonl_records(default_stack, ideal_specs, ideal_configs):
                       for c, s in records[k - 1]["states"].items()}
             step = prog.steps[k]
             cfg = _resolve_config(step, default_stack, ideal_configs)
-            sol = il.solve_node(default_stack, ideal_specs, states, cfg,
-                                step.p, step.q)
+            spec = ideal_specs["top"]  # both levels share one spec
+            sol = il.solve_pair(spec, states[step.p], spec, states[step.q], cfg,
+                                *default_stack.step_signs(step.p, step.q))
             assert (rec["v_c"], rec["drop_p"], rec["drop_q"]) == (
                 sol.v_c, sol.drop_p, sol.drop_q)
 
@@ -407,25 +408,27 @@ def test_ripple_plans_keep_biases_apart_by_the_sign_of_zero():
 
 
 # ---------------------------------------------------------------------------
-# execute and settle_states against references built from scalar rules and
-# public per-step calls
+# execute and settle against references built from scalar rules and public
+# per-step calls
 # ---------------------------------------------------------------------------
 
 def _reference_settle(topology, specs, states, config, p, q, thresholds):
     """The switching rules of one pulse on a dict of DeviceStates, as
-    ``settle_states`` documents them: each pass solves the node, then Q sets
+    ``solver.settle`` documents them: each pass solves the node, then Q sets
     if OFF and its drop reaches v_set, and P then Q reset fully (drop at or
     below v_reset_full, unless already OFF at scale 1) or partially (drop at
     or below the onset, ON only), each rule at most once per pulse, until a
     pass fires nothing. Returns the new states, the events and the first
     pass's solution."""
     states = dict(states)
+    p_spec, q_spec = (specs[topology.cells[c].spec_ref] for c in (p, q))
+    signs = topology.step_signs(p, q)
     events = []
     set_done = False
     partial_done = {p: False, q: False}
     full_done = {p: False, q: False}
     for iteration in range(1, solver_module.MAX_SETTLE_PASSES + 1):
-        sol = il.solve_node(topology, specs, states, config, p, q)
+        sol = il.solve_pair(p_spec, states[p], q_spec, states[q], config, *signs)
         if iteration == 1:
             first = sol
         fired = []
@@ -458,8 +461,9 @@ def _reference_settle(topology, specs, states, config, p, q, thresholds):
 def _reference_execute(program, topology, specs, configs, rng):
     """What execute documents, one public call at a time: configs resolved
     before any step runs; a reset draws once for its cell, an implication
-    once for P and then once for Q (``sample_thresholds``, each v_set then
-    reset onset); implications settle through ``_reference_settle``.
+    once for P and then once for Q (each v_set, then reset onset, uniform on
+    its range; the full-reset level is v_reset_max); implications settle
+    through ``_reference_settle``.
     Returns each step's (states after, node, events) and the reads."""
     program.validate(topology)
     resolved = {i: _resolve_config(s, topology, configs)
@@ -468,6 +472,12 @@ def _reference_execute(program, topology, specs, configs, rng):
     def spec(cell):
         return specs[topology.cells[cell].spec_ref]
 
+    def draw(cell):
+        s = spec(cell)
+        return il.ThresholdSample(float(rng.uniform(s.v_set_min, s.v_set_max)),
+                                  float(rng.uniform(s.v_reset_max, s.v_reset_min)),
+                                  s.v_reset_max)
+
     states = {c: il.DeviceState(il.Logic.OFF) for c in topology.usable_cells()}
     records, reads = [], []
     for i, step in enumerate(program.steps):
@@ -475,11 +485,11 @@ def _reference_execute(program, topology, specs, configs, rng):
         if isinstance(step, il.WriteStep):
             states[step.cell] = il.DeviceState(il.Logic(step.value))
         elif isinstance(step, il.ResetStep):
-            il.sample_thresholds(spec(step.cell), rng)
+            draw(step.cell)
             states[step.cell] = il.DeviceState(il.Logic.OFF)
         elif isinstance(step, il.ImpStep):
-            th_p = il.sample_thresholds(spec(step.p), rng)
-            th_q = il.sample_thresholds(spec(step.q), rng)
+            th_p = draw(step.p)
+            th_q = draw(step.q)
             states, events, node = _reference_settle(
                 topology, specs, states, resolved[i], step.p, step.q,
                 {step.p: th_p, step.q: th_q})
@@ -735,12 +745,12 @@ def test_memo_keeps_biases_apart_by_the_sign_of_zero(default_stack):
     spec = il.bottom_device_spec()
     specs = {"bottom": spec, "top": spec}
     prog = il.with_inputs(il.nand_macro("B1", "B2", "T2"), {"a": 0, "b": 0})
-    off = {c: il.DeviceState(il.Logic.OFF) for c in default_stack.usable_cells()}
+    off = il.DeviceState(il.Logic.OFF)
     for zero in (0.0, -0.0, 0.0):
         cfg = il.ImpConfig(zero, il.CurrentSourceLoad(zero))
         trace = il.execute(prog, default_stack, specs, {"drive_neg": cfg, "drive_pos": cfg})
         first = next(r.node for r in trace.steps if r.node)  # B1 -> T2, all OFF
-        want = il.solve_node(default_stack, specs, off, cfg, "B1", "T2")
+        want = il.solve_pair(spec, off, spec, off, cfg, *default_stack.step_signs("B1", "T2"))
         assert math.copysign(1.0, first.v_c) == math.copysign(1.0, want.v_c)
 
 
@@ -785,11 +795,29 @@ def _settle_cases(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(case=_settle_cases())
-def test_settle_states_matches_scalar_rules(case):
+def test_settle_matches_scalar_rules(case):
+    topology, specs, states, config, p, q, thresholds = case
+
+    def settle_one():
+        """``solver.settle`` on a batch of one, in ``_reference_settle``'s terms."""
+        p_spec, q_spec = (specs[topology.cells[c].spec_ref] for c in (p, q))
+        signs = topology.step_signs(p, q)
+        th_p, th_q = thresholds[p], thresholds[q]
+        pq = np.array([[STATES.code(states[p])], [STATES.code(states[q])]])
+        events = []
+        first = solver_module.settle(
+            lambda a, b: il.solve_pair(p_spec, STATES.states[a], q_spec, STATES.states[b],
+                                       config, *signs),
+            pq, np.array([[th_q.v_set], [th_p.v_reset_onset], [th_q.v_reset_onset]]),
+            np.array([[th_p.v_reset_full], [th_q.v_reset_full]]), events)
+        return ({**states, p: STATES.states[pq[0, 0]], q: STATES.states[pq[1, 0]]},
+                [il.SwitchEvent((p, q)[r], kind, drop, it) for r, kind, drop, it in events],
+                first)
+
     try:
         want = _reference_settle(*case)
     except (il.NoConvergence, ValueError) as exc:
         with pytest.raises(type(exc)):
-            il.settle_states(*case)
+            settle_one()
         return
-    assert il.settle_states(*case) == (want[0], want[1], want[2])
+    assert settle_one() == want

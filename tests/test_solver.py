@@ -8,8 +8,10 @@ from mpmath import mp
 
 import implogic as il
 from implogic.device import DeviceState, Logic, iv_params
-from implogic.solver import (STATES, TOL_CURRENT, _balance, _load_terms, solve_grid,
+from implogic.solver import (STATES, TOL_CURRENT, _balance, _load_terms, solve_newton,
                              solve_pair)
+
+OFF = DeviceState(Logic.OFF)
 
 
 def _bisect_oracle(p_spec, p_state, v_p, q_spec, q_state, load, tol=1e-13):
@@ -41,17 +43,16 @@ def _equal_g_spec(g):
 
 def test_closed_form_divider_example(default_stack):
     spec = il.ideal_device_spec(g_on=115e-6, g_off=10e-6)
-    specs = {"bottom": spec, "top": spec}
-    states = {c: DeviceState(Logic.OFF) for c in default_stack.usable_cells()}
     cfg = il.ImpConfig(v_p=0.0, load=il.ResistiveLoad(g_l=100e-6, v_l=-2.0))
-    sol = il.solve_node(default_stack, specs, states, cfg, "T1", "T2")
+    sol = solve_pair(spec, OFF, spec, OFF, cfg, *default_stack.step_signs("T1", "T2"))
     # (-100e-6 * -2) / 120e-6 with both devices at 10 uS
     assert sol.v_c == pytest.approx(5.0 / 3.0, abs=1e-12)
 
 
-def test_no_sources_no_voltage(default_stack, ideal_specs, off_states):
+def test_no_sources_no_voltage(default_stack, ideal_spec):
     cfg = il.ImpConfig(v_p=0.0, load=il.CurrentSourceLoad(0.0))
-    sol = il.solve_node(default_stack, ideal_specs, off_states, cfg, "T1", "T2")
+    sol = solve_pair(ideal_spec, OFF, ideal_spec, OFF, cfg,
+                     *default_stack.step_signs("T1", "T2"))
     assert sol.v_c == 0.0
     assert sol.drop_p == 0.0 and sol.drop_q == 0.0
 
@@ -76,8 +77,8 @@ def test_closed_vs_iterative_agreement_1000():
         if abs(closed.v_c) > 9.0:
             continue  # outside the Newton's fixed bracket
         g_l, ll = _load_terms(load)
-        newton = solve_grid(p_spec, p_state, np.array(v_p), q_spec, q_state,
-                            np.array(ll), g_l)
+        newton = solve_newton(iv_params(p_spec, p_state), np.array(v_p),
+                              iv_params(q_spec, q_state), np.array(ll), g_l)
         assert abs(closed.v_c - newton) <= 1e-12
         checked += 1
 
@@ -150,7 +151,7 @@ def test_newton_matches_50_digit_roots(b):
             (float(rng.uniform(-2, 2)), float(rng.uniform(-3e-4, 3e-4))))
     for (p_state, q_state), vp_il in points.items():
         v_p, i_l = np.array(vp_il).T
-        grid = solve_grid(spec, p_state, v_p, spec, q_state, i_l, 0.0)
+        grid = solve_newton(iv_params(spec, p_state), v_p, iv_params(spec, q_state), i_l, 0.0)
         for k, (vp_k, il_k) in enumerate(vp_il):
             sol = solve_pair(spec, p_state, spec, q_state,
                              il.ImpConfig(v_p=vp_k, load=il.CurrentSourceLoad(il_k)))
@@ -201,27 +202,26 @@ def test_steep_sinh_full_adder_runs_converge(spec_of):
                    variation="seeded", seed=seed)
 
 
-def test_current_source_is_resistive_limit(default_stack, ideal_specs, off_states):
+def test_current_source_is_resistive_limit(default_stack, ideal_spec):
     # the deviation scales as v_c * g_l / (g_p + g_q); with microsiemens
     # devices the 1e-6 V agreement needs g_l around 1e-12 S
     i_l = -30e-6
+    signs = default_stack.step_signs("T1", "T2")
     cs = il.ImpConfig(v_p=-0.8, load=il.CurrentSourceLoad(i_l))
-    sol_cs = il.solve_node(default_stack, ideal_specs, off_states, cs, "T1", "T2")
+    sol_cs = solve_pair(ideal_spec, OFF, ideal_spec, OFF, cs, *signs)
     errors = []
     for eps in (1e-9, 1e-10, 1e-11, 1e-12):
         res = il.ImpConfig(v_p=-0.8, load=il.ResistiveLoad(g_l=eps, v_l=i_l / eps))
-        sol = il.solve_node(default_stack, ideal_specs, off_states, res, "T1", "T2")
+        sol = solve_pair(ideal_spec, OFF, ideal_spec, OFF, res, *signs)
         errors.append(abs(sol_cs.v_c - sol.v_c))
     assert errors == sorted(errors, reverse=True)  # converges as eps -> 0
     assert errors[-1] < 1e-6
 
 
 def test_no_convergence_outside_bracket(sinh_spec, default_stack):
-    specs = {"bottom": sinh_spec, "top": sinh_spec}
-    states = {c: DeviceState(Logic.OFF) for c in default_stack.usable_cells()}
     cfg = il.ImpConfig(v_p=0.0, load=il.CurrentSourceLoad(-100.0))  # 100 A
     with pytest.raises(il.NoConvergence):
-        il.solve_node(default_stack, specs, states, cfg, "T1", "T2")
+        solve_pair(sinh_spec, OFF, sinh_spec, OFF, cfg, *default_stack.step_signs("T1", "T2"))
 
 
 def _nominal(specs, stack):
@@ -229,80 +229,75 @@ def _nominal(specs, stack):
             for c in stack.usable_cells()}
 
 
-def test_settle_forced_set(default_stack, ideal_specs, ideal_configs, off_states):
+def _records(stack, specs, configs, *steps):
+    """The StepRecords of a zero-variation run of ``steps`` from all OFF."""
+    return il.execute(il.StepProgram(steps), stack, specs, configs).steps
+
+
+def test_settle_forced_set(default_stack, ideal_specs, ideal_configs):
     th = _nominal(ideal_specs, default_stack)
-    cfg = ideal_configs["drive_neg"]
-    states, events, _ = il.settle_states(default_stack, ideal_specs, off_states,
-                                         cfg, "T1", "T2", th)
-    assert states["T2"].logic is Logic.ON
-    assert [e.kind.value for e in events] == ["set"]
-    assert events[0].cell == "T2"
-    assert events[0].drop >= th["T2"].v_set
+    rec, = _records(default_stack, ideal_specs, ideal_configs,
+                    il.ImpStep("T1", "T2", "drive_neg"))
+    assert rec.states_after["T2"] == ("ON", 1.0)
+    assert [e.kind.value for e in rec.events] == ["set"]
+    assert rec.events[0].cell == "T2"
+    assert rec.events[0].drop >= th["T2"].v_set
 
 
-def test_settle_true_antecedent_blocks_set(default_stack, ideal_specs,
-                                           ideal_configs, off_states):
-    states = dict(off_states)
-    states["T1"] = DeviceState(Logic.ON)
-    th = _nominal(ideal_specs, default_stack)
-    new_states, events, _ = il.settle_states(default_stack, ideal_specs, states,
-                                             ideal_configs["drive_neg"], "T1", "T2", th)
-    assert new_states["T2"].logic is Logic.OFF
-    assert events == []
+def test_settle_true_antecedent_blocks_set(default_stack, ideal_specs, ideal_configs):
+    rec = _records(default_stack, ideal_specs, ideal_configs, il.WriteStep("T1", 1),
+                   il.ImpStep("T1", "T2", "drive_neg"))[-1]
+    assert rec.states_after["T2"] == ("OFF", 1.0)
+    assert rec.events == ()
 
 
-def test_settle_no_conditioning_disturbance(default_stack, ideal_specs,
-                                            ideal_configs, off_states):
+def test_settle_no_conditioning_disturbance(default_stack, ideal_specs, ideal_configs):
     # after the set event the re-solved conditioning drop must stay inside
     # (reset onset, set threshold): no second event fires
     th = _nominal(ideal_specs, default_stack)
     cfg = ideal_configs["drive_neg"]
-    states, events, _ = il.settle_states(default_stack, ideal_specs, off_states,
-                                         cfg, "T1", "T2", th)
-    assert len(events) == 1
-    sol = il.solve_node(default_stack, ideal_specs, states, cfg, "T1", "T2")
+    rec, = _records(default_stack, ideal_specs, ideal_configs,
+                    il.ImpStep("T1", "T2", "drive_neg"))
+    assert len(rec.events) == 1
+    p_state, q_state = (DeviceState(Logic[logic], scale) for logic, scale in
+                        (rec.states_after["T1"], rec.states_after["T2"]))
+    spec = ideal_specs["top"]
+    sol = solve_pair(spec, p_state, spec, q_state, cfg, *default_stack.step_signs("T1", "T2"))
     assert th["T1"].v_reset_onset < sol.drop_p < th["T1"].v_set
 
 
 def test_settle_fixed_point_within_two_state_changes(default_stack, ideal_specs,
-                                                     ideal_configs, off_states):
-    th = _nominal(ideal_specs, default_stack)
+                                                     ideal_configs):
     for p, q in [("T1", "T2"), ("B1", "B2"), ("B1", "T1"), ("T2", "B2")]:
         sign = default_stack.step_sign(q, default_stack.common_wire(p, q))
-        cfg = ideal_configs["drive_neg" if sign > 0 else "drive_pos"]
+        imp = il.ImpStep(p, q, "drive_neg" if sign > 0 else "drive_pos")
         for p_on in (False, True):
-            states = dict(off_states)
-            if p_on:
-                states[p] = DeviceState(Logic.ON)
-            _, events, _ = il.settle_states(default_stack, ideal_specs, states,
-                                            cfg, p, q, th)
-            assert len(events) <= 2
+            writes = (il.WriteStep(p, 1),) if p_on else ()
+            rec = _records(default_stack, ideal_specs, ideal_configs, *writes, imp)[-1]
+            assert len(rec.events) <= 2
 
 
-def test_settle_partial_reset_marks_scale(default_stack, ideal_specs, off_states):
-    # stiff load pins the node so the conditioning drop sits inside the
-    # partial-reset window before and after the scale degrades
-    states = dict(off_states)
-    states["T1"] = DeviceState(Logic.ON)
-    cfg = il.ImpConfig(v_p=-2.1, load=il.ResistiveLoad(g_l=1e-3, v_l=0.0))
-    th = _nominal(ideal_specs, default_stack)
-    new_states, events, _ = il.settle_states(default_stack, ideal_specs, states,
-                                             cfg, "T1", "T2", th)
-    assert [e.kind.value for e in events] == ["partial_reset"]
-    assert new_states["T1"].logic is Logic.ON
-    assert new_states["T1"].conductance_scale == pytest.approx(0.7)
+# stiff loads pin the node: a stress pulse puts the conditioning drop
+# inside the partial-reset window before and after the scale degrades, a
+# full pulse below the guaranteed full-reset level
+_PULSES = {"stress": il.ImpConfig(v_p=-2.1, load=il.ResistiveLoad(g_l=1e-3, v_l=0.0)),
+           "full": il.ImpConfig(v_p=-3.0, load=il.ResistiveLoad(g_l=1e-3, v_l=0.0))}
 
 
-def test_settle_full_reset_restores_off_scale_one(default_stack, ideal_specs,
-                                                  off_states):
-    states = dict(off_states)
-    states["T1"] = DeviceState(Logic.ON, 0.7)
-    cfg = il.ImpConfig(v_p=-3.0, load=il.ResistiveLoad(g_l=1e-3, v_l=0.0))
-    th = _nominal(ideal_specs, default_stack)
-    new_states, events, _ = il.settle_states(default_stack, ideal_specs, states,
-                                             cfg, "T1", "T2", th)
-    assert any(e.kind.value == "full_reset" and e.cell == "T1" for e in events)
-    assert new_states["T1"] == DeviceState(Logic.OFF, 1.0)
+def test_settle_partial_reset_marks_scale(default_stack, ideal_specs):
+    rec = _records(default_stack, ideal_specs, _PULSES, il.WriteStep("T1", 1),
+                   il.ImpStep("T1", "T2", "stress"))[-1]
+    assert [e.kind.value for e in rec.events] == ["partial_reset"]
+    assert rec.states_after["T1"] == ("ON", pytest.approx(0.7))
+
+
+def test_settle_full_reset_restores_off_scale_one(default_stack, ideal_specs):
+    *_, stressed, rec = _records(default_stack, ideal_specs, _PULSES, il.WriteStep("T1", 1),
+                                 il.ImpStep("T1", "T2", "stress"),
+                                 il.ImpStep("T1", "T2", "full"))
+    assert stressed.states_after["T1"] == ("ON", 0.7)
+    assert any(e.kind.value == "full_reset" and e.cell == "T1" for e in rec.events)
+    assert rec.states_after["T1"] == ("OFF", 1.0)
 
 
 def test_state_codes_stay_unique_under_threads():

@@ -97,6 +97,23 @@ def test_topology_json_rejects_bad_node_map(default_stack):
         il.StackTopology.from_json(obj)
 
 
+def test_topology_json_accepts_node_map_in_any_order(default_stack):
+    obj = default_stack.to_json()
+    obj["nodes"] = {"M": ["T2", "T1", "B2", "B1"]}
+    assert il.StackTopology.from_json(obj).cells == default_stack.cells
+
+
+@pytest.mark.parametrize("members, match", [
+    (["T2", "B1", "B2"], "disagrees with cell wiring"),
+    (["T2", 1, "B2", "B1"], "must be a string"),
+], ids=["missing cell", "non-string member"])
+def test_topology_json_rejects_node_map_members(default_stack, members, match):
+    obj = default_stack.to_json()
+    obj["nodes"] = {"M": members}
+    with pytest.raises(ValueError, match=match):
+        il.StackTopology.from_json(obj)
+
+
 def test_unusable_must_exist():
     with pytest.raises(ValueError):
         il.StackTopology(cells=il.build_default_stack().cells,
