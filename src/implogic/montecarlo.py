@@ -23,7 +23,7 @@ import numpy as np
 
 from .device import MemristorSpec
 from .program import ImpStep, StepProgram, WriteStep, _Plan
-from .solver import STATES
+from .solver import MAX_CODE, state_of
 from .topology import ImpConfig, StackTopology
 
 __all__ = ["YieldReport", "estimate_yield"]
@@ -32,6 +32,9 @@ __all__ = ["YieldReport", "estimate_yield"]
 # floats per draw: 0.9 MB for the full adder's 57 draws.
 BATCH_TRIALS = 1024
 DEGRADED_BELOW = 0.9  # the conductance scale below which a device counts as degraded
+# the first state code below it; a code's scale falls as the code rises
+_DEGRADED_FROM = next(code for code in range(1, MAX_CODE + 1)
+                      if state_of(code).conductance_scale < DEGRADED_BELOW)
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,13 +133,13 @@ def estimate_yield(program: StepProgram, topology: StackTopology,
             differs = (codes != reference).any(axis=1)
             hit = differs.any(axis=0)
             failed[hit] = imp_steps[differs.argmax(axis=0)[hit]]
-            scales = np.array([s.conductance_scale for s in STATES.states])
-            degraded += int(np.count_nonzero((scales < DEGRADED_BELOW)[codes].any(axis=1)))
+            degraded += int(np.count_nonzero((codes >= _DEGRADED_FROM).any(axis=1)))
         passed = np.ones(n, dtype=bool)
         for var, want in expected.items():
             cell = program.declared_outputs[var]
-            bit = np.array([plan.bit(cell, code) for code in range(len(STATES.states))])
-            passed &= bit[state[rows[cell]]] == want
+            present, inverse = np.unique(state[rows[cell]], return_inverse=True)
+            bit = np.array([plan.bit(cell, code) for code in present.tolist()])
+            passed &= bit[inverse] == want
         failed[passed] = -1
     histogram: dict[int, int] = {}
     for step in failed_step[failed_step >= 0].tolist():

@@ -23,6 +23,7 @@ combinations are one ``solver.solve_pairs`` call.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -212,10 +213,16 @@ def optimize(topology: StackTopology, p: str, q: str,
     Pairs whose target sets toward the common node get the bias with both
     signs flipped, so one parameter magnitude serves both output levels.
     Deterministic: ties resolve to the lexicographically smallest
-    (v_p, load). Raises Infeasible when the best margin is negative.
+    (v_p, load). Raises Infeasible when the best margin is negative, and
+    ValueError when ``g_l`` is not a finite real number or ``rounds`` not
+    an int >= 0 (bools are neither here).
     """
+    if not isinstance(g_l, numbers.Real) or isinstance(g_l, bool):
+        raise ValueError(f"g_l must be a real number, got {g_l!r}")
     if not math.isfinite(g_l):
         raise ValueError(f"g_l must be finite, got {g_l!r}")
+    if not isinstance(rounds, int) or isinstance(rounds, bool):
+        raise ValueError(f"rounds must be an int, got {rounds!r}")
     if rounds < 0:
         raise ValueError(f"rounds must be >= 0, got {rounds!r}")
     if load_kind == "resistive":

@@ -9,15 +9,16 @@ a reset followed by one. Values move between cells as complement pairs
 A program compiles into a plan with one step interpreter, ``_Plan.run``,
 which ``execute`` runs as a batch of one trial and
 ``montecarlo.estimate_yield`` over many. Each implication step applies
-``solver.settle``, the one copy of the switching rules, to
-``solver.STATES`` codes. A run keeps one entry per cell: an int code at
-nominal thresholds, or a row of codes, one per trial, in a batch. The plan
-owns the threshold draw order (``_Plan.thresholds``). Implications are
-interned across plans, and at zero variation each one's pulse outcome per
-(P code, Q code) is memoized on Python ints. Write values are run-time
-inputs of a plan, so ``ripple_adder_8bit`` compiles one plan and one step
-template per (stack, specs, configs, placement, bits), caches them, and
-gives each addition its own writes instead of recompiling.
+``solver.settle``, the one copy of the switching rules, to state codes
+(``solver.state_of``: 0 is OFF, k + 1 is ON after k partial resets). A run
+keeps one entry per cell: an int code at nominal thresholds, or a row of
+codes, one per trial, in a batch. The plan owns the threshold draw order
+(``_Plan.thresholds``). Implications are interned across plans, and at
+zero variation each one's pulse outcome per (P code, Q code) is memoized
+on Python ints. Write values are run-time inputs of a plan, so
+``ripple_adder_8bit`` compiles one plan and one step template per (stack,
+specs, configs, placement, bits), caches them, and gives each addition its
+own writes instead of recompiling.
 """
 
 from __future__ import annotations
@@ -32,8 +33,8 @@ import numpy as np
 from . import device as dev
 from . import margins
 from .device import MemristorSpec, _check_json
-from .solver import (STATES, NoConvergence, NodeSolution, SwitchEvent, settle,
-                     solve_pair)
+from .solver import (NoConvergence, NodeSolution, SwitchEvent, settle, solve_pair,
+                     state_of)
 from .topology import (CurrentSourceLoad, ImpConfig, ResistiveLoad,
                        StackTopology, build_adder_stack)
 
@@ -277,7 +278,7 @@ class _Imp:
         sol = self.solutions.get((p_code, q_code))
         if sol is None:
             sol = self.solutions[p_code, q_code] = solve_pair(
-                self.p_spec, STATES.states[p_code], self.q_spec, STATES.states[q_code],
+                self.p_spec, state_of(p_code), self.q_spec, state_of(q_code),
                 self.config, self.s_p, self.s_q)
         return sol
 
@@ -358,11 +359,10 @@ class _Plan:
 
     def bit(self, cell: str, code: int) -> int:
         """The bit that ``cell`` reads in the state of ``code``, decoded once
-        per plan (``STATES`` only grows, so a code keeps its state)."""
+        per plan."""
         bit = self._bits.get((cell, code))
         if bit is None:
-            bit = self._bits[cell, code] = dev.decode_bit(self.specs[cell],
-                                                          STATES.states[code])
+            bit = self._bits[cell, code] = dev.decode_bit(self.specs[cell], state_of(code))
         return bit
 
     def thresholds(self, seeds: list) -> np.ndarray:
@@ -436,7 +436,7 @@ class _Plan:
                 elif isinstance(step, WriteStep):
                     detail["value"] = value
                 after = {c: (s.logic.name, s.conductance_scale) for c, s in
-                         zip(self.specs, map(STATES.states.__getitem__, _column0(state)))}
+                         zip(self.specs, map(state_of, _column0(state)))}
                 records.append(StepRecord(i, step.op, detail, after, node, events, bit))
         return state, reads
 
@@ -446,6 +446,13 @@ class _Plan:
         ``default_rng(seed)``, decoded into an ExecutionTrace."""
         if variation not in ("off", "seeded"):
             raise ValueError("variation must be 'off' or 'seeded'")
+        if trace_level not in ("full", "reads"):
+            raise ValueError(f"trace_level must be 'full' or 'reads', got {trace_level!r}")
+        if variation == "seeded" and seed is not None and not all(
+                isinstance(x, int) and not isinstance(x, bool) and x >= 0
+                for x in (seed if isinstance(seed, tuple) else (seed,))):
+            raise ValueError(
+                f"seed must be None, an int >= 0 or a tuple of such ints, got {seed!r}")
         th = self.thresholds([seed]) if variation == "seeded" else None
         records = [] if trace_level == "full" else None
         state, reads = self.run(th, records=records, writes=writes)
@@ -469,6 +476,10 @@ def execute(program: StepProgram, topology: StackTopology,
     the plan's interpreter; at zero variation each pulse's outcome comes
     from its implication's memo.
     ``trace_level`` "reads" skips per-step records for bulk runs.
+    A ``variation`` other than "off" or "seeded", a ``trace_level`` other
+    than "full" or "reads", or, in a seeded run, a ``seed`` that is neither
+    None, an int >= 0 nor a tuple of such ints (bools excluded) raise
+    ValueError.
     """
     return _Plan(program, topology, specs, configs).trace(variation, seed, trace_level)
 
@@ -778,8 +789,9 @@ def ripple_adder_8bit(a: int, b: int, c0: int, bits: int = 8,
     a copy of the cached steps and runs the cached plan with them, the same
     run ``execute`` makes of that program.
     A ``bits`` that is not an int >= 1, operands or a carry-in that are not
-    ints (bools included), operands that do not fit in ``bits``, or a
-    carry-in other than 0 or 1 raise ValueError.
+    ints (bools included), operands that do not fit in ``bits``, a carry-in
+    other than 0 or 1, or a ``variation`` or seed that ``execute`` rejects
+    raise ValueError.
     """
     if not isinstance(bits, int) or isinstance(bits, bool) or bits < 1:
         raise ValueError(f"bits must be an int >= 1, got {bits!r}")

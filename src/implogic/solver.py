@@ -26,14 +26,17 @@ the device's set threshold switches it ON, a drop at or below its reset
 thresholds switches it (partially or fully) OFF.
 
 The switching rules of a pulse live here once, in ``settle``, over arrays
-of ``STATES`` codes with a column per trial: the program's step
-interpreter (``program._Plan.run``) calls it at every implication step, on
-a batch of one trial or of many.
+of state codes with a column per trial: the program's step interpreter
+(``program._Plan.run``) calls it at every implication step, on a batch of
+one trial or of many. A code is a rule, not a table: 0 is OFF at scale 1,
+and k + 1 is ON after k partial resets, at the k-fold product of
+``PARTIAL_RESET_FACTOR`` (``state_of``). These are the only states a run
+reaches, since writes, sets and full resets restore scale 1.
 """
 
 from __future__ import annotations
 
-import threading
+import functools
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
@@ -304,32 +307,26 @@ def solve_pair(p_spec: MemristorSpec, p_state: DeviceState,
     return solve_pairs(p_spec, q_spec, [(p_state, q_state)], config, s_p, s_q)[0]
 
 
-class StateTable:
-    """Device states under small integer codes, one table per process, so
-    that a code means the same state in every run and in every memo keyed
-    on codes. OFF and ON at scale 1 are codes 0 and 1; any other state
-    takes the next code when first seen. ``is_on`` is an array over codes."""
-
-    def __init__(self):
-        self.states: list[DeviceState] = []
-        self._codes: dict[DeviceState, int] = {}
-        self._lock = threading.Lock()
-        self.is_on = np.zeros(0, dtype=bool)
-        self.code(dev.OFF)
-        self.code(dev.ON)
-
-    def code(self, state: DeviceState) -> int:
-        code = self._codes.get(state)
-        if code is None:
-            with self._lock:
-                code = self._codes.setdefault(state, len(self.states))
-                if code == len(self.states):
-                    self.states.append(state)
-                    self.is_on = np.append(self.is_on, state.logic is Logic.ON)
-        return code
+def _partial_reset_scales() -> tuple[float, ...]:
+    """The conductance scale after k partial resets, for k = 0, 1, ... up
+    to the first k at which one more reset no longer changes it (5e-324)."""
+    scales = [1.0]
+    while scales[-1] * dev.PARTIAL_RESET_FACTOR != scales[-1]:
+        scales.append(scales[-1] * dev.PARTIAL_RESET_FACTOR)
+    return tuple(scales)
 
 
-STATES = StateTable()
+_SCALES = _partial_reset_scales()
+MAX_CODE = len(_SCALES)  # ON at the end of the chain: a partial reset keeps it
+
+
+@functools.lru_cache(maxsize=MAX_CODE + 1)
+def state_of(code: int) -> DeviceState:
+    """The device state of ``code``: OFF at scale 1 for 0, ON after
+    ``code - 1`` partial resets for 1 to ``MAX_CODE``."""
+    if not 0 <= code <= MAX_CODE:
+        raise ValueError(f"state code must be in [0, {MAX_CODE}], got {code!r}")
+    return DeviceState(Logic.ON, _SCALES[code - 1]) if code else dev.OFF
 
 
 def _pair_drops(solve: Callable[[int, int], NodeSolution], pq: np.ndarray,
@@ -354,16 +351,16 @@ def _pair_drops(solve: Callable[[int, int], NodeSolution], pq: np.ndarray,
 def settle(solve: Callable[[int, int], NodeSolution], pq: np.ndarray, th: np.ndarray,
            full: np.ndarray, events: list | None = None) -> NodeSolution:
     """Apply the switching rules of one pulse to a fixed point in each
-    column (trial) of ``pq``, P's and Q's ``STATES`` codes (rows), in place.
+    column (trial) of ``pq``, P's and Q's state codes (rows), in place.
     The rows of ``th`` are Q's set threshold and P's and Q's reset onset,
     those of ``full`` P's and Q's full-reset level, a column or one value
     per trial; ``solve`` maps a (P code, Q code) pair to its node solution.
 
     Each pass solves the node, then applies at most one event per rule to
     each column still switching: Q sets if OFF and its drop reaches v_set;
-    P, then Q, resets fully (to OFF at scale 1) at or below its full level,
-    or else partially (ON only, scale times ``PARTIAL_RESET_FACTOR``) at or
-    below its onset. The lattice is monotone within a pulse, so a column
+    P, then Q, resets fully (to OFF, code 0) at or below its full level, or
+    else partially (ON only, to the next code, capped at ``MAX_CODE``) at
+    or below its onset. The lattice is monotone within a pulse, so a column
     stops in a few passes. Column 0's events go to ``events`` as (0 for P or
     1 for Q, kind, drop, pass). Returns column 0's first-pass solution, the
     bias point before switching; a NoConvergence names its first column in
@@ -378,20 +375,17 @@ def settle(solve: Callable[[int, int], NodeSolution], pq: np.ndarray, th: np.nda
         drops, sol = _pair_drops(solve, pq)
         if iteration == 1:
             first = sol
-        to_set = active & ~set_done & ~STATES.is_on[pq[1]] & (drops[1] >= v_set)
+        to_set = active & ~set_done & (pq[1] == 0) & (drops[1] >= v_set)
         pq[1, to_set] = 1
         set_done |= to_set
         full_hit = active & ~full_done & (drops <= full)
         partial_hit = active & ~full_hit & ~partial_done & (drops <= onset)
         full_done |= full_hit
         partial_done |= partial_hit
-        to_full = full_hit & (pq != 0)
-        to_partial = partial_hit & STATES.is_on[pq]
-        if to_partial.any():  # a scale that leaves (0, 1] raises ValueError
-            codes, inverse = np.unique(pq[to_partial], return_inverse=True)
-            pq[to_partial] = np.array([STATES.code(DeviceState(
-                Logic.ON, STATES.states[c].conductance_scale * dev.PARTIAL_RESET_FACTOR))
-                for c in codes.tolist()], dtype=np.intp)[inverse]
+        on = pq != 0
+        to_full = full_hit & on
+        to_partial = partial_hit & on
+        pq[to_partial] = np.minimum(pq[to_partial] + 1, MAX_CODE)
         pq[to_full] = 0
         if events is not None:
             drop = drops[:, 0].tolist()

@@ -4,6 +4,7 @@ import io
 import json
 import os
 import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -91,7 +92,7 @@ def test_margins_byte_identical(tmp_path, spec_file):
     for out in (out1, out2):
         assert main(["margins", "--spec", spec_file, "--sweep", "0,1,11",
                      "--ratios", "3,10", "--out", out]) == 0
-    assert open(out1, "rb").read() == open(out2, "rb").read()
+    assert Path(out1).read_bytes() == Path(out2).read_bytes()
 
 
 def test_optimize_command(tmp_path, circuit_file):
@@ -99,7 +100,7 @@ def test_optimize_command(tmp_path, circuit_file):
     rc = main(["optimize", "--topology", circuit_file, "--pairs", "T1:T2",
                "--load", "current", "--out", out])
     assert rc == 0
-    result = json.loads(open(out).read())
+    result = json.loads(Path(out).read_text())
     spec = il.bottom_device_spec()
     rep = il.analytic_report(spec, 0.0)
     assert result["margin"] == pytest.approx(rep.delta_actual, rel=1e-3)
@@ -113,7 +114,7 @@ def test_optimize_joint_pairs(tmp_path, circuit_file):
     rc = main(["optimize", "--topology", circuit_file,
                "--pairs", "B1:T2,T2:B1", "--load", "current", "--out", out])
     assert rc == 0
-    joint = json.loads(open(out).read())
+    joint = json.loads(Path(out).read_text())
     assert len(joint["slacks"]) == 24
 
 
@@ -136,7 +137,7 @@ def test_run_nand_truth_table(tmp_path, ideal_circuit_file):
         rc = main(["run", "--program", prog_file, "--topology",
                    ideal_circuit_file, "--out", out])
         assert rc == 0
-        result = json.loads(open(out).read())
+        result = json.loads(Path(out).read_text())
         assert result["outputs"]["out"] == int(not (a and b))
 
 
@@ -146,7 +147,7 @@ def test_run_writes_trace_jsonl(tmp_path, ideal_circuit_file):
     rc = main(["run", "--program", prog_file, "--topology", ideal_circuit_file,
                "--trace", trace_file, "--out", str(tmp_path / "o.json")])
     assert rc == 0
-    lines = [json.loads(line) for line in open(trace_file)]
+    lines = [json.loads(line) for line in Path(trace_file).read_text().splitlines()]
     assert len(lines) == 5
     assert all("op" in rec and "states" in rec for rec in lines)
 
@@ -222,7 +223,7 @@ def test_adder_command(tmp_path):
     out = str(tmp_path / "adder.json")
     rc = main(["adder", "--a", "255", "--b", "1", "--cin", "0", "--out", out])
     assert rc == 0
-    result = json.loads(open(out).read())
+    result = json.loads(Path(out).read_text())
     assert result == {"a": 255, "b": 1, "bits": 8, "carry": 1, "cin": 0,
                       "imps": 176, "resets": 104, "sum": 0}
 
@@ -239,7 +240,7 @@ def test_yield_command(tmp_path, circuit_file):
     rc = main(["yield", "--program", prog_file, "--topology", circuit_file,
                "--trials", "200", "--seed", "9", "--out", out])
     assert rc == 0
-    report = json.loads(open(out).read())
+    report = json.loads(Path(out).read_text())
     assert report["trials"] == 200
     assert report["yield"] == report["passes"] / 200
     assert report["expected_outputs"] == {"out": 1}
@@ -337,7 +338,7 @@ def test_yield_byte_identical(tmp_path, circuit_file):
         assert main(["yield", "--program", prog_file, "--topology",
                      circuit_file, "--trials", "100", "--seed", "4",
                      "--out", out]) == 0
-        outs.append(open(out, "rb").read())
+        outs.append(Path(out).read_bytes())
     assert outs[0] == outs[1]
 
 

@@ -225,6 +225,16 @@ def test_optimize_rejects_negative_rounds(default_stack, bottom_spec):
         il.optimize(default_stack, "T1", "T2", specs, rounds=-1)
 
 
+@pytest.mark.parametrize("kwargs", [{"rounds": 2.5}, {"rounds": True}, {"g_l": "1e-5"},
+                                    {"g_l": None}, {"g_l": True},
+                                    {"load_kind": "resistive", "g_l": True}])
+def test_optimize_rejects_wrong_argument_types(default_stack, bottom_spec, kwargs):
+    # these used to raise TypeError, or to run with a bool taken as 1
+    specs = _specs_for(default_stack, bottom_spec)
+    with pytest.raises(ValueError, match="must be a real number|must be an int"):
+        il.optimize(default_stack, "T1", "T2", specs, **kwargs)
+
+
 def _bisection_node(p_spec, p_state, vp, q_spec, q_state, ll, g_l, bracket=BRACKET):
     """Reference node solve for ``solve_newton``: 60 bisections of the
     monotone balance over the whole grid (f > 0 moves the upper end, so a

@@ -13,7 +13,7 @@ import implogic.solver as solver_module
 from implogic.device import PARTIAL_RESET_FACTOR
 from implogic.program import (PlacementInfeasible, ProgramError, _resolve_config,
                               _schedule_full_adder)
-from implogic.solver import STATES, EventKind
+from implogic.solver import MAX_CODE, EventKind, state_of
 
 
 def _run_bits(program, topology, specs, configs, **kw):
@@ -287,6 +287,21 @@ def test_execute_rejects_bad_variation(default_stack, ideal_specs, ideal_configs
     with pytest.raises(ValueError):
         il.execute(prog, default_stack, ideal_specs, ideal_configs,
                    variation="maybe")
+
+
+@pytest.mark.parametrize("kwargs", [{"trace_level": "ful"}, {"seed": 2.5}, {"seed": True},
+                                    {"seed": (3, True)}, {"seed": "7"}])
+def test_execute_rejects_bad_trace_level_and_seed(default_stack, ideal_specs, ideal_configs,
+                                                  kwargs):
+    # these used to give no step records, numpy's TypeError, or a bool run as 1
+    prog = il.with_inputs(il.nand_macro("B1", "B2", "T2"), {"a": 1, "b": 1})
+    args = (prog, default_stack, ideal_specs, ideal_configs)
+    with pytest.raises(ValueError, match="trace_level must|seed must"):
+        il.execute(*args, variation="seeded", **kwargs)
+    if "seed" in kwargs:
+        with pytest.raises(ValueError, match="seed must"):
+            il.ripple_adder_8bit(1, 2, 0, variation="seeded", seed=kwargs["seed"])
+    assert il.execute(*args, variation="seeded", seed=None).final_bits["T2"] == 0
 
 
 def test_ripple_correct_under_covered_variation():
@@ -754,13 +769,13 @@ def test_memo_keeps_biases_apart_by_the_sign_of_zero(default_stack):
         assert math.copysign(1.0, first.v_c) == math.copysign(1.0, want.v_c)
 
 
-def _any_state(scale):
-    """A DeviceState of either logic level at a scale on or off the partial-reset chain."""
-    return st.builds(il.DeviceState, st.sampled_from(list(il.Logic)), scale)
+def _code_of(state):
+    """The state code of a DeviceState that a run can reach."""
+    return next(code for code in range(MAX_CODE + 1) if state_of(code) == state)
 
 
-_scales = st.one_of(st.just(1.0), st.sampled_from([0.7, 0.49, 0.7 ** 3]),
-                    st.floats(1e-3, 1.0, exclude_min=True))
+# OFF, ON after up to three partial resets, or any state a run can reach
+_codes = st.one_of(st.just(0), st.integers(1, 4), st.integers(0, MAX_CODE))
 
 
 @st.composite
@@ -782,7 +797,7 @@ def _settle_cases(draw):
         load = il.ResistiveLoad(draw(st.floats(1e-6, 2e-4)), drive)
     else:
         load = il.CurrentSourceLoad(drive * 1e-4)
-    states = {c: draw(_any_state(_scales)) for c in cells}
+    states = {c: state_of(draw(_codes)) for c in cells}
     thresholds = {}
     for cell in (p, q):
         onset = draw(st.floats(-2.5, -0.2))
@@ -803,14 +818,14 @@ def test_settle_matches_scalar_rules(case):
         p_spec, q_spec = (specs[topology.cells[c].spec_ref] for c in (p, q))
         signs = topology.step_signs(p, q)
         th_p, th_q = thresholds[p], thresholds[q]
-        pq = np.array([[STATES.code(states[p])], [STATES.code(states[q])]])
+        pq = np.array([[_code_of(states[p])], [_code_of(states[q])]])
         events = []
         first = solver_module.settle(
-            lambda a, b: il.solve_pair(p_spec, STATES.states[a], q_spec, STATES.states[b],
+            lambda a, b: il.solve_pair(p_spec, state_of(a), q_spec, state_of(b),
                                        config, *signs),
             pq, np.array([[th_q.v_set], [th_p.v_reset_onset], [th_q.v_reset_onset]]),
             np.array([[th_p.v_reset_full], [th_q.v_reset_full]]), events)
-        return ({**states, p: STATES.states[pq[0, 0]], q: STATES.states[pq[1, 0]]},
+        return ({**states, **dict(zip((p, q), map(state_of, pq[:, 0].tolist())))},
                 [il.SwitchEvent((p, q)[r], kind, drop, it) for r, kind, drop, it in events],
                 first)
 

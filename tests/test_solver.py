@@ -1,15 +1,13 @@
 import itertools
-import sys
-import threading
 
 import numpy as np
 import pytest
 from mpmath import mp
 
 import implogic as il
-from implogic.device import DeviceState, Logic, iv_params
-from implogic.solver import (STATES, TOL_CURRENT, _balance, _load_terms, solve_newton,
-                             solve_pair)
+from implogic.device import PARTIAL_RESET_FACTOR, DeviceState, Logic, iv_params
+from implogic.solver import (MAX_CODE, TOL_CURRENT, EventKind, NodeSolution, _balance,
+                             _load_terms, settle, solve_newton, solve_pair, state_of)
 
 OFF = DeviceState(Logic.OFF)
 
@@ -300,28 +298,22 @@ def test_settle_full_reset_restores_off_scale_one(default_stack, ideal_specs):
     assert rec.states_after["T1"] == ("OFF", 1.0)
 
 
-def test_state_codes_stay_unique_under_threads():
-    # STATES is shared by the whole process: threads that meet the same new
-    # states at once must agree on one code per state, and no two states may
-    # share a code
-    scales = [0.5 + k * 1e-7 for k in range(300)]  # states no other test makes
-    got = [[] for _ in range(8)]
-
-    def work(out):
-        for scale in scales:
-            out.append(STATES.code(DeviceState(Logic.ON, scale)))
-
-    old = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=work, args=(out,)) for out in got]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-        assert not any(t.is_alive() for t in threads)
-    finally:
-        sys.setswitchinterval(old)
-    assert all(codes == got[0] for codes in got)
-    assert [STATES.states[c] for c in got[0]] == [DeviceState(Logic.ON, s) for s in scales]
-    assert len(STATES.is_on) == len(STATES.states) and STATES.is_on[got[0]].all()
+def test_state_codes_follow_the_partial_reset_chain():
+    # a code is a rule: 0 is OFF, 1 is ON, and each further code one more
+    # partial reset, by the product the switching rules form, until the
+    # product stops changing
+    states = [state_of(code) for code in range(MAX_CODE + 1)]
+    assert len(set(states)) == len(states)
+    assert states[0] == OFF and states[1] == DeviceState(Logic.ON)
+    for before, after in zip(states[1:], states[2:]):
+        assert after == DeviceState(Logic.ON, before.conductance_scale * PARTIAL_RESET_FACTOR)
+    assert states[-1].conductance_scale == 5e-324
+    for code in (-1, MAX_CODE + 1):
+        with pytest.raises(ValueError):
+            state_of(code)
+    # a partial reset at the end of the chain keeps the code and still fires
+    pq, events = np.array([[MAX_CODE], [0]]), []
+    settle(lambda p, q: NodeSolution(0.0, -1.0, 0.0, 0.0, 0), pq,
+           np.array([[1.0], [-0.5], [-0.5]]), np.array([[-2.0], [-2.0]]), events)
+    assert pq.tolist() == [[MAX_CODE], [0]]
+    assert events == [(0, EventKind.PARTIAL_RESET, -1.0, 1)]
