@@ -18,12 +18,19 @@ zero variation each one's pulse outcome per (P code, Q code) is memoized
 on Python ints. Write values are run-time inputs of a plan, so
 ``ripple_adder_8bit`` compiles one plan and one step template per (stack,
 specs, configs, placement, bits), caches them, and gives each addition its
-own writes instead of recompiling.
+own writes instead of recompiling. A plan's steps fall into write segments,
+each starting at step 0 or at a block of consecutive writes. A run without
+step records or a trail at nominal thresholds looks each segment up in a
+memo kept for the life of the plan, keyed by the segment, the codes
+entering it and its write values, and bounded by ``SEGMENT_MEMO``; a miss
+runs the segment's steps through the same interpreter and stores the exit
+codes and reads; a segment that raises NoConvergence stores nothing.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -308,6 +315,11 @@ def _zero_signs(config: ImpConfig) -> tuple[float, ...]:
     return tuple(math.copysign(1.0, x) for x in (config.v_p, *vars(config.load).values()))
 
 
+# Zero-variation segment runs a plan memoizes at most; a full memo is cleared.
+# The default 8-bit ripple plan fills 176 entries over all additions.
+SEGMENT_MEMO = 1024
+
+
 def _column0(state: list) -> list[int]:
     """Column 0 of a run state, as one int code per cell."""
     return [s if isinstance(s, int) else int(s[0]) for s in state]
@@ -324,7 +336,11 @@ class _Plan:
     holds the write steps' values, which a run may replace, since
     validation does not depend on them. A run's state is a list with one
     entry per cell row: an int code at nominal thresholds, or a 1-D
-    ``np.intp`` row of codes, one per trial, in a batch."""
+    ``np.intp`` row of codes, one per trial, in a batch. ``segments`` cuts
+    the steps into (start, stop, write start, write stop) runs, each
+    starting at step 0 or at a block of consecutive writes; ``_memo`` holds
+    nominal segment runs for the life of the plan, at most
+    ``SEGMENT_MEMO`` of them."""
 
     def __init__(self, program: StepProgram, topology: StackTopology,
                  specs: dict[str, MemristorSpec], configs: dict[str, ImpConfig]):
@@ -356,6 +372,15 @@ class _Plan:
         hi = np.array([(s.v_set_max, s.v_reset_min) for s in by_row]).reshape(-1, 2)
         self.lo, self.span = lo[drawn].ravel(), (hi - lo)[drawn].ravel()
         self._bits: dict[tuple[str, int], int] = {}
+        # segments start at step 0 and at each later block of consecutive writes
+        is_write = [isinstance(s, WriteStep) for s in program.steps]
+        bounds = [0] + [i for i in range(1, len(is_write))
+                        if is_write[i] and not is_write[i - 1]] + [len(is_write)]
+        writes_before = [0, *itertools.accumulate(is_write)]
+        self.segments = tuple((start, stop, writes_before[start], writes_before[stop])
+                              for start, stop in zip(bounds, bounds[1:]))
+        self._memo: dict[tuple, tuple] = {}
+        self._decoded: dict[tuple[int, ...], tuple[int, ...]] = {}  # final codes -> bits
 
     def bit(self, cell: str, code: int) -> int:
         """The bit that ``cell`` reads in the state of ``code``, decoded once
@@ -391,53 +416,76 @@ class _Plan:
         first trial is given. ``records`` collects column 0's StepRecords,
         ``trail`` each implication's P and Q entries after it. ``writes``
         gives the write steps their values, in step order, in place of the
-        program's. Returns the final state and column 0's reads."""
+        program's. Returns the final state and column 0's reads.
+
+        The steps run segment by segment. A nominal run without records or
+        a trail looks each segment up in the plan's memo, keyed by the
+        segment, the state entering it and its write values, and on a miss
+        runs its steps and stores the exit state and the segment's reads."""
         # codes: OFF 0, ON 1
         filled = (0, 1) if th is None else tuple(
             np.full(th.shape[1], code, dtype=np.intp) for code in (0, 1))
         state = [filled[0]] * len(self.specs)
         reads: list[tuple[int, str, int]] = []
-        values = iter(self.writes if writes is None else writes)
-        for i, (step, op) in enumerate(zip(self.steps, self.ops)):
-            node, events, bit = None, (), None
-            if isinstance(step, ImpStep):
-                imp, k, p, q = op
-                try:
-                    if th is None:
-                        state[p], state[q], events, node = imp.settle_nominal(
-                            state[p], state[q])
-                    else:
-                        pq = np.stack((state[p], state[q]))
-                        events = [] if records is not None else None
-                        node = settle(imp.solve, pq, th[[2 * k + 2, 2 * k + 1, 2 * k + 3]],
-                                      imp.full, events)
-                        state[p], state[q] = pq
-                except NoConvergence as exc:
-                    where = _where(i, step, imp.config)
-                    if first_trial is not None:
-                        where = f"trial {first_trial + exc.column}, {where}"
-                    raise NoConvergence(f"{where}: {exc}") from exc
-                if trail is not None:
-                    trail.append((state[p], state[q]))
-            elif isinstance(step, ResetStep):
-                state[op] = filled[0]
-            elif isinstance(step, WriteStep):
-                value = next(values)
-                state[op] = filled[value]
-            else:
-                code = state[op] if th is None else int(state[op][0])
-                bit = self.bit(step.cell, code)
-                reads.append((i, step.cell, bit))
-            if records is not None:
-                detail = _step_detail(step)
+        writes = self.writes if writes is None else writes
+        memo = self._memo if th is None and records is None and trail is None else None
+        for segment, (start, stop, write_start, write_stop) in enumerate(self.segments):
+            segment_writes = tuple(writes[write_start:write_stop])
+            if memo is not None:
+                key = (segment, tuple(state), segment_writes)
+                hit = memo.get(key)
+                if hit is not None:
+                    state[:] = hit[0]
+                    reads += hit[1]
+                    continue
+                first_read = len(reads)
+            values = iter(segment_writes)
+            for i in range(start, stop):
+                step, op = self.steps[i], self.ops[i]
+                node, events, bit = None, (), None
                 if isinstance(step, ImpStep):
-                    events = tuple(SwitchEvent((step.p, step.q)[role], kind, drop, it)
-                                   for role, kind, drop, it in events)
+                    imp, k, p, q = op
+                    try:
+                        if th is None:
+                            state[p], state[q], events, node = imp.settle_nominal(
+                                state[p], state[q])
+                        else:
+                            pq = np.stack((state[p], state[q]))
+                            events = [] if records is not None else None
+                            node = settle(imp.solve, pq,
+                                          th[[2 * k + 2, 2 * k + 1, 2 * k + 3]],
+                                          imp.full, events)
+                            state[p], state[q] = pq
+                    except NoConvergence as exc:
+                        where = _where(i, step, imp.config)
+                        if first_trial is not None:
+                            where = f"trial {first_trial + exc.column}, {where}"
+                        raise NoConvergence(f"{where}: {exc}") from exc
+                    if trail is not None:
+                        trail.append((state[p], state[q]))
+                elif isinstance(step, ResetStep):
+                    state[op] = filled[0]
                 elif isinstance(step, WriteStep):
-                    detail["value"] = value
-                after = {c: (s.logic.name, s.conductance_scale) for c, s in
-                         zip(self.specs, map(state_of, _column0(state)))}
-                records.append(StepRecord(i, step.op, detail, after, node, events, bit))
+                    value = next(values)
+                    state[op] = filled[value]
+                else:
+                    code = state[op] if th is None else int(state[op][0])
+                    bit = self.bit(step.cell, code)
+                    reads.append((i, step.cell, bit))
+                if records is not None:
+                    detail = _step_detail(step)
+                    if isinstance(step, ImpStep):
+                        events = tuple(SwitchEvent((step.p, step.q)[role], kind, drop, it)
+                                       for role, kind, drop, it in events)
+                    elif isinstance(step, WriteStep):
+                        detail["value"] = value
+                    after = {c: (s.logic.name, s.conductance_scale) for c, s in
+                             zip(self.specs, map(state_of, _column0(state)))}
+                    records.append(StepRecord(i, step.op, detail, after, node, events, bit))
+            if memo is not None:
+                if len(memo) >= SEGMENT_MEMO:
+                    memo.clear()
+                memo[key] = (tuple(state), tuple(reads[first_read:]))
         return state, reads
 
     def trace(self, variation: str, seed: int | tuple[int, ...] | None, trace_level: str,
@@ -456,8 +504,14 @@ class _Plan:
         th = self.thresholds([seed]) if variation == "seeded" else None
         records = [] if trace_level == "full" else None
         state, reads = self.run(th, records=records, writes=writes)
-        final_bits = {c: self.bit(c, code) for c, code in zip(self.specs, _column0(state))}
-        return ExecutionTrace(steps=records or [], reads=reads, final_bits=final_bits,
+        codes = tuple(_column0(state))
+        bits = self._decoded.get(codes)
+        if bits is None:
+            if len(self._decoded) >= SEGMENT_MEMO:
+                self._decoded.clear()
+            bits = self._decoded[codes] = tuple(map(self.bit, self.specs, codes))
+        return ExecutionTrace(steps=records or [], reads=reads,
+                              final_bits=dict(zip(self.specs, bits)),
                               variation=variation, seed=seed)
 
 
@@ -710,39 +764,36 @@ def default_configs(spec: MemristorSpec) -> dict[str, ImpConfig]:
 
 
 class _RippleTemplate:
-    """The composed steps of a ``bits``-round ripple addition of the full
-    adder ``fa``, with all-zero writes, and for each write step its position
-    and its cell's two interned WriteSteps (value 0, value 1). The program
-    writes a_i and b_i each round, and the carry-in in round zero only."""
+    """The steps of a ``bits``-round ripple addition of the full adder
+    ``fa``, one tuple per round and write values: round zero writes a_0,
+    b_0 and the carry-in, every later round a_i and b_i, and each round
+    ends by reading its sum bit. The last round also reads the carry-out."""
 
     def __init__(self, fa: StepProgram, bits: int):
         a_cell, b_cell, c_cell = (fa.declared_inputs[v] for v in ("a", "b", "c_in"))
         self.inputs = {"a": a_cell, "b": b_cell, "c0": c_cell}
         self.outputs = {"sum_bit": fa.declared_outputs["s"],
                         "c_out": fa.declared_outputs["c_out"]}
+        tail = fa.steps + (ReadStep(self.outputs["sum_bit"]),)
+        # keyed by the round's write values: three in round zero, two later
+        self.by_writes = {
+            values: tuple(map(WriteStep, cells, values)) + tail
+            for cells in ((a_cell, b_cell, c_cell), (a_cell, b_cell))
+            for values in itertools.product((0, 1), repeat=len(cells))}
+        self.last = (ReadStep(self.outputs["c_out"]),)
+        self.bits = bits
+
+    def rounds(self, a: int, b: int, c0: int) -> list[tuple[int, ...]]:
+        """An addition's write values by round: (a_0, b_0, c0), then (a_i, b_i)."""
+        return [(a & 1, b & 1, c0)] + [((a >> i) & 1, (b >> i) & 1)
+                                       for i in range(1, self.bits)]
+
+    def program(self, rounds: Sequence[tuple[int, ...]]) -> StepProgram:
+        """The program with the given write values by round."""
         steps: list[Step] = []
-        slots: list[tuple[int, tuple[WriteStep, WriteStep]]] = []
-        for i in range(bits):
-            for cell in (a_cell, b_cell, c_cell) if i == 0 else (a_cell, b_cell):
-                slots.append((len(steps), (WriteStep(cell, 0), WriteStep(cell, 1))))
-                steps.append(slots[-1][1][0])
-            steps += fa.steps
-            steps.append(ReadStep(self.outputs["sum_bit"]))
-        steps.append(ReadStep(self.outputs["c_out"]))
-        self.bits, self.steps, self.slots = bits, tuple(steps), tuple(slots)
-
-    def writes(self, a: int, b: int, c0: int) -> list[int]:
-        """An addition's write values in step order: a_0, b_0, c0, then a_i, b_i."""
-        writes = [a & 1, b & 1, c0]
-        for i in range(1, self.bits):
-            writes += ((a >> i) & 1, (b >> i) & 1)
-        return writes
-
-    def program(self, writes: Sequence[int]) -> StepProgram:
-        """The program with the given write values, in step order."""
-        steps = list(self.steps)
-        for (position, by_value), value in zip(self.slots, writes):
-            steps[position] = by_value[value]
+        for values in rounds:
+            steps += self.by_writes[values]
+        steps += self.last
         return StepProgram(tuple(steps), dict(self.inputs), dict(self.outputs))
 
 
@@ -767,7 +818,8 @@ def _ripple_plan(stack: tuple | None, specs: tuple | None, configs: tuple | None
                   else {name: config for name, config, _ in configs})
     fa = compile_full_adder(topology, None if placement is None else dict(placement))
     template = _RippleTemplate(fa, bits)
-    return template, _Plan(template.program(()), topology, spec_map, config_map)
+    return template, _Plan(template.program(template.rounds(0, 0, 0)), topology,
+                           spec_map, config_map)
 
 
 def ripple_adder_8bit(a: int, b: int, c0: int, bits: int = 8,
@@ -783,11 +835,15 @@ def ripple_adder_8bit(a: int, b: int, c0: int, bits: int = 8,
     Returns (sum, carry_out, trace, program); the trace keeps the reads but
     no per-step records. The composed program writes a_i and b_i each
     round; the carry-in is written only in round zero and thereafter picked
-    up where the previous round left it. The full adder's composed steps
-    and the validated plan are compiled once per (stack, specs, configs,
-    placement, bits) and cached, so an addition puts its write values into
-    a copy of the cached steps and runs the cached plan with them, the same
-    run ``execute`` makes of that program.
+    up where the previous round left it. The steps of each round, per write
+    values, and the validated plan are compiled once per (stack, specs,
+    configs, placement, bits) and cached, so an addition joins its rounds'
+    steps and runs the cached plan with its write values, the same run
+    ``execute`` makes of that program. At zero variation the cached plan
+    memoizes each round (one write segment) by its entry codes and write
+    values, so a warm addition looks up its rounds instead of stepping
+    through them; the memo is bounded by ``SEGMENT_MEMO`` and not used when
+    a run keeps step records or a trail.
     A ``bits`` that is not an int >= 1, operands or a carry-in that are not
     ints (bools included), operands that do not fit in ``bits``, a carry-in
     other than 0 or 1, or a ``variation`` or seed that ``execute`` rejects
@@ -811,8 +867,8 @@ def ripple_adder_8bit(a: int, b: int, c0: int, bits: int = 8,
                                            for name, config in configs.items()),
         None if placement is None else tuple(placement.items()),
         bits)
-    writes = template.writes(a, b, c0)
-    trace = plan.trace(variation, seed, "reads", writes)
+    rounds = template.rounds(a, b, c0)
+    trace = plan.trace(variation, seed, "reads", [v for values in rounds for v in values])
     # the reads are each round's sum bit, then the carry-out
     total = sum(bit << i for i, (_, _, bit) in enumerate(trace.reads[:bits]))
-    return total, trace.reads[-1][2], trace, template.program(writes)
+    return total, trace.reads[-1][2], trace, template.program(rounds)

@@ -402,6 +402,22 @@ def test_plan_runs_with_given_write_values(adder_stack, ideal_specs, ideal_confi
             prog, adder_stack, ideal_specs, ideal_configs)
 
 
+def test_plan_memo_is_not_used_with_records_or_a_trail(adder_stack, ideal_specs,
+                                                       ideal_configs):
+    # a warm segment memo must not cut the step records or the trail short
+    fa = il.compile_full_adder(adder_stack)
+    plan = program_module._Plan(il.with_inputs(fa, {"a": 0, "b": 0, "c_in": 0}),
+                                adder_stack, ideal_specs, ideal_configs)
+    prog = il.with_inputs(fa, {"a": 1, "b": 0, "c_in": 1})
+    want = il.execute(prog, adder_stack, ideal_specs, ideal_configs)
+    assert plan.trace("off", None, "reads", [1, 0, 1]).final_bits == want.final_bits
+    assert len(plan._memo) == len(plan.segments) == 1
+    assert plan.trace("off", None, "full", [1, 0, 1]) == want
+    trail = []
+    plan.run(trail=trail, writes=[1, 0, 1])
+    assert len(trail) == sum(isinstance(s, il.ImpStep) for s in fa.steps)
+
+
 def test_ripple_plans_keep_biases_apart_by_the_sign_of_zero():
     # 0.0 == -0.0, but their implications are interned apart, so a plan
     # built for one must not serve the other
@@ -752,6 +768,122 @@ def test_zero_variation_execute_property(run):
         c: il.decode_bit(specs[stack.cells[c].spec_ref],
                          il.DeviceState(il.Logic[final[c][0]], final[c][1]))
         for c in stack.usable_cells()}
+
+
+def _composed_ripple_program(fa, a, b, c0, bits):
+    """The ripple program built step by step: each round writes a_i and b_i
+    (and in round zero the carry-in), runs the full adder and reads the sum
+    bit; the last step reads the carry-out."""
+    cells, outs = fa.declared_inputs, fa.declared_outputs
+    steps = []
+    for i in range(bits):
+        steps += [il.WriteStep(cells["a"], (a >> i) & 1), il.WriteStep(cells["b"], (b >> i) & 1)]
+        if i == 0:
+            steps.append(il.WriteStep(cells["c_in"], c0))
+        steps += [*fa.steps, il.ReadStep(outs["s"])]
+    steps.append(il.ReadStep(outs["c_out"]))
+    return il.StepProgram(tuple(steps), {"a": cells["a"], "b": cells["b"], "c0": cells["c_in"]},
+                          {"sum_bit": outs["s"], "c_out": outs["c_out"]})
+
+
+def test_ripple_program_is_the_composed_program(adder_stack):
+    for placement in (None, _CUSTOM_PLACEMENT):
+        fa = il.compile_full_adder(adder_stack, placement)
+        for bits in range(1, 9):
+            top = 2 ** bits - 1
+            for a, b, c0 in itertools.product((0, top, 0x55 & top), (0, top, 0xAA & top), (0, 1)):
+                program = il.ripple_adder_8bit(a, b, c0, bits, placement=placement)[3]
+                assert program == _composed_ripple_program(fa, a, b, c0, bits)
+
+
+def _ripple_plan_of(bits, placement=None, specs=None, configs=None):
+    """The cached plan that ``ripple_adder_8bit`` runs for these arguments."""
+    return program_module._ripple_plan(
+        None, None if specs is None else tuple(specs.items()),
+        None if configs is None else tuple(
+            (name, cfg, program_module._zero_signs(cfg)) for name, cfg in configs.items()),
+        None if placement is None else tuple(placement.items()), bits)[1]
+
+
+# (specs, configs) of a ripple; None for the defaults. The last bias
+# partially resets targets, so codes above 1 enter the segment memo.
+_RIPPLE_DEVICES = [
+    (None, None),
+    ({"bottom": _WIDE, "top": _WIDE}, il.default_configs(_WIDE)),
+    ({"bottom": _WIDE, "top": _WIDE},
+     {"drive_neg": il.ImpConfig(5.2, il.ResistiveLoad(20e-6, -6.6)),
+      "drive_pos": il.ImpConfig(-5.2, il.ResistiveLoad(20e-6, 6.6))}),
+]
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.lists(st.tuples(_operands, st.integers(0, 1),
+                          st.sampled_from([None, _CUSTOM_PLACEMENT]),
+                          st.sampled_from(range(len(_RIPPLE_DEVICES)))),
+                min_size=2, max_size=5))
+def test_memoized_ripple_matches_the_step_path(calls):
+    """Interleaved zero-variation additions on warm cached plans, each run
+    from the segment memo, give the reads and final bits of the step path
+    (a full trace of the program they return, which keeps records and so
+    bypasses the memo) and of the scalar reference."""
+    stack = il.build_adder_stack()
+    for (bits, a, b), c0, placement, device in calls:
+        specs, configs = _RIPPLE_DEVICES[device]
+        _, _, trace, program = il.ripple_adder_8bit(a, b, c0, bits, placement=placement,
+                                                    specs=specs, configs=configs)
+        specs = specs or {"bottom": il.ideal_device_spec(), "top": il.ideal_device_spec()}
+        configs = configs or il.default_configs(il.ideal_device_spec())
+        full = il.execute(program, stack, specs, configs, trace_level="full")
+        assert (trace.reads, trace.final_bits) == (full.reads, full.final_bits)
+        want = _reference_trace(program, stack, specs, configs)
+        assert full.steps == want
+        assert trace.reads == [(r.index, r.detail["cell"], r.read_bit) for r in want
+                               if r.read_bit is not None]
+        assert trace.final_bits == {
+            c: il.decode_bit(specs[stack.cells[c].spec_ref],
+                             il.DeviceState(il.Logic[logic], scale))
+            for c, (logic, scale) in want[-1].states_after.items()}
+        memo = _ripple_plan_of(bits, placement, *_RIPPLE_DEVICES[device])._memo
+        if device == 2 and bits > 1:
+            # round zero partially resets a cell that round one enters with
+            assert any(code > 1 for _, entry, _ in memo for code in entry)
+
+
+def test_ripple_overflow_is_raised_every_time_and_not_memoized():
+    spec = _wide_spec(il.sinh_iv_from_conductances(115e-6, 10e-6, 80.0, 80.0))
+    specs = {"bottom": spec, "top": spec}
+    messages = []
+    for _ in range(2):
+        with pytest.raises(il.NoConvergence) as exc:
+            il.ripple_adder_8bit(3, 5, 1, specs=specs)
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1]
+    assert messages[0].startswith("step 4 (imp B1 -> T1, v_p ")
+    program = _composed_ripple_program(il.compile_full_adder(il.build_adder_stack()),
+                                       3, 5, 1, 8)
+    with pytest.raises(il.NoConvergence) as exc:
+        il.execute(program, il.build_adder_stack(), specs, il.default_configs(spec))
+    assert str(exc.value) == messages[0]
+    # step 4 is in segment 0, so nothing was stored
+    assert _ripple_plan_of(8, specs=specs)._memo == {}
+
+
+def test_segment_memo_stays_within_its_cap(monkeypatch):
+    monkeypatch.setattr(program_module, "SEGMENT_MEMO", 5)
+    program_module._ripple_plan.cache_clear()
+    stack = il.build_adder_stack()
+    spec = il.ideal_device_spec()
+    plan = _ripple_plan_of(8)
+    rng = np.random.default_rng(7)
+    for _ in range(200):
+        a, b, c0 = int(rng.integers(256)), int(rng.integers(256)), int(rng.integers(2))
+        total, carry, trace, program = il.ripple_adder_8bit(a, b, c0)
+        assert total + (carry << 8) == a + b + c0
+        assert trace.reads == il.execute(program, stack, {"bottom": spec, "top": spec},
+                                         il.default_configs(spec), trace_level="full").reads
+        assert 0 < len(plan._memo) <= 5
+        assert 0 < len(plan._decoded) <= 5
+    program_module._ripple_plan.cache_clear()
 
 
 def test_memo_keeps_biases_apart_by_the_sign_of_zero(default_stack):
