@@ -253,10 +253,9 @@ def current(spec: MemristorSpec, state: DeviceState, v):
     return iv(iv_params(spec, state), v, slope=False)
 
 
-def read_conductance(spec: MemristorSpec, state: DeviceState,
-                     v_read: float = READ_VOLTAGE) -> float:
-    """Static conductance I(v_read)/v_read at the read voltage."""
-    return current(spec, state, v_read) / v_read
+def read_conductance(spec: MemristorSpec, state: DeviceState) -> float:
+    """Static conductance I(v)/v at v = ``READ_VOLTAGE``."""
+    return current(spec, state, READ_VOLTAGE) / READ_VOLTAGE
 
 
 def decode_bit(spec: MemristorSpec, state: DeviceState) -> int:

@@ -133,23 +133,6 @@ class MarginReport:
     optimal_v_l: float | None
     optimal_i_l: float | None
 
-    @property
-    def delta_ideal_normalized(self) -> float:
-        return self.delta_ideal / self.v_star
-
-    def to_json(self) -> dict:
-        return {
-            "delta_ideal": self.delta_ideal,
-            "delta_actual": self.delta_actual,
-            "delta_ideal_over_v_star": self.delta_ideal_normalized,
-            "v_star": self.v_star,
-            "g_l": self.g_l,
-            "configuration": self.configuration.value,
-            "optimal_v_p": self.optimal_v_p,
-            "optimal_v_l": self.optimal_v_l,
-            "optimal_i_l": self.optimal_i_l,
-        }
-
 
 def analytic_report(spec: MemristorSpec, g_l: float = 0.0) -> MarginReport:
     """Margins and optimal bias for identical devices in the parallel

@@ -16,9 +16,9 @@ codes, one per trial, in a batch. The plan owns the threshold draw order
 (``_Plan.thresholds``). Implications are interned across plans, and at
 zero variation each one's pulse outcome per (P code, Q code) is memoized
 on Python ints. Write values are run-time inputs of a plan, so
-``ripple_adder_8bit`` compiles one plan and one step template per (stack,
-specs, configs, placement, bits), caches them, and gives each addition its
-own writes instead of recompiling. A plan's steps fall into write segments,
+``ripple_adder_8bit`` compiles one plan per (stack, specs, configs,
+placement, bits), caches it, and gives each addition its own writes
+instead of recompiling. A plan's steps fall into write segments,
 each starting at step 0 or at a block of consecutive writes. A run without
 step records or a trail at nominal thresholds looks each segment up in a
 memo kept for the life of the plan, keyed by the segment, the codes
@@ -334,8 +334,9 @@ class _Plan:
     ``ops[i]`` is step i's cell row, or for an implication its interned
     ``_Imp``, the number of its P draw, and P's and Q's rows. ``writes``
     holds the write steps' values, which a run may replace, since
-    validation does not depend on them. A run's state is a list with one
-    entry per cell row: an int code at nominal thresholds, or a 1-D
+    validation does not depend on them, and ``write_at`` each write step's
+    index with its WriteSteps of value 0 and 1. A run's state is a list
+    with one entry per cell row: an int code at nominal thresholds, or a 1-D
     ``np.intp`` row of codes, one per trial, in a batch. ``segments`` cuts
     the steps into (start, stop, write start, write stop) runs, each
     starting at step 0 or at a block of consecutive writes; ``_memo`` holds
@@ -346,12 +347,16 @@ class _Plan:
                  specs: dict[str, MemristorSpec], configs: dict[str, ImpConfig]):
         program.validate(topology)
         self.steps = program.steps
+        self.inputs, self.outputs = program.declared_inputs, program.declared_outputs
         self.specs = {c: specs[topology.cells[c].spec_ref] for c in topology.usable_cells()}
         rows = {c: r for r, c in enumerate(self.specs)}
         drawn: list[int] = []  # the row of each draw's cell, in draw order
         resolved: dict[ImpStep, _Imp] = {}
         ops: list[tuple] = []
         self.writes = tuple(s.value for s in program.steps if isinstance(s, WriteStep))
+        self.write_at = tuple((i, (WriteStep(s.cell, 0), WriteStep(s.cell, 1)))
+                              for i, s in enumerate(program.steps)
+                              if isinstance(s, WriteStep))
         for step in program.steps:
             if isinstance(step, ImpStep):
                 imp = resolved.get(step)
@@ -381,6 +386,14 @@ class _Plan:
                               for start, stop in zip(bounds, bounds[1:]))
         self._memo: dict[tuple, tuple] = {}
         self._decoded: dict[tuple[int, ...], tuple[int, ...]] = {}  # final codes -> bits
+
+    def program(self, writes: Sequence[int]) -> StepProgram:
+        """The plan's program with ``writes`` as its write steps' values, in
+        step order."""
+        steps = list(self.steps)
+        for (i, by_value), value in zip(self.write_at, writes):
+            steps[i] = by_value[value]
+        return StepProgram(tuple(steps), dict(self.inputs), dict(self.outputs))
 
     def bit(self, cell: str, code: int) -> int:
         """The bit that ``cell`` reads in the state of ``code``, decoded once
@@ -491,11 +504,10 @@ class _Plan:
     def trace(self, variation: str, seed: int | tuple[int, ...] | None, trace_level: str,
               writes: Sequence[int] | None = None) -> ExecutionTrace:
         """One run, at nominal thresholds or at thresholds drawn from
-        ``default_rng(seed)``, decoded into an ExecutionTrace."""
+        ``default_rng(seed)``, decoded into an ExecutionTrace; its step
+        records are kept when ``trace_level`` is "full", none for "reads"."""
         if variation not in ("off", "seeded"):
             raise ValueError("variation must be 'off' or 'seeded'")
-        if trace_level not in ("full", "reads"):
-            raise ValueError(f"trace_level must be 'full' or 'reads', got {trace_level!r}")
         if variation == "seeded" and seed is not None and not all(
                 isinstance(x, int) and not isinstance(x, bool) and x >= 0
                 for x in (seed if isinstance(seed, tuple) else (seed,))):
@@ -518,7 +530,7 @@ class _Plan:
 def execute(program: StepProgram, topology: StackTopology,
             specs: dict[str, MemristorSpec], configs: dict[str, ImpConfig],
             variation: str = "off", seed: int | tuple[int, ...] | None = None,
-            trace_level: str = "full") -> ExecutionTrace:
+            ) -> ExecutionTrace:
     """Run the program through the electrical solver.
 
     Writes are ideal; resets drive the cell fully OFF unconditionally;
@@ -528,14 +540,12 @@ def execute(program: StepProgram, topology: StackTopology,
     ``seed=(s, t)`` reruns trial t of a yield study with seed s; config
     errors are raised before any step runs. The run is a batch of one on
     the plan's interpreter; at zero variation each pulse's outcome comes
-    from its implication's memo.
-    ``trace_level`` "reads" skips per-step records for bulk runs.
-    A ``variation`` other than "off" or "seeded", a ``trace_level`` other
-    than "full" or "reads", or, in a seeded run, a ``seed`` that is neither
-    None, an int >= 0 nor a tuple of such ints (bools excluded) raise
-    ValueError.
+    from its implication's memo. The trace keeps every step's record.
+    A ``variation`` other than "off" or "seeded", or, in a seeded run, a
+    ``seed`` that is neither None, an int >= 0 nor a tuple of such ints
+    (bools excluded) raise ValueError.
     """
-    return _Plan(program, topology, specs, configs).trace(variation, seed, trace_level)
+    return _Plan(program, topology, specs, configs).trace(variation, seed, "full")
 
 
 def nand_macro(a: str, b: str, out: str) -> StepProgram:
@@ -753,60 +763,26 @@ def default_configs(spec: MemristorSpec) -> dict[str, ImpConfig]:
     """Current-source bias pair at the analytic optimum for the given spec:
     ``drive_neg`` for steps whose target sets away from the common node,
     ``drive_pos`` for the mirrored class."""
-    vs = spec.v_set_star
-    ideal = margins.delta_ideal_parallel(0.0, spec.g_on, spec.g_off, vs)
-    v_p = -2.0 * ideal
-    i_l = margins.optimal_i_l(spec.g_off, vs)
+    report = margins.analytic_report(spec, 0.0)
+    v_p, i_l = report.optimal_v_p, report.optimal_i_l
     return {
         "drive_neg": ImpConfig(v_p=v_p, load=CurrentSourceLoad(i_l)),
         "drive_pos": ImpConfig(v_p=-v_p, load=CurrentSourceLoad(-i_l)),
     }
 
 
-class _RippleTemplate:
-    """The steps of a ``bits``-round ripple addition of the full adder
-    ``fa``, one tuple per round and write values: round zero writes a_0,
-    b_0 and the carry-in, every later round a_i and b_i, and each round
-    ends by reading its sum bit. The last round also reads the carry-out."""
-
-    def __init__(self, fa: StepProgram, bits: int):
-        a_cell, b_cell, c_cell = (fa.declared_inputs[v] for v in ("a", "b", "c_in"))
-        self.inputs = {"a": a_cell, "b": b_cell, "c0": c_cell}
-        self.outputs = {"sum_bit": fa.declared_outputs["s"],
-                        "c_out": fa.declared_outputs["c_out"]}
-        tail = fa.steps + (ReadStep(self.outputs["sum_bit"]),)
-        # keyed by the round's write values: three in round zero, two later
-        self.by_writes = {
-            values: tuple(map(WriteStep, cells, values)) + tail
-            for cells in ((a_cell, b_cell, c_cell), (a_cell, b_cell))
-            for values in itertools.product((0, 1), repeat=len(cells))}
-        self.last = (ReadStep(self.outputs["c_out"]),)
-        self.bits = bits
-
-    def rounds(self, a: int, b: int, c0: int) -> list[tuple[int, ...]]:
-        """An addition's write values by round: (a_0, b_0, c0), then (a_i, b_i)."""
-        return [(a & 1, b & 1, c0)] + [((a >> i) & 1, (b >> i) & 1)
-                                       for i in range(1, self.bits)]
-
-    def program(self, rounds: Sequence[tuple[int, ...]]) -> StepProgram:
-        """The program with the given write values by round."""
-        steps: list[Step] = []
-        for values in rounds:
-            steps += self.by_writes[values]
-        steps += self.last
-        return StepProgram(tuple(steps), dict(self.inputs), dict(self.outputs))
-
-
 @functools.lru_cache(maxsize=64)
 def _ripple_plan(stack: tuple | None, specs: tuple | None, configs: tuple | None,
-                 placement: tuple | None, bits: int) -> tuple[_RippleTemplate, _Plan]:
-    """The step template and the validated plan of a ``bits``-round ripple
-    addition, memoized on the hashable forms of ``ripple_adder_8bit``'s
+                 placement: tuple | None, bits: int) -> _Plan:
+    """The validated plan of a ``bits``-round ripple addition of the full
+    adder, memoized on the hashable forms of ``ripple_adder_8bit``'s
     arguments, None standing for a default: the stack's (cell items,
     unusable set), the spec and placement items, and each config's (name,
     config, zero signs), which keep 0.0 and -0.0 biases apart as in
-    ``_intern_imp``. The plan is built on all-zero writes; each addition
-    runs it with its own."""
+    ``_intern_imp``. Round zero writes a_0, b_0 and the carry-in, every
+    later round a_i and b_i, and each round ends by reading its sum bit;
+    the last round also reads the carry-out. The plan is built on all-zero
+    writes; each addition runs it with its own."""
     topology = (build_adder_stack() if stack is None
                 else StackTopology(dict(stack[0]), stack[1]))
     if specs is None:
@@ -817,9 +793,14 @@ def _ripple_plan(stack: tuple | None, specs: tuple | None, configs: tuple | None
     config_map = (default_configs(next(iter(spec_map.values()))) if configs is None
                   else {name: config for name, config, _ in configs})
     fa = compile_full_adder(topology, None if placement is None else dict(placement))
-    template = _RippleTemplate(fa, bits)
-    return template, _Plan(template.program(template.rounds(0, 0, 0)), topology,
-                           spec_map, config_map)
+    writes = tuple(WriteStep(fa.declared_inputs[v], 0) for v in ("a", "b", "c_in"))
+    tail = fa.steps + (ReadStep(fa.declared_outputs["s"]),)
+    steps = writes + tail + (writes[:2] + tail) * (bits - 1)
+    program = StepProgram(steps + (ReadStep(fa.declared_outputs["c_out"]),),
+                          {"a": writes[0].cell, "b": writes[1].cell, "c0": writes[2].cell},
+                          {"sum_bit": fa.declared_outputs["s"],
+                           "c_out": fa.declared_outputs["c_out"]})
+    return _Plan(program, topology, spec_map, config_map)
 
 
 def ripple_adder_8bit(a: int, b: int, c0: int, bits: int = 8,
@@ -835,11 +816,11 @@ def ripple_adder_8bit(a: int, b: int, c0: int, bits: int = 8,
     Returns (sum, carry_out, trace, program); the trace keeps the reads but
     no per-step records. The composed program writes a_i and b_i each
     round; the carry-in is written only in round zero and thereafter picked
-    up where the previous round left it. The steps of each round, per write
-    values, and the validated plan are compiled once per (stack, specs,
-    configs, placement, bits) and cached, so an addition joins its rounds'
-    steps and runs the cached plan with its write values, the same run
-    ``execute`` makes of that program. At zero variation the cached plan
+    up where the previous round left it. The validated plan of that program
+    is compiled once per (stack, specs, configs, placement, bits) and
+    cached, so an addition runs it with its write values (a_0, b_0, c0,
+    then a_i, b_i), the same run ``execute`` makes of the program that
+    writes them, and returns that program. At zero variation the cached plan
     memoizes each round (one write segment) by its entry codes and write
     values, so a warm addition looks up its rounds instead of stepping
     through them; the memo is bounded by ``SEGMENT_MEMO`` and not used when
@@ -859,7 +840,7 @@ def ripple_adder_8bit(a: int, b: int, c0: int, bits: int = 8,
     if c0 not in (0, 1):
         raise ValueError("carry-in must be 0 or 1")
 
-    template, plan = _ripple_plan(
+    plan = _ripple_plan(
         None if stack is None else (tuple(stack.cells.items()),
                                     frozenset(stack.unusable_cells)),
         None if specs is None else tuple(specs.items()),
@@ -867,8 +848,10 @@ def ripple_adder_8bit(a: int, b: int, c0: int, bits: int = 8,
                                            for name, config in configs.items()),
         None if placement is None else tuple(placement.items()),
         bits)
-    rounds = template.rounds(a, b, c0)
-    trace = plan.trace(variation, seed, "reads", [v for values in rounds for v in values])
+    writes = [a & 1, b & 1, c0]
+    for i in range(1, bits):
+        writes += ((a >> i) & 1, (b >> i) & 1)
+    trace = plan.trace(variation, seed, "reads", writes)
     # the reads are each round's sum bit, then the carry-out
     total = sum(bit << i for i, (_, _, bit) in enumerate(trace.reads[:bits]))
-    return total, trace.reads[-1][2], trace, template.program(rounds)
+    return total, trace.reads[-1][2], trace, plan.program(writes)

@@ -332,15 +332,24 @@ def state_of(code: int) -> DeviceState:
 def _pair_drops(solve: Callable[[int, int], NodeSolution], pq: np.ndarray,
                 ) -> tuple[np.ndarray, NodeSolution]:
     """P's and Q's drops (rows) in every column of the code pairs ``pq``,
-    solving each distinct pair once, and column 0's solution."""
-    size = int(pq.max()) + 1
+    solving each distinct pair once, in ascending (P code, Q code) order,
+    and column 0's solution. Pairs are numbered over the codes present,
+    so the tables grow with those, not with the largest code."""
+    seen = np.bincount(pq.ravel()).tolist()  # entries per code, 0 to the largest
+    codes = [code for code, n in enumerate(seen) if n]
+    size = len(codes)
+    if size < len(seen):  # some code below the largest is absent
+        number = np.zeros(len(seen), dtype=np.intp)
+        number[codes] = np.arange(size)
+        pq = number[pq]
     pair = pq[0] * size + pq[1]
     present = np.flatnonzero(np.bincount(pair))
     by_pair = np.empty((present[-1] + 1, 2))
     sols = {}
     for key in present.tolist():
+        p, q = divmod(key, size)
         try:
-            sols[key] = sol = solve(*divmod(key, size))
+            sols[key] = sol = solve(codes[p], codes[q])
         except NoConvergence as exc:
             exc.column = int(np.flatnonzero(pair == key)[0])
             raise

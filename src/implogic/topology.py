@@ -270,36 +270,37 @@ class StackTopology:
         return topo
 
 
-def _cell(cid: str, level: Level, spec_ref: str, node: str, outer: str) -> Cell:
-    return Cell(id=cid, level=level, spec_ref=spec_ref, node=node, outer=outer,
+def _cell(cid: str, level: Level, node: str, outer: str) -> Cell:
+    """A built-in stack's cell, whose spec ref is its level's name ("bottom"
+    or "top") and whose orientation is its level's default."""
+    return Cell(id=cid, level=level, spec_ref=level.value, node=node, outer=outer,
                 orientation=_DEFAULT_ORIENTATION[level])
 
 
-def build_default_stack(bottom_spec: str = "bottom", top_spec: str = "top") -> StackTopology:
+def build_default_stack() -> StackTopology:
     """The demonstrated four-device circuit: two bottom and two top cells
     all sharing a single middle electrode."""
     cells = {
-        "B1": _cell("B1", Level.BOTTOM, bottom_spec, "M", "b1"),
-        "B2": _cell("B2", Level.BOTTOM, bottom_spec, "M", "b2"),
-        "T1": _cell("T1", Level.TOP, top_spec, "M", "t1"),
-        "T2": _cell("T2", Level.TOP, top_spec, "M", "t2"),
+        "B1": _cell("B1", Level.BOTTOM, "M", "b1"),
+        "B2": _cell("B2", Level.BOTTOM, "M", "b2"),
+        "T1": _cell("T1", Level.TOP, "M", "t1"),
+        "T2": _cell("T2", Level.TOP, "M", "t2"),
     }
     return StackTopology(cells=cells)
 
 
-def build_adder_stack(bottom_spec: str = "bottom", top_spec: str = "top",
-                      unusable: tuple[str, str] = ("B3", "B4")) -> StackTopology:
+def build_adder_stack() -> StackTopology:
     """Two stacked 2x2 crossbars sharing the middle electrodes: eight
     positions over six wires, two of which are never formed, leaving the
     six cells a full adder needs."""
     cells = {
-        "B1": _cell("B1", Level.BOTTOM, bottom_spec, "m1", "b1"),
-        "B2": _cell("B2", Level.BOTTOM, bottom_spec, "m1", "b2"),
-        "B3": _cell("B3", Level.BOTTOM, bottom_spec, "m2", "b1"),
-        "B4": _cell("B4", Level.BOTTOM, bottom_spec, "m2", "b2"),
-        "T1": _cell("T1", Level.TOP, top_spec, "m1", "t1"),
-        "T2": _cell("T2", Level.TOP, top_spec, "m1", "t2"),
-        "T3": _cell("T3", Level.TOP, top_spec, "m2", "t1"),
-        "T4": _cell("T4", Level.TOP, top_spec, "m2", "t2"),
+        "B1": _cell("B1", Level.BOTTOM, "m1", "b1"),
+        "B2": _cell("B2", Level.BOTTOM, "m1", "b2"),
+        "B3": _cell("B3", Level.BOTTOM, "m2", "b1"),
+        "B4": _cell("B4", Level.BOTTOM, "m2", "b2"),
+        "T1": _cell("T1", Level.TOP, "m1", "t1"),
+        "T2": _cell("T2", Level.TOP, "m1", "t2"),
+        "T3": _cell("T3", Level.TOP, "m2", "t1"),
+        "T4": _cell("T4", Level.TOP, "m2", "t2"),
     }
-    return StackTopology(cells=cells, unusable_cells=frozenset(unusable))
+    return StackTopology(cells=cells, unusable_cells=frozenset(("B3", "B4")))

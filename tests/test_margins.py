@@ -163,7 +163,6 @@ def test_analytic_report_fields(bottom_spec):
     assert rep.optimal_i_l == pytest.approx(-30e-6)
     assert rep.optimal_v_l is None
     assert rep.optimal_v_p == pytest.approx(-2 * rep.delta_ideal)
-    assert rep.delta_ideal_normalized == pytest.approx(rep.delta_ideal / 1.5)
     rep_r = il.analytic_report(bottom_spec, 33.9e-6)
     assert rep_r.optimal_i_l is None and rep_r.optimal_v_l is not None
 

@@ -289,18 +289,17 @@ def test_execute_rejects_bad_variation(default_stack, ideal_specs, ideal_configs
                    variation="maybe")
 
 
-@pytest.mark.parametrize("kwargs", [{"trace_level": "ful"}, {"seed": 2.5}, {"seed": True},
+@pytest.mark.parametrize("kwargs", [{"seed": -1}, {"seed": 2.5}, {"seed": True},
                                     {"seed": (3, True)}, {"seed": "7"}])
 def test_execute_rejects_bad_trace_level_and_seed(default_stack, ideal_specs, ideal_configs,
                                                   kwargs):
-    # these used to give no step records, numpy's TypeError, or a bool run as 1
+    # these used to give numpy's ValueError or TypeError, or a bool run as 1
     prog = il.with_inputs(il.nand_macro("B1", "B2", "T2"), {"a": 1, "b": 1})
     args = (prog, default_stack, ideal_specs, ideal_configs)
-    with pytest.raises(ValueError, match="trace_level must|seed must"):
+    with pytest.raises(ValueError, match="seed must"):
         il.execute(*args, variation="seeded", **kwargs)
-    if "seed" in kwargs:
-        with pytest.raises(ValueError, match="seed must"):
-            il.ripple_adder_8bit(1, 2, 0, variation="seeded", seed=kwargs["seed"])
+    with pytest.raises(ValueError, match="seed must"):
+        il.ripple_adder_8bit(1, 2, 0, variation="seeded", seed=kwargs["seed"])
     assert il.execute(*args, variation="seeded", seed=None).final_bits["T2"] == 0
 
 
@@ -382,8 +381,7 @@ def test_ripple_matches_execute_on_its_program(calls):
         assert program.declared_inputs == {"a": cells["a"], "b": cells["b"],
                                            "c0": cells["c_in"]}
         want = il.execute(program, stack, {"bottom": spec, "top": spec},
-                          il.default_configs(spec), variation=variation, seed=seed,
-                          trace_level="reads")
+                          il.default_configs(spec), variation=variation, seed=seed)
         assert (trace.reads, trace.final_bits, trace.variation, trace.seed) == (
             want.reads, want.final_bits, want.variation, want.seed)
         assert total == sum(bit << i for i, (_, _, bit) in enumerate(want.reads[:bits]))
@@ -430,8 +428,7 @@ def test_ripple_plans_keep_biases_apart_by_the_sign_of_zero():
         configs = {"drive_neg": cfg, "drive_pos": cfg}
         misses = program_module._ripple_plan.cache_info().misses
         _, _, trace, program = il.ripple_adder_8bit(1, 0, 0, 1, specs=specs, configs=configs)
-        assert trace.reads == il.execute(program, stack, specs, configs,
-                                         trace_level="reads").reads
+        assert trace.reads == il.execute(program, stack, specs, configs).reads
         return program_module._ripple_plan.cache_info().misses - misses
 
     program_module._ripple_plan.cache_clear()
@@ -802,7 +799,7 @@ def _ripple_plan_of(bits, placement=None, specs=None, configs=None):
         None, None if specs is None else tuple(specs.items()),
         None if configs is None else tuple(
             (name, cfg, program_module._zero_signs(cfg)) for name, cfg in configs.items()),
-        None if placement is None else tuple(placement.items()), bits)[1]
+        None if placement is None else tuple(placement.items()), bits)
 
 
 # (specs, configs) of a ripple; None for the defaults. The last bias
@@ -833,7 +830,7 @@ def test_memoized_ripple_matches_the_step_path(calls):
                                                     specs=specs, configs=configs)
         specs = specs or {"bottom": il.ideal_device_spec(), "top": il.ideal_device_spec()}
         configs = configs or il.default_configs(il.ideal_device_spec())
-        full = il.execute(program, stack, specs, configs, trace_level="full")
+        full = il.execute(program, stack, specs, configs)
         assert (trace.reads, trace.final_bits) == (full.reads, full.final_bits)
         want = _reference_trace(program, stack, specs, configs)
         assert full.steps == want
@@ -880,7 +877,7 @@ def test_segment_memo_stays_within_its_cap(monkeypatch):
         total, carry, trace, program = il.ripple_adder_8bit(a, b, c0)
         assert total + (carry << 8) == a + b + c0
         assert trace.reads == il.execute(program, stack, {"bottom": spec, "top": spec},
-                                         il.default_configs(spec), trace_level="full").reads
+                                         il.default_configs(spec)).reads
         assert 0 < len(plan._memo) <= 5
         assert 0 < len(plan._decoded) <= 5
     program_module._ripple_plan.cache_clear()

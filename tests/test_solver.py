@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,8 @@ from mpmath import mp
 import implogic as il
 from implogic.device import PARTIAL_RESET_FACTOR, DeviceState, Logic, iv_params
 from implogic.solver import (MAX_CODE, TOL_CURRENT, EventKind, NodeSolution, _balance,
-                             _load_terms, settle, solve_newton, solve_pair, state_of)
+                             _load_terms, _pair_drops, settle, solve_newton, solve_pair,
+                             state_of)
 
 OFF = DeviceState(Logic.OFF)
 
@@ -317,3 +319,41 @@ def test_state_codes_follow_the_partial_reset_chain():
            np.array([[1.0], [-0.5], [-0.5]]), np.array([[-2.0], [-2.0]]), events)
     assert pq.tolist() == [[MAX_CODE], [0]]
     assert events == [(0, EventKind.PARTIAL_RESET, -1.0, 1)]
+
+
+def test_pair_drops_solve_each_pair_once_in_code_order():
+    calls = []
+
+    def solve(p, q):
+        calls.append((p, q))
+        return NodeSolution(0.0, float(p), float(q), 0.0, 0)
+
+    pq = np.array([[3, 0, MAX_CODE, 0, 3], [2, MAX_CODE, 2, MAX_CODE, 2]])
+    drops, first = _pair_drops(solve, pq)
+    assert calls == [(0, MAX_CODE), (3, 2), (MAX_CODE, 2)]
+    assert drops.tolist() == pq.tolist()
+    assert (first.drop_p, first.drop_q) == (3.0, 2.0)
+
+    def fail_at_the_end_of_the_chain(p, q):
+        if p == MAX_CODE:
+            raise il.NoConvergence("no root")
+        return solve(p, q)
+
+    with pytest.raises(il.NoConvergence) as exc:
+        _pair_drops(fail_at_the_end_of_the_chain, pq)
+    assert exc.value.column == 2
+
+
+def test_settle_at_the_end_of_the_chain_stays_small():
+    # the pair tables grow with the codes present, not with the largest code,
+    # by which one pass here would take (MAX_CODE + 1)^2 bins
+    pq = np.array([[MAX_CODE], [MAX_CODE]])
+    tracemalloc.start()
+    try:
+        settle(lambda p, q: NodeSolution(0.0, 0.0, 0.0, 0.0, 0), pq,
+               np.array([[1.0], [-0.5], [-0.5]]), np.array([[-2.0], [-2.0]]))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert pq.tolist() == [[MAX_CODE], [MAX_CODE]]
+    assert peak < 1_000_000
