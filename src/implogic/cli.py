@@ -16,11 +16,11 @@ import math
 import sys
 
 from . import margins as mg
-from .device import MemristorSpec, _check_json
+from .device import LinearIV, MemristorSpec, _check_json
 from .montecarlo import estimate_yield
 from .optimizer import Infeasible, optimize
-from .program import (ProgramError, StepProgram, default_configs, execute,
-                      ripple_adder_8bit)
+from .program import (ImpStep, ProgramError, StepProgram, _resolve_config,
+                      default_configs, execute, ripple_adder_8bit)
 from .solver import NoConvergence
 from .topology import ImpConfig, NotAdjacent, StackTopology, build_default_stack
 
@@ -78,15 +78,27 @@ def _load_program_file(path: str) -> tuple[StepProgram, dict[str, ImpConfig]]:
     return program, configs
 
 
-def _auto_configs(specs: dict[str, MemristorSpec],
+def _auto_configs(program: StepProgram, topo: StackTopology,
+                  specs: dict[str, MemristorSpec],
                   file_configs: dict[str, ImpConfig]) -> dict[str, ImpConfig]:
     """File-supplied configs, backed by the analytic defaults when the
-    circuit has a single device spec to derive them from."""
+    circuit has a single ohmic device spec to derive them from; they are the
+    ohmic optimum, so no other I-V law gets them. The program is validated
+    first, as ``execute`` would; then an ``auto`` implication whose config
+    is still missing raises ValueError naming it, before any step runs."""
     configs = {}
     distinct = set(specs.values())
-    if len(distinct) == 1:
+    if len(distinct) == 1 and isinstance(next(iter(distinct)).iv_model, LinearIV):
         configs.update(default_configs(next(iter(distinct))))
     configs.update(file_configs)
+    program.validate(topo)
+    for step in program.steps:
+        if isinstance(step, ImpStep) and step.config_ref == "auto":
+            try:
+                _resolve_config(step, topo, configs)
+            except ProgramError as exc:
+                raise ValueError(f"{exc}: the program file supplies none, and it is "
+                                 "derived only for a single ohmic spec") from None
     return configs
 
 
@@ -164,7 +176,7 @@ def _cmd_optimize(args) -> int:
 def _cmd_run(args) -> int:
     topo, specs = _load_circuit_file(args.topology)
     program, file_configs = _load_program_file(args.program)
-    configs = _auto_configs(specs, file_configs)
+    configs = _auto_configs(program, topo, specs, file_configs)
     variation = "seeded" if args.variation == "on" else "off"
     trace = execute(program, topo, specs, configs, variation=variation,
                     seed=args.seed)
@@ -198,7 +210,7 @@ def _cmd_adder(args) -> int:
 def _cmd_yield(args) -> int:
     topo, specs = _load_circuit_file(args.topology)
     program, file_configs = _load_program_file(args.program)
-    configs = _auto_configs(specs, file_configs)
+    configs = _auto_configs(program, topo, specs, file_configs)
     report = estimate_yield(program, topo, specs, configs, None,
                             trials=args.trials, seed=args.seed)
     if args.per_trial:

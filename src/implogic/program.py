@@ -19,12 +19,14 @@ on Python ints. Write values are run-time inputs of a plan, so
 ``ripple_adder_8bit`` compiles one plan per (stack, specs, configs,
 placement, bits), caches it, and gives each addition its own writes
 instead of recompiling. A plan's steps fall into write segments,
-each starting at step 0 or at a block of consecutive writes. A run without
-step records or a trail at nominal thresholds looks each segment up in a
-memo kept for the life of the plan, keyed by the segment, the codes
-entering it and its write values, and bounded by ``SEGMENT_MEMO``; a miss
-runs the segment's steps through the same interpreter and stores the exit
-codes and reads; a segment that raises NoConvergence stores nothing.
+each starting at step 0 or at a block of consecutive writes. A nominal
+trace without step records is one walk over the segments, each looked up
+in a memo kept for the life of the plan, keyed by the segment, the codes
+entering it and its write values, and bounded by ``SEGMENT_MEMO``; an
+entry holds the exit codes, the reads and the segment's steps with those
+write values in place, so the walk also yields the program it ran. A miss
+runs the segment's steps through the same interpreter; a segment that
+raises NoConvergence stores nothing.
 """
 
 from __future__ import annotations
@@ -334,14 +336,16 @@ class _Plan:
     ``ops[i]`` is step i's cell row, or for an implication its interned
     ``_Imp``, the number of its P draw, and P's and Q's rows. ``writes``
     holds the write steps' values, which a run may replace, since
-    validation does not depend on them, and ``write_at`` each write step's
-    index with its WriteSteps of value 0 and 1. A run's state is a list
-    with one entry per cell row: an int code at nominal thresholds, or a 1-D
+    validation does not depend on them, and ``write_steps`` each write
+    step's WriteSteps of value 0 and 1. A run's state is a list with one
+    entry per cell row: an int code at nominal thresholds, or a 1-D
     ``np.intp`` row of codes, one per trial, in a batch. ``segments`` cuts
     the steps into (start, stop, write start, write stop) runs, each
-    starting at step 0 or at a block of consecutive writes; ``_memo`` holds
-    nominal segment runs for the life of the plan, at most
-    ``SEGMENT_MEMO`` of them."""
+    starting at step 0 or at a block of consecutive writes. For the life of
+    the plan, ``_memo`` maps (segment, entry codes, write values) to the
+    segment's nominal run: its exit codes, its reads and its steps with
+    those write values in place, which ``_round_steps`` caches per
+    (segment, write values). Each holds at most ``SEGMENT_MEMO`` entries."""
 
     def __init__(self, program: StepProgram, topology: StackTopology,
                  specs: dict[str, MemristorSpec], configs: dict[str, ImpConfig]):
@@ -354,9 +358,8 @@ class _Plan:
         resolved: dict[ImpStep, _Imp] = {}
         ops: list[tuple] = []
         self.writes = tuple(s.value for s in program.steps if isinstance(s, WriteStep))
-        self.write_at = tuple((i, (WriteStep(s.cell, 0), WriteStep(s.cell, 1)))
-                              for i, s in enumerate(program.steps)
-                              if isinstance(s, WriteStep))
+        self.write_steps = tuple((WriteStep(s.cell, 0), WriteStep(s.cell, 1))
+                                 for s in program.steps if isinstance(s, WriteStep))
         for step in program.steps:
             if isinstance(step, ImpStep):
                 imp = resolved.get(step)
@@ -384,16 +387,10 @@ class _Plan:
         writes_before = [0, *itertools.accumulate(is_write)]
         self.segments = tuple((start, stop, writes_before[start], writes_before[stop])
                               for start, stop in zip(bounds, bounds[1:]))
+        self._write_spans = tuple(enumerate(slice(ws, we) for _, _, ws, we in self.segments))
         self._memo: dict[tuple, tuple] = {}
-        self._decoded: dict[tuple[int, ...], tuple[int, ...]] = {}  # final codes -> bits
-
-    def program(self, writes: Sequence[int]) -> StepProgram:
-        """The plan's program with ``writes`` as its write steps' values, in
-        step order."""
-        steps = list(self.steps)
-        for (i, by_value), value in zip(self.write_at, writes):
-            steps[i] = by_value[value]
-        return StepProgram(tuple(steps), dict(self.inputs), dict(self.outputs))
+        self._round_steps: dict[tuple, tuple[Step, ...]] = {}
+        self._decoded: dict[tuple[int, ...], dict[str, int]] = {}  # final codes -> bits
 
     def bit(self, cell: str, code: int) -> int:
         """The bit that ``cell`` reads in the state of ``code``, decoded once
@@ -419,93 +416,120 @@ class _Plan:
             records: list | None = None, trail: list | None = None,
             writes: Sequence[int] | None = None,
             ) -> tuple[list, list[tuple[int, str, int]]]:
-        """The one step interpreter. Runs the program over the columns of
-        ``th``, one trial's threshold table each, or once at nominal
-        thresholds when ``th`` is None, settling each implication through
-        its memo. The state holds one entry per cell: an int code at
-        nominal thresholds, else a row of codes with one column per trial.
-        Rows are replaced, never written in place, so entries may share
-        them. Error messages name trial ``first_trial + column`` when a
-        first trial is given. ``records`` collects column 0's StepRecords,
-        ``trail`` each implication's P and Q entries after it. ``writes``
-        gives the write steps their values, in step order, in place of the
-        program's. Returns the final state and column 0's reads.
+        """Run the whole program over the columns of ``th``, one trial's
+        threshold table each, or once at nominal thresholds when ``th`` is
+        None, from every cell OFF. ``writes`` gives the write steps their
+        values, in step order, in place of the program's; the other
+        arguments are those of ``_interpret``. Returns the final state and
+        column 0's reads."""
+        state = [0 if th is None else np.zeros(th.shape[1], dtype=np.intp)] * len(self.specs)
+        reads: list[tuple[int, str, int]] = []
+        self._interpret(state, 0, len(self.steps), self.writes if writes is None else writes,
+                        reads, th, first_trial, records, trail)
+        return state, reads
 
-        The steps run segment by segment. A nominal run without records or
-        a trail looks each segment up in the plan's memo, keyed by the
-        segment, the state entering it and its write values, and on a miss
-        runs its steps and stores the exit state and the segment's reads."""
+    def _interpret(self, state: list, start: int, stop: int, values: Sequence[int],
+                   reads: list, th: np.ndarray | None = None,
+                   first_trial: int | None = None, records: list | None = None,
+                   trail: list | None = None) -> None:
+        """The one step interpreter. Runs steps ``start`` to ``stop`` on
+        ``state`` in place, settling each implication through its memo, with
+        ``values`` as the values of their write steps in order, and appends
+        column 0's reads to ``reads``. The state holds one entry per cell: an
+        int code at nominal thresholds (``th`` None), else a row of codes
+        with one column per trial of ``th``. Rows are replaced, never
+        written in place, so entries may share them. Error messages name
+        trial ``first_trial + column`` when a first trial is given.
+        ``records`` collects column 0's StepRecords, ``trail`` each
+        implication's P and Q entries after it."""
         # codes: OFF 0, ON 1
         filled = (0, 1) if th is None else tuple(
             np.full(th.shape[1], code, dtype=np.intp) for code in (0, 1))
-        state = [filled[0]] * len(self.specs)
-        reads: list[tuple[int, str, int]] = []
-        writes = self.writes if writes is None else writes
-        memo = self._memo if th is None and records is None and trail is None else None
-        for segment, (start, stop, write_start, write_stop) in enumerate(self.segments):
-            segment_writes = tuple(writes[write_start:write_stop])
-            if memo is not None:
-                key = (segment, tuple(state), segment_writes)
-                hit = memo.get(key)
-                if hit is not None:
-                    state[:] = hit[0]
-                    reads += hit[1]
-                    continue
-                first_read = len(reads)
-            values = iter(segment_writes)
-            for i in range(start, stop):
-                step, op = self.steps[i], self.ops[i]
-                node, events, bit = None, (), None
+        values = iter(values)
+        for i in range(start, stop):
+            step, op = self.steps[i], self.ops[i]
+            node, events, bit = None, (), None
+            if isinstance(step, ImpStep):
+                imp, k, p, q = op
+                try:
+                    if th is None:
+                        state[p], state[q], events, node = imp.settle_nominal(
+                            state[p], state[q])
+                    else:
+                        pq = np.stack((state[p], state[q]))
+                        events = [] if records is not None else None
+                        node = settle(imp.solve, pq,
+                                      th[[2 * k + 2, 2 * k + 1, 2 * k + 3]],
+                                      imp.full, events)
+                        state[p], state[q] = pq
+                except NoConvergence as exc:
+                    where = _where(i, step, imp.config)
+                    if first_trial is not None:
+                        where = f"trial {first_trial + exc.column}, {where}"
+                    raise NoConvergence(f"{where}: {exc}") from exc
+                if trail is not None:
+                    trail.append((state[p], state[q]))
+            elif isinstance(step, ResetStep):
+                state[op] = filled[0]
+            elif isinstance(step, WriteStep):
+                value = next(values)
+                state[op] = filled[value]
+            else:
+                code = state[op] if th is None else int(state[op][0])
+                bit = self.bit(step.cell, code)
+                reads.append((i, step.cell, bit))
+            if records is not None:
+                detail = _step_detail(step)
                 if isinstance(step, ImpStep):
-                    imp, k, p, q = op
-                    try:
-                        if th is None:
-                            state[p], state[q], events, node = imp.settle_nominal(
-                                state[p], state[q])
-                        else:
-                            pq = np.stack((state[p], state[q]))
-                            events = [] if records is not None else None
-                            node = settle(imp.solve, pq,
-                                          th[[2 * k + 2, 2 * k + 1, 2 * k + 3]],
-                                          imp.full, events)
-                            state[p], state[q] = pq
-                    except NoConvergence as exc:
-                        where = _where(i, step, imp.config)
-                        if first_trial is not None:
-                            where = f"trial {first_trial + exc.column}, {where}"
-                        raise NoConvergence(f"{where}: {exc}") from exc
-                    if trail is not None:
-                        trail.append((state[p], state[q]))
-                elif isinstance(step, ResetStep):
-                    state[op] = filled[0]
+                    events = tuple(SwitchEvent((step.p, step.q)[role], kind, drop, it)
+                                   for role, kind, drop, it in events)
                 elif isinstance(step, WriteStep):
-                    value = next(values)
-                    state[op] = filled[value]
-                else:
-                    code = state[op] if th is None else int(state[op][0])
-                    bit = self.bit(step.cell, code)
-                    reads.append((i, step.cell, bit))
-                if records is not None:
-                    detail = _step_detail(step)
-                    if isinstance(step, ImpStep):
-                        events = tuple(SwitchEvent((step.p, step.q)[role], kind, drop, it)
-                                       for role, kind, drop, it in events)
-                    elif isinstance(step, WriteStep):
-                        detail["value"] = value
-                    after = {c: (s.logic.name, s.conductance_scale) for c, s in
-                             zip(self.specs, map(state_of, _column0(state)))}
-                    records.append(StepRecord(i, step.op, detail, after, node, events, bit))
-            if memo is not None:
-                if len(memo) >= SEGMENT_MEMO:
-                    memo.clear()
-                memo[key] = (tuple(state), tuple(reads[first_read:]))
-        return state, reads
+                    detail["value"] = value
+                after = {c: (s.logic.name, s.conductance_scale) for c, s in
+                         zip(self.specs, map(state_of, _column0(state)))}
+                records.append(StepRecord(i, step.op, detail, after, node, events, bit))
+
+    def _steps_of(self, segment: int, values: tuple[int, ...]) -> tuple[Step, ...]:
+        """The steps of ``segment`` with ``values`` in its write steps,
+        cached per (segment, values), at most ``SEGMENT_MEMO`` of them."""
+        steps = self._round_steps.get((segment, values))
+        if steps is None:
+            start, stop, write_start, write_stop = self.segments[segment]
+            # a segment's writes are the block it starts with
+            steps = (*(pair[value] for pair, value
+                       in zip(self.write_steps[write_start:write_stop], values)),
+                     *self.steps[start + write_stop - write_start:stop])
+            if len(self._round_steps) >= SEGMENT_MEMO:
+                self._round_steps.clear()
+            self._round_steps[segment, values] = steps
+        return steps
+
+    def _round(self, key: tuple) -> tuple:
+        """Run a memo miss: the segment of ``key`` = (segment, entry codes,
+        write values) at nominal thresholds, stored in the memo as (exit
+        codes, reads, steps). A NoConvergence stores nothing."""
+        segment, codes, values = key
+        start, stop, _, _ = self.segments[segment]
+        state, reads = list(codes), []
+        self._interpret(state, start, stop, values, reads)
+        if len(self._memo) >= SEGMENT_MEMO:
+            self._memo.clear()
+        hit = self._memo[key] = (tuple(state), tuple(reads), self._steps_of(segment, values))
+        return hit
 
     def trace(self, variation: str, seed: int | tuple[int, ...] | None, trace_level: str,
-              writes: Sequence[int] | None = None) -> ExecutionTrace:
+              writes: Sequence[int] | None = None, steps: list | None = None,
+              ) -> ExecutionTrace:
         """One run, at nominal thresholds or at thresholds drawn from
         ``default_rng(seed)``, decoded into an ExecutionTrace; its step
-        records are kept when ``trace_level`` is "full", none for "reads"."""
+        records are kept when ``trace_level`` is "full", none for "reads".
+        ``steps``, when given, receives the program's steps with ``writes``
+        in place, round by round from the plan's step cache.
+
+        A nominal run without records is one walk over the segments: each is
+        looked up in the plan's memo, keyed by the segment, the codes
+        entering it and its write values, and a miss runs its steps and
+        stores the exit codes, the reads and the steps."""
         if variation not in ("off", "seeded"):
             raise ValueError("variation must be 'off' or 'seeded'")
         if variation == "seeded" and seed is not None and not all(
@@ -513,18 +537,31 @@ class _Plan:
                 for x in (seed if isinstance(seed, tuple) else (seed,))):
             raise ValueError(
                 f"seed must be None, an int >= 0 or a tuple of such ints, got {seed!r}")
-        th = self.thresholds([seed]) if variation == "seeded" else None
-        records = [] if trace_level == "full" else None
-        state, reads = self.run(th, records=records, writes=writes)
-        codes = tuple(_column0(state))
+        writes = self.writes if writes is None else tuple(writes)
+        records = None
+        if variation == "off" and trace_level == "reads":
+            memo, codes, reads = self._memo, (0,) * len(self.specs), []
+            if steps is None:
+                steps = []
+            for segment, span in self._write_spans:
+                key = (segment, codes, writes[span])
+                codes, round_reads, round_steps = memo.get(key) or self._round(key)
+                reads += round_reads
+                steps += round_steps
+        else:
+            th = self.thresholds([seed]) if variation == "seeded" else None
+            records = [] if trace_level == "full" else None
+            state, reads = self.run(th, records=records, writes=writes)
+            codes = tuple(_column0(state))
+            if steps is not None:
+                for segment, span in self._write_spans:
+                    steps += self._steps_of(segment, writes[span])
         bits = self._decoded.get(codes)
         if bits is None:
             if len(self._decoded) >= SEGMENT_MEMO:
                 self._decoded.clear()
-            bits = self._decoded[codes] = tuple(map(self.bit, self.specs, codes))
-        return ExecutionTrace(steps=records or [], reads=reads,
-                              final_bits=dict(zip(self.specs, bits)),
-                              variation=variation, seed=seed)
+            bits = self._decoded[codes] = dict(zip(self.specs, map(self.bit, self.specs, codes)))
+        return ExecutionTrace(records or [], reads, dict(bits), variation, seed)
 
 
 def execute(program: StepProgram, topology: StackTopology,
@@ -820,11 +857,11 @@ def ripple_adder_8bit(a: int, b: int, c0: int, bits: int = 8,
     is compiled once per (stack, specs, configs, placement, bits) and
     cached, so an addition runs it with its write values (a_0, b_0, c0,
     then a_i, b_i), the same run ``execute`` makes of the program that
-    writes them, and returns that program. At zero variation the cached plan
-    memoizes each round (one write segment) by its entry codes and write
-    values, so a warm addition looks up its rounds instead of stepping
-    through them; the memo is bounded by ``SEGMENT_MEMO`` and not used when
-    a run keeps step records or a trail.
+    writes them, and returns that program, built from the plan's per-round
+    step tuples. At zero variation the cached plan memoizes each round (one
+    write segment) by its entry codes and write values, so a warm addition
+    is one walk over its rounds, each a lookup that gives the round's exit
+    codes, reads and steps; the memo is bounded by ``SEGMENT_MEMO``.
     A ``bits`` that is not an int >= 1, operands or a carry-in that are not
     ints (bools included), operands that do not fit in ``bits``, a carry-in
     other than 0 or 1, or a ``variation`` or seed that ``execute`` rejects
@@ -848,10 +885,15 @@ def ripple_adder_8bit(a: int, b: int, c0: int, bits: int = 8,
                                            for name, config in configs.items()),
         None if placement is None else tuple(placement.items()),
         bits)
+    # write values in step order: a_0, b_0, c0, then a_i, b_i
     writes = [a & 1, b & 1, c0]
     for i in range(1, bits):
         writes += ((a >> i) & 1, (b >> i) & 1)
-    trace = plan.trace(variation, seed, "reads", writes)
+    steps: list[Step] = []
+    trace = plan.trace(variation, seed, "reads", writes, steps)
     # the reads are each round's sum bit, then the carry-out
-    total = sum(bit << i for i, (_, _, bit) in enumerate(trace.reads[:bits]))
-    return total, trace.reads[-1][2], trace, plan.program(writes)
+    total = 0
+    for i, (_, _, bit) in enumerate(trace.reads[:bits]):
+        total |= bit << i
+    return (total, trace.reads[-1][2], trace,
+            StepProgram(tuple(steps), dict(plan.inputs), dict(plan.outputs)))

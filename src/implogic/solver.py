@@ -250,37 +250,41 @@ def solve_pairs(p_spec: MemristorSpec, q_spec: MemristorSpec,
                 states: list[tuple[DeviceState, DeviceState]], config: ImpConfig,
                 s_p: int = 1, s_q: int = 1) -> list[NodeSolution]:
     """``solve_pair`` for each (P state, Q state) of ``states`` under one
-    bias, from one closed-form or Newton solve over all of them. Raises the
-    NoConvergence that ``solve_pair`` would raise for the first state pair
-    in order that fails."""
+    bias, from one closed-form or Newton solve over all of them. Before any
+    solve, raises the NoConvergence of the first pair in order that
+    ``solve_pair`` rejects up front: its node floats (no load conductance,
+    and both devices' conductance parameter, g or a*b, is 0.0), or on the
+    Newton path its I-V overflows at a bracket end or its balance has no
+    root in the bracket. After the solve, raises that of the first pair
+    whose Newton is still open with too large a residual."""
     v_p, (g_l, ll) = config.v_p, _load_terms(config.load)
     points = [(dev.iv_params(p_spec, p), v_p, dev.iv_params(q_spec, q), ll, g_l)
               for p, q in states]
     p_iv, q_iv = (_columns([point[k] for point in points]) for k in (0, 2))
     ohmic = is_ohmic(p_spec, q_spec)
-    errors: list[NoConvergence | None] = [None] * len(states)
-    vp = np.full(len(states), v_p)
-    if ohmic:
-        x, count = solve_linear(p_iv, vp, q_iv, ll, g_l), [0] * len(states)
-    else:
-        for k, ((p_state, q_state), point) in enumerate(zip(states, points)):
+    for (p_state, q_state), point in zip(states, points):
+        # the last I-V parameter is the conductance: g, or a*b of a sinh
+        if g_l == 0.0 and point[0][-1] == 0.0 and point[2][-1] == 0.0:
+            raise NoConvergence("node floats: no conductance to the node")
+        if not ohmic:
             try:
                 f_lo, _ = _balance(-BRACKET, *point)
                 f_hi, _ = _balance(BRACKET, *point)
             except OverflowError:
-                errors[k] = _bracket_overflow(p_spec, p_state, v_p, q_spec, q_state)
-                continue
+                raise _bracket_overflow(p_spec, p_state, v_p, q_spec, q_state) from None
             if f_lo > 0.0 or f_hi < 0.0:
-                errors[k] = NoConvergence(
+                raise NoConvergence(
                     f"no current-balance root in [{-BRACKET}, {BRACKET}] V "
                     f"(f({-BRACKET})={f_lo:.3g}, f({BRACKET})={f_hi:.3g})")
+    vp = np.full(len(states), v_p)
+    if ohmic:
+        x, count = solve_linear(p_iv, vp, q_iv, ll, g_l), [0] * len(states)
+    else:
         count = np.zeros(len(states), dtype=np.intp)  # stays 0 where a point is still open
         x = solve_newton(p_iv, vp, q_iv, np.array(ll), g_l, count)
         count = count.tolist()
     out = []
-    for x_k, iterations, point, error in zip(x.tolist(), count, points, errors):
-        if error is not None:
-            raise error from None
+    for x_k, iterations, point in zip(x.tolist(), count, points):
         residual, _ = _balance(x_k, *point)
         if not ohmic and iterations == 0:  # still open after MAX_ITERATIONS
             if not abs(residual) <= TOL_CURRENT:
@@ -300,9 +304,12 @@ def solve_pair(p_spec: MemristorSpec, p_state: DeviceState,
     ``solve_linear`` when both devices are ohmic (``iterations`` is 0), else
     by ``solve_newton`` on one point (``iterations`` counts its passes).
 
-    Raises NoConvergence when an I-V overflows at a bracket end, when the
-    balance has no root in the bracket, or when Newton is still open after
-    ``MAX_ITERATIONS`` with a residual above ``TOL_CURRENT``.
+    Raises NoConvergence when the node floats (no load conductance and
+    both devices' conductance parameter 0.0, where the closed form would
+    divide 0 by 0 or a nonzero current by 0), when an I-V overflows at a
+    bracket end, when the balance has no root in the bracket, or when
+    Newton is still open after ``MAX_ITERATIONS`` with a residual above
+    ``TOL_CURRENT``.
     """
     return solve_pairs(p_spec, q_spec, [(p_state, q_state)], config, s_p, s_q)[0]
 

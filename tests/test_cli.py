@@ -212,11 +212,39 @@ def test_run_sinh_overflow_is_no_convergence(tmp_path, capsys):
     spec = il.MemristorSpec(v_set_min=1.1, v_set_max=1.9, v_reset_min=-1.5,
                             v_reset_max=-2.2, g_on=115e-6, g_off=10e-6,
                             iv_model=iv)
-    rc, body = _run_exit(tmp_path, capsys, _circuit(spec), _nand_program())
+    prog = _nand_program()
+    # the CLI derives no bias for a sinh spec, so the file brings its own
+    prog["configs"] = {name: cfg.to_json()
+                       for name, cfg in il.default_configs(spec).items()}
+    rc, body = _run_exit(tmp_path, capsys, _circuit(spec), prog)
     assert rc == 1
     assert body["error"] == "noconvergence"
     assert "bracket" in body["message"]
     assert body["message"].startswith("step 3 (imp B1 -> T2, v_p ")
+
+
+@pytest.mark.parametrize("command", ["run", "yield"])
+def test_sinh_circuit_without_configs_is_a_config_error(tmp_path, capsys, command):
+    # the analytic pair is the ohmic optimum: on this spec no implication
+    # sets under it, and yield measured its trials against that reference
+    iv = il.sinh_iv_from_conductances(115e-6, 10e-6, 1.5, 1.5)
+    spec = il.MemristorSpec(v_set_min=1.0, v_set_max=2.0, v_reset_min=-1.5,
+                            v_reset_max=-2.2, g_on=115e-6, g_off=10e-6, iv_model=iv)
+    circuit_path, program_path = tmp_path / "c.json", tmp_path / "p.json"
+    circuit_path.write_text(json.dumps(_circuit(spec)))
+    program_path.write_text(json.dumps(_nand_program()))
+    trace_path, out_path = tmp_path / "trace.jsonl", tmp_path / "out.json"
+    extra = (["--trace", str(trace_path)] if command == "run"
+             else ["--trials", "300", "--seed", "7", "--per-trial", str(trace_path)])
+    capsys.readouterr()
+    rc = main([command, "--program", str(program_path), "--topology", str(circuit_path),
+               "--out", str(out_path), *extra])
+    body = json.loads(capsys.readouterr().out)
+    assert rc == 2
+    assert body["error"] == "config"
+    assert body["message"].startswith(
+        "ValueError: auto config needs 'drive_neg' in the config map")
+    assert not trace_path.exists() and not out_path.exists()  # no step ran
 
 
 def test_adder_command(tmp_path):

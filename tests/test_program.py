@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import implogic as il
@@ -788,9 +788,14 @@ def test_ripple_program_is_the_composed_program(adder_stack):
         fa = il.compile_full_adder(adder_stack, placement)
         for bits in range(1, 9):
             top = 2 ** bits - 1
-            for a, b, c0 in itertools.product((0, top, 0x55 & top), (0, top, 0xAA & top), (0, 1)):
+            for k, (a, b, c0) in enumerate(itertools.product(
+                    (0, top, 0x55 & top), (0, top, 0xAA & top), (0, 1))):
+                want = _composed_ripple_program(fa, a, b, c0, bits)
                 program = il.ripple_adder_8bit(a, b, c0, bits, placement=placement)[3]
-                assert program == _composed_ripple_program(fa, a, b, c0, bits)
+                assert program == want
+                if k % 6 == bits % 6:  # a seeded addition returns the same program
+                    assert il.ripple_adder_8bit(a, b, c0, bits, placement=placement,
+                                                variation="seeded", seed=k)[3] == want
 
 
 def _ripple_plan_of(bits, placement=None, specs=None, configs=None):
@@ -879,6 +884,7 @@ def test_segment_memo_stays_within_its_cap(monkeypatch):
         assert trace.reads == il.execute(program, stack, {"bottom": spec, "top": spec},
                                          il.default_configs(spec)).reads
         assert 0 < len(plan._memo) <= 5
+        assert 0 < len(plan._round_steps) <= 5
         assert 0 < len(plan._decoded) <= 5
     program_module._ripple_plan.cache_clear()
 
@@ -937,8 +943,22 @@ def _settle_cases(draw):
     return stack, specs, states, il.ImpConfig(v_p, load), p, q, thresholds
 
 
+def _floating_node_case():
+    """Ohmic P and Q both ON at code 2062, where g_on * scale underflows to
+    0.0, under a 0 A current source at v_p = 0: the node floats, and the
+    closed form once gave NaN."""
+    stack = il.build_default_stack()
+    spec = il.MemristorSpec(1.0, 2.0, -1.5, -2.2, 2e-5, 5e-6)
+    states = {c: state_of(0) for c in stack.usable_cells()}
+    states["T1"] = states["T2"] = state_of(2062)
+    th = il.ThresholdSample(1.5, -1.5, -2.2)
+    return (stack, {"bottom": spec, "top": spec}, states,
+            il.ImpConfig(0.0, il.CurrentSourceLoad(0.0)), "T1", "T2", {"T1": th, "T2": th})
+
+
 @settings(max_examples=150, deadline=None)
 @given(case=_settle_cases())
+@example(case=_floating_node_case())
 def test_settle_matches_scalar_rules(case):
     topology, specs, states, config, p, q, thresholds = case
 

@@ -224,6 +224,29 @@ def test_no_convergence_outside_bracket(sinh_spec, default_stack):
         solve_pair(sinh_spec, OFF, sinh_spec, OFF, cfg, *default_stack.step_signs("T1", "T2"))
 
 
+# ON after 2061 partial resets: g_on = 2e-5 S times 5.6e-320 underflows to 0.0
+_NO_CONDUCTANCE = 2062
+
+
+@pytest.mark.parametrize("i_l", [0.0, 1e-5, -1e-5], ids=["0/0", "+inf", "-inf"])
+def test_ohmic_node_without_conductance_floats(default_stack, i_l):
+    spec = il.MemristorSpec(1.0, 2.0, -1.5, -2.2, g_on=2e-5, g_off=5e-6)
+    on = state_of(_NO_CONDUCTANCE)
+    assert iv_params(spec, on) == (0.0,)
+    cfg = il.ImpConfig(v_p=0.0, load=il.CurrentSourceLoad(i_l))
+    with pytest.raises(il.NoConvergence, match="node floats: no conductance to the node"):
+        solve_pair(spec, on, spec, on, cfg, *default_stack.step_signs("T1", "T2"))
+
+
+def test_sinh_node_without_conductance_floats(sinh_spec, default_stack):
+    # a*b underflows to 0.0, so the balance is constant; Newton took the bracket end
+    on = state_of(MAX_CODE)
+    assert iv_params(sinh_spec, on)[2] == 0.0
+    cfg = il.ImpConfig(v_p=0.0, load=il.CurrentSourceLoad(0.0))
+    with pytest.raises(il.NoConvergence, match="node floats: no conductance to the node"):
+        solve_pair(sinh_spec, on, sinh_spec, on, cfg, *default_stack.step_signs("T1", "T2"))
+
+
 def _nominal(specs, stack):
     return {c: il.nominal_thresholds(specs[stack.cells[c].spec_ref])
             for c in stack.usable_cells()}
