@@ -3,7 +3,7 @@
 Trial t of a study with seed s reruns the program with every threshold
 drawn from its own substream, ``numpy.random.default_rng((s, t))``, in the
 draw order owned by the program's compiled plan. The trials are the batch
-axis of the plan's step interpreter (``program._Plan.run``), which
+axis of the plan's step interpreter (``program._Plan._interpret``), which
 ``execute`` runs as a batch of one: each step acts on every trial at once.
 Failures are attributed here, against the zero-variation run of the same
 interpreter, settled from the implications' memos. Trials are processed
@@ -91,9 +91,11 @@ def estimate_yield(program: StepProgram, topology: StackTopology,
     the zero-variation reference trace. The degraded-ratio fraction counts
     implication steps after which a driven cell's conductance scale sits
     below ``DEGRADED_BELOW`` (0.9). A ``trials`` that is not an int
-    >= 1, or a ``seed`` that is not an int >= 0, raises ValueError (bools
-    are not ints here); a ``trials`` too large for the per-trial results
-    to be allocated raises MemoryError before any trial runs.
+    >= 1, a ``seed`` that is not an int >= 0 (bools are not ints here),
+    or an oracle that names an undeclared output or expects a bit other
+    than 0 or 1 of one (the rule of ``WriteStep``) raises ValueError
+    before any trial runs; a ``trials`` too large for the per-trial
+    results to be allocated raises MemoryError before any trial runs.
     """
     if not isinstance(trials, int) or isinstance(trials, bool) or trials < 1:
         raise ValueError(f"trials must be an int >= 1, got {trials!r}")
@@ -106,6 +108,10 @@ def estimate_yield(program: StepProgram, topology: StackTopology,
         unknown = set(expected) - set(program.declared_outputs)
         if unknown:
             raise ValueError(f"oracle names undeclared outputs {sorted(unknown)}")
+        for var, want in expected.items():
+            if want not in (0, 1):
+                raise ValueError(f"oracle expects {want!r} of output {var!r}: "
+                                 "a bit must be 0 or 1")
 
     plan = _Plan(program, topology, specs, configs)
     trail: list[tuple] = []

@@ -6,8 +6,8 @@ the target cell, so NAND is a reset followed by two implications and NOT is
 a reset followed by one. Values move between cells as complement pairs
 (two NOTs).
 
-A program compiles into a plan with one step interpreter, ``_Plan.run``,
-which ``execute`` runs as a batch of one trial and
+A program compiles into a plan with one step interpreter,
+``_Plan._interpret``, which ``execute`` runs as a batch of one trial and
 ``montecarlo.estimate_yield`` over many. Each implication step applies
 ``solver.settle``, the one copy of the switching rules, to state codes
 (``solver.state_of``: 0 is OFF, k + 1 is ON after k partial resets). A run
@@ -23,10 +23,11 @@ each starting at step 0 or at a block of consecutive writes. A nominal
 trace without step records is one walk over the segments, each looked up
 in a memo kept for the life of the plan, keyed by the segment, the codes
 entering it and its write values, and bounded by ``SEGMENT_MEMO``; an
-entry holds the exit codes, the reads and the segment's steps with those
-write values in place, so the walk also yields the program it ran. A miss
-runs the segment's steps through the same interpreter; a segment that
-raises NoConvergence stores nothing.
+entry holds the exit codes, the reads, the segment's steps with those
+write values in place and the bits the exit codes decode to, so the walk
+also yields the program it ran and its final bits. A miss runs the
+segment's steps through the same interpreter; a segment that raises
+NoConvergence stores nothing.
 """
 
 from __future__ import annotations
@@ -336,16 +337,14 @@ class _Plan:
     ``ops[i]`` is step i's cell row, or for an implication its interned
     ``_Imp``, the number of its P draw, and P's and Q's rows. ``writes``
     holds the write steps' values, which a run may replace, since
-    validation does not depend on them, and ``write_steps`` each write
-    step's WriteSteps of value 0 and 1. A run's state is a list with one
+    validation does not depend on them. A run's state is a list with one
     entry per cell row: an int code at nominal thresholds, or a 1-D
     ``np.intp`` row of codes, one per trial, in a batch. ``segments`` cuts
-    the steps into (start, stop, write start, write stop) runs, each
-    starting at step 0 or at a block of consecutive writes. For the life of
-    the plan, ``_memo`` maps (segment, entry codes, write values) to the
-    segment's nominal run: its exit codes, its reads and its steps with
-    those write values in place, which ``_round_steps`` caches per
-    (segment, write values). Each holds at most ``SEGMENT_MEMO`` entries."""
+    the steps into (start, stop) runs, each starting at step 0 or at a
+    block of consecutive writes. For the life of the plan, ``_memo`` maps
+    (segment, entry codes, write values) to the segment's nominal run: its
+    exit codes, its reads, its steps with those write values in place and
+    the bits its exit codes decode to, at most ``SEGMENT_MEMO`` entries."""
 
     def __init__(self, program: StepProgram, topology: StackTopology,
                  specs: dict[str, MemristorSpec], configs: dict[str, ImpConfig]):
@@ -358,8 +357,6 @@ class _Plan:
         resolved: dict[ImpStep, _Imp] = {}
         ops: list[tuple] = []
         self.writes = tuple(s.value for s in program.steps if isinstance(s, WriteStep))
-        self.write_steps = tuple((WriteStep(s.cell, 0), WriteStep(s.cell, 1))
-                                 for s in program.steps if isinstance(s, WriteStep))
         for step in program.steps:
             if isinstance(step, ImpStep):
                 imp = resolved.get(step)
@@ -385,12 +382,10 @@ class _Plan:
         bounds = [0] + [i for i in range(1, len(is_write))
                         if is_write[i] and not is_write[i - 1]] + [len(is_write)]
         writes_before = [0, *itertools.accumulate(is_write)]
-        self.segments = tuple((start, stop, writes_before[start], writes_before[stop])
-                              for start, stop in zip(bounds, bounds[1:]))
-        self._write_spans = tuple(enumerate(slice(ws, we) for _, _, ws, we in self.segments))
+        self.segments = tuple(zip(bounds, bounds[1:]))
+        self._write_spans = tuple((k, slice(writes_before[start], writes_before[stop]))
+                                  for k, (start, stop) in enumerate(self.segments))
         self._memo: dict[tuple, tuple] = {}
-        self._round_steps: dict[tuple, tuple[Step, ...]] = {}
-        self._decoded: dict[tuple[int, ...], dict[str, int]] = {}  # final codes -> bits
 
     def bit(self, cell: str, code: int) -> int:
         """The bit that ``cell`` reads in the state of ``code``, decoded once
@@ -489,32 +484,27 @@ class _Plan:
                          zip(self.specs, map(state_of, _column0(state)))}
                 records.append(StepRecord(i, step.op, detail, after, node, events, bit))
 
-    def _steps_of(self, segment: int, values: tuple[int, ...]) -> tuple[Step, ...]:
-        """The steps of ``segment`` with ``values`` in its write steps,
-        cached per (segment, values), at most ``SEGMENT_MEMO`` of them."""
-        steps = self._round_steps.get((segment, values))
-        if steps is None:
-            start, stop, write_start, write_stop = self.segments[segment]
-            # a segment's writes are the block it starts with
-            steps = (*(pair[value] for pair, value
-                       in zip(self.write_steps[write_start:write_stop], values)),
-                     *self.steps[start + write_stop - write_start:stop])
-            if len(self._round_steps) >= SEGMENT_MEMO:
-                self._round_steps.clear()
-            self._round_steps[segment, values] = steps
-        return steps
+    def _steps_with(self, start: int, stop: int, values: Sequence[int]) -> tuple[Step, ...]:
+        """Steps ``start`` to ``stop`` with ``values`` in their write steps,
+        in order."""
+        values = iter(values)
+        return tuple(WriteStep(s.cell, next(values)) if isinstance(s, WriteStep) else s
+                     for s in self.steps[start:stop])
 
     def _round(self, key: tuple) -> tuple:
         """Run a memo miss: the segment of ``key`` = (segment, entry codes,
         write values) at nominal thresholds, stored in the memo as (exit
-        codes, reads, steps). A NoConvergence stores nothing."""
+        codes, reads, steps, bits of the exit codes). A NoConvergence
+        stores nothing."""
         segment, codes, values = key
-        start, stop, _, _ = self.segments[segment]
+        start, stop = self.segments[segment]
         state, reads = list(codes), []
         self._interpret(state, start, stop, values, reads)
         if len(self._memo) >= SEGMENT_MEMO:
             self._memo.clear()
-        hit = self._memo[key] = (tuple(state), tuple(reads), self._steps_of(segment, values))
+        hit = self._memo[key] = (
+            tuple(state), tuple(reads), self._steps_with(start, stop, values),
+            dict(zip(self.specs, map(self.bit, self.specs, state))))
         return hit
 
     def trace(self, variation: str, seed: int | tuple[int, ...] | None, trace_level: str,
@@ -524,12 +514,13 @@ class _Plan:
         ``default_rng(seed)``, decoded into an ExecutionTrace; its step
         records are kept when ``trace_level`` is "full", none for "reads".
         ``steps``, when given, receives the program's steps with ``writes``
-        in place, round by round from the plan's step cache.
+        in place.
 
         A nominal run without records is one walk over the segments: each is
         looked up in the plan's memo, keyed by the segment, the codes
         entering it and its write values, and a miss runs its steps and
-        stores the exit codes, the reads and the steps."""
+        stores the exit codes, the reads, the steps and the bits of the exit
+        codes; the last segment's bits are the trace's final bits."""
         if variation not in ("off", "seeded"):
             raise ValueError("variation must be 'off' or 'seeded'")
         if variation == "seeded" and seed is not None and not all(
@@ -545,22 +536,16 @@ class _Plan:
                 steps = []
             for segment, span in self._write_spans:
                 key = (segment, codes, writes[span])
-                codes, round_reads, round_steps = memo.get(key) or self._round(key)
+                codes, round_reads, round_steps, bits = memo.get(key) or self._round(key)
                 reads += round_reads
                 steps += round_steps
         else:
             th = self.thresholds([seed]) if variation == "seeded" else None
             records = [] if trace_level == "full" else None
             state, reads = self.run(th, records=records, writes=writes)
-            codes = tuple(_column0(state))
+            bits = dict(zip(self.specs, map(self.bit, self.specs, _column0(state))))
             if steps is not None:
-                for segment, span in self._write_spans:
-                    steps += self._steps_of(segment, writes[span])
-        bits = self._decoded.get(codes)
-        if bits is None:
-            if len(self._decoded) >= SEGMENT_MEMO:
-                self._decoded.clear()
-            bits = self._decoded[codes] = dict(zip(self.specs, map(self.bit, self.specs, codes)))
+                steps += self._steps_with(0, len(self.steps), writes)
         return ExecutionTrace(records or [], reads, dict(bits), variation, seed)
 
 
@@ -857,11 +842,11 @@ def ripple_adder_8bit(a: int, b: int, c0: int, bits: int = 8,
     is compiled once per (stack, specs, configs, placement, bits) and
     cached, so an addition runs it with its write values (a_0, b_0, c0,
     then a_i, b_i), the same run ``execute`` makes of the program that
-    writes them, and returns that program, built from the plan's per-round
-    step tuples. At zero variation the cached plan memoizes each round (one
-    write segment) by its entry codes and write values, so a warm addition
-    is one walk over its rounds, each a lookup that gives the round's exit
-    codes, reads and steps; the memo is bounded by ``SEGMENT_MEMO``.
+    writes them, and returns that program. At zero variation the cached
+    plan memoizes each round (one write segment) by its entry codes and
+    write values, so a warm addition is one walk over its rounds, each a
+    lookup that gives the round's exit codes, reads, steps and the bits of
+    its exit codes; the memo is bounded by ``SEGMENT_MEMO``.
     A ``bits`` that is not an int >= 1, operands or a carry-in that are not
     ints (bools included), operands that do not fit in ``bits``, a carry-in
     other than 0 or 1, or a ``variation`` or seed that ``execute`` rejects

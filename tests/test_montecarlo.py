@@ -138,6 +138,16 @@ def test_oracle_rejects_unknown_outputs(default_stack, ideal_specs, ideal_config
                           ideal_configs, {"bogus": 1}, trials=10, seed=1)
 
 
+@pytest.mark.parametrize("bad", [2, -1, 0.5, "0", None, [1]])
+def test_oracle_rejects_expected_values_that_are_not_bits(default_stack, ideal_specs,
+                                                          ideal_configs, bad):
+    # no output decodes to such a value, so every trial would fail silently
+    for oracle in ({"out": bad}, lambda inputs: {"out": bad}):
+        with pytest.raises(ValueError, match="output 'out'"):
+            il.estimate_yield(_nand_program(1, 1), default_stack, ideal_specs,
+                              ideal_configs, oracle, trials=50, seed=1)
+
+
 def test_per_trial_outcomes(default_stack, ideal_specs, ideal_configs):
     report = il.estimate_yield(_nand_program(1, 1), default_stack, ideal_specs,
                                ideal_configs, _nand_oracle, trials=25, seed=1)

@@ -874,6 +874,7 @@ def test_segment_memo_stays_within_its_cap(monkeypatch):
     monkeypatch.setattr(program_module, "SEGMENT_MEMO", 5)
     program_module._ripple_plan.cache_clear()
     stack = il.build_adder_stack()
+    fa = il.compile_full_adder(stack)
     spec = il.ideal_device_spec()
     plan = _ripple_plan_of(8)
     rng = np.random.default_rng(7)
@@ -881,12 +882,31 @@ def test_segment_memo_stays_within_its_cap(monkeypatch):
         a, b, c0 = int(rng.integers(256)), int(rng.integers(256)), int(rng.integers(2))
         total, carry, trace, program = il.ripple_adder_8bit(a, b, c0)
         assert total + (carry << 8) == a + b + c0
-        assert trace.reads == il.execute(program, stack, {"bottom": spec, "top": spec},
-                                         il.default_configs(spec)).reads
+        # with 8 rounds to a cap of 5, the memo clears partway through the walk
+        want = il.execute(program, stack, {"bottom": spec, "top": spec},
+                          il.default_configs(spec))
+        assert (trace.reads, trace.final_bits) == (want.reads, want.final_bits)
+        assert program == _composed_ripple_program(fa, a, b, c0, 8)
         assert 0 < len(plan._memo) <= 5
-        assert 0 < len(plan._round_steps) <= 5
-        assert 0 < len(plan._decoded) <= 5
     program_module._ripple_plan.cache_clear()
+
+
+def test_default_ripple_plan_memo_holds_every_round_it_can_reach():
+    # every (round, entry codes, write values) key reachable from all-OFF
+    # codes fits under the cap, so warm additions never clear the memo
+    program_module._ripple_plan.cache_clear()
+    plan = _ripple_plan_of(8)
+    entries = {(0,) * len(plan.specs)}
+    for segment, span in plan._write_spans:
+        entries = {plan._round((segment, codes, values))[0] for codes in entries
+                   for values in itertools.product((0, 1), repeat=span.stop - span.start)}
+    assert len(plan._memo) == 176 < program_module.SEGMENT_MEMO
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        a, b, c0 = int(rng.integers(256)), int(rng.integers(256)), int(rng.integers(2))
+        total, carry = il.ripple_adder_8bit(a, b, c0)[:2]
+        assert total + (carry << 8) == a + b + c0
+    assert len(plan._memo) == 176
 
 
 def test_memo_keeps_biases_apart_by_the_sign_of_zero(default_stack):
