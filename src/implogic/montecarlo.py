@@ -22,7 +22,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .device import MemristorSpec
-from .program import ImpStep, StepProgram, WriteStep, _Plan
+from .program import ImpStep, StepProgram, WriteStep, _program_plan
 from .solver import MAX_CODE, state_of
 from .topology import ImpConfig, StackTopology
 
@@ -90,7 +90,11 @@ def estimate_yield(program: StepProgram, topology: StackTopology,
     attributed to the first step whose post-step device states diverge from
     the zero-variation reference trace. The degraded-ratio fraction counts
     implication steps after which a driven cell's conductance scale sits
-    below ``DEGRADED_BELOW`` (0.9). A ``trials`` that is not an int
+    below ``DEGRADED_BELOW`` (0.9). The plan comes from a cache of 16 kept
+    by program shape (``program._program_plan``), so programs that differ
+    only in their write values, such as the rows of a truth table, share
+    one; the reference run and every batch run take this program's writes.
+    Expected bits are reported as ints. A ``trials`` that is not an int
     >= 1, a ``seed`` that is not an int >= 0 (bools are not ints here),
     or an oracle that names an undeclared output or expects a bit other
     than 0 or 1 of one (the rule of ``WriteStep``) raises ValueError
@@ -112,10 +116,12 @@ def estimate_yield(program: StepProgram, topology: StackTopology,
             if want not in (0, 1):
                 raise ValueError(f"oracle expects {want!r} of output {var!r}: "
                                  "a bit must be 0 or 1")
+            expected[var] = int(want)
 
-    plan = _Plan(program, topology, specs, configs)
+    plan = _program_plan(program, topology, specs, configs)
+    writes = tuple(s.value for s in program.steps if isinstance(s, WriteStep))
     trail: list[tuple] = []
-    final, _ = plan.run(trail=trail)
+    final, _ = plan.run(trail=trail, writes=writes)
     rows = {cell: r for r, cell in enumerate(plan.specs)}
     if expected is None:
         expected = {var: plan.bit(cell, final[rows[cell]])
@@ -129,7 +135,7 @@ def estimate_yield(program: StepProgram, topology: StackTopology,
         n = min(BATCH_TRIALS, trials - start)
         trail = []
         state, _ = plan.run(plan.thresholds([(seed, t) for t in range(start, start + n)]),
-                            start, trail=trail)
+                            start, trail=trail, writes=writes)
         failed = failed_step[start:start + n]  # a view
         failed[:] = len(program.steps) - 1
         if reference is not None:

@@ -18,7 +18,9 @@ zero variation each one's pulse outcome per (P code, Q code) is memoized
 on Python ints. Write values are run-time inputs of a plan, so
 ``ripple_adder_8bit`` compiles one plan per (stack, specs, configs,
 placement, bits), caches it, and gives each addition its own writes
-instead of recompiling. A plan's steps fall into write segments,
+instead of recompiling; ``montecarlo.estimate_yield`` likewise takes one
+cached plan per program shape (``_program_plan``), whatever its write
+values. A plan's steps fall into write segments,
 each starting at step 0 or at a block of consecutive writes. A nominal
 trace without step records is one walk over the segments, each looked up
 in a memo kept for the life of the plan, keyed by the segment, the codes
@@ -335,7 +337,8 @@ class _Plan:
     reset's cell; an implication's P, then Q): draw k takes v_set and reset
     onset from rows 2k and 2k + 1 of the threshold table ``lo + span * U``.
     ``ops[i]`` is step i's cell row, or for an implication its interned
-    ``_Imp``, the number of its P draw, and P's and Q's rows. ``writes``
+    ``_Imp``, the rows of the threshold table that ``settle`` takes (Q's
+    v_set and P's and Q's reset onset), and P's and Q's cell rows. ``writes``
     holds the write steps' values, which a run may replace, since
     validation does not depend on them. A run's state is a list with one
     entry per cell row: an int code at nominal thresholds, or a 1-D
@@ -365,7 +368,9 @@ class _Plan:
                     imp = resolved[step] = _intern_imp(
                         config, self.specs[step.p], self.specs[step.q],
                         *topology.step_signs(step.p, step.q), _zero_signs(config))
-                ops.append((imp, len(drawn), rows[step.p], rows[step.q]))
+                k = len(drawn)  # P's draw; Q's is k + 1
+                ops.append((imp, np.array([2 * k + 2, 2 * k + 1, 2 * k + 3]),
+                            rows[step.p], rows[step.q]))
                 drawn += (rows[step.p], rows[step.q])
             else:
                 ops.append(rows[step.cell])
@@ -445,16 +450,15 @@ class _Plan:
             step, op = self.steps[i], self.ops[i]
             node, events, bit = None, (), None
             if isinstance(step, ImpStep):
-                imp, k, p, q = op
+                imp, th_rows, p, q = op
                 try:
                     if th is None:
                         state[p], state[q], events, node = imp.settle_nominal(
                             state[p], state[q])
                     else:
-                        pq = np.stack((state[p], state[q]))
+                        pq = np.array((state[p], state[q]))
                         events = [] if records is not None else None
-                        node = settle(imp.solve, pq,
-                                      th[[2 * k + 2, 2 * k + 1, 2 * k + 3]],
+                        node = settle(imp.solve, pq, th.take(th_rows, axis=0),
                                       imp.full, events)
                         state[p], state[q] = pq
                 except NoConvergence as exc:
@@ -793,18 +797,53 @@ def default_configs(spec: MemristorSpec) -> dict[str, ImpConfig]:
     }
 
 
+def _plan_key(stack: StackTopology | None, specs: dict[str, MemristorSpec] | None,
+              configs: dict[str, ImpConfig] | None) -> tuple:
+    """The hashable forms of a stack, a spec map and a config map that key
+    the plan caches, None standing for a default: the stack's (cell items,
+    unusable set), the spec items, and each config's (name, config, zero
+    signs), which keep 0.0 and -0.0 biases apart as in ``_intern_imp``."""
+    return (None if stack is None else (tuple(stack.cells.items()),
+                                        frozenset(stack.unusable_cells)),
+            None if specs is None else tuple(specs.items()),
+            None if configs is None else tuple((name, config, _zero_signs(config))
+                                               for name, config in configs.items()))
+
+
+@functools.lru_cache(maxsize=16)
+def _shape_plan(steps: tuple[Step, ...], inputs: tuple, outputs: tuple,
+                stack: tuple, specs: tuple, configs: tuple) -> _Plan:
+    """The validated plan of the program of ``steps`` and the declared input
+    and output items, on the stack, specs and configs of ``_plan_key``'s
+    forms. The steps write 0 wherever the program writes; validation and
+    compilation do not depend on write values, so a run gives the plan its
+    program's own."""
+    return _Plan(StepProgram(steps, dict(inputs), dict(outputs)),
+                 StackTopology(dict(stack[0]), stack[1]), dict(specs),
+                 {name: config for name, config, _ in configs})
+
+
+def _program_plan(program: StepProgram, topology: StackTopology,
+                  specs: dict[str, MemristorSpec], configs: dict[str, ImpConfig]) -> _Plan:
+    """The cached plan of ``program``'s shape: one plan serves every program
+    that differs from it only in its write values."""
+    steps = tuple(WriteStep(s.cell, 0) if isinstance(s, WriteStep) else s
+                  for s in program.steps)
+    return _shape_plan(steps, tuple(program.declared_inputs.items()),
+                       tuple(program.declared_outputs.items()),
+                       *_plan_key(topology, specs, configs))
+
+
 @functools.lru_cache(maxsize=64)
 def _ripple_plan(stack: tuple | None, specs: tuple | None, configs: tuple | None,
                  placement: tuple | None, bits: int) -> _Plan:
     """The validated plan of a ``bits``-round ripple addition of the full
-    adder, memoized on the hashable forms of ``ripple_adder_8bit``'s
-    arguments, None standing for a default: the stack's (cell items,
-    unusable set), the spec and placement items, and each config's (name,
-    config, zero signs), which keep 0.0 and -0.0 biases apart as in
-    ``_intern_imp``. Round zero writes a_0, b_0 and the carry-in, every
-    later round a_i and b_i, and each round ends by reading its sum bit;
-    the last round also reads the carry-out. The plan is built on all-zero
-    writes; each addition runs it with its own."""
+    adder, memoized on ``_plan_key``'s forms of ``ripple_adder_8bit``'s
+    stack, specs and configs and on the placement items, None standing for
+    a default. Round zero writes a_0, b_0 and the carry-in, every later
+    round a_i and b_i, and each round ends by reading its sum bit; the last
+    round also reads the carry-out. The plan is built on all-zero writes;
+    each addition runs it with its own."""
     topology = (build_adder_stack() if stack is None
                 else StackTopology(dict(stack[0]), stack[1]))
     if specs is None:
@@ -862,14 +901,8 @@ def ripple_adder_8bit(a: int, b: int, c0: int, bits: int = 8,
     if c0 not in (0, 1):
         raise ValueError("carry-in must be 0 or 1")
 
-    plan = _ripple_plan(
-        None if stack is None else (tuple(stack.cells.items()),
-                                    frozenset(stack.unusable_cells)),
-        None if specs is None else tuple(specs.items()),
-        None if configs is None else tuple((name, config, _zero_signs(config))
-                                           for name, config in configs.items()),
-        None if placement is None else tuple(placement.items()),
-        bits)
+    plan = _ripple_plan(*_plan_key(stack, specs, configs),
+                        None if placement is None else tuple(placement.items()), bits)
     # write values in step order: a_0, b_0, c0, then a_i, b_i
     writes = [a & 1, b & 1, c0]
     for i in range(1, bits):

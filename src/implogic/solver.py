@@ -338,10 +338,15 @@ def state_of(code: int) -> DeviceState:
 
 def _pair_drops(solve: Callable[[int, int], NodeSolution], pq: np.ndarray,
                 ) -> tuple[np.ndarray, NodeSolution]:
-    """P's and Q's drops (rows) in every column of the code pairs ``pq``,
+    """P's and Q's drops (rows) in the columns of the code pairs ``pq``,
     solving each distinct pair once, in ascending (P code, Q code) order,
-    and column 0's solution. Pairs are numbered over the codes present,
-    so the tables grow with those, not with the largest code."""
+    and column 0's solution. Where every column holds the same pair the
+    drops are that pair's one column, which broadcasts over the others.
+    One bincount numbers the pairs, as P code * size + Q code; when some
+    code below the largest is absent the codes present are numbered first,
+    so the tables grow with those, not with the largest code. A
+    NoConvergence names in ``column`` the first column that holds the pair
+    it arose in."""
     seen = np.bincount(pq.ravel()).tolist()  # entries per code, 0 to the largest
     codes = [code for code, n in enumerate(seen) if n]
     size = len(codes)
@@ -350,18 +355,21 @@ def _pair_drops(solve: Callable[[int, int], NodeSolution], pq: np.ndarray,
         number[codes] = np.arange(size)
         pq = number[pq]
     pair = pq[0] * size + pq[1]
-    present = np.flatnonzero(np.bincount(pair))
-    by_pair = np.empty((present[-1] + 1, 2))
+    counts = np.bincount(pair)
+    present = np.flatnonzero(counts).tolist()
+    by_pair = np.empty((2, counts.size))
     sols = {}
-    for key in present.tolist():
+    for key in present:
         p, q = divmod(key, size)
         try:
             sols[key] = sol = solve(codes[p], codes[q])
         except NoConvergence as exc:
             exc.column = int(np.flatnonzero(pair == key)[0])
             raise
-        by_pair[key] = sol.drop_p, sol.drop_q
-    return by_pair[pair].T, sols[pair[0]]
+        by_pair[:, key] = sol.drop_p, sol.drop_q
+    if len(present) == 1:
+        return by_pair[:, present[0]:present[0] + 1], sol
+    return by_pair.take(pair, axis=1), sols[int(pair[0])]
 
 
 def settle(solve: Callable[[int, int], NodeSolution], pq: np.ndarray, th: np.ndarray,
@@ -373,36 +381,39 @@ def settle(solve: Callable[[int, int], NodeSolution], pq: np.ndarray, th: np.nda
     per trial; ``solve`` maps a (P code, Q code) pair to its node solution.
 
     Each pass solves the node, then applies at most one event per rule to
-    each column still switching: Q sets if OFF and its drop reaches v_set;
-    P, then Q, resets fully (to OFF, code 0) at or below its full level, or
-    else partially (ON only, to the next code, capped at ``MAX_CODE``) at
-    or below its onset. The lattice is monotone within a pulse, so a column
-    stops in a few passes. Column 0's events go to ``events`` as (0 for P or
-    1 for Q, kind, drop, pass). Returns column 0's first-pass solution, the
-    bias point before switching; a NoConvergence names its first column in
-    ``column``."""
+    each column: Q sets if OFF and its drop reaches v_set; P, then Q,
+    resets fully (to OFF, code 0) at or below its full level, or else
+    partially (ON only, to the next code, capped at ``MAX_CODE``) at or
+    below its onset. A rule that has matched a device once in a pulse,
+    whether or not the device switched, does not match it again. The
+    lattice is monotone within a pulse, so a column stops in a few passes,
+    and the pulse ends at the first pass in which no column switches.
+
+    A column in which a pass switched nothing keeps its codes, and so its
+    drops, and switches nothing in any later pass, so the rules need not be
+    gated by the columns still switching. Pass 1, where no rule has matched
+    yet, skips the matched-rule masks, a pass in which nothing switches
+    returns before any code update, and codes change by mask arithmetic.
+    Column 0's events go to ``events`` as (0 for P or 1 for Q, kind, drop,
+    pass). Returns column 0's first-pass solution, the bias point before
+    switching; a NoConvergence names its first column in ``column``."""
     v_set, onset = th[0], th[1:]
-    n = pq.shape[1]
-    set_done = np.zeros(n, dtype=bool)
-    partial_done = np.zeros((2, n), dtype=bool)
-    full_done = np.zeros((2, n), dtype=bool)
-    active = np.ones(n, dtype=bool)
     for iteration in range(1, MAX_SETTLE_PASSES + 1):
         drops, sol = _pair_drops(solve, pq)
+        on = pq.astype(bool)
+        to_set = np.greater(drops[1] >= v_set, on[1])  # and Q is OFF
+        full_hit = drops <= full
+        partial_hit = drops <= onset
         if iteration == 1:
             first = sol
-        to_set = active & ~set_done & (pq[1] == 0) & (drops[1] >= v_set)
-        pq[1, to_set] = 1
-        set_done |= to_set
-        full_hit = active & ~full_done & (drops <= full)
-        partial_hit = active & ~full_hit & ~partial_done & (drops <= onset)
-        full_done |= full_hit
-        partial_done |= partial_hit
-        on = pq != 0
+        else:  # the rules that have not matched each device yet
+            to_set &= set_free
+            full_hit = full_hit & full_free
+            partial_hit = partial_hit & partial_free
+        partial_hit = np.greater(partial_hit, full_hit)  # and not a full reset
+        on[1] |= to_set
         to_full = full_hit & on
         to_partial = partial_hit & on
-        pq[to_partial] = np.minimum(pq[to_partial] + 1, MAX_CODE)
-        pq[to_full] = 0
         if events is not None:
             drop = drops[:, 0].tolist()
             if to_set[0]:
@@ -412,10 +423,18 @@ def settle(solve: Callable[[int, int], NodeSolution], pq: np.ndarray, th: np.nda
                     events.append((role, EventKind.FULL_RESET, drop[role], iteration))
                 elif to_partial[role, 0]:
                     events.append((role, EventKind.PARTIAL_RESET, drop[role], iteration))
-        active = to_set | (to_partial | to_full).any(axis=0)
-        if not active.any():
+        if not (np.count_nonzero(to_set) or np.count_nonzero(to_full)
+                or np.count_nonzero(to_partial)):
             return first
+        pq[1] |= to_set  # Q was OFF, code 0; set is code 1
+        pq += to_partial
+        np.minimum(pq, MAX_CODE, out=pq)
+        np.copyto(pq, 0, where=to_full)
+        if iteration == 1:
+            set_free, full_free, partial_free = ~to_set, ~full_hit, ~partial_hit
+        else:  # each hit is among the free entries
+            set_free, full_free, partial_free = (
+                set_free ^ to_set, full_free ^ full_hit, partial_free ^ partial_hit)
     exc = NoConvergence("switching did not reach a fixed point")
-    exc.column = int(np.flatnonzero(active)[0])
+    exc.column = int(np.flatnonzero(to_set | (to_partial | to_full).any(axis=0))[0])
     raise exc
-

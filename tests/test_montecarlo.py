@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import itertools
 import json
 
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 import implogic as il
 import implogic.montecarlo as montecarlo_module
+import implogic.program as program_module
 
 
 def _nand_program(a, b):
@@ -146,6 +149,17 @@ def test_oracle_rejects_expected_values_that_are_not_bits(default_stack, ideal_s
         with pytest.raises(ValueError, match="output 'out'"):
             il.estimate_yield(_nand_program(1, 1), default_stack, ideal_specs,
                               ideal_configs, oracle, trials=50, seed=1)
+
+
+def test_oracle_bits_are_reported_as_ints(default_stack, ideal_specs, ideal_configs):
+    # True and 1.0 pass the bit check; the report keeps them as the ints a
+    # WriteStep would store
+    for oracle in ({"out": True}, lambda inputs: {"out": 1.0}):
+        report = il.estimate_yield(_nand_program(0, 1), default_stack, ideal_specs,
+                                   ideal_configs, oracle, trials=5, seed=1)
+        assert report.expected == {"out": 1}
+        assert type(report.expected["out"]) is int
+        assert report.passes == 5
 
 
 def test_per_trial_outcomes(default_stack, ideal_specs, ideal_configs):
@@ -341,3 +355,105 @@ def test_batched_no_convergence_names_first_failing_trial(default_stack):
                              r"i_l \+0 A\): I-V of device Q \(ON\) overflows"):
         il.estimate_yield(prog, default_stack, specs, configs, {"out": 0},
                           trials=50, seed=4)
+
+
+# ---------------------------------------------------------------------------
+# pinned reports: any change in a trial's outcome changes these digests
+# ---------------------------------------------------------------------------
+
+# The sinh full adder of the yield_adder_sinh benchmark: set thresholds
+# 1.5 +- 0.4 V, and its recorded current-source bias pair
+_SINH_FA_SPEC = il.MemristorSpec(
+    v_set_min=1.1, v_set_max=1.9, v_reset_min=-1.5, v_reset_max=-2.2,
+    g_on=115e-6, g_off=10e-6, iv_model=il.sinh_iv_from_conductances(115e-6, 10e-6, 1.5, 1.5))
+_SINH_V_P, _SINH_I_L = -0.7099714559999999, -7.162778495999995e-05
+_PINNED = {
+    ("full_adder_sinh", 3): "cbc2d2b3316c16cbe5e4235785a4ed4412b187e338c3e40f089b0b920986a801",
+    ("full_adder_sinh", 20151):
+        "a4cebb3ab1074ded7e4870635d82e133a0d021a996e294f23f48014b391b09f8",
+    ("nand_ohmic", 3): "75d50f4a4468dea917a0e7cb188380ccff1a8c2065f4f9b4cef2891a9ecadf26",
+    ("nand_ohmic", 20151): "b1a51de4d9f85fc58016af554eedcae346d11db0ff41eddc2f85cf0dc84f3511",
+}
+
+
+def _pinned_rows(name):
+    """(program, topology, specs, configs, oracle) of each truth-table row."""
+    if name == "nand_ohmic":  # ohmic devices with a 1.0 V set-threshold window
+        spec = _wide_spec()
+        return [(_nand_program(a, b), il.build_default_stack(), {"bottom": spec, "top": spec},
+                 il.default_configs(spec), {"out": int(not (a and b))})
+                for a, b in itertools.product((0, 1), repeat=2)]
+    stack = il.build_adder_stack()
+    fa = il.compile_full_adder(stack)
+    configs = _bias_pair(_SINH_V_P, il.CurrentSourceLoad(_SINH_I_L),
+                         il.CurrentSourceLoad(-_SINH_I_L))
+    return [(il.with_inputs(fa, {"a": a, "b": b, "c_in": c}), stack,
+             {"bottom": _SINH_FA_SPEC, "top": _SINH_FA_SPEC}, configs,
+             {"s": (a + b + c) & 1, "c_out": (a + b + c) >> 1})
+            for a, b, c in itertools.product((0, 1), repeat=3)]
+
+
+@pytest.mark.parametrize("name, seed", sorted(_PINNED))
+def test_yield_reports_match_pinned_digests(name, seed):
+    digest, passes = hashlib.sha256(), []
+    for program, stack, specs, configs, oracle in _pinned_rows(name):
+        report = il.estimate_yield(program, stack, specs, configs, oracle,
+                                   trials=300, seed=seed)
+        passes.append(report.passes)
+        digest.update(json.dumps(report.to_json(), sort_keys=True).encode())
+        digest.update(report.failed_step.tobytes())
+    assert 0 < sum(passes) < 300 * len(passes)  # passing and failing trials pinned
+    assert digest.hexdigest() == _PINNED[name, seed]
+
+
+# ---------------------------------------------------------------------------
+# one plan per program shape
+# ---------------------------------------------------------------------------
+
+def _report_fields(report):
+    return report.to_json(), report.failed_step.tolist(), report.expected
+
+
+def test_truth_table_rows_share_one_plan(adder_stack):
+    spec = _wide_spec()
+    specs = {"bottom": spec, "top": spec}
+    configs = il.default_configs(spec)
+    fa = il.compile_full_adder(adder_stack)
+    rows = [(il.with_inputs(fa, {"a": a, "b": b, "c_in": c}),
+             {"s": (a + b + c) & 1, "c_out": (a + b + c) >> 1})
+            for a, b, c in itertools.product((0, 1), repeat=3)]
+
+    def run(program, oracle):
+        return il.estimate_yield(program, adder_stack, specs, configs, oracle,
+                                 trials=40, seed=5)
+
+    program_module._shape_plan.cache_clear()
+    shared = [run(*row) for row in rows]
+    assert program_module._shape_plan.cache_info().misses == 1
+    for row, report in zip(rows, shared):
+        program_module._shape_plan.cache_clear()
+        assert _report_fields(run(*row)) == _report_fields(report)
+
+
+def test_other_shapes_get_their_own_plans(default_stack):
+    spec = il.bottom_device_spec()
+    specs = {"bottom": spec, "top": spec}
+    configs = il.default_configs(spec)
+    nand = _nand_program(1, 0)
+    # the same cells with one implication turned around
+    other_step = il.StepProgram(nand.steps[:-1] + (il.ImpStep("T2", "B2"),),
+                                nand.declared_inputs, nand.declared_outputs)
+
+    def zero_bias(zero):
+        return _bias_pair(zero, il.CurrentSourceLoad(zero), il.CurrentSourceLoad(zero))
+
+    stronger = {name: dataclasses.replace(c, v_p=1.01 * c.v_p) for name, c in configs.items()}
+    cases = [(nand, configs), (_nand_program(0, 1), configs), (other_step, configs),
+             (nand, stronger), (nand, zero_bias(0.0)),
+             (nand, zero_bias(-0.0)), (nand, zero_bias(0.0))]
+    program_module._shape_plan.cache_clear()
+    misses = []
+    for program, cfg in cases:
+        il.estimate_yield(program, default_stack, specs, cfg, None, trials=10, seed=2)
+        misses.append(program_module._shape_plan.cache_info().misses)
+    assert misses == [1, 1, 2, 3, 4, 5, 5]

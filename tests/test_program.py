@@ -801,9 +801,7 @@ def test_ripple_program_is_the_composed_program(adder_stack):
 def _ripple_plan_of(bits, placement=None, specs=None, configs=None):
     """The cached plan that ``ripple_adder_8bit`` runs for these arguments."""
     return program_module._ripple_plan(
-        None, None if specs is None else tuple(specs.items()),
-        None if configs is None else tuple(
-            (name, cfg, program_module._zero_signs(cfg)) for name, cfg in configs.items()),
+        *program_module._plan_key(None, specs, configs),
         None if placement is None else tuple(placement.items()), bits)
 
 

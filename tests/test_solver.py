@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp
 
 import implogic as il
@@ -380,3 +382,101 @@ def test_settle_at_the_end_of_the_chain_stays_small():
         tracemalloc.stop()
     assert pq.tolist() == [[MAX_CODE], [MAX_CODE]]
     assert peak < 1_000_000
+
+
+def _scripted_solve(p, q):
+    """P stays OFF at drop 0; Q sees 1.5 V while OFF, -3.0 V at code 1
+    (below both its full-reset level and its onset) and 0 V after."""
+    return NodeSolution(0.0, 0.0, {0: 1.5, 1: -3.0}.get(q, 0.0), 0.0, 0)
+
+
+# v_set 1.0, onsets -0.5, full-reset levels -2.0
+_SCRIPTED_TH = np.array([[1.0], [-0.5], [-0.5]])
+_SCRIPTED_FULL = np.array([[-2.0], [-2.0]])
+
+
+def test_settle_sets_once_a_pulse():
+    # Q sets, resets fully, then sees v_set again while OFF: the set rule has
+    # matched once this pulse, so Q stays OFF
+    pq, events = np.array([[0], [0]]), []
+    settle(_scripted_solve, pq, _SCRIPTED_TH, _SCRIPTED_FULL, events)
+    assert pq.tolist() == [[0], [0]]
+    assert events == [(1, EventKind.SET, 1.5, 1), (1, EventKind.FULL_RESET, -3.0, 2)]
+
+
+def test_settle_full_reset_is_not_a_partial_reset():
+    # Q's drop reaches both its full level and its onset: one full reset, and
+    # the partial rule, which did not match, still fires once Q is set again
+    pq, events = np.array([[0], [1]]), []
+    settle(_scripted_solve, pq, _SCRIPTED_TH, _SCRIPTED_FULL, events)
+    assert pq.tolist() == [[0], [2]]
+    assert events == [(1, EventKind.FULL_RESET, -3.0, 1), (1, EventKind.SET, 1.5, 2),
+                      (1, EventKind.PARTIAL_RESET, -3.0, 3)]
+
+
+# codes 9 and MAX_CODE leave codes absent below the largest, so _pair_drops
+# numbers the codes present
+_BATCH_CODES = st.sampled_from([0, 1, 2, 3, 9, MAX_CODE])
+_LEVELS = st.floats(-3.0, 3.0)
+
+
+@st.composite
+def _settle_batches(draw):
+    """Code pairs, some columns equal, with per-column thresholds and a
+    solve whose drops, or whose NoConvergence, depend on the pair only."""
+    pairs = draw(st.lists(st.tuples(_BATCH_CODES, _BATCH_CODES), min_size=1, max_size=4))
+    pq = np.array(draw(st.lists(st.sampled_from(pairs), min_size=2, max_size=9)),
+                  dtype=np.intp).T
+    n = pq.shape[1]
+    th = np.array(draw(st.lists(_LEVELS, min_size=3 * n, max_size=3 * n))).reshape(3, n)
+    full = np.array(draw(st.lists(_LEVELS, min_size=2 * n, max_size=2 * n))).reshape(2, n)
+    if draw(st.booleans()):
+        full = full[:, :1]  # one full-reset level per device for every trial
+    salt = draw(st.integers(0, 2 ** 32 - 1))
+    failing = draw(st.sets(st.tuples(_BATCH_CODES, _BATCH_CODES), max_size=2))
+
+    def solve(p, q):
+        if (p, q) in failing:
+            raise il.NoConvergence(f"pair {p} {q}")
+        drop_p, drop_q = np.random.default_rng((salt, p, q)).uniform(-3.0, 3.0, 2).tolist()
+        return NodeSolution(0.0, drop_p, drop_q, 0.0, 0)
+
+    return solve, pq, th, full
+
+
+@settings(max_examples=200, deadline=None)
+@given(batch=_settle_batches())
+def test_settle_batch_matches_each_column_alone(batch):
+    solve, pq, th, full = batch
+    n = pq.shape[1]
+
+    def alone(j):
+        """Column j settled as a batch of one: (codes, events, first
+        solution), or (pass, pair) of the NoConvergence it raises."""
+        asked = []
+
+        def solve_j(p, q):
+            asked.append((p, q))  # one distinct pair, so one solve a pass
+            return solve(p, q)
+
+        codes, events = pq[:, j:j + 1].copy(), []
+        try:
+            first = settle(solve_j, codes, th[:, j:j + 1],
+                           full[:, j:j + 1] if full.shape[1] > 1 else full, events)
+        except il.NoConvergence:
+            return len(asked), asked[-1]
+        return codes[:, 0].tolist(), events, first
+
+    columns = [alone(j) for j in range(n)]
+    failed = [(col[0], col[1], j) for j, col in enumerate(columns) if len(col) == 2]
+    batch_codes, events = pq.copy(), []
+    if failed:
+        # the first pass that meets a failing pair fails at the lowest such
+        # pair, in the first column that holds it
+        with pytest.raises(il.NoConvergence) as exc:
+            settle(solve, batch_codes, th, full, events)
+        assert exc.value.column == min(failed)[2]
+        return
+    first = settle(solve, batch_codes, th, full, events)
+    assert batch_codes.T.tolist() == [col[0] for col in columns]
+    assert (events, first) == columns[0][1:]
