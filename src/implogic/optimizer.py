@@ -13,11 +13,16 @@ and gives each row its devices' I-V parameters (``device.iv_params``), so
 one solver call covers all of them: the closed form
 ``solver.solve_linear`` for pairs of two ohmic devices, the array Newton
 ``solver.solve_newton`` for the others, which freezes converged points and
-compacts its arrays only once fewer than half are still open. Each point
-takes the arithmetic it would take in a call of its own, so the stacked
-grid is bit for bit the grid of one solve per combination. The slacks
-reported for the winning bias come from ``evaluate_margin``, whose four
-combinations are one ``solver.solve_pairs`` call.
+compacts its arrays only once fewer than half are still open. A distinct
+device pair is solved once per grid: a row that repeats another's devices,
+under the same or the opposite bias sign, reads that row's node voltage,
+negated where the sign differs (both I-V laws are odd), so a pair jointly
+constrained with its mirror adds no rows. Each pair's slacks reduce through
+its extreme drops, four arrays a pair. Each point takes the arithmetic it
+would take in a call of its own, so the stacked grid is bit for bit the
+grid of one solve per combination. The slacks reported for the winning
+bias come from ``evaluate_margin``, whose four combinations are one
+``solver.solve_pairs`` call.
 """
 
 from __future__ import annotations
@@ -126,21 +131,35 @@ class _Pair:
 def _stack(pairs: list[_Pair]) -> list[tuple]:
     """The pairs' state combinations as the rows of stacked grids, one stack
     per solver: (solver, P's and Q's I-V parameters with one entry per row,
-    each row's bias sign or None if all are 1, the pairs). Row 4k + c of a
-    stack is its pair k in combination c of ``_COMBOS``. Pairs of two ohmic
+    each row's bias sign or None if all are 1, and per pair its reads: the
+    rows of its combinations in ``_COMBOS`` order, as a slice or an index
+    array, the sign it reads them with, a float or one per row, and the
+    pair). A distinct device pair is solved once per grid: a combination
+    whose P and Q parameters match an earlier row's reads that row's node
+    voltage, negated where its bias sign differs. This is exact, since both
+    I-V laws are odd in the drop and negation commutes with the balance's
+    arithmetic and with Newton's bracket and step tests. Pairs of two ohmic
     devices take ``solve_linear``, the others ``solve_newton``, grouped by
     the length of each device's parameter tuple."""
-    groups: dict[tuple[int, int], list[_Pair]] = {}
+    groups: dict[tuple[int, int], tuple[dict, list]] = {}
     for pair in pairs:
-        key = (len(dev.iv_params(pair.p_spec, dev.ON)), len(dev.iv_params(pair.q_spec, dev.ON)))
-        groups.setdefault(key, []).append(pair)
+        devices = [(dev.iv_params(pair.p_spec, p), dev.iv_params(pair.q_spec, q))
+                   for p, q in _COMBOS]
+        rows, reads = groups.setdefault((len(devices[0][0]), len(devices[0][1])), ({}, []))
+        at, signs = [], []
+        for device in devices:
+            row, flip = rows.setdefault(device, (len(rows), pair.flip))
+            at.append(row)
+            signs.append(flip * pair.flip)
+        end = at[0] + len(_COMBOS)
+        at = slice(at[0], end) if at == list(range(at[0], end)) else np.array(at)
+        reads.append((at, signs[0] if len(set(signs)) == 1 else np.array(signs), pair))
     stacks = []
-    for key, members in groups.items():
-        p_iv = _columns([dev.iv_params(pair.p_spec, p) for pair in members for p, _ in _COMBOS])
-        q_iv = _columns([dev.iv_params(pair.q_spec, q) for pair in members for _, q in _COMBOS])
-        flips = np.repeat([pair.flip for pair in members], len(_COMBOS))
+    for key, (rows, reads) in groups.items():
+        p_iv, q_iv = (_columns([device[k] for device in rows]) for k in (0, 1))
+        flips = np.array([flip for _, flip in rows.values()])
         stacks.append((solve_linear if key == (1, 1) else solve_newton, p_iv, q_iv,
-                       None if (flips == 1.0).all() else flips, members))
+                       None if (flips == 1.0).all() else flips, reads))
     return stacks
 
 
@@ -148,33 +167,40 @@ def _stacked_margin(vp: np.ndarray, ll: np.ndarray, g_l: float,
                     stacks: list[tuple]) -> np.ndarray:
     """Worst slack over every pair and state combination of ``stacks``
     (from ``_stack``) at each point of the broadcast (vp, ll) grid, with
-    each pair's bias times its sign; each stack takes one solver call."""
-    margin = np.full(np.broadcast(vp, ll).shape, np.inf)
-    rows = (-1,) + (1,) * margin.ndim
-    for solve, p_iv, q_iv, flips, members in stacks:
+    each pair's bias times its sign; each stack takes one solver call.
+    Rounding is monotone, so the smallest of a slack over combinations is
+    the slack of the largest or smallest drop: a pair's four slack arrays
+    are the inequalities of ``_slacks`` at its must-set row's Q drop, its
+    largest Q drop over the must-not-set rows, and its largest and
+    smallest P drops."""
+    shape = np.broadcast(vp, ll).shape
+    rows = (-1,) + (1,) * len(shape)
+    margin = None
+    for solve, p_iv, q_iv, flips, reads in stacks:
         p_rows = [a.reshape(rows) if isinstance(a, np.ndarray) else a for a in p_iv]
         q_rows = [a.reshape(rows) if isinstance(a, np.ndarray) else a for a in q_iv]
-        if flips is None:
-            x = solve(p_rows, vp, q_rows, ll, g_l)
+        if flips is not None:
+            vp_rows, ll_rows = flips.reshape(rows) * vp, flips.reshape(rows) * ll
         else:
-            x = solve(p_rows, flips.reshape(rows) * vp, q_rows,
-                      flips.reshape(rows) * ll, g_l)
-        if x.ndim == margin.ndim:  # rows whose parameters all agree come back as one
-            x = np.broadcast_to(x, (len(_COMBOS) * len(members),) + margin.shape)
-        for k, pair in enumerate(members):
-            x_k = x[len(_COMBOS) * k:len(_COMBOS) * (k + 1)]
-            vp_k = vp if pair.flip == 1.0 else pair.flip * vp
-            # a drop sign of 1 leaves the drop as it is
-            drop_p = vp_k + x_k if pair.s_p == 1 else pair.s_p * (vp_k + x_k)
-            drop_q = x_k if pair.s_q == 1 else pair.s_q * x_k
-            # combination 0 must set; the other three share the must-not-set slacks
-            for at, (p_state, q_state) in ((slice(0, 1), _COMBOS[0]),
-                                           (slice(1, None), _COMBOS[1])):
-                target, p_no_set, p_no_reset = _slacks(
-                    p_state.logic, q_state.logic, drop_p[at], drop_q[at],
-                    pair.p_spec, pair.q_spec)
-                worst = np.minimum(np.minimum(target, p_no_set), p_no_reset)
-                np.minimum(margin, np.minimum.reduce(worst), out=margin)
+            vp_rows, ll_rows = vp, ll
+        # rows whose parameters all agree come back as one
+        x = solve(p_rows, vp_rows, q_rows, ll_rows, g_l).reshape((-1,) + shape)
+        u = vp_rows + x  # P's drop before its drop sign, at each row's own bias
+        for at, sign, pair in reads:
+            u_k, x_k = u[at], x[at]
+            if isinstance(sign, np.ndarray):  # rows read with both signs
+                u_k, x_k, sign = sign.reshape(rows) * u_k, sign.reshape(rows) * x_k, 1.0
+            # a drop of sign -1 is largest where the unsigned one is smallest
+            hi, lo = np.maximum.reduce(u_k), np.minimum.reduce(u_k)
+            p_hi, p_lo = (hi, lo) if sign * pair.s_p == 1 else (-lo, -hi)
+            s_q = sign * pair.s_q
+            q_set = x_k[0] if s_q == 1 else -x_k[0]
+            q_not = (np.maximum.reduce(x_k[1:]) if s_q == 1
+                     else -np.minimum.reduce(x_k[1:]))
+            worst = np.minimum(
+                np.minimum(q_set - pair.q_spec.v_set_max, pair.q_spec.v_set_min - q_not),
+                np.minimum(pair.p_spec.v_set_min - p_hi, p_lo - pair.p_spec.v_reset_min))
+            margin = worst if margin is None else np.minimum(margin, worst, out=margin)
     return margin
 
 
@@ -182,10 +208,13 @@ def _pair_info(topology: StackTopology, specs: dict[str, MemristorSpec],
                pair: tuple[str, str], ref_sign: int | None = None) -> _Pair:
     """The pair's specs and drop signs, with its bias flipped where Q's drop
     sign differs from ``ref_sign``, the first pair's."""
-    p, q = pair
-    s_p, s_q = topology.step_signs(p, q)
-    return _Pair(specs[topology.cells[p].spec_ref], specs[topology.cells[q].spec_ref],
-                 s_p, s_q, 1.0 if ref_sign in (None, s_q) else -1.0)
+    s_p, s_q = topology.step_signs(*pair)
+    refs = [topology.cells[cell].spec_ref for cell in pair]
+    for cell, ref in zip(pair, refs):
+        if ref not in specs:
+            raise ValueError(f"specs lack {ref!r}, the spec of cell {cell!r}")
+    return _Pair(specs[refs[0]], specs[refs[1]], s_p, s_q,
+                 1.0 if ref_sign in (None, s_q) else -1.0)
 
 
 def _config_from(v_p: float, ll: float, g_l: float) -> ImpConfig:
@@ -215,7 +244,10 @@ def optimize(topology: StackTopology, p: str, q: str,
     Deterministic: ties resolve to the lexicographically smallest
     (v_p, load). Raises Infeasible when the best margin is negative, and
     ValueError when ``g_l`` is not a finite real number or ``rounds`` not
-    an int >= 0 (bools are neither here).
+    an int >= 0 (bools are neither here), when a constraint is not a
+    (P, Q) pair of cell names, or when ``specs`` lacks the spec ref of a
+    paired cell; these, and NotAdjacent for a pair that shares no wire,
+    are raised before any grid runs.
     """
     if not isinstance(g_l, numbers.Real) or isinstance(g_l, bool):
         raise ValueError(f"g_l must be a real number, got {g_l!r}")
@@ -233,7 +265,12 @@ def optimize(topology: StackTopology, p: str, q: str,
     else:
         raise ValueError(f"unknown load kind {load_kind!r}")
 
-    names = [(p, q), *map(tuple, constraints or [])]
+    names = [(p, q)]
+    for pair in constraints or []:
+        if (not isinstance(pair, (tuple, list)) or len(pair) != 2
+                or not all(isinstance(cell, str) for cell in pair)):
+            raise ValueError(f"constraint {pair!r} is not a (P, Q) pair of cell names")
+        names.append(tuple(pair))
     first = _pair_info(topology, specs, names[0])
     pairs = [first] + [_pair_info(topology, specs, pair, first.s_q) for pair in names[1:]]
 

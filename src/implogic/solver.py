@@ -102,14 +102,22 @@ class SwitchEvent:
     iteration: int
 
 
-def _balance(x, p_iv: tuple, vp, q_iv: tuple, ll, g_l: float):
+def _balance(x, p_iv: tuple, vp, q_iv: tuple, ll, g_l: float, slope: bool = True):
     """Signed current sum into the node and its derivative at node coordinate
-    x (= v_c), for P's and Q's I-V parameters (``dev.iv_params``), over
-    floats or arrays as ``dev.iv``; ``ll`` is the load current (g_l * v_l for
-    a resistive load, i_l for a current source)."""
-    i_p, g_p = dev.iv(p_iv, vp + x)
-    i_q, g_q = dev.iv(q_iv, x)
-    return i_p + i_q + ll + g_l * x, g_p + g_q + g_l
+    x (= v_c), or the sum alone when ``slope`` is False, for P's and Q's I-V
+    parameters (``dev.iv_params``), over floats or arrays as ``dev.iv``;
+    ``ll`` is the load current (g_l * v_l for a resistive load, i_l for a
+    current source). A g_l of 0.0 adds no terms, which changes no bit: where
+    the sum is -0.0 so is Q's current, so x <= 0 and g_l * x is -0.0."""
+    i_p, i_q = dev.iv(p_iv, vp + x, slope), dev.iv(q_iv, x, slope)
+    if slope:
+        (i_p, g_p), (i_q, g_q) = i_p, i_q
+    f = i_p + i_q + ll
+    if g_l:
+        f = f + g_l * x
+    if not slope:
+        return f
+    return f, (g_p + g_q + g_l if g_l else g_p + g_q)
 
 
 def _load_terms(load: ResistiveLoad | CurrentSourceLoad) -> tuple[float, float]:
@@ -192,7 +200,7 @@ def solve_newton(p_iv: tuple, vp: np.ndarray, q_iv: tuple, ll: np.ndarray,
     params = [_per_point(a, shape) if np.ndim(a) else a for a in (*p_iv, *q_iv)]
     with np.errstate(over="ignore", invalid="ignore"):
         f_lo, f_hi = (_balance(np.full(vp.size, end), params[:n_p], vp, params[n_p:],
-                               ll, g_l)[0] for end in (-BRACKET, BRACKET))
+                               ll, g_l, slope=False) for end in (-BRACKET, BRACKET))
         x = np.where(f_lo > 0.0, -BRACKET, BRACKET)
         bracketed = ~(f_lo > 0.0) & (f_hi > 0.0)
         del f_lo, f_hi  # freed before the iteration's arrays, for peak memory
@@ -203,7 +211,8 @@ def solve_newton(p_iv: tuple, vp: np.ndarray, q_iv: tuple, ll: np.ndarray,
         xi = np.zeros(vp.size)
         lo = np.full(vp.size, -BRACKET)
         hi = np.full(vp.size, BRACKET)
-        step = step_old = np.full(vp.size, np.inf)  # the sizes of the last two steps
+        mid = np.empty(vp.size)
+        step, step_old = np.full(vp.size, np.inf), np.full(vp.size, np.inf)  # the last two steps
         still = np.ones(vp.size, dtype=bool)  # the points not yet converged
         n_open = vp.size
         for it in range(1, MAX_ITERATIONS + 1):
@@ -214,9 +223,13 @@ def solve_newton(p_iv: tuple, vp: np.ndarray, q_iv: tuple, ll: np.ndarray,
             above = f > 0.0
             hi = np.where(above, xi, hi)
             lo = np.where(above, lo, xi)
-            mid = 0.5 * (lo + hi)  # rounds to an end once the ends are adjacent floats
-            done = ((f == 0.0) | (mid == lo) | (mid == hi)
-                    | ((np.abs(f) <= TOL_CURRENT) & (step <= TOL_STEP)))
+            np.add(lo, hi, out=mid)
+            mid *= 0.5  # rounds to an end once the ends are adjacent floats
+            done = np.abs(f, out=f) <= TOL_CURRENT
+            done &= step <= TOL_STEP
+            done |= f == 0.0
+            done |= mid == lo
+            done |= mid == hi
             if n_open < still.size:
                 done &= still
             if done.any():
@@ -232,9 +245,15 @@ def solve_newton(p_iv: tuple, vp: np.ndarray, q_iv: tuple, ll: np.ndarray,
                         still, [xi, dx, mid, lo, hi, step, step_old, vp, ll, *params])
                     still = np.ones(n_open, dtype=bool)
             x_new = xi - dx
-            newton = (lo <= x_new) & (x_new <= hi) & (2.0 * np.abs(dx) <= step_old)
+            newton = lo <= x_new
+            newton &= x_new <= hi
+            np.abs(dx, out=dx)
+            dx *= 2.0
+            newton &= dx <= step_old
             x_new = np.where(newton, x_new, mid)
-            step_old, step = step, np.abs(x_new - xi)
+            step, step_old = step_old, step
+            np.subtract(x_new, xi, out=step)
+            np.abs(step, out=step)
             xi = x_new
         x[still if i is None else i[still]] = xi[still]
     return x.reshape(shape)

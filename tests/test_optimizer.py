@@ -1,3 +1,4 @@
+import dataclasses
 import re
 import warnings
 
@@ -7,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 import implogic as il
 from implogic import device as dev
-from implogic.optimizer import (_COMBOS, Infeasible, _Pair, _slacks, _stack,
+from implogic import optimizer
+from implogic.optimizer import (_COMBOS, Infeasible, _Pair, _pair_info, _slacks, _stack,
                                 _stacked_margin)
 from implogic.solver import BRACKET, is_ohmic, solve_linear, solve_newton, solve_pair
 
@@ -508,11 +510,31 @@ def _stacked_grids(draw):
     return vp, ll
 
 
+_SIGNS = st.sampled_from((-1, 1))
+
+
+@st.composite
+def _stacked_pairs(draw):
+    """One pair, or two: a second drawn pair, the first's mirror (the same
+    devices under the opposite bias sign, with any drop signs) or the first
+    repeated. Two drawn pairs essentially never share a device pair, so only
+    the last two reach the rows ``_stack`` shares."""
+    pair = st.builds(_Pair, _grid_specs(), _grid_specs(), _SIGNS, _SIGNS,
+                     st.sampled_from((-1.0, 1.0)))
+    first = draw(pair)
+    second = draw(st.sampled_from(("none", "drawn", "mirror", "repeat")))
+    if second == "none":
+        return [first]
+    if second == "drawn":
+        return [first, draw(pair)]
+    if second == "mirror":
+        return [first, dataclasses.replace(first, s_p=draw(_SIGNS), s_q=draw(_SIGNS),
+                                           flip=-first.flip)]
+    return [first, first]
+
+
 @settings(max_examples=60, deadline=None)
-@given(grid=_stacked_grids(),
-       pairs=st.lists(st.builds(_Pair, _grid_specs(), _grid_specs(),
-                                st.sampled_from((-1, 1)), st.sampled_from((-1, 1)),
-                                st.sampled_from((-1.0, 1.0))), min_size=1, max_size=2),
+@given(grid=_stacked_grids(), pairs=_stacked_pairs(),
        g_l=st.one_of(st.just(0.0), st.floats(1e-6, 1e-3)))
 def test_stacked_grid_equals_per_combination_solves(grid, pairs, g_l):
     # all pairs' state combinations in one solver call per kind of I-V law
@@ -543,6 +565,106 @@ def test_stacked_grid_with_one_law_for_both_states():
     pairs = [_Pair(spec, spec, 1, 1)]
     np.testing.assert_array_equal(_stacked_margin(vp, ll, 0.0, _stack(pairs)),
                                   _per_combination_margin(vp, ll, 0.0, pairs))
+
+
+def _spec_with_b(b):
+    """115/10 uS with a 1.1-1.9 V set window: ohmic, or sinh with b_on = b_off = b."""
+    iv = il.LinearIV() if b is None else il.sinh_iv_from_conductances(115e-6, 10e-6, b, b)
+    return il.MemristorSpec(v_set_min=1.1, v_set_max=1.9, v_reset_min=-1.5,
+                            v_reset_max=-2.2, g_on=115e-6, g_off=10e-6, iv_model=iv)
+
+
+_MIRROR_GRID = (np.linspace(-3.0, 3.0, 13)[:, None], np.linspace(-7e-4, 7e-4, 11)[None, :])
+
+
+# b = 80 overflows sinh on both ends of the 10 V Newton bracket
+@pytest.mark.parametrize("b", [None, 1.5, 80.0], ids=["ohmic", "sinh", "steep"])
+@pytest.mark.parametrize("g_l", [0.0, 3.4e-5])
+@pytest.mark.parametrize("second,sign", [(("T1", "B1"), -1.0), (("B1", "T1"), 1.0)],
+                         ids=["mirror", "repeat"])
+def test_joint_pair_rows_are_solved_once(adder_stack, b, g_l, second, sign):
+    # B1:T1 jointly with T1:B1, as optimize builds them, has the first pair's
+    # devices under the opposite bias sign, and B1:T1 repeated under the
+    # same: the stack holds four rows, and the second pair reads them
+    # negated or as they are
+    specs = {"bottom": _spec_with_b(b), "top": _spec_with_b(b)}
+    first = _pair_info(adder_stack, specs, ("B1", "T1"))
+    pairs = [first, _pair_info(adder_stack, specs, second, first.s_q)]
+    (stack,) = _stack(pairs)
+    _, p_iv, q_iv, flips, reads = stack
+    assert flips is None and max(np.size(col) for col in (*p_iv, *q_iv)) == 4
+    assert [(at, s) for at, s, _ in reads] == [(slice(0, 4), 1.0), (slice(0, 4), sign)]
+    np.testing.assert_array_equal(_stacked_margin(*_MIRROR_GRID, g_l, [stack]),
+                                  _per_combination_margin(*_MIRROR_GRID, g_l, pairs))
+
+
+def test_pair_reads_shared_rows_with_both_signs():
+    # P has one law for both states, so only Q tells rows apart. The third
+    # pair's Q is OFF like the first pair's and ON like the second's; its
+    # bias sign is the second's and not the first's, so it reads the first's
+    # rows negated and the second's as they are
+    one_law = il.SinhIV(a_on=10.02e-6 / 1.5, b_on=1.5, a_off=10.02e-6 / 1.5, b_off=1.5)
+    p_spec = il.MemristorSpec(v_set_min=0.5, v_set_max=0.7, v_reset_min=-1.5,
+                              v_reset_max=-2.2, g_on=10.1e-6, g_off=10e-6, iv_model=one_law)
+    t_iv = il.sinh_iv_from_conductances(115e-6, 10e-6, 1.5, 2.0)
+    u_iv = il.sinh_iv_from_conductances(115e-6, 10e-6, 3.0, 2.5)
+    v_iv = il.SinhIV(a_on=u_iv.a_on, b_on=u_iv.b_on, a_off=t_iv.a_off, b_off=t_iv.b_off)
+    t, u, v = (dataclasses.replace(_spec_with_b(1.5), iv_model=iv) for iv in (t_iv, u_iv, v_iv))
+    pairs = [_Pair(p_spec, t, 1, 1), _Pair(p_spec, u, -1, 1, -1.0), _Pair(p_spec, v, 1, -1, -1.0)]
+    (stack,) = _stack(pairs)
+    at, sign, _ = stack[4][2]
+    np.testing.assert_array_equal(at, [0, 3, 0, 3])
+    np.testing.assert_array_equal(sign, [-1.0, 1.0, -1.0, 1.0])
+    np.testing.assert_array_equal(_stacked_margin(*_MIRROR_GRID, 0.0, [stack]),
+                                  _per_combination_margin(*_MIRROR_GRID, 0.0, pairs))
+
+
+@settings(max_examples=100, deadline=None)
+@given(p_spec=_grid_specs(), q_spec=_grid_specs(), states=st.sampled_from(_COMBOS),
+       vp=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=6),
+       ll=st.lists(st.floats(-7e-4, 7e-4), min_size=1, max_size=6),
+       g_l=st.one_of(st.just(0.0), st.floats(1e-6, 1e-3)))
+def test_node_solvers_are_odd_in_the_bias(p_spec, q_spec, states, vp, ll, g_l):
+    # _stack reads a device pair at the opposite bias sign as the negated
+    # node voltage; this holds bit for bit only while numpy's sinh is odd
+    # and its cosh even, and the solvers' tests are mirror-symmetric
+    vp, ll = np.array(vp)[:, None], np.array(ll)[None, :]
+    p_iv, q_iv = dev.iv_params(p_spec, states[0]), dev.iv_params(q_spec, states[1])
+    solvers = [solve_newton] + ([solve_linear] if is_ohmic(p_spec, q_spec) else [])
+    for solve in solvers:
+        np.testing.assert_array_equal(solve(p_iv, -vp, q_iv, -ll, g_l),
+                                      -solve(p_iv, vp, q_iv, ll, g_l))
+
+
+def _no_grid(*args):
+    raise AssertionError("a margin grid ran")
+
+
+@pytest.mark.parametrize("constraint", [("B1",), "B1T2", "B1", ("B1", "T2", "T1"),
+                                        ("B1", 2), None])
+def test_optimize_rejects_constraints_that_are_not_pairs(default_stack, bottom_spec,
+                                                         constraint, monkeypatch):
+    # these used to raise "not enough/too many values to unpack", a
+    # TypeError, or a NotAdjacent naming one character of a string
+    monkeypatch.setattr(optimizer, "_stacked_margin", _no_grid)
+    with pytest.raises(ValueError, match=re.escape(f"constraint {constraint!r} is not")):
+        il.optimize(default_stack, "T1", "T2", _specs_for(default_stack, bottom_spec),
+                    constraints=[constraint])
+
+
+def test_optimize_rejects_specs_without_a_paired_cells_ref(default_stack, bottom_spec,
+                                                            monkeypatch):
+    # this used to raise a bare KeyError: 'top'
+    monkeypatch.setattr(optimizer, "_stacked_margin", _no_grid)
+    with pytest.raises(ValueError, match="specs lack 'top', the spec of cell 'T1'"):
+        il.optimize(default_stack, "T1", "T2", {"bottom": bottom_spec})
+    with pytest.raises(ValueError, match="specs lack 'bottom', the spec of cell 'B1'"):
+        il.optimize(default_stack, "T1", "T2", {"top": bottom_spec},
+                    constraints=[("B1", "T2")])
+    # only the paired cells' specs are needed
+    monkeypatch.undo()
+    il.optimize(default_stack, "T1", "T2", {"top": bottom_spec},
+                constraints=[["T1", "T2"]])
 
 
 @settings(max_examples=60, deadline=None)
