@@ -230,26 +230,22 @@ def iv_params(spec: MemristorSpec, state: DeviceState) -> tuple[float, ...]:
 def iv(params: tuple, v, slope: bool = True):
     """The one I-V law: (current, dI/dV) at drop v for the parameters of
     ``iv_params``, or the current alone when ``slope`` is False; the
-    parameters and v may be floats or arrays that broadcast together. Sinh:
-    a*sinh(b*v) and (a*b)*cosh(b*v), with b*v formed once; ohmic: g*v and
-    g. Both are odd in v, so the current takes the sign of v. Where sinh or
-    cosh overflows, a float raises OverflowError and an array saturates."""
+    parameters and v may be floats or arrays that broadcast together, and
+    take the same numpy functions. Sinh: a*sinh(b*v) and (a*b)*cosh(b*v),
+    with b*v formed once; ohmic: g*v and g. Both are odd in v. Where sinh or
+    cosh overflows, the result saturates to inf with numpy's warning."""
     if len(params) == 1:
         g, = params
         return (g * v, g) if slope else g * v
     a, b, ab = params
     bv = b * v
-    if isinstance(v, np.ndarray) or isinstance(b, np.ndarray):
-        sinh, cosh = np.sinh, np.cosh
-    else:
-        sinh, cosh = math.sinh, math.cosh
-    i = a * sinh(bv)
-    return (i, ab * cosh(bv)) if slope else i
+    i = a * np.sinh(bv)
+    return (i, ab * np.cosh(bv)) if slope else i
 
 
 def current(spec: MemristorSpec, state: DeviceState, v):
     """Device current at voltage drop v (a float or an array): ``iv`` at
-    the state's parameters."""
+    the state's parameters, saturating to inf with numpy's warning."""
     return iv(iv_params(spec, state), v, slope=False)
 
 

@@ -8,11 +8,12 @@ P, Q, and the load.
 
 A device enters the balance through the parameters of its one I-V law
 (``device.iv_params``), which may be floats or arrays with an entry per
-point. One current balance (``_balance``), one closed form for two ohmic
-devices (``solve_linear``) and one safeguarded Newton (``solve_newton``)
-take floats or arrays alike: ``solve_pairs`` runs one of them on the state
-pairs of one bias (``solve_pair`` on a single one), and the optimizer's
-margin grids run them over every state combination of a grid at once.
+point, and through its one evaluator, ``device.iv``. One current balance
+(``_balance``), one closed form for two ohmic devices (``solve_linear``)
+and one safeguarded Newton (``solve_newton``) take floats or arrays alike:
+``solve_pairs`` runs one of them, and every check, on the state pairs of
+one bias (``solve_pair`` on a single one), and the optimizer's margin
+grids run them over every state combination of a grid at once.
 
 Sign convention: the reported common-node voltage ``v_c`` is the negated
 electrical node potential, chosen so that for ohmic devices
@@ -139,21 +140,6 @@ def solve_linear(p_iv: tuple, vp, q_iv: tuple, ll, g_l: float):
     return (-g_p * vp - ll) / (g_l + g_p + g_q)
 
 
-def _bracket_overflow(p_spec: MemristorSpec, p_state: DeviceState, v_p: float,
-                      q_spec: MemristorSpec, q_state: DeviceState) -> NoConvergence:
-    """Name the bracket end and the device whose I-V overflows there."""
-    for x in (-BRACKET, BRACKET):
-        for role, spec, state, v in (("P", p_spec, p_state, v_p + x),
-                                     ("Q", q_spec, q_state, x)):
-            try:
-                dev.iv(dev.iv_params(spec, state), v)
-            except OverflowError:
-                return NoConvergence(
-                    f"I-V of device {role} ({state.logic.name}) overflows at the "
-                    f"{x:+g} V end of the Newton bracket (drop {v:+.4g} V)")
-    return NoConvergence("I-V overflow on the Newton bracket")
-
-
 def _per_point(a, shape: tuple) -> np.ndarray:
     """``a`` broadcast to ``shape``, as a flat array with an entry per point."""
     if np.shape(a) == shape:
@@ -187,12 +173,13 @@ def solve_newton(p_iv: tuple, vp: np.ndarray, q_iv: tuple, ll: np.ndarray,
     Newton crawling down a steep sinh at ~1/b volts per step. A converged
     point is frozen: its result is kept, and the arrays drop it only once
     fewer than half of their points are still open.
-    Never raises: a point whose balance has no sign change on the bracket
-    takes the end its root lies beyond, sinh overflow saturates (NaN counts
-    as f <= 0, which keeps ``f > 0`` monotone in x), and a point still open
-    after ``MAX_ITERATIONS`` keeps its last iterate. ``iterations``, a flat
-    integer array of the grid's size if given, receives the pass each point
-    converged in; the entries of the other points are left as they are.
+    Never raises: a point whose root lies at or beyond a bracket end (f is
+    0.0 there, or of the sign of the end) takes that end, sinh overflow
+    saturates (NaN counts as f < 0, which keeps ``f > 0`` monotone in x),
+    and a point still open after ``MAX_ITERATIONS`` keeps its last iterate.
+    ``iterations``, a flat integer array of the grid's size if given,
+    receives the pass each point converged in, 0 at a bracket end; those of
+    the points still open are left as they are.
     """
     n_p = len(p_iv)
     shape = np.broadcast_shapes(*map(np.shape, (vp, ll, *p_iv, *q_iv)))
@@ -201,8 +188,10 @@ def solve_newton(p_iv: tuple, vp: np.ndarray, q_iv: tuple, ll: np.ndarray,
     with np.errstate(over="ignore", invalid="ignore"):
         f_lo, f_hi = (_balance(np.full(vp.size, end), params[:n_p], vp, params[n_p:],
                                ll, g_l, slope=False) for end in (-BRACKET, BRACKET))
-        x = np.where(f_lo > 0.0, -BRACKET, BRACKET)
-        bracketed = ~(f_lo > 0.0) & (f_hi > 0.0)
+        x = np.where(f_lo >= 0.0, -BRACKET, BRACKET)
+        bracketed = ~(f_lo >= 0.0) & (f_hi > 0.0)
+        if iterations is not None:
+            iterations[~bracketed] = 0
         del f_lo, f_hi  # freed before the iteration's arrays, for peak memory
         i = None  # each working point's index in the grid, while not the identity
         if not bracketed.all():
@@ -269,50 +258,63 @@ def solve_pairs(p_spec: MemristorSpec, q_spec: MemristorSpec,
                 states: list[tuple[DeviceState, DeviceState]], config: ImpConfig,
                 s_p: int = 1, s_q: int = 1) -> list[NodeSolution]:
     """``solve_pair`` for each (P state, Q state) of ``states`` under one
-    bias, from one closed-form or Newton solve over all of them. Before any
-    solve, raises the NoConvergence of the first pair in order that
-    ``solve_pair`` rejects up front: its node floats (no load conductance,
-    and both devices' conductance parameter, g or a*b, is 0.0), or on the
-    Newton path its I-V overflows at a bracket end or its balance has no
-    root in the bracket. After the solve, raises that of the first pair
-    whose Newton is still open with too large a residual."""
+    bias, from one solve and one set of array checks over all of them.
+    Before any solve, raises the NoConvergence of the first pair in order
+    that ``solve_pair`` rejects up front: its node floats (no load
+    conductance, and both devices' conductance parameter, g or a*b, is 0.0),
+    or on the Newton path its I-V overflows at a bracket end or its balance
+    has no root in the bracket. After the solve, raises that of the first
+    pair whose closed-form root is not finite or whose Newton is still open
+    with too large a residual."""
     v_p, (g_l, ll) = config.v_p, _load_terms(config.load)
-    points = [(dev.iv_params(p_spec, p), v_p, dev.iv_params(q_spec, q), ll, g_l)
-              for p, q in states]
-    p_iv, q_iv = (_columns([point[k] for point in points]) for k in (0, 2))
+    p_iv, q_iv = (_columns([dev.iv_params(spec, pair[k]) for pair in states])
+                  for k, spec in enumerate((p_spec, q_spec)))
+    n = len(states)
+    vp = np.full(n, v_p)
     ohmic = is_ohmic(p_spec, q_spec)
-    for (p_state, q_state), point in zip(states, points):
-        # the last I-V parameter is the conductance: g, or a*b of a sinh
-        if g_l == 0.0 and point[0][-1] == 0.0 and point[2][-1] == 0.0:
-            raise NoConvergence("node floats: no conductance to the node")
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        # no conductance to the node: g_l and each g or a*b (the last I-V
+        # parameter), all >= 0, sum to 0.0
+        floats = vp * 0.0 + p_iv[-1] + q_iv[-1] + g_l == 0.0
+        rejected, overflows = floats, []
         if not ohmic:
-            try:
-                f_lo, _ = _balance(-BRACKET, *point)
-                f_hi, _ = _balance(BRACKET, *point)
-            except OverflowError:
-                raise _bracket_overflow(p_spec, p_state, v_p, q_spec, q_state) from None
-            if f_lo > 0.0 or f_hi < 0.0:
+            for x in (-BRACKET, BRACKET):
+                for role, params, v in (("P", p_iv, v_p + x), ("Q", q_iv, x)):
+                    i, di = dev.iv(params, np.full(n, v))
+                    overflows.append((~(np.isfinite(i) & np.isfinite(di)), role, x, v))
+            ends = np.array([[-BRACKET], [BRACKET]])
+            f_lo, f_hi = _balance(ends, p_iv, vp, q_iv, ll, g_l, slope=False)
+            rejected = np.logical_or.reduce(
+                [floats, *(over for over, *_ in overflows), f_lo > 0.0, f_hi < 0.0])
+        if rejected.any():
+            k = int(rejected.argmax())
+            if floats[k]:
+                raise NoConvergence("node floats: no conductance to the node")
+            for over, role, x, v in overflows:
+                if over[k]:
+                    raise NoConvergence(
+                        f"I-V of device {role} ({states[k][role == 'Q'].logic.name}) "
+                        f"overflows at the {x:+g} V end of the Newton bracket (drop {v:+.4g} V)")
+            raise NoConvergence(
+                f"no current-balance root in [{-BRACKET}, {BRACKET}] V "
+                f"(f({-BRACKET})={f_lo[k]:.3g}, f({BRACKET})={f_hi[k]:.3g})")
+        if ohmic:
+            x, count = solve_linear(p_iv, vp, q_iv, ll, g_l), np.zeros(n, dtype=np.intp)
+            if not np.isfinite(x).all():  # too little conductance to the node
                 raise NoConvergence(
-                    f"no current-balance root in [{-BRACKET}, {BRACKET}] V "
-                    f"(f({-BRACKET})={f_lo:.3g}, f({BRACKET})={f_hi:.3g})")
-    vp = np.full(len(states), v_p)
-    if ohmic:
-        x, count = solve_linear(p_iv, vp, q_iv, ll, g_l), [0] * len(states)
-    else:
-        count = np.zeros(len(states), dtype=np.intp)  # stays 0 where a point is still open
-        x = solve_newton(p_iv, vp, q_iv, np.array(ll), g_l, count)
-        count = count.tolist()
-    out = []
-    for x_k, iterations, point in zip(x.tolist(), count, points):
-        residual, _ = _balance(x_k, *point)
-        if not ohmic and iterations == 0:  # still open after MAX_ITERATIONS
-            if not abs(residual) <= TOL_CURRENT:
-                raise NoConvergence(
-                    f"residual {residual:.3g} A after {MAX_ITERATIONS} iterations")
-            iterations = MAX_ITERATIONS
-        out.append(NodeSolution(v_c=x_k, drop_p=s_p * (v_p + x_k), drop_q=s_q * x_k,
-                                residual=residual, iterations=iterations))
-    return out
+                    f"node floats: the closed-form root is {x[~np.isfinite(x)][0]:g} V")
+        else:
+            count = np.full(n, -1, dtype=np.intp)  # stays -1 where a point is still open
+            x = solve_newton(p_iv, vp, q_iv, ll, g_l, count)
+        residual = _balance(x, p_iv, vp, q_iv, ll, g_l, slope=False)
+    failed = (count < 0) & ~(np.abs(residual) <= TOL_CURRENT)
+    if failed.any():
+        raise NoConvergence(
+            f"residual {residual[failed.argmax()]:.3g} A after {MAX_ITERATIONS} iterations")
+    count[count < 0] = MAX_ITERATIONS
+    return [NodeSolution(v_c=x_k, drop_p=s_p * (v_p + x_k), drop_q=s_q * x_k,
+                         residual=r, iterations=it)
+            for x_k, r, it in zip(x.tolist(), residual.tolist(), count.tolist())]
 
 
 def solve_pair(p_spec: MemristorSpec, p_state: DeviceState,
@@ -325,10 +327,10 @@ def solve_pair(p_spec: MemristorSpec, p_state: DeviceState,
 
     Raises NoConvergence when the node floats (no load conductance and
     both devices' conductance parameter 0.0, where the closed form would
-    divide 0 by 0 or a nonzero current by 0), when an I-V overflows at a
-    bracket end, when the balance has no root in the bracket, or when
-    Newton is still open after ``MAX_ITERATIONS`` with a residual above
-    ``TOL_CURRENT``.
+    divide 0 by 0 or a nonzero current by 0, or a closed-form root that
+    is not finite), when an I-V overflows at a bracket end, when the
+    balance has no root in the bracket, or when Newton is still open after
+    ``MAX_ITERATIONS`` with a residual above ``TOL_CURRENT``.
     """
     return solve_pairs(p_spec, q_spec, [(p_state, q_state)], config, s_p, s_q)[0]
 

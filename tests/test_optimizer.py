@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import implogic as il
 from implogic import device as dev
@@ -619,11 +619,22 @@ def test_pair_reads_shared_rows_with_both_signs():
                                   _per_combination_margin(*_MIRROR_GRID, 0.0, pairs))
 
 
+def _end_root_loads(spec, v_p):
+    """The current sources under which two OFF devices balance to exactly
+    0.0 at the low and at the high end of the Newton bracket."""
+    return [float(-(dev.current(spec, dev.OFF, v_p + end) + dev.current(spec, dev.OFF, end)))
+            for end in (-BRACKET, BRACKET)]
+
+
 @settings(max_examples=100, deadline=None)
 @given(p_spec=_grid_specs(), q_spec=_grid_specs(), states=st.sampled_from(_COMBOS),
        vp=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=6),
        ll=st.lists(st.floats(-7e-4, 7e-4), min_size=1, max_size=6),
        g_l=st.one_of(st.just(0.0), st.floats(1e-6, 1e-3)))
+@example(p_spec=_spec_with_b(None), q_spec=_spec_with_b(None), states=_COMBOS[0],
+         vp=[0.5], ll=_end_root_loads(_spec_with_b(None), 0.5), g_l=0.0)
+@example(p_spec=_spec_with_b(0.5), q_spec=_spec_with_b(0.5), states=_COMBOS[0],
+         vp=[0.5], ll=_end_root_loads(_spec_with_b(0.5), 0.5), g_l=0.0)
 def test_node_solvers_are_odd_in_the_bias(p_spec, q_spec, states, vp, ll, g_l):
     # _stack reads a device pair at the opposite bias sign as the negated
     # node voltage; this holds bit for bit only while numpy's sinh is odd

@@ -974,9 +974,21 @@ def _floating_node_case():
             il.ImpConfig(0.0, il.CurrentSourceLoad(0.0)), "T1", "T2", {"T1": th, "T2": th})
 
 
+def _overflowing_root_case():
+    """Ohmic P and Q ON at codes 1990 and 1992 (scales 7.9e-309 and
+    3.9e-309) under a 1e-4 A current source at v_p = 0: the closed form
+    overflows, and once returned v_c = -inf with an overflow warning."""
+    stack, specs, states, _, p, q, thresholds = _floating_node_case()
+    spec = il.MemristorSpec(1.0, 2.0, -1.5, -2.2, 4.2e-5, 1e-5)
+    states = {**states, "T1": state_of(1990), "T2": state_of(1992)}
+    return (stack, {"bottom": spec, "top": spec}, states,
+            il.ImpConfig(0.0, il.CurrentSourceLoad(1e-4)), p, q, thresholds)
+
+
 @settings(max_examples=150, deadline=None)
 @given(case=_settle_cases())
 @example(case=_floating_node_case())
+@example(case=_overflowing_root_case())
 def test_settle_matches_scalar_rules(case):
     topology, specs, states, config, p, q, thresholds = case
 

@@ -1,5 +1,8 @@
 import itertools
+import math
+import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -9,9 +12,10 @@ from mpmath import mp
 
 import implogic as il
 from implogic.device import PARTIAL_RESET_FACTOR, DeviceState, Logic, iv_params
+from implogic import solver as solver_module
 from implogic.solver import (MAX_CODE, TOL_CURRENT, EventKind, NodeSolution, _balance,
                              _load_terms, _pair_drops, settle, solve_newton, solve_pair,
-                             state_of)
+                             solve_pairs, state_of)
 
 OFF = DeviceState(Logic.OFF)
 
@@ -247,6 +251,134 @@ def test_sinh_node_without_conductance_floats(sinh_spec, default_stack):
     cfg = il.ImpConfig(v_p=0.0, load=il.CurrentSourceLoad(0.0))
     with pytest.raises(il.NoConvergence, match="node floats: no conductance to the node"):
         solve_pair(sinh_spec, on, sinh_spec, on, cfg, *default_stack.step_signs("T1", "T2"))
+
+
+def test_ohmic_root_beyond_the_float_range_floats():
+    # P and Q ON far down the partial-reset chain (scales 7.9e-309 and
+    # 3.9e-309): the closed form divides 1e-4 A by 4.9e-313 S, which used to
+    # return v_c = -inf with an overflow warning
+    spec = il.MemristorSpec(1.0, 2.0, -1.5, -2.2, g_on=4.2e-5, g_off=1e-5)
+    cfg = il.ImpConfig(v_p=0.0, load=il.CurrentSourceLoad(1e-4))
+    with pytest.raises(il.NoConvergence, match=re.escape(
+            "node floats: the closed-form root is -inf V")):
+        solve_pair(spec, state_of(1990), spec, state_of(1992), cfg)
+
+
+@st.composite
+def _any_spec(draw):
+    g_off, ratio = draw(st.floats(5e-6, 20e-6)), draw(st.floats(3.0, 20.0))
+    iv = il.LinearIV()
+    if draw(st.booleans()):
+        b_on, b_off = (draw(st.sampled_from([0.5, 1.5, 3.0, 20.0, 80.0])) for _ in range(2))
+        iv = il.sinh_iv_from_conductances(g_off * ratio, g_off, b_on, b_off)
+    return il.MemristorSpec(1.0, 2.0, -1.5, -2.2, g_off * ratio, g_off, iv_model=iv)
+
+
+# OFF, ON after a few partial resets, subnormal scales, or any code
+_ANY_CODE = st.one_of(st.integers(0, 4), st.integers(1975, 2005), st.integers(0, MAX_CODE))
+
+
+@settings(max_examples=300, deadline=None)
+@given(p_spec=_any_spec(), q_spec=st.none() | _any_spec(), p_code=_ANY_CODE,
+       q_code=_ANY_CODE, v_p=st.floats(-5.0, 5.0), drive=st.floats(-4.0, 4.0),
+       g_l=st.just(0.0) | st.floats(1e-6, 2e-4))
+def test_solve_pair_is_finite_or_raises(p_spec, q_spec, p_code, q_code, v_p, drive, g_l):
+    # every node solve returns finite voltages and residual, or raises
+    # NoConvergence, and never warns
+    load = il.ResistiveLoad(g_l, drive) if g_l else il.CurrentSourceLoad(drive * 1e-4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            sol = solve_pair(p_spec, state_of(p_code), q_spec or p_spec, state_of(q_code),
+                             il.ImpConfig(v_p, load))
+        except il.NoConvergence:
+            return
+    assert all(map(math.isfinite, (sol.v_c, sol.drop_p, sol.drop_q, sol.residual)))
+
+
+# a sinh spec whose currents stay small on the whole bracket
+_GENTLE = il.bottom_device_spec(il.sinh_iv_from_conductances(115e-6, 10e-6, 0.5, 0.5))
+
+
+def _end_root_load(spec, p_state, v_p, q_state, end):
+    """The current source under which the balance is exactly 0.0 at ``end``."""
+    return float(-(il.current(spec, p_state, v_p + end) + il.current(spec, q_state, end)))
+
+
+@pytest.mark.parametrize("spec", [il.bottom_device_spec(), _GENTLE], ids=["ohmic", "sinh"])
+@pytest.mark.parametrize("end", [-10.0, 10.0])
+def test_root_at_either_bracket_end_is_taken_alike(spec, end):
+    # a balance of exactly 0.0 at an end has its root there, at both ends:
+    # Newton takes the end without iterating, mirrors it at the opposite
+    # bias, and solve_pair reports it with 0 iterations (it used to report
+    # MAX_ITERATIONS at +10 V and bisect towards -10 V)
+    on = DeviceState(Logic.ON)
+    i_l = _end_root_load(spec, on, 0.5, OFF, end)
+    p_iv, q_iv = iv_params(spec, on), iv_params(spec, OFF)
+    count = np.full(2, -1)
+    x = solve_newton(p_iv, np.array([0.5, -0.5]), q_iv, np.array([i_l, -i_l]), 0.0, count)
+    assert x.tolist() == [end, -end] and count.tolist() == [0, 0]
+    if spec is _GENTLE:  # an ohmic pair takes the closed form
+        sol = solve_pair(spec, on, spec, OFF, il.ImpConfig(0.5, il.CurrentSourceLoad(i_l)))
+        assert (sol.v_c, sol.residual, sol.iterations) == (end, 0.0, 0)
+
+
+# ON overflows sinh beyond 8.9 V, OFF does not within the bracket
+_OVERFLOWING = il.MemristorSpec(1.0, 2.0, -1.5, -2.2, 115e-6, 10e-6, iv_model=il.SinhIV(
+    a_on=115e-6 / 80.0, b_on=80.0, a_off=10e-6 / 1.5, b_off=1.5))
+_ON, _NONE = DeviceState(Logic.ON), state_of(MAX_CODE)  # a*b of MAX_CODE is 0.0
+
+
+def _bracket_end_error(states, v_p, i_l):
+    with pytest.raises(il.NoConvergence) as exc:
+        solve_pairs(_OVERFLOWING, _OVERFLOWING, states,
+                    il.ImpConfig(v_p, il.CurrentSourceLoad(i_l)))
+    return str(exc.value)
+
+
+@pytest.mark.parametrize("states,v_p,i_l,message", [
+    ([(_ON, OFF)], 0.0, 0.0, "I-V of device P (ON) overflows at the -10 V end of the "
+                             "Newton bracket (drop -10 V)"),
+    ([(OFF, _ON)], 0.0, 0.0, "I-V of device Q (ON) overflows at the -10 V end of the "
+                             "Newton bracket (drop -10 V)"),
+    ([(_ON, OFF)], 9.0, 0.0, "I-V of device P (ON) overflows at the +10 V end of the "
+                             "Newton bracket (drop +19 V)"),
+    ([(OFF, OFF)], 0.0, -100.0, "no current-balance root in [-10.0, 10.0] V "
+                                "(f(-10.0)=-122, f(10.0)=-78.2)"),
+    ([(OFF, OFF)], 0.0, 100.0, "no current-balance root in [-10.0, 10.0] V "
+                               "(f(-10.0)=78.2, f(10.0)=122)"),
+], ids=["P low end", "Q low end", "P high end", "root above", "root below"])
+def test_bracket_end_messages(states, v_p, i_l, message):
+    assert _bracket_end_error(states, v_p, i_l) == message
+
+
+@pytest.mark.parametrize("states,v_p,i_l,message", [
+    # the first pair rejected up front wins, whatever its check
+    ([(OFF, OFF), (_ON, OFF)], 0.0, 0.0, "I-V of device P (ON) overflows at the -10 V"),
+    ([(_ON, OFF), (_NONE, _NONE)], 9.0, 0.0, "I-V of device P (ON) overflows at the +10 V"),
+    ([(_NONE, _NONE), (_ON, OFF)], 9.0, 0.0, "node floats: no conductance to the node"),
+    ([(OFF, OFF), (OFF, OFF)], 0.0, -100.0, "no current-balance root"),
+    # within a pair, a floating node comes before an overflow
+    ([(_NONE, _NONE)], 0.0, 0.0, "node floats: no conductance to the node"),
+], ids=["later overflow", "earlier overflow", "earlier floats", "no root", "floats first"])
+def test_up_front_errors_take_the_first_rejected_pair(states, v_p, i_l, message):
+    assert _bracket_end_error(states, v_p, i_l).startswith(message)
+
+
+def _never_converges(p_iv, vp, q_iv, ll, g_l, iterations=None):
+    """A Newton whose every point is still open at x = 0."""
+    return np.zeros(np.shape(vp))
+
+
+def test_residual_error_comes_after_every_up_front_error(monkeypatch):
+    monkeypatch.setattr(solver_module, "solve_newton", _never_converges)
+    assert _bracket_end_error([(OFF, OFF)], 1.0, 0.0) == (
+        "residual 1.42e-05 A after 100 iterations")
+    # a later pair's up-front error is raised before the earlier one's residual
+    assert _bracket_end_error([(OFF, OFF), (_ON, OFF)], 1.0, 0.0) == (
+        "I-V of device P (ON) overflows at the -10 V end of the Newton bracket (drop -9 V)")
+    assert _bracket_end_error([(OFF, OFF), (OFF, _ON)], 1.0, 1e3) == (
+        "no current-balance root in [-10.0, 10.0] V (f(-10.0)=987, f(10.0)=1.06e+03)")
 
 
 def _nominal(specs, stack):
