@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -330,8 +331,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=1)
+def _main_parser() -> argparse.ArgumentParser:
+    """The one parser of ``main`` in this process, built on its first call:
+    a build costs about as much as a short warm command."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    parser = _main_parser()
     args = parser.parse_args(argv)
     if args.command == "yield" and args.trials < 1:
         parser.error("--trials must be >= 1")

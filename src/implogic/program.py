@@ -20,16 +20,22 @@ on Python ints. Write values are run-time inputs of a plan, so
 placement, bits), caches it, and gives each addition its own writes
 instead of recompiling; ``montecarlo.estimate_yield`` likewise takes one
 cached plan per program shape (``_program_plan``), whatever its write
-values. A plan's steps fall into write segments,
-each starting at step 0 or at a block of consecutive writes. A nominal
-trace without step records is one walk over the segments, each looked up
-in a memo kept for the life of the plan, keyed by the segment, the codes
-entering it and its write values, and bounded by ``SEGMENT_MEMO``; an
-entry holds the exit codes, the reads, the segment's steps with those
-write values in place and the bits the exit codes decode to, so the walk
-also yields the program it ran and its final bits. A miss runs the
-segment's steps through the same interpreter; a segment that raises
-NoConvergence stores nothing.
+values. A plan's steps fall into write segments, each starting at step 0
+or at a block of consecutive writes (a block of more than eight writes is
+cut after every eight). A nominal trace without step records is one
+linked walk over the segments. Each round entry holds a segment's run from
+given entry codes with given write values: the exit codes, the reads, the
+segment's steps with those values in place, the bits the exit codes decode
+to, and a successor table, a list indexed by the next segment's write
+values packed into an int. The walk starts at the plan's root entry (every
+cell OFF) and follows one link per segment, so a warm walk hashes no keys
+and builds no slices, and it also yields the program it ran and its final
+bits. A missing link is looked up in a memo kept for the life of the plan,
+keyed by the segment, the codes entering it and its write values, and
+bounded by ``SEGMENT_MEMO``; clearing the memo clears the root's links, so
+no entry outlives it through a link. A memo miss runs the segment's steps
+through the same interpreter; a segment that raises NoConvergence stores
+no entry and no link.
 """
 
 from __future__ import annotations
@@ -39,6 +45,7 @@ import itertools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -324,6 +331,32 @@ def _zero_signs(config: ImpConfig) -> tuple[float, ...]:
 # The default 8-bit ripple plan fills 176 entries over all additions.
 SEGMENT_MEMO = 1024
 
+# Writes a segment takes at most: a longer block of writes is cut, so that a
+# round entry's successor table has at most 2 ** _SEGMENT_WRITES slots.
+_SEGMENT_WRITES = 8
+
+
+class _Round(NamedTuple):
+    """A round entry: one segment's nominal run from given entry codes with
+    given write values. ``read_bits`` packs the reads' bits at their places
+    among all the program's reads, lowest first, and ``links`` is indexed by
+    the next segment's write values, packed as in ``_Plan._walk``, and holds
+    the entry they lead to, or None where no walk has gone yet."""
+
+    codes: tuple[int, ...]
+    reads: tuple[tuple[int, str, int], ...]
+    steps: tuple[Step, ...]
+    bits: dict[str, int]
+    read_bits: int
+    links: list[_Round | None]
+
+
+@functools.lru_cache(maxsize=1024)
+def _write_step(cell: str, value: int) -> WriteStep:
+    """The one WriteStep of a cell and value. The programs that runs return
+    share it, so a warm addition touches fewer objects."""
+    return WriteStep(cell, value)
+
 
 def _column0(state: list) -> list[int]:
     """Column 0 of a run state, as one int code per cell."""
@@ -344,10 +377,14 @@ class _Plan:
     entry per cell row: an int code at nominal thresholds, or a 1-D
     ``np.intp`` row of codes, one per trial, in a batch. ``segments`` cuts
     the steps into (start, stop) runs, each starting at step 0 or at a
-    block of consecutive writes. For the life of the plan, ``_memo`` maps
-    (segment, entry codes, write values) to the segment's nominal run: its
-    exit codes, its reads, its steps with those write values in place and
-    the bits its exit codes decode to, at most ``SEGMENT_MEMO`` entries."""
+    block of consecutive writes, cut after every ``_SEGMENT_WRITES``
+    writes, and ``_fields`` gives each the number of write steps before it
+    and a mask of as many bits as it has write steps. ``_root`` is the round
+    entry before segment 0, every cell OFF; from it, each ``_Round``'s links
+    lead to the next segment's entries. For the life of the plan, ``_memo``
+    maps (segment, entry codes, write values) to the segment's ``_Round``,
+    at most ``SEGMENT_MEMO`` entries; every entry reachable from the root by
+    links is in it."""
 
     def __init__(self, program: StepProgram, topology: StackTopology,
                  specs: dict[str, MemristorSpec], configs: dict[str, ImpConfig]):
@@ -382,15 +419,24 @@ class _Plan:
         hi = np.array([(s.v_set_max, s.v_reset_min) for s in by_row]).reshape(-1, 2)
         self.lo, self.span = lo[drawn].ravel(), (hi - lo)[drawn].ravel()
         self._bits: dict[tuple[str, int], int] = {}
-        # segments start at step 0 and at each later block of consecutive writes
+        # segments start at step 0, at each later block of consecutive writes
+        # and after every _SEGMENT_WRITES writes of a block
         is_write = [isinstance(s, WriteStep) for s in program.steps]
-        bounds = [0] + [i for i in range(1, len(is_write))
-                        if is_write[i] and not is_write[i - 1]] + [len(is_write)]
+        bounds, run = [0], 0
+        for i, write in enumerate(is_write):
+            run = run + 1 if write else 0
+            if i and run % _SEGMENT_WRITES == 1:
+                bounds.append(i)
+        bounds.append(len(is_write))
         writes_before = [0, *itertools.accumulate(is_write)]
         self.segments = tuple(zip(bounds, bounds[1:]))
-        self._write_spans = tuple((k, slice(writes_before[start], writes_before[stop]))
-                                  for k, (start, stop) in enumerate(self.segments))
-        self._memo: dict[tuple, tuple] = {}
+        # (segment, writes before it, mask of as many bits as it has writes)
+        self._fields = tuple(
+            (k, writes_before[start], (1 << writes_before[stop] - writes_before[start]) - 1)
+            for k, (start, stop) in enumerate(self.segments))
+        self._root = _Round((0,) * len(self.specs), (), (), {}, 0,
+                            [None] * (self._fields[0][2] + 1))
+        self._memo: dict[tuple, _Round] = {}
 
     def bit(self, cell: str, code: int) -> int:
         """The bit that ``cell`` reads in the state of ``code``, decoded once
@@ -492,24 +538,48 @@ class _Plan:
         """Steps ``start`` to ``stop`` with ``values`` in their write steps,
         in order."""
         values = iter(values)
-        return tuple(WriteStep(s.cell, next(values)) if isinstance(s, WriteStep) else s
+        return tuple(_write_step(s.cell, next(values)) if isinstance(s, WriteStep) else s
                      for s in self.steps[start:stop])
 
-    def _round(self, key: tuple) -> tuple:
-        """Run a memo miss: the segment of ``key`` = (segment, entry codes,
-        write values) at nominal thresholds, stored in the memo as (exit
-        codes, reads, steps, bits of the exit codes). A NoConvergence
-        stores nothing."""
-        segment, codes, values = key
-        start, stop = self.segments[segment]
-        state, reads = list(codes), []
-        self._interpret(state, start, stop, values, reads)
-        if len(self._memo) >= SEGMENT_MEMO:
-            self._memo.clear()
-        hit = self._memo[key] = (
-            tuple(state), tuple(reads), self._steps_with(start, stop, values),
-            dict(zip(self.specs, map(self.bit, self.specs, state))))
+    def _round(self, entry: _Round, segment: int, values: int) -> _Round:
+        """Follow a missing link: the entry of ``segment`` run from
+        ``entry``'s exit codes with the write values packed in ``values``,
+        from the memo or run at nominal thresholds and stored there, then
+        linked from ``entry``. A full memo is cleared with the root's links
+        before a new entry goes in. A NoConvergence stores no entry and no
+        link."""
+        width = self._fields[segment][2].bit_length()
+        key = (segment, entry.codes, tuple(values >> j & 1 for j in range(width)))
+        hit = self._memo.get(key)
+        if hit is None:
+            start, stop = self.segments[segment]
+            state, reads = list(entry.codes), []
+            self._interpret(state, start, stop, key[2], reads)
+            if len(self._memo) >= SEGMENT_MEMO:
+                self._memo.clear()
+                self._root.links[:] = [None] * len(self._root.links)
+            shift = sum(isinstance(s, ReadStep) for s in self.steps[:start])
+            slots = self._fields[segment + 1][2] + 1 if segment + 1 < len(self._fields) else 0
+            hit = self._memo[key] = _Round(
+                tuple(state), tuple(reads), self._steps_with(start, stop, key[2]),
+                dict(zip(self.specs, map(self.bit, self.specs, state))),
+                sum(bit << shift + j for j, (_, _, bit) in enumerate(reads)), [None] * slots)
+        entry.links[values] = hit
         return hit
+
+    def _walk(self, writes: int) -> tuple[_Round, list, list, int]:
+        """The nominal run of the write values packed in ``writes``, in step
+        order from bit 0 up, as one walk over the segments' round entries:
+        (the last entry, the reads, the steps with those values in place,
+        the reads' bits packed from bit 0 up)."""
+        entry, reads, steps, read_bits = self._root, [], [], 0
+        for segment, offset, mask in self._fields:
+            values = writes >> offset & mask
+            entry = entry.links[values] or self._round(entry, segment, values)
+            reads += entry.reads
+            steps += entry.steps
+            read_bits |= entry.read_bits
+        return entry, reads, steps, read_bits
 
     def trace(self, variation: str, seed: int | tuple[int, ...] | None, trace_level: str,
               writes: Sequence[int] | None = None, steps: list | None = None,
@@ -520,11 +590,8 @@ class _Plan:
         ``steps``, when given, receives the program's steps with ``writes``
         in place.
 
-        A nominal run without records is one walk over the segments: each is
-        looked up in the plan's memo, keyed by the segment, the codes
-        entering it and its write values, and a miss runs its steps and
-        stores the exit codes, the reads, the steps and the bits of the exit
-        codes; the last segment's bits are the trace's final bits."""
+        A nominal run without records is one ``_walk`` over the segments'
+        round entries; the last entry's bits are the trace's final bits."""
         if variation not in ("off", "seeded"):
             raise ValueError("variation must be 'off' or 'seeded'")
         if variation == "seeded" and seed is not None and not all(
@@ -535,14 +602,11 @@ class _Plan:
         writes = self.writes if writes is None else tuple(writes)
         records = None
         if variation == "off" and trace_level == "reads":
-            memo, codes, reads = self._memo, (0,) * len(self.specs), []
-            if steps is None:
-                steps = []
-            for segment, span in self._write_spans:
-                key = (segment, codes, writes[span])
-                codes, round_reads, round_steps, bits = memo.get(key) or self._round(key)
-                reads += round_reads
-                steps += round_steps
+            last, reads, run_steps, _ = self._walk(
+                sum(value << j for j, value in enumerate(writes)))
+            bits = last.bits
+            if steps is not None:
+                steps += run_steps
         else:
             th = self.thresholds([seed]) if variation == "seeded" else None
             records = [] if trace_level == "full" else None
@@ -864,6 +928,11 @@ def _ripple_plan(stack: tuple | None, specs: tuple | None, configs: tuple | None
     return _Plan(program, topology, spec_map, config_map)
 
 
+# x with bit i moved to bit 2i, for x < 256: read in base 4, a binary
+# numeral does that
+_SPREAD = tuple(int(f"{x:b}", 4) for x in range(256))
+
+
 def ripple_adder_8bit(a: int, b: int, c0: int, bits: int = 8,
                       stack: StackTopology | None = None,
                       specs: dict[str, MemristorSpec] | None = None,
@@ -881,37 +950,49 @@ def ripple_adder_8bit(a: int, b: int, c0: int, bits: int = 8,
     is compiled once per (stack, specs, configs, placement, bits) and
     cached, so an addition runs it with its write values (a_0, b_0, c0,
     then a_i, b_i), the same run ``execute`` makes of the program that
-    writes them, and returns that program. At zero variation the cached
-    plan memoizes each round (one write segment) by its entry codes and
-    write values, so a warm addition is one walk over its rounds, each a
-    lookup that gives the round's exit codes, reads, steps and the bits of
-    its exit codes; the memo is bounded by ``SEGMENT_MEMO``.
+    writes them, and returns that program. At zero variation the addition
+    is one ``_Plan._walk`` over the plan's round entries (one write segment
+    per round): it starts at the root, all cells OFF, follows the link of
+    (a_0, b_0, c0), then of each (a_i, b_i), and collects the reads, the
+    round steps and the sum bits, each round an entry holding its exit
+    codes, reads, steps and the bits of its exit codes. A missing link runs
+    the round once; the entries are bounded by ``SEGMENT_MEMO``.
     A ``bits`` that is not an int >= 1, operands or a carry-in that are not
     ints (bools included), operands that do not fit in ``bits``, a carry-in
     other than 0 or 1, or a ``variation`` or seed that ``execute`` rejects
     raise ValueError.
     """
-    if not isinstance(bits, int) or isinstance(bits, bool) or bits < 1:
-        raise ValueError(f"bits must be an int >= 1, got {bits!r}")
-    for name, value in (("a", a), ("b", b), ("c0", c0)):
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise ValueError(f"{name} must be an int, got {value!r}")
-    if not 0 <= a < 2 ** bits or not 0 <= b < 2 ** bits:
+    # exact ints skip the type tests, which take int subclasses but bool
+    if not (type(bits) is type(a) is type(b) is type(c0) is int) or bits < 1:
+        if not isinstance(bits, int) or isinstance(bits, bool) or bits < 1:
+            raise ValueError(f"bits must be an int >= 1, got {bits!r}")
+        for name, value in (("a", a), ("b", b), ("c0", c0)):
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an int, got {value!r}")
+    # both lie in [0, 2 ** bits) when neither has a bit, or a sign, at or
+    # above bit ``bits``
+    if (a | b) >> bits:
         raise ValueError(f"operands must fit in {bits} bits")
     if c0 not in (0, 1):
         raise ValueError("carry-in must be 0 or 1")
 
     plan = _ripple_plan(*_plan_key(stack, specs, configs),
                         None if placement is None else tuple(placement.items()), bits)
-    # write values in step order: a_0, b_0, c0, then a_i, b_i
-    writes = [a & 1, b & 1, c0]
-    for i in range(1, bits):
-        writes += ((a >> i) & 1, (b >> i) & 1)
-    steps: list[Step] = []
-    trace = plan.trace(variation, seed, "reads", writes, steps)
+    # a_i at bit 2i and b_i at bit 2i + 1
+    if bits <= 8:
+        pairs = _SPREAD[a] | _SPREAD[b] << 1
+    else:
+        pairs = int(f"{a:b}", 4) | int(f"{b:b}", 4) << 1
+    # write values in step order from bit 0 up: a_0, b_0, c0, then a_i, b_i
+    writes = pairs & 3 | c0 << 2 | pairs >> 2 << 3
+    if variation == "off":
+        last, reads, steps, read_bits = plan._walk(writes)
+        trace = ExecutionTrace([], reads, dict(last.bits), variation, seed)
+    else:
+        steps = []
+        trace = plan.trace(variation, seed, "reads",
+                           [writes >> j & 1 for j in range(2 * bits + 1)], steps)
+        read_bits = sum(bit << i for i, (_, _, bit) in enumerate(trace.reads))
     # the reads are each round's sum bit, then the carry-out
-    total = 0
-    for i, (_, _, bit) in enumerate(trace.reads[:bits]):
-        total |= bit << i
-    return (total, trace.reads[-1][2], trace,
+    return (read_bits & ((1 << bits) - 1), read_bits >> bits, trace,
             StepProgram(tuple(steps), dict(plan.inputs), dict(plan.outputs)))

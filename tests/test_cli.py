@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import implogic as il
+import implogic.cli as cli_module
 from implogic.cli import main
 
 
@@ -260,6 +261,27 @@ def test_adder_rejects_oversized_operand():
     with pytest.raises(SystemExit) as exc:
         main(["adder", "--a", "300", "--b", "1", "--cin", "0"])
     assert exc.value.code == 2
+
+
+def test_main_builds_one_parser(monkeypatch, tmp_path, capsys):
+    # main builds its parser on the first call only; a later usage error
+    # still prints the JSON body and exits 2
+    builds = []
+    build = cli_module.build_parser
+    monkeypatch.setattr(cli_module, "build_parser", lambda: builds.append(1) or build())
+    cli_module._main_parser.cache_clear()
+    try:
+        out = str(tmp_path / "adder.json")
+        assert main(["adder", "--a", "5", "--b", "3", "--cin", "1", "--out", out]) == 0
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(["adder", "--a", "300", "--b", "1", "--cin", "0"])
+        assert exc.value.code == 2
+        assert json.loads(capsys.readouterr().out) == {
+            "error": "usage", "message": "--a must fit in 8 bits"}
+        assert builds == [1]
+    finally:
+        cli_module._main_parser.cache_clear()
 
 
 def test_yield_command(tmp_path, circuit_file):

@@ -416,6 +416,28 @@ def test_plan_memo_is_not_used_with_records_or_a_trail(adder_stack, ideal_specs,
     assert len(trail) == sum(isinstance(s, il.ImpStep) for s in fa.steps)
 
 
+def test_long_write_block_is_walked_in_segments_of_eight(adder_stack, ideal_specs,
+                                                         ideal_configs):
+    # twelve consecutive writes become segments of eight and four, and the
+    # walk over them gives what execute gives for the same write values
+    fa = il.compile_full_adder(adder_stack)
+    block = tuple(il.WriteStep(fa.declared_inputs[v], 0) for v in ("a", "b", "c_in") * 4)
+    tail = fa.steps + (il.ReadStep(fa.declared_outputs["s"]),)
+    plan = program_module._Plan(il.StepProgram(block + tail), adder_stack, ideal_specs,
+                                ideal_configs)
+    assert plan.segments == ((0, 8), (8, len(block + tail)))
+    rng = np.random.default_rng(3)
+    for _ in range(12):
+        writes = [int(v) for v in rng.integers(0, 2, len(block))]
+        program = il.StepProgram(tuple(il.WriteStep(s.cell, v) for s, v in zip(block, writes))
+                                 + tail)
+        steps = []
+        got = plan.trace("off", None, "reads", writes, steps)
+        want = il.execute(program, adder_stack, ideal_specs, ideal_configs)
+        assert (got.reads, got.final_bits) == (want.reads, want.final_bits)
+        assert tuple(steps) == program.steps
+
+
 def test_ripple_plans_keep_biases_apart_by_the_sign_of_zero():
     # 0.0 == -0.0, but their implications are interned apart, so a plan
     # built for one must not serve the other
@@ -786,10 +808,10 @@ def _composed_ripple_program(fa, a, b, c0, bits):
 def test_ripple_program_is_the_composed_program(adder_stack):
     for placement in (None, _CUSTOM_PLACEMENT):
         fa = il.compile_full_adder(adder_stack, placement)
-        for bits in range(1, 9):
+        for bits in (*range(1, 9), 12):
             top = 2 ** bits - 1
             for k, (a, b, c0) in enumerate(itertools.product(
-                    (0, top, 0x55 & top), (0, top, 0xAA & top), (0, 1))):
+                    (0, top, 0x5555 & top), (0, top, 0xAAAA & top), (0, 1))):
                 want = _composed_ripple_program(fa, a, b, c0, bits)
                 program = il.ripple_adder_8bit(a, b, c0, bits, placement=placement)[3]
                 assert program == want
@@ -868,6 +890,17 @@ def test_ripple_overflow_is_raised_every_time_and_not_memoized():
     assert _ripple_plan_of(8, specs=specs)._memo == {}
 
 
+def _linked_entries(plan):
+    """The round entries reachable from the plan's root by links."""
+    seen, todo = {}, [plan._root]
+    while todo:
+        for entry in todo.pop().links:
+            if entry is not None and id(entry) not in seen:
+                seen[id(entry)] = entry
+                todo.append(entry)
+    return list(seen.values())
+
+
 def test_segment_memo_stays_within_its_cap(monkeypatch):
     monkeypatch.setattr(program_module, "SEGMENT_MEMO", 5)
     program_module._ripple_plan.cache_clear()
@@ -886,6 +919,40 @@ def test_segment_memo_stays_within_its_cap(monkeypatch):
         assert (trace.reads, trace.final_bits) == (want.reads, want.final_bits)
         assert program == _composed_ripple_program(fa, a, b, c0, 8)
         assert 0 < len(plan._memo) <= 5
+        # a clear drops the links too: no old entry stays reachable
+        assert len(_linked_entries(plan)) <= 5
+    program_module._ripple_plan.cache_clear()
+
+
+def test_ripple_failure_after_the_first_round_stores_nothing(monkeypatch):
+    # round 2 of 3 raises: rounds 0 and 1 are stored and linked, round 2
+    # has no entry, round 1's entry no link, and a retry raises the same
+    program_module._ripple_plan.cache_clear()
+    plan = _ripple_plan_of(3)
+    interpret = program_module._Plan._interpret
+
+    def failing(self, state, start, *args, **kwargs):
+        if self is plan and start == plan.segments[2][0]:
+            raise il.NoConvergence(f"step {start}: no root")
+        return interpret(self, state, start, *args, **kwargs)
+
+    monkeypatch.setattr(program_module._Plan, "_interpret", failing)
+    messages = []
+    for _ in range(2):
+        with pytest.raises(il.NoConvergence) as exc:
+            il.ripple_adder_8bit(5, 3, 1, 3)
+        messages.append(str(exc.value))
+    assert messages == [f"step {plan.segments[2][0]}: no root"] * 2
+    assert sorted(segment for segment, _, _ in plan._memo) == [0, 1]
+    round1 = next(entry for (segment, _, _), entry in plan._memo.items() if segment == 1)
+    assert round1.links == [None] * 4
+    assert len(_linked_entries(plan)) == 2
+    monkeypatch.undo()
+    total, carry = il.ripple_adder_8bit(5, 3, 1, 3)[:2]
+    assert total + (carry << 3) == 5 + 3 + 1
+    assert sorted(segment for segment, _, _ in plan._memo) == [0, 1, 2]
+    assert [e for e in round1.links if e] == [entry for (segment, _, _), entry
+                                           in plan._memo.items() if segment == 2]
     program_module._ripple_plan.cache_clear()
 
 
@@ -894,11 +961,14 @@ def test_default_ripple_plan_memo_holds_every_round_it_can_reach():
     # codes fits under the cap, so warm additions never clear the memo
     program_module._ripple_plan.cache_clear()
     plan = _ripple_plan_of(8)
-    entries = {(0,) * len(plan.specs)}
-    for segment, span in plan._write_spans:
-        entries = {plan._round((segment, codes, values))[0] for codes in entries
-                   for values in itertools.product((0, 1), repeat=span.stop - span.start)}
+    entries = [plan._root]
+    for segment, _, mask in plan._fields:
+        # one parent per exit codes: the memo keys a round by its entry codes
+        entries = list({hit.codes: hit for hit in (plan._round(entry, segment, values)
+                                                   for entry in entries
+                                                   for values in range(mask + 1))}.values())
     assert len(plan._memo) == 176 < program_module.SEGMENT_MEMO
+    assert len(_linked_entries(plan)) == 176
     rng = np.random.default_rng(11)
     for _ in range(200):
         a, b, c0 = int(rng.integers(256)), int(rng.integers(256)), int(rng.integers(2))
