@@ -61,7 +61,7 @@ print("=" * 70)
 print("Cascading: the latched NAND output drives the next gate")
 print("=" * 70)
 for a, b in itertools.product((0, 1), repeat=2):
-    prog = (il.with_inputs(il.nand_macro("B1", "B2", "T1"), {"a": a, "b": b})
-            + il.not_macro("T1", "T2"))
+    latched = il.with_inputs(il.nand_macro("B1", "B2", "T1"), {"a": a, "b": b})
+    prog = il.StepProgram(latched.steps + il.not_macro("T1", "T2").steps)
     trace = il.execute(prog, stack, specs, configs)
     print(f"   AND({a},{b}) via NOT(NAND) = {trace.final_bits['T2']}")

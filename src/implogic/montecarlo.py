@@ -91,9 +91,11 @@ def estimate_yield(program: StepProgram, topology: StackTopology,
     the zero-variation reference trace. The degraded-ratio fraction counts
     implication steps after which a driven cell's conductance scale sits
     below ``DEGRADED_BELOW`` (0.9). The plan comes from a cache of 16 kept
-    by program shape (``program._program_plan``), so programs that differ
-    only in their write values, such as the rows of a truth table, share
-    one; the reference run and every batch run take this program's writes.
+    by program shape (``program._program_plan``), which ``execute`` shares,
+    so programs that differ only in their write values, such as the rows
+    of a truth table, share one; the reference run and every batch run
+    take this program's writes, and the reference's final bits are decoded
+    as ``execute`` decodes its own (``_Plan.final_bits``).
     Expected bits are reported as ints. A ``trials`` that is not an int
     >= 1, a ``seed`` that is not an int >= 0 (bools are not ints here),
     or an oracle that names an undeclared output or expects a bit other
@@ -118,14 +120,13 @@ def estimate_yield(program: StepProgram, topology: StackTopology,
                                  "a bit must be 0 or 1")
             expected[var] = int(want)
 
-    plan = _program_plan(program, topology, specs, configs)
-    writes = tuple(s.value for s in program.steps if isinstance(s, WriteStep))
+    plan, writes = _program_plan(program, topology, specs, configs)
     trail: list[tuple] = []
-    final, _ = plan.run(trail=trail, writes=writes)
-    rows = {cell: r for r, cell in enumerate(plan.specs)}
+    final, _ = plan.run(writes, trail=trail)
     if expected is None:
-        expected = {var: plan.bit(cell, final[rows[cell]])
-                    for var, cell in program.declared_outputs.items()}
+        bits = plan.final_bits(final)
+        expected = {var: bits[cell] for var, cell in program.declared_outputs.items()}
+    rows = {cell: r for r, cell in enumerate(plan.specs)}
     # each implication's P and Q codes after it in the zero-variation run
     reference = np.array(trail)[:, :, None] if trail else None
     imp_steps = np.flatnonzero([isinstance(s, ImpStep) for s in program.steps])
@@ -134,8 +135,8 @@ def estimate_yield(program: StepProgram, topology: StackTopology,
     for start in range(0, trials, BATCH_TRIALS):
         n = min(BATCH_TRIALS, trials - start)
         trail = []
-        state, _ = plan.run(plan.thresholds([(seed, t) for t in range(start, start + n)]),
-                            start, trail=trail, writes=writes)
+        th = plan.thresholds([(seed, t) for t in range(start, start + n)])
+        state, _ = plan.run(writes, th, start, trail=trail)
         failed = failed_step[start:start + n]  # a view
         failed[:] = len(program.steps) - 1
         if reference is not None:

@@ -7,35 +7,35 @@ a reset followed by one. Values move between cells as complement pairs
 (two NOTs).
 
 A program compiles into a plan with one step interpreter,
-``_Plan._interpret``, which ``execute`` runs as a batch of one trial and
-``montecarlo.estimate_yield`` over many. Each implication step applies
-``solver.settle``, the one copy of the switching rules, to state codes
-(``solver.state_of``: 0 is OFF, k + 1 is ON after k partial resets). A run
-keeps one entry per cell: an int code at nominal thresholds, or a row of
-codes, one per trial, in a batch. The plan owns the threshold draw order
-(``_Plan.thresholds``). Implications are interned across plans, and at
-zero variation each one's pulse outcome per (P code, Q code) is memoized
-on Python ints. Write values are run-time inputs of a plan, so
+``_Plan._interpret``, which ``_Plan.run`` drives: ``execute`` and a seeded
+ripple addition as a batch of one trial, ``montecarlo.estimate_yield``
+over many. Each implication step applies ``solver.settle``, the one copy
+of the switching rules, to state codes (``solver.state_of``: 0 is OFF,
+k + 1 is ON after k partial resets). A run keeps one entry per cell: an
+int code at nominal thresholds, or a row of codes, one per trial, in a
+batch. The plan owns the threshold draw order (``_Plan.thresholds``).
+Implications are interned across plans, and at zero variation each one's
+pulse outcome per (P code, Q code) is memoized on Python ints. Write
+values are run-time inputs of a plan, and every run passes its own, so
 ``ripple_adder_8bit`` compiles one plan per (stack, specs, configs,
 placement, bits), caches it, and gives each addition its own writes
-instead of recompiling; ``montecarlo.estimate_yield`` likewise takes one
-cached plan per program shape (``_program_plan``), whatever its write
-values. A plan's steps fall into write segments, each starting at step 0
-or at a block of consecutive writes (a block of more than eight writes is
-cut after every eight). A nominal trace without step records is one
-linked walk over the segments. Each round entry holds a segment's run from
-given entry codes with given write values: the exit codes, the reads, the
-segment's steps with those values in place, the bits the exit codes decode
-to, and a successor table, a list indexed by the next segment's write
-values packed into an int. The walk starts at the plan's root entry (every
-cell OFF) and follows one link per segment, so a warm walk hashes no keys
-and builds no slices, and it also yields the program it ran and its final
-bits. A missing link is looked up in a memo kept for the life of the plan,
-keyed by the segment, the codes entering it and its write values, and
-bounded by ``SEGMENT_MEMO``; clearing the memo clears the root's links, so
-no entry outlives it through a link. A memo miss runs the segment's steps
-through the same interpreter; a segment that raises NoConvergence stores
-no entry and no link.
+instead of recompiling; ``execute`` and ``montecarlo.estimate_yield``
+likewise share one cached plan per program shape (``_program_plan``),
+whatever its write values. A plan's steps fall into write segments, each
+starting at step 0 or at a block of consecutive writes. A zero-variation
+ripple addition is one linked walk over the segments. Each round entry
+holds a segment's run from given entry codes with given write values: the
+exit codes, the reads, the segment's steps with those values in place, the
+bits the exit codes decode to, and a successor table, a list indexed by
+the next segment's write values packed into an int. The walk starts at the
+plan's root entry (every cell OFF) and follows one link per segment, so a
+warm walk hashes no keys and builds no slices, and it also yields the
+program it ran and its final bits. A missing link is looked up in a memo
+kept for the life of the plan, keyed by the segment, the codes entering it
+and its write values, and bounded by ``SEGMENT_MEMO``; clearing the memo
+clears the root's links, so no entry outlives it through a link. A memo
+miss runs the segment's steps through the same interpreter; a segment that
+raises NoConvergence stores no entry and no link.
 """
 
 from __future__ import annotations
@@ -144,11 +144,6 @@ class StepProgram:
         resets = sum(1 for s in self.steps if isinstance(s, ResetStep))
         imps = sum(1 for s in self.steps if isinstance(s, ImpStep))
         return resets, imps
-
-    def __add__(self, other: "StepProgram") -> "StepProgram":
-        inputs = {**self.declared_inputs, **other.declared_inputs}
-        outputs = {**self.declared_outputs, **other.declared_outputs}
-        return StepProgram(self.steps + other.steps, inputs, outputs)
 
     def validate(self, topology: StackTopology) -> None:
         """Static checks: targets usable, implication pairs share a wire,
@@ -331,10 +326,6 @@ def _zero_signs(config: ImpConfig) -> tuple[float, ...]:
 # The default 8-bit ripple plan fills 176 entries over all additions.
 SEGMENT_MEMO = 1024
 
-# Writes a segment takes at most: a longer block of writes is cut, so that a
-# round entry's successor table has at most 2 ** _SEGMENT_WRITES slots.
-_SEGMENT_WRITES = 8
-
 
 class _Round(NamedTuple):
     """A round entry: one segment's nominal run from given entry codes with
@@ -371,20 +362,19 @@ class _Plan:
     onset from rows 2k and 2k + 1 of the threshold table ``lo + span * U``.
     ``ops[i]`` is step i's cell row, or for an implication its interned
     ``_Imp``, the rows of the threshold table that ``settle`` takes (Q's
-    v_set and P's and Q's reset onset), and P's and Q's cell rows. ``writes``
-    holds the write steps' values, which a run may replace, since
-    validation does not depend on them. A run's state is a list with one
-    entry per cell row: an int code at nominal thresholds, or a 1-D
+    v_set and P's and Q's reset onset), and P's and Q's cell rows. The
+    plan's write steps hold placeholders: validation does not depend on
+    their values, and every run passes its own. A run's state is a list with
+    one entry per cell row: an int code at nominal thresholds, or a 1-D
     ``np.intp`` row of codes, one per trial, in a batch. ``segments`` cuts
-    the steps into (start, stop) runs, each starting at step 0 or at a
-    block of consecutive writes, cut after every ``_SEGMENT_WRITES``
-    writes, and ``_fields`` gives each the number of write steps before it
-    and a mask of as many bits as it has write steps. ``_root`` is the round
-    entry before segment 0, every cell OFF; from it, each ``_Round``'s links
-    lead to the next segment's entries. For the life of the plan, ``_memo``
-    maps (segment, entry codes, write values) to the segment's ``_Round``,
-    at most ``SEGMENT_MEMO`` entries; every entry reachable from the root by
-    links is in it."""
+    the steps into (start, stop) runs, each starting at step 0 or at a block
+    of consecutive writes, and ``_fields`` gives each the number of write
+    steps before it and a mask of as many bits as it has write steps.
+    ``_root`` is the round entry before segment 0, every cell OFF; from it,
+    each ``_Round``'s links lead to the next segment's entries. For the life
+    of the plan, ``_memo`` maps (segment, entry codes, write values) to the
+    segment's ``_Round``, at most ``SEGMENT_MEMO`` entries; every entry
+    reachable from the root by links is in it."""
 
     def __init__(self, program: StepProgram, topology: StackTopology,
                  specs: dict[str, MemristorSpec], configs: dict[str, ImpConfig]):
@@ -396,7 +386,6 @@ class _Plan:
         drawn: list[int] = []  # the row of each draw's cell, in draw order
         resolved: dict[ImpStep, _Imp] = {}
         ops: list[tuple] = []
-        self.writes = tuple(s.value for s in program.steps if isinstance(s, WriteStep))
         for step in program.steps:
             if isinstance(step, ImpStep):
                 imp = resolved.get(step)
@@ -419,15 +408,10 @@ class _Plan:
         hi = np.array([(s.v_set_max, s.v_reset_min) for s in by_row]).reshape(-1, 2)
         self.lo, self.span = lo[drawn].ravel(), (hi - lo)[drawn].ravel()
         self._bits: dict[tuple[str, int], int] = {}
-        # segments start at step 0, at each later block of consecutive writes
-        # and after every _SEGMENT_WRITES writes of a block
+        # segments start at step 0 and at each later block of consecutive writes
         is_write = [isinstance(s, WriteStep) for s in program.steps]
-        bounds, run = [0], 0
-        for i, write in enumerate(is_write):
-            run = run + 1 if write else 0
-            if i and run % _SEGMENT_WRITES == 1:
-                bounds.append(i)
-        bounds.append(len(is_write))
+        bounds = [0, *(i for i in range(1, len(is_write))
+                       if is_write[i] and not is_write[i - 1]), len(is_write)]
         writes_before = [0, *itertools.accumulate(is_write)]
         self.segments = tuple(zip(bounds, bounds[1:]))
         # (segment, writes before it, mask of as many bits as it has writes)
@@ -458,20 +442,38 @@ class _Plan:
         u += self.lo
         return u.T
 
-    def run(self, th: np.ndarray | None = None, first_trial: int | None = None,
-            records: list | None = None, trail: list | None = None,
-            writes: Sequence[int] | None = None,
-            ) -> tuple[list, list[tuple[int, str, int]]]:
+    def threshold_table(self, variation: str, seed: int | tuple[int, ...] | None,
+                        ) -> np.ndarray | None:
+        """A run's threshold table: None at nominal thresholds ("off"), else
+        one column drawn from ``default_rng(seed)``. Raises the ValueErrors
+        that ``execute`` documents for a bad variation or seed."""
+        if variation not in ("off", "seeded"):
+            raise ValueError("variation must be 'off' or 'seeded'")
+        if variation == "off":
+            return None
+        if seed is not None and not all(
+                isinstance(x, int) and not isinstance(x, bool) and x >= 0
+                for x in (seed if isinstance(seed, tuple) else (seed,))):
+            raise ValueError(
+                f"seed must be None, an int >= 0 or a tuple of such ints, got {seed!r}")
+        return self.thresholds([seed])
+
+    def final_bits(self, state: list) -> dict[str, int]:
+        """The bit each cell reads in column 0 of a run state."""
+        return dict(zip(self.specs, map(self.bit, self.specs, _column0(state))))
+
+    def run(self, writes: Sequence[int], th: np.ndarray | None = None,
+            first_trial: int | None = None, records: list | None = None,
+            trail: list | None = None) -> tuple[list, list[tuple[int, str, int]]]:
         """Run the whole program over the columns of ``th``, one trial's
         threshold table each, or once at nominal thresholds when ``th`` is
-        None, from every cell OFF. ``writes`` gives the write steps their
-        values, in step order, in place of the program's; the other
-        arguments are those of ``_interpret``. Returns the final state and
-        column 0's reads."""
+        None, from every cell OFF, with ``writes`` as the write steps'
+        values in step order; the other arguments are those of
+        ``_interpret``. Returns the final state and column 0's reads."""
         state = [0 if th is None else np.zeros(th.shape[1], dtype=np.intp)] * len(self.specs)
         reads: list[tuple[int, str, int]] = []
-        self._interpret(state, 0, len(self.steps), self.writes if writes is None else writes,
-                        reads, th, first_trial, records, trail)
+        self._interpret(state, 0, len(self.steps), writes, reads, th, first_trial,
+                        records, trail)
         return state, reads
 
     def _interpret(self, state: list, start: int, stop: int, values: Sequence[int],
@@ -581,41 +583,6 @@ class _Plan:
             read_bits |= entry.read_bits
         return entry, reads, steps, read_bits
 
-    def trace(self, variation: str, seed: int | tuple[int, ...] | None, trace_level: str,
-              writes: Sequence[int] | None = None, steps: list | None = None,
-              ) -> ExecutionTrace:
-        """One run, at nominal thresholds or at thresholds drawn from
-        ``default_rng(seed)``, decoded into an ExecutionTrace; its step
-        records are kept when ``trace_level`` is "full", none for "reads".
-        ``steps``, when given, receives the program's steps with ``writes``
-        in place.
-
-        A nominal run without records is one ``_walk`` over the segments'
-        round entries; the last entry's bits are the trace's final bits."""
-        if variation not in ("off", "seeded"):
-            raise ValueError("variation must be 'off' or 'seeded'")
-        if variation == "seeded" and seed is not None and not all(
-                isinstance(x, int) and not isinstance(x, bool) and x >= 0
-                for x in (seed if isinstance(seed, tuple) else (seed,))):
-            raise ValueError(
-                f"seed must be None, an int >= 0 or a tuple of such ints, got {seed!r}")
-        writes = self.writes if writes is None else tuple(writes)
-        records = None
-        if variation == "off" and trace_level == "reads":
-            last, reads, run_steps, _ = self._walk(
-                sum(value << j for j, value in enumerate(writes)))
-            bits = last.bits
-            if steps is not None:
-                steps += run_steps
-        else:
-            th = self.thresholds([seed]) if variation == "seeded" else None
-            records = [] if trace_level == "full" else None
-            state, reads = self.run(th, records=records, writes=writes)
-            bits = dict(zip(self.specs, map(self.bit, self.specs, _column0(state))))
-            if steps is not None:
-                steps += self._steps_with(0, len(self.steps), writes)
-        return ExecutionTrace(records or [], reads, dict(bits), variation, seed)
-
 
 def execute(program: StepProgram, topology: StackTopology,
             specs: dict[str, MemristorSpec], configs: dict[str, ImpConfig],
@@ -628,14 +595,20 @@ def execute(program: StepProgram, topology: StackTopology,
     per step (sampled from ``default_rng(seed)`` when variation is
     "seeded", midpoints when "off"), in the draw order of ``_Plan``, so
     ``seed=(s, t)`` reruns trial t of a yield study with seed s; config
-    errors are raised before any step runs. The run is a batch of one on
-    the plan's interpreter; at zero variation each pulse's outcome comes
-    from its implication's memo. The trace keeps every step's record.
-    A ``variation`` other than "off" or "seeded", or, in a seeded run, a
-    ``seed`` that is neither None, an int >= 0 nor a tuple of such ints
-    (bools excluded) raise ValueError.
+    errors are raised before any step runs. The plan is the one
+    ``montecarlo.estimate_yield`` takes for the program's shape
+    (``_program_plan``, which hashes the spec and config maps), run as a
+    batch of one with the program's write values; at zero variation each
+    pulse's outcome comes from its implication's memo. The trace keeps
+    every step's record. After validation (ProgramError), a ``variation``
+    other than "off" or "seeded", or, in a seeded run, a ``seed`` that is
+    neither None, an int >= 0 nor a tuple of such ints (bools excluded)
+    raise ValueError.
     """
-    return _Plan(program, topology, specs, configs).trace(variation, seed, "full")
+    plan, writes = _program_plan(program, topology, specs, configs)
+    records: list[StepRecord] = []
+    state, reads = plan.run(writes, plan.threshold_table(variation, seed), records=records)
+    return ExecutionTrace(records, reads, plan.final_bits(state), variation, seed)
 
 
 def nand_macro(a: str, b: str, out: str) -> StepProgram:
@@ -888,14 +861,17 @@ def _shape_plan(steps: tuple[Step, ...], inputs: tuple, outputs: tuple,
 
 
 def _program_plan(program: StepProgram, topology: StackTopology,
-                  specs: dict[str, MemristorSpec], configs: dict[str, ImpConfig]) -> _Plan:
-    """The cached plan of ``program``'s shape: one plan serves every program
-    that differs from it only in its write values."""
+                  specs: dict[str, MemristorSpec], configs: dict[str, ImpConfig],
+                  ) -> tuple[_Plan, tuple[int, ...]]:
+    """The cached plan of ``program``'s shape and the program's write
+    values, in step order: one plan serves every program that differs from
+    it only in its write values."""
     steps = tuple(WriteStep(s.cell, 0) if isinstance(s, WriteStep) else s
                   for s in program.steps)
+    writes = tuple(s.value for s in program.steps if isinstance(s, WriteStep))
     return _shape_plan(steps, tuple(program.declared_inputs.items()),
                        tuple(program.declared_outputs.items()),
-                       *_plan_key(topology, specs, configs))
+                       *_plan_key(topology, specs, configs)), writes
 
 
 @functools.lru_cache(maxsize=64)
@@ -956,11 +932,13 @@ def ripple_adder_8bit(a: int, b: int, c0: int, bits: int = 8,
     (a_0, b_0, c0), then of each (a_i, b_i), and collects the reads, the
     round steps and the sum bits, each round an entry holding its exit
     codes, reads, steps and the bits of its exit codes. A missing link runs
-    the round once; the entries are bounded by ``SEGMENT_MEMO``.
-    A ``bits`` that is not an int >= 1, operands or a carry-in that are not
-    ints (bools included), operands that do not fit in ``bits``, a carry-in
-    other than 0 or 1, or a ``variation`` or seed that ``execute`` rejects
-    raise ValueError.
+    the round once; the entries are bounded by ``SEGMENT_MEMO``. Any other
+    variation is one ``_Plan.run`` on the threshold table that
+    ``_Plan.threshold_table`` draws, as in ``execute``, without step
+    records. A ``bits`` that is not an int >= 1, operands or a carry-in
+    that are not ints (bools included), operands that do not fit in
+    ``bits``, a carry-in other than 0 or 1, or a ``variation`` or seed that
+    ``execute`` rejects raise ValueError.
     """
     # exact ints skip the type tests, which take int subclasses but bool
     if not (type(bits) is type(a) is type(b) is type(c0) is int) or bits < 1:
@@ -989,10 +967,11 @@ def ripple_adder_8bit(a: int, b: int, c0: int, bits: int = 8,
         last, reads, steps, read_bits = plan._walk(writes)
         trace = ExecutionTrace([], reads, dict(last.bits), variation, seed)
     else:
-        steps = []
-        trace = plan.trace(variation, seed, "reads",
-                           [writes >> j & 1 for j in range(2 * bits + 1)], steps)
-        read_bits = sum(bit << i for i, (_, _, bit) in enumerate(trace.reads))
+        values = [writes >> j & 1 for j in range(2 * bits + 1)]
+        state, reads = plan.run(values, plan.threshold_table(variation, seed))
+        trace = ExecutionTrace([], reads, plan.final_bits(state), variation, seed)
+        steps = plan._steps_with(0, len(plan.steps), values)
+        read_bits = sum(bit << i for i, (_, _, bit) in enumerate(reads))
     # the reads are each round's sum bit, then the carry-out
     return (read_bits & ((1 << bits) - 1), read_bits >> bits, trace,
             StepProgram(tuple(steps), dict(plan.inputs), dict(plan.outputs)))

@@ -70,8 +70,8 @@ def test_not_census_and_collision():
 @pytest.mark.parametrize("a,b", list(itertools.product((0, 1), repeat=2)))
 def test_nand_output_cascades(default_stack, ideal_specs, ideal_configs, a, b):
     # feed the latched NAND result into a following NOT: AND(a, b)
-    prog = (il.with_inputs(il.nand_macro("B1", "B2", "T1"), {"a": a, "b": b})
-            + il.not_macro("T1", "T2"))
+    latched = il.with_inputs(il.nand_macro("B1", "B2", "T1"), {"a": a, "b": b})
+    prog = il.StepProgram(latched.steps + il.not_macro("T1", "T2").steps)
     trace = il.execute(prog, default_stack, ideal_specs, ideal_configs)
     assert trace.final_bits["T2"] == (a & b)
 
@@ -284,9 +284,20 @@ def test_seeded_execution_deterministic(default_stack, ideal_configs):
 
 def test_execute_rejects_bad_variation(default_stack, ideal_specs, ideal_configs):
     prog = il.with_inputs(il.nand_macro("B1", "B2", "T2"), {"a": 1, "b": 1})
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^variation must be 'off' or 'seeded'$"):
         il.execute(prog, default_stack, ideal_specs, ideal_configs,
                    variation="maybe")
+    with pytest.raises(ValueError, match="^variation must be 'off' or 'seeded'$"):
+        il.ripple_adder_8bit(1, 2, 0, variation="maybe")
+
+
+def test_invalid_program_raises_before_a_bad_variation(default_stack, ideal_specs,
+                                                       ideal_configs):
+    # the plan is built, and the program validated, before the variation is
+    # checked
+    prog = il.StepProgram((il.ReadStep("B1"),))
+    with pytest.raises(ProgramError, match="step 0: read of 'B1' before it is written"):
+        il.execute(prog, default_stack, ideal_specs, ideal_configs, variation="maybe")
 
 
 @pytest.mark.parametrize("kwargs", [{"seed": -1}, {"seed": 2.5}, {"seed": True},
@@ -396,8 +407,11 @@ def test_plan_runs_with_given_write_values(adder_stack, ideal_specs, ideal_confi
                                 adder_stack, ideal_specs, ideal_configs)
     for a, b, c in itertools.product((0, 1), repeat=3):
         prog = il.with_inputs(fa, {"a": a, "b": b, "c_in": c})
-        assert plan.trace("off", None, "full", [a, b, c]) == il.execute(
-            prog, adder_stack, ideal_specs, ideal_configs)
+        want = il.execute(prog, adder_stack, ideal_specs, ideal_configs)
+        records = []
+        state, reads = plan.run([a, b, c], records=records)
+        assert (records, reads, plan.final_bits(state)) == (
+            want.steps, want.reads, want.final_bits)
 
 
 def test_plan_memo_is_not_used_with_records_or_a_trail(adder_stack, ideal_specs,
@@ -408,34 +422,34 @@ def test_plan_memo_is_not_used_with_records_or_a_trail(adder_stack, ideal_specs,
                                 adder_stack, ideal_specs, ideal_configs)
     prog = il.with_inputs(fa, {"a": 1, "b": 0, "c_in": 1})
     want = il.execute(prog, adder_stack, ideal_specs, ideal_configs)
-    assert plan.trace("off", None, "reads", [1, 0, 1]).final_bits == want.final_bits
+    last, reads, _, _ = plan._walk(0b101)  # a = 1, b = 0, c_in = 1 from bit 0 up
+    assert (reads, last.bits) == (want.reads, want.final_bits)
     assert len(plan._memo) == len(plan.segments) == 1
-    assert plan.trace("off", None, "full", [1, 0, 1]) == want
+    records = []
+    state, reads = plan.run([1, 0, 1], records=records)
+    assert (records, reads, plan.final_bits(state)) == (
+        want.steps, want.reads, want.final_bits)
     trail = []
-    plan.run(trail=trail, writes=[1, 0, 1])
+    plan.run([1, 0, 1], trail=trail)
     assert len(trail) == sum(isinstance(s, il.ImpStep) for s in fa.steps)
 
 
-def test_long_write_block_is_walked_in_segments_of_eight(adder_stack, ideal_specs,
-                                                         ideal_configs):
-    # twelve consecutive writes become segments of eight and four, and the
-    # walk over them gives what execute gives for the same write values
+def test_execute_truth_table_rows_share_one_plan(adder_stack, ideal_specs, ideal_configs):
+    # execute takes its plan from the program-shape cache, so the eight rows
+    # of the full adder build one plan, and a row traces the same from a
+    # cold cache
     fa = il.compile_full_adder(adder_stack)
-    block = tuple(il.WriteStep(fa.declared_inputs[v], 0) for v in ("a", "b", "c_in") * 4)
-    tail = fa.steps + (il.ReadStep(fa.declared_outputs["s"]),)
-    plan = program_module._Plan(il.StepProgram(block + tail), adder_stack, ideal_specs,
-                                ideal_configs)
-    assert plan.segments == ((0, 8), (8, len(block + tail)))
-    rng = np.random.default_rng(3)
-    for _ in range(12):
-        writes = [int(v) for v in rng.integers(0, 2, len(block))]
-        program = il.StepProgram(tuple(il.WriteStep(s.cell, v) for s, v in zip(block, writes))
-                                 + tail)
-        steps = []
-        got = plan.trace("off", None, "reads", writes, steps)
-        want = il.execute(program, adder_stack, ideal_specs, ideal_configs)
-        assert (got.reads, got.final_bits) == (want.reads, want.final_bits)
-        assert tuple(steps) == program.steps
+    rows = [il.with_inputs(fa, {"a": a, "b": b, "c_in": c})
+            for a, b, c in itertools.product((0, 1), repeat=3)]
+    program_module._shape_plan.cache_clear()
+    shared = [il.execute(prog, adder_stack, ideal_specs, ideal_configs) for prog in rows]
+    assert program_module._shape_plan.cache_info().misses == 1
+    assert [trace.output_bits(fa) for trace in shared] == [
+        {"s": (a + b + c) & 1, "c_out": (a + b + c) >> 1}
+        for a, b, c in itertools.product((0, 1), repeat=3)]
+    for prog, trace in zip(rows, shared):
+        program_module._shape_plan.cache_clear()
+        assert il.execute(prog, adder_stack, ideal_specs, ideal_configs) == trace
 
 
 def test_ripple_plans_keep_biases_apart_by_the_sign_of_zero():
