@@ -95,13 +95,13 @@ def estimate_yield(program: StepProgram, topology: StackTopology,
     so programs that differ only in their write values, such as the rows
     of a truth table, share one; the reference run and every batch run
     take this program's writes, and the reference's final bits are decoded
-    as ``execute`` decodes its own (``_Plan.final_bits``).
-    Expected bits are reported as ints. A ``trials`` that is not an int
-    >= 1, a ``seed`` that is not an int >= 0 (bools are not ints here),
-    or an oracle that names an undeclared output or expects a bit other
-    than 0 or 1 of one (the rule of ``WriteStep``) raises ValueError
-    before any trial runs; a ``trials`` too large for the per-trial
-    results to be allocated raises MemoryError before any trial runs.
+    as ``execute`` decodes its own (``_Plan.final_bits``). Expected bits are
+    reported as ints. A ``trials`` that is not an int >= 1, a ``seed`` that
+    is not an int >= 0 (bools are not ints here), or an oracle that names an
+    undeclared output or expects a bit other than 0 or 1 of one (the rule
+    of ``WriteStep``) raises ValueError before any trial runs; a ``trials``
+    too large for the per-trial results to be allocated raises MemoryError
+    before any trial runs.
     """
     if not isinstance(trials, int) or isinstance(trials, bool) or trials < 1:
         raise ValueError(f"trials must be an int >= 1, got {trials!r}")

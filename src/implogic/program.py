@@ -21,21 +21,18 @@ values are run-time inputs of a plan, and every run passes its own, so
 placement, bits), caches it, and gives each addition its own writes
 instead of recompiling; ``execute`` and ``montecarlo.estimate_yield``
 likewise share one cached plan per program shape (``_program_plan``),
-whatever its write values. A plan's steps fall into write segments, each
-starting at step 0 or at a block of consecutive writes. A zero-variation
-ripple addition is one linked walk over the segments. Each round entry
-holds a segment's run from given entry codes with given write values: the
-exit codes, the reads, the segment's steps with those values in place, the
-bits the exit codes decode to, and a successor table, a list indexed by
-the next segment's write values packed into an int. The walk starts at the
-plan's root entry (every cell OFF) and follows one link per segment, so a
-warm walk hashes no keys and builds no slices, and it also yields the
-program it ran and its final bits. A missing link is looked up in a memo
-kept for the life of the plan, keyed by the segment, the codes entering it
-and its write values, and bounded by ``SEGMENT_MEMO``; clearing the memo
-clears the root's links, so no entry outlives it through a link. A memo
-miss runs the segment's steps through the same interpreter; a segment that
-raises NoConvergence stores no entry and no link.
+whatever its write values. A zero-variation ripple addition is one
+linked walk over its plan's write segments, each starting at step 0 or at
+a block of consecutive writes (one per round). A round entry holds a
+segment's run from given entry codes with given write values: the exit
+codes, the reads, the steps with those values in place, the bits the exit
+codes decode to, and links, a list indexed by the next segment's packed
+write values. From the root entry (every cell OFF) a warm walk follows one
+link per segment and hashes no keys. A missing link is looked up in a memo
+keyed by the segment, its entry codes and write values, kept for the life
+of the plan and bounded by ``SEGMENT_MEMO``; clearing it clears the root's
+links. A memo miss runs the segment through the same interpreter; a
+segment that raises NoConvergence stores no entry and no link.
 """
 
 from __future__ import annotations
@@ -366,15 +363,8 @@ class _Plan:
     plan's write steps hold placeholders: validation does not depend on
     their values, and every run passes its own. A run's state is a list with
     one entry per cell row: an int code at nominal thresholds, or a 1-D
-    ``np.intp`` row of codes, one per trial, in a batch. ``segments`` cuts
-    the steps into (start, stop) runs, each starting at step 0 or at a block
-    of consecutive writes, and ``_fields`` gives each the number of write
-    steps before it and a mask of as many bits as it has write steps.
-    ``_root`` is the round entry before segment 0, every cell OFF; from it,
-    each ``_Round``'s links lead to the next segment's entries. For the life
-    of the plan, ``_memo`` maps (segment, entry codes, write values) to the
-    segment's ``_Round``, at most ``SEGMENT_MEMO`` entries; every entry
-    reachable from the root by links is in it."""
+    ``np.intp`` row of codes, one per trial, in a batch. A plan that is
+    walked also holds the walk state that ``_start_walks`` builds."""
 
     def __init__(self, program: StepProgram, topology: StackTopology,
                  specs: dict[str, MemristorSpec], configs: dict[str, ImpConfig]):
@@ -408,8 +398,20 @@ class _Plan:
         hi = np.array([(s.v_set_max, s.v_reset_min) for s in by_row]).reshape(-1, 2)
         self.lo, self.span = lo[drawn].ravel(), (hi - lo)[drawn].ravel()
         self._bits: dict[tuple[str, int], int] = {}
-        # segments start at step 0 and at each later block of consecutive writes
-        is_write = [isinstance(s, WriteStep) for s in program.steps]
+
+    def _start_walks(self) -> None:
+        """Build the walk state. ``segments`` cuts the steps into (start,
+        stop) runs, each starting at step 0 or at a block of consecutive
+        writes, and ``_fields`` gives each one's count of earlier writes and
+        a mask of as many bits as it has writes. ``_root`` is the round entry
+        before segment 0, every cell OFF; from it, each ``_Round``'s links
+        lead to the next segment's entries. For the life of the plan,
+        ``_memo`` maps (segment, entry codes, write values) to the segment's
+        ``_Round``, at most ``SEGMENT_MEMO`` entries, every entry linked from
+        the root in it. An entry holds 2 ** w links, w the writes of the next
+        segment's block, so only walked plans build this: ripple plans, whose
+        blocks hold at most 3 writes."""
+        is_write = [isinstance(s, WriteStep) for s in self.steps]
         bounds = [0, *(i for i in range(1, len(is_write))
                        if is_write[i] and not is_write[i - 1]), len(is_write)]
         writes_before = [0, *itertools.accumulate(is_write)]
@@ -598,12 +600,11 @@ def execute(program: StepProgram, topology: StackTopology,
     errors are raised before any step runs. The plan is the one
     ``montecarlo.estimate_yield`` takes for the program's shape
     (``_program_plan``, which hashes the spec and config maps), run as a
-    batch of one with the program's write values; at zero variation each
-    pulse's outcome comes from its implication's memo. The trace keeps
-    every step's record. After validation (ProgramError), a ``variation``
-    other than "off" or "seeded", or, in a seeded run, a ``seed`` that is
-    neither None, an int >= 0 nor a tuple of such ints (bools excluded)
-    raise ValueError.
+    batch of one with the program's write values, keeping every step's
+    record. After validation (ProgramError), a ``variation`` other than
+    "off" or "seeded", or, in a seeded run, a ``seed`` that is neither
+    None, an int >= 0 nor a tuple of such ints (bools excluded) raise
+    ValueError.
     """
     plan, writes = _program_plan(program, topology, specs, configs)
     records: list[StepRecord] = []
@@ -852,9 +853,8 @@ def _shape_plan(steps: tuple[Step, ...], inputs: tuple, outputs: tuple,
                 stack: tuple, specs: tuple, configs: tuple) -> _Plan:
     """The validated plan of the program of ``steps`` and the declared input
     and output items, on the stack, specs and configs of ``_plan_key``'s
-    forms. The steps write 0 wherever the program writes; validation and
-    compilation do not depend on write values, so a run gives the plan its
-    program's own."""
+    forms. The steps write 0 wherever the program writes, since validation
+    and compilation do not depend on write values."""
     return _Plan(StepProgram(steps, dict(inputs), dict(outputs)),
                  StackTopology(dict(stack[0]), stack[1]), dict(specs),
                  {name: config for name, config, _ in configs})
@@ -901,7 +901,9 @@ def _ripple_plan(stack: tuple | None, specs: tuple | None, configs: tuple | None
                           {"a": writes[0].cell, "b": writes[1].cell, "c0": writes[2].cell},
                           {"sum_bit": fa.declared_outputs["s"],
                            "c_out": fa.declared_outputs["c_out"]})
-    return _Plan(program, topology, spec_map, config_map)
+    plan = _Plan(program, topology, spec_map, config_map)
+    plan._start_walks()
+    return plan
 
 
 # x with bit i moved to bit 2i, for x < 256: read in base 4, a binary
@@ -927,15 +929,13 @@ def ripple_adder_8bit(a: int, b: int, c0: int, bits: int = 8,
     cached, so an addition runs it with its write values (a_0, b_0, c0,
     then a_i, b_i), the same run ``execute`` makes of the program that
     writes them, and returns that program. At zero variation the addition
-    is one ``_Plan._walk`` over the plan's round entries (one write segment
-    per round): it starts at the root, all cells OFF, follows the link of
-    (a_0, b_0, c0), then of each (a_i, b_i), and collects the reads, the
-    round steps and the sum bits, each round an entry holding its exit
-    codes, reads, steps and the bits of its exit codes. A missing link runs
-    the round once; the entries are bounded by ``SEGMENT_MEMO``. Any other
-    variation is one ``_Plan.run`` on the threshold table that
-    ``_Plan.threshold_table`` draws, as in ``execute``, without step
-    records. A ``bits`` that is not an int >= 1, operands or a carry-in
+    is one ``_Plan._walk`` over the plan's round entries, one write segment
+    per round: from the root, all cells OFF, it follows the link of (a_0,
+    b_0, c0), then of each (a_i, b_i), collecting the reads, the round steps
+    and the sum bits; a missing link runs the round once. Any other
+    variation is one ``_Plan.run`` on the table that
+    ``_Plan.threshold_table`` draws, without step records, as in
+    ``execute``. A ``bits`` that is not an int >= 1, operands or a carry-in
     that are not ints (bools included), operands that do not fit in
     ``bits``, a carry-in other than 0 or 1, or a ``variation`` or seed that
     ``execute`` rejects raise ValueError.

@@ -420,6 +420,7 @@ def test_plan_memo_is_not_used_with_records_or_a_trail(adder_stack, ideal_specs,
     fa = il.compile_full_adder(adder_stack)
     plan = program_module._Plan(il.with_inputs(fa, {"a": 0, "b": 0, "c_in": 0}),
                                 adder_stack, ideal_specs, ideal_configs)
+    plan._start_walks()
     prog = il.with_inputs(fa, {"a": 1, "b": 0, "c_in": 1})
     want = il.execute(prog, adder_stack, ideal_specs, ideal_configs)
     last, reads, _, _ = plan._walk(0b101)  # a = 1, b = 0, c_in = 1 from bit 0 up
@@ -450,6 +451,30 @@ def test_execute_truth_table_rows_share_one_plan(adder_stack, ideal_specs, ideal
     for prog, trace in zip(rows, shared):
         program_module._shape_plan.cache_clear()
         assert il.execute(prog, adder_stack, ideal_specs, ideal_configs) == trace
+
+
+def test_execute_runs_a_program_that_starts_with_24_writes(adder_stack, ideal_specs,
+                                                          ideal_configs):
+    # a plan that is only run builds no walk state, whose root holds 2 ** w
+    # links for a first block of w writes; 24 keeps a regression to a 128 MB
+    # list, which the hasattr check catches
+    cells = adder_stack.usable_cells()
+    values = [int(x) for x in np.random.default_rng(3).integers(2, size=24)]
+    writes = [il.WriteStep(cells[i % len(cells)], v) for i, v in enumerate(values)]
+    program = il.StepProgram(tuple(writes) + tuple(il.ReadStep(c) for c in cells))
+    program_module._shape_plan.cache_clear()
+    plan, _ = program_module._program_plan(program, adder_stack, ideal_specs,
+                                           ideal_configs)
+    assert not hasattr(plan, "_root")
+    trace = il.execute(program, adder_stack, ideal_specs, ideal_configs)
+    program_module._shape_plan.cache_clear()
+    last = {step.cell: step.value for step in writes}
+    assert [(r.op, r.detail) for r in trace.steps[:24]] == [
+        ("write", {"cell": w.cell, "value": w.value}) for w in writes]
+    for record, write in zip(trace.steps, writes):
+        assert record.states_after[write.cell][0] == ("ON" if write.value else "OFF")
+    assert trace.reads == [(24 + i, c, last[c]) for i, c in enumerate(cells)]
+    assert trace.final_bits == last
 
 
 def test_ripple_plans_keep_biases_apart_by_the_sign_of_zero():
