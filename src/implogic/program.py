@@ -14,8 +14,9 @@ of the switching rules, to state codes (``solver.state_of``: 0 is OFF,
 k + 1 is ON after k partial resets). A run keeps one entry per cell: an
 int code at nominal thresholds, or a row of codes, one per trial, in a
 batch. The plan owns the threshold draw order (``_Plan.thresholds``).
-Implications are interned across plans, and at zero variation each one's
-pulse outcome per (P code, Q code) is memoized on Python ints. Write
+A plan holds one implication per distinct bias, specs and drop signs, and
+at zero variation each one's pulse outcome per (P code, Q code) is
+memoized on Python ints for the life of the plan. Write
 values are run-time inputs of a plan, and every run passes its own, so
 ``ripple_adder_8bit`` compiles one plan per (stack, specs, configs,
 placement, bits), caches it, and gives each addition its own writes
@@ -271,8 +272,9 @@ def _where(index: int, step: ImpStep, config: ImpConfig) -> str:
 
 class _Imp:
     """An implication's bias, P's and Q's specs and drop signs, and two memos
-    per (P code, Q code) that hold in every run: the node solution, and the
-    new codes, events and first solution of a pulse at nominal thresholds."""
+    per (P code, Q code) that hold in every run of its plan: the node
+    solution, and the new codes, events and first solution of a pulse at
+    nominal thresholds."""
 
     def __init__(self, config: ImpConfig, p_spec: MemristorSpec, q_spec: MemristorSpec,
                  s_p: int, s_q: int):
@@ -305,17 +307,9 @@ class _Imp:
         return out
 
 
-@functools.lru_cache(maxsize=1024)
-def _intern_imp(config: ImpConfig, p_spec: MemristorSpec, q_spec: MemristorSpec,
-                s_p: int, s_q: int, zero_signs: tuple[float, ...]) -> _Imp:
-    """The one ``_Imp`` of a bias, specs and drop signs, so that its memos
-    outlive a run. Biases equal but for the sign of a zero give node
-    voltages of different sign, so ``zero_signs`` keeps them apart."""
-    return _Imp(config, p_spec, q_spec, s_p, s_q)
-
-
 def _zero_signs(config: ImpConfig) -> tuple[float, ...]:
-    """The signs of a bias's fields, which tell 0.0 from -0.0."""
+    """The signs of a bias's fields, which tell 0.0 from -0.0: biases equal
+    but for the sign of a zero give node voltages of different sign."""
     return tuple(math.copysign(1.0, x) for x in (config.v_p, *vars(config.load).values()))
 
 
@@ -339,13 +333,6 @@ class _Round(NamedTuple):
     links: list[_Round | None]
 
 
-@functools.lru_cache(maxsize=1024)
-def _write_step(cell: str, value: int) -> WriteStep:
-    """The one WriteStep of a cell and value. The programs that runs return
-    share it, so a warm addition touches fewer objects."""
-    return WriteStep(cell, value)
-
-
 def _column0(state: list) -> list[int]:
     """Column 0 of a run state, as one int code per cell."""
     return [s if isinstance(s, int) else int(s[0]) for s in state]
@@ -357,14 +344,15 @@ class _Plan:
     ``montecarlo.estimate_yield``. Draws are numbered in step order (a
     reset's cell; an implication's P, then Q): draw k takes v_set and reset
     onset from rows 2k and 2k + 1 of the threshold table ``lo + span * U``.
-    ``ops[i]`` is step i's cell row, or for an implication its interned
-    ``_Imp``, the rows of the threshold table that ``settle`` takes (Q's
-    v_set and P's and Q's reset onset), and P's and Q's cell rows. The
-    plan's write steps hold placeholders: validation does not depend on
-    their values, and every run passes its own. A run's state is a list with
-    one entry per cell row: an int code at nominal thresholds, or a 1-D
-    ``np.intp`` row of codes, one per trial, in a batch. A plan that is
-    walked also holds the walk state that ``_start_walks`` builds."""
+    ``ops[i]`` is step i's cell row, or for an implication its ``_Imp`` (one
+    per distinct bias, specs and drop signs in the plan), the rows of the
+    threshold table that ``settle`` takes (Q's v_set and P's and Q's reset
+    onset), and P's and Q's cell rows. The plan's write steps hold
+    placeholders: validation does not depend on their values, and every run
+    passes its own. A run's state is a list with one entry per cell row: an
+    int code at nominal thresholds, or a 1-D ``np.intp`` row of codes, one
+    per trial, in a batch. A plan that is walked also holds the walk state
+    that ``_start_walks`` builds."""
 
     def __init__(self, program: StepProgram, topology: StackTopology,
                  specs: dict[str, MemristorSpec], configs: dict[str, ImpConfig]):
@@ -375,15 +363,18 @@ class _Plan:
         rows = {c: r for r, c in enumerate(self.specs)}
         drawn: list[int] = []  # the row of each draw's cell, in draw order
         resolved: dict[ImpStep, _Imp] = {}
+        imps: dict[tuple, _Imp] = {}  # by bias, zero signs, specs and drop signs
         ops: list[tuple] = []
         for step in program.steps:
             if isinstance(step, ImpStep):
                 imp = resolved.get(step)
                 if imp is None:
                     config = _resolve_config(step, topology, configs)
-                    imp = resolved[step] = _intern_imp(
-                        config, self.specs[step.p], self.specs[step.q],
-                        *topology.step_signs(step.p, step.q), _zero_signs(config))
+                    key = (config, _zero_signs(config), self.specs[step.p],
+                           self.specs[step.q], *topology.step_signs(step.p, step.q))
+                    if key not in imps:
+                        imps[key] = _Imp(config, *key[2:])
+                    imp = resolved[step] = imps[key]
                 k = len(drawn)  # P's draw; Q's is k + 1
                 ops.append((imp, np.array([2 * k + 2, 2 * k + 1, 2 * k + 3]),
                             rows[step.p], rows[step.q]))
@@ -397,7 +388,6 @@ class _Plan:
         lo = np.array([(s.v_set_min, s.v_reset_max) for s in by_row]).reshape(-1, 2)
         hi = np.array([(s.v_set_max, s.v_reset_min) for s in by_row]).reshape(-1, 2)
         self.lo, self.span = lo[drawn].ravel(), (hi - lo)[drawn].ravel()
-        self._bits: dict[tuple[str, int], int] = {}
 
     def _start_walks(self) -> None:
         """Build the walk state. ``segments`` cuts the steps into (start,
@@ -425,12 +415,8 @@ class _Plan:
         self._memo: dict[tuple, _Round] = {}
 
     def bit(self, cell: str, code: int) -> int:
-        """The bit that ``cell`` reads in the state of ``code``, decoded once
-        per plan."""
-        bit = self._bits.get((cell, code))
-        if bit is None:
-            bit = self._bits[cell, code] = dev.decode_bit(self.specs[cell], state_of(code))
-        return bit
+        """The bit that ``cell`` reads in the state of ``code``."""
+        return dev.decode_bit(self.specs[cell], state_of(code))
 
     def thresholds(self, seeds: list) -> np.ndarray:
         """One threshold table per seed, as the columns of the result: ``lo +
@@ -542,7 +528,7 @@ class _Plan:
         """Steps ``start`` to ``stop`` with ``values`` in their write steps,
         in order."""
         values = iter(values)
-        return tuple(_write_step(s.cell, next(values)) if isinstance(s, WriteStep) else s
+        return tuple(WriteStep(s.cell, next(values)) if isinstance(s, WriteStep) else s
                      for s in self.steps[start:stop])
 
     def _round(self, entry: _Round, segment: int, values: int) -> _Round:
@@ -840,7 +826,8 @@ def _plan_key(stack: StackTopology | None, specs: dict[str, MemristorSpec] | Non
     """The hashable forms of a stack, a spec map and a config map that key
     the plan caches, None standing for a default: the stack's (cell items,
     unusable set), the spec items, and each config's (name, config, zero
-    signs), which keep 0.0 and -0.0 biases apart as in ``_intern_imp``."""
+    signs), which keep 0.0 and -0.0 biases apart as a plan's ``_Imp``
+    table does."""
     return (None if stack is None else (tuple(stack.cells.items()),
                                         frozenset(stack.unusable_cells)),
             None if specs is None else tuple(specs.items()),

@@ -284,6 +284,61 @@ def test_main_builds_one_parser(monkeypatch, tmp_path, capsys):
         cli_module._main_parser.cache_clear()
 
 
+def _json_exit(capsys, argv):
+    """Exit code, stdout JSON and stderr of ``main(argv)``, a usage error's
+    SystemExit code included."""
+    capsys.readouterr()
+    try:
+        rc = main(argv)
+    except SystemExit as exc:
+        rc = exc.code
+    captured = capsys.readouterr()
+    return rc, json.loads(captured.out), captured.err
+
+
+def test_run_rejects_a_circuit_lacking_a_spec(tmp_path, capsys):
+    circuit = _circuit(il.ideal_device_spec())
+    del circuit["specs"]["top"]
+    (tmp_path / "c.json").write_text(json.dumps(circuit))
+    (tmp_path / "p.json").write_text(json.dumps(_nand_program()))
+    rc, body, err = _json_exit(capsys, ["run", "--program", str(tmp_path / "p.json"),
+                                        "--topology", str(tmp_path / "c.json")])
+    assert (rc, body) == (2, {"error": "config",
+                              "message": "ValueError: circuit file lacks specs ['top']"})
+    assert "Traceback" not in err
+
+
+def test_optimize_rejects_an_unknown_load(circuit_file, capsys):
+    rc, body, err = _json_exit(capsys, ["optimize", "--topology", circuit_file,
+                                        "--pairs", "T1:T2", "--load", "bogus"])
+    assert (rc, body) == (2, {"error": "config", "message":
+                              "ValueError: load must be 'current' or 'resistive:GL'"})
+    assert "Traceback" not in err
+
+
+def test_adder_rejects_zero_bits(capsys):
+    rc, body, err = _json_exit(capsys, ["adder", "--a", "0", "--b", "0", "--cin", "0",
+                                        "--bits", "0"])
+    assert (rc, body) == (2, {"error": "usage", "message": "--bits must be >= 1"})
+    assert "Traceback" not in err
+
+
+def test_run_trace_records_a_read_step(tmp_path):
+    prog = _nand_program(1, 0)
+    prog["steps"].append({"op": "read", "cell": "T2"})
+    prog_file, trace_file = tmp_path / "p.json", tmp_path / "trace.jsonl"
+    prog_file.write_text(json.dumps(prog))
+    circuit_file = tmp_path / "c.json"
+    circuit_file.write_text(json.dumps(_circuit(il.ideal_device_spec())))
+    assert main(["run", "--program", str(prog_file), "--topology", str(circuit_file),
+                 "--trace", str(trace_file), "--out", str(tmp_path / "o.json")]) == 0
+    last = json.loads(trace_file.read_text().splitlines()[-1])
+    assert {k: last[k] for k in ("step", "op", "cell", "bit")} == {
+        "step": 5, "op": "read", "cell": "T2", "bit": 1}
+    assert json.loads((tmp_path / "o.json").read_text())["reads"] == [
+        {"step": 5, "cell": "T2", "bit": 1}]
+
+
 def test_yield_command(tmp_path, circuit_file):
     prog_file = _nand_program_file(tmp_path, 1, 0)
     out = str(tmp_path / "yield.json")

@@ -190,6 +190,15 @@ def test_program_json_roundtrip(adder_stack):
     assert again == prog
 
 
+def test_program_json_roundtrips_a_read_step():
+    nand = il.with_inputs(il.nand_macro("B1", "B2", "T2"), {"a": 1, "b": 0})
+    prog = il.StepProgram(nand.steps + (il.ReadStep("T2"),), nand.declared_inputs,
+                          nand.declared_outputs)
+    obj = json.loads(json.dumps(prog.to_json()))
+    assert obj["steps"][-1] == {"op": "read", "cell": "T2"}
+    assert il.StepProgram.from_json(obj) == prog
+
+
 def test_program_json_rejects_unknown_op():
     with pytest.raises(ProgramError):
         il.StepProgram.from_json({"steps": [{"op": "zap", "cell": "B1"}]})
@@ -478,8 +487,8 @@ def test_execute_runs_a_program_that_starts_with_24_writes(adder_stack, ideal_sp
 
 
 def test_ripple_plans_keep_biases_apart_by_the_sign_of_zero():
-    # 0.0 == -0.0, but their implications are interned apart, so a plan
-    # built for one must not serve the other
+    # 0.0 == -0.0, but their implications settle apart, so a plan built for
+    # one must not serve the other
     stack = il.build_adder_stack()
     spec = il.bottom_device_spec()
     specs = {"bottom": spec, "top": spec}
@@ -724,8 +733,8 @@ def test_ripple_resolves_and_solves_each_distinct_point_once(monkeypatch):
     """One bias resolution per distinct implication per plan, and on a cold
     memo one solve per distinct (bias, P state, Q state): 15 and 16 for this
     addition (the per-pass solves of the step-by-step executor were 240).
-    A repeat call runs the cached plan and settles every pulse from the
-    interned memos."""
+    Steps of one bias and devices share their plan's memos, and a repeat
+    call runs the cached plan and settles every pulse from them."""
     counts = {"resolve": 0, "solve": 0}
 
     def counting(name, fn):
@@ -739,7 +748,6 @@ def test_ripple_resolves_and_solves_each_distinct_point_once(monkeypatch):
     solve = counting("solve", solver_module.solve_pair)
     for module in (program_module, solver_module):
         monkeypatch.setattr(module, "solve_pair", solve)
-    program_module._intern_imp.cache_clear()
     program_module._ripple_plan.cache_clear()
     total, carry, _, program = il.ripple_adder_8bit(173, 91, 1)
     assert (total, carry) == (9, 1)
@@ -747,6 +755,36 @@ def test_ripple_resolves_and_solves_each_distinct_point_once(monkeypatch):
     assert counts == {"resolve": 15, "solve": 16}
     assert il.ripple_adder_8bit(173, 91, 1)[:2] == (9, 1)
     assert counts == {"resolve": 15, "solve": 16}
+
+
+def test_settle_without_a_fixed_point_names_step_column_and_trial(
+        monkeypatch, default_stack, ideal_specs, ideal_configs):
+    """With one settle pass allowed, a pulse that switches anything reaches
+    no fixed point: ``execute`` names the step, ``settle`` the first column
+    still switching, and a yield study the trial."""
+    nand = il.with_inputs(il.nand_macro("B1", "B2", "T2"), {"a": 0, "b": 0})
+    program_module._shape_plan.cache_clear()  # a cold plan settles every pulse
+    with monkeypatch.context() as patch:
+        patch.setattr(solver_module, "MAX_SETTLE_PASSES", 1)
+        with pytest.raises(il.NoConvergence) as exc:
+            il.execute(nand, default_stack, ideal_specs, ideal_configs)
+        assert str(exc.value).startswith("step 3 (imp B1 -> T2, ")
+        assert str(exc.value).endswith("switching did not reach a fixed point")
+        # column 0 (Q at code 2, every drop 0) switches nothing; column 1's
+        # Q is OFF and sets at 1.5 V
+        with pytest.raises(il.NoConvergence) as exc:
+            solver_module.settle(
+                lambda p, q: solver_module.NodeSolution(0.0, 0.0, 1.5 if q == 0 else 0.0,
+                                                        0.0, 0),
+                np.array([[0, 0], [2, 0]]), np.array([[1.0], [-0.5], [-0.5]]),
+                np.array([[-2.0], [-2.0]]))
+        assert exc.value.column == 1
+    # the yield study's reference run settles from the memo this run warms
+    il.execute(nand, default_stack, ideal_specs, ideal_configs)
+    monkeypatch.setattr(solver_module, "MAX_SETTLE_PASSES", 1)
+    with pytest.raises(il.NoConvergence,
+                       match=r"^trial \d+, step 3 \(imp B1 -> T2, .*fixed point$"):
+        il.estimate_yield(nand, default_stack, ideal_specs, ideal_configs, None, trials=4)
 
 
 def _reference_trace(program, topology, specs, configs):
@@ -791,8 +829,13 @@ def test_zero_variation_trace_same_on_cold_and_warm_memo(adder_stack):
     for specs, configs in cases:
         for a, b, c in itertools.product((0, 1), repeat=3):
             prog = il.with_inputs(fa, {"a": a, "b": b, "c_in": c})
-            program_module._intern_imp.cache_clear()
+            # the rows share one plan by shape, and its memos die with it
+            program_module._shape_plan.cache_clear()
+            plan = program_module._program_plan(prog, adder_stack, specs, configs)[0]
+            imps = {op[0] for op in plan.ops if isinstance(op, tuple)}
+            assert imps and not any(imp.solutions or imp.settled for imp in imps)
             cold = il.execute(prog, adder_stack, specs, configs)
+            assert all(imp.settled for imp in imps)  # execute ran this plan
             warm = il.execute(prog, adder_stack, specs, configs)
             assert warm == cold
             assert warm.steps == _reference_trace(prog, adder_stack, specs, configs)
@@ -1029,6 +1072,23 @@ def test_memo_keeps_biases_apart_by_the_sign_of_zero(default_stack):
         first = next(r.node for r in trace.steps if r.node)  # B1 -> T2, all OFF
         want = il.solve_pair(spec, off, spec, off, cfg, *default_stack.step_signs("B1", "T2"))
         assert math.copysign(1.0, first.v_c) == math.copysign(1.0, want.v_c)
+
+
+def test_plan_shares_an_implication_only_where_bias_and_zero_signs_agree(default_stack):
+    # every config compares equal; "auto" and "same" have the same zero
+    # signs, and "neg" differs in v_p's
+    spec = il.bottom_device_spec()
+    zero = il.ImpConfig(0.0, il.CurrentSourceLoad(0.0))
+    configs = {"drive_neg": zero, "drive_pos": zero,
+               "same": il.ImpConfig(0.0, il.CurrentSourceLoad(0.0)),
+               "neg": il.ImpConfig(-0.0, il.CurrentSourceLoad(0.0))}
+    steps = (il.ResetStep("T2"),) + tuple(il.ImpStep("B1", "T2", ref)
+                                          for ref in ("auto", "same", "neg", "auto"))
+    plan = program_module._Plan(il.StepProgram(steps), default_stack,
+                                {"bottom": spec, "top": spec}, configs)
+    auto, same, neg, again = (op[0] for op in plan.ops[1:])
+    assert auto is same is again
+    assert neg is not auto
 
 
 def _code_of(state):
