@@ -13,15 +13,15 @@ and gives each row its devices' I-V parameters (``device.iv_params``), so
 one solver call covers all of them: the closed form
 ``solver.solve_linear`` for pairs of two ohmic devices, the array Newton
 ``solver.solve_newton`` for the others, which freezes converged points and
-compacts its arrays only once fewer than half are still open. A distinct
-device pair is solved once per grid: a row that repeats another's devices,
-under the same or the opposite bias sign, reads that row's node voltage,
-negated where the sign differs (both I-V laws are odd), so a pair jointly
-constrained with its mirror adds no rows. Each pair's slacks reduce through
-its extreme drops, four arrays a pair. Each point takes the arithmetic it
-would take in a call of its own, so the stacked grid is bit for bit the
-grid of one solve per combination. The slacks reported for the winning
-bias come from ``evaluate_margin``, whose four combinations are one
+compacts its arrays only once fewer than half are still open. Every row is
+solved at the first pair's bias, and a pair whose bias signs are flipped
+reads its rows' node voltages negated (both I-V laws, and so both solvers,
+are odd in the bias), so a distinct device pair is solved once per grid and
+a pair jointly constrained with its mirror adds no rows. Each pair's slacks
+reduce through its extreme drops, four arrays a pair. Each point takes the
+arithmetic it would take in a call of its own, so the stacked grid is bit
+for bit the grid of one solve per combination. The slacks reported for the
+winning bias come from ``evaluate_margin``, whose four combinations are one
 ``solver.solve_pairs`` call.
 """
 
@@ -131,69 +131,55 @@ class _Pair:
 def _stack(pairs: list[_Pair]) -> list[tuple]:
     """The pairs' state combinations as the rows of stacked grids, one stack
     per solver: (solver, P's and Q's I-V parameters with one entry per row,
-    each row's bias sign or None if all are 1, and per pair its reads: the
-    rows of its combinations in ``_COMBOS`` order, as a slice or an index
-    array, the sign it reads them with, a float or one per row, and the
-    pair). A distinct device pair is solved once per grid: a combination
-    whose P and Q parameters match an earlier row's reads that row's node
-    voltage, negated where its bias sign differs. This is exact, since both
-    I-V laws are odd in the drop and negation commutes with the balance's
-    arithmetic and with Newton's bracket and step tests. Pairs of two ohmic
-    devices take ``solve_linear``, the others ``solve_newton``, grouped by
-    the length of each device's parameter tuple."""
+    and per pair its reads: the rows of its combinations in ``_COMBOS``
+    order, as a slice or an index array, and the pair). Rows are keyed by
+    their devices alone, so a distinct device pair is solved once per grid,
+    at the first pair's bias, and each pair reads its rows' node voltages
+    times its own ``flip``. This is exact wherever the solvers are odd in
+    the bias: both I-V laws are odd in the drop, and negation commutes with
+    the balance's arithmetic and with Newton's bracket and step tests, up
+    to a NaN balance. Pairs of two ohmic devices take ``solve_linear``, the
+    others ``solve_newton``, grouped by the length of each device's
+    parameter tuple."""
     groups: dict[tuple[int, int], tuple[dict, list]] = {}
     for pair in pairs:
         devices = [(dev.iv_params(pair.p_spec, p), dev.iv_params(pair.q_spec, q))
                    for p, q in _COMBOS]
         rows, reads = groups.setdefault((len(devices[0][0]), len(devices[0][1])), ({}, []))
-        at, signs = [], []
-        for device in devices:
-            row, flip = rows.setdefault(device, (len(rows), pair.flip))
-            at.append(row)
-            signs.append(flip * pair.flip)
+        at = [rows.setdefault(device, len(rows)) for device in devices]
         end = at[0] + len(_COMBOS)
-        at = slice(at[0], end) if at == list(range(at[0], end)) else np.array(at)
-        reads.append((at, signs[0] if len(set(signs)) == 1 else np.array(signs), pair))
-    stacks = []
-    for key, (rows, reads) in groups.items():
-        p_iv, q_iv = (_columns([device[k] for device in rows]) for k in (0, 1))
-        flips = np.array([flip for _, flip in rows.values()])
-        stacks.append((solve_linear if key == (1, 1) else solve_newton, p_iv, q_iv,
-                       None if (flips == 1.0).all() else flips, reads))
-    return stacks
+        reads.append((slice(at[0], end) if at == list(range(at[0], end)) else np.array(at),
+                      pair))
+    return [(solve_linear if key == (1, 1) else solve_newton,
+             *(_columns([device[k] for device in rows]) for k in (0, 1)), reads)
+            for key, (rows, reads) in groups.items()]
 
 
 def _stacked_margin(vp: np.ndarray, ll: np.ndarray, g_l: float,
                     stacks: list[tuple]) -> np.ndarray:
     """Worst slack over every pair and state combination of ``stacks``
     (from ``_stack``) at each point of the broadcast (vp, ll) grid, with
-    each pair's bias times its sign; each stack takes one solver call.
-    Rounding is monotone, so the smallest of a slack over combinations is
-    the slack of the largest or smallest drop: a pair's four slack arrays
-    are the inequalities of ``_slacks`` at its must-set row's Q drop, its
-    largest Q drop over the must-not-set rows, and its largest and
-    smallest P drops."""
+    each pair's bias times its ``flip``; each stack takes one solver call,
+    at the unflipped bias. Rounding is monotone, so the smallest of a slack
+    over combinations is the slack of the largest or smallest drop: a
+    pair's four slack arrays are the inequalities of ``_slacks`` at its
+    must-set row's Q drop, its largest Q drop over the must-not-set rows,
+    and its largest and smallest P drops."""
     shape = np.broadcast(vp, ll).shape
     rows = (-1,) + (1,) * len(shape)
     margin = None
-    for solve, p_iv, q_iv, flips, reads in stacks:
+    for solve, p_iv, q_iv, reads in stacks:
         p_rows = [a.reshape(rows) if isinstance(a, np.ndarray) else a for a in p_iv]
         q_rows = [a.reshape(rows) if isinstance(a, np.ndarray) else a for a in q_iv]
-        if flips is not None:
-            vp_rows, ll_rows = flips.reshape(rows) * vp, flips.reshape(rows) * ll
-        else:
-            vp_rows, ll_rows = vp, ll
         # rows whose parameters all agree come back as one
-        x = solve(p_rows, vp_rows, q_rows, ll_rows, g_l).reshape((-1,) + shape)
-        u = vp_rows + x  # P's drop before its drop sign, at each row's own bias
-        for at, sign, pair in reads:
+        x = solve(p_rows, vp, q_rows, ll, g_l).reshape((-1,) + shape)
+        u = vp + x  # P's drop before its drop sign and the pair's flip
+        for at, pair in reads:
             u_k, x_k = u[at], x[at]
-            if isinstance(sign, np.ndarray):  # rows read with both signs
-                u_k, x_k, sign = sign.reshape(rows) * u_k, sign.reshape(rows) * x_k, 1.0
             # a drop of sign -1 is largest where the unsigned one is smallest
             hi, lo = np.maximum.reduce(u_k), np.minimum.reduce(u_k)
-            p_hi, p_lo = (hi, lo) if sign * pair.s_p == 1 else (-lo, -hi)
-            s_q = sign * pair.s_q
+            p_hi, p_lo = (hi, lo) if pair.flip * pair.s_p == 1 else (-lo, -hi)
+            s_q = pair.flip * pair.s_q
             q_set = x_k[0] if s_q == 1 else -x_k[0]
             q_not = (np.maximum.reduce(x_k[1:]) if s_q == 1
                      else -np.minimum.reduce(x_k[1:]))

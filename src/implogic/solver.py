@@ -278,12 +278,16 @@ def solve_pairs(p_spec: MemristorSpec, q_spec: MemristorSpec,
         floats = vp * 0.0 + p_iv[-1] + q_iv[-1] + g_l == 0.0
         rejected, overflows = floats, []
         if not ohmic:
+            ends = []  # the balance at each bracket end, summed as _balance sums it
             for x in (-BRACKET, BRACKET):
+                i_pq = []
                 for role, params, v in (("P", p_iv, v_p + x), ("Q", q_iv, x)):
                     i, di = dev.iv(params, np.full(n, v))
+                    i_pq.append(i)
                     overflows.append((~(np.isfinite(i) & np.isfinite(di)), role, x, v))
-            ends = np.array([[-BRACKET], [BRACKET]])
-            f_lo, f_hi = _balance(ends, p_iv, vp, q_iv, ll, g_l, slope=False)
+                f = i_pq[0] + i_pq[1] + ll
+                ends.append(f + g_l * x if g_l else f)
+            f_lo, f_hi = ends
             rejected = np.logical_or.reduce(
                 [floats, *(over for over, *_ in overflows), f_lo > 0.0, f_hi < 0.0])
         if rejected.any():

@@ -1,4 +1,6 @@
 import dataclasses
+import hashlib
+import json
 import re
 import warnings
 
@@ -476,6 +478,112 @@ def test_sinh_optimize_json_exact(default_stack, adder_stack, sinh_spec, case):
     assert got == _SINH_OPTIMIZE_JSON[case]
 
 
+# flipped-row optimizations (rounds=3): a second pair whose bias signs are
+# flipped, on distinct bottom and top specs, so the flipped pair has devices
+# of its own; sha256 of the sorted to_json, of Infeasible.result where the
+# call is infeasible, recorded from grids that solved each flipped row at its
+# own negated bias
+_FLIPPED_PINS = {
+    "default/ohmic-measured/B1:T2,T2:B1/current_source":
+        ("infeasible", "1a95e73f6e05fab427991852073a09576fbf63cae2bf38c89b4a1f20694f1d9e"),
+    "default/ohmic-measured/B1:T2,T2:B1/resistive":
+        ("infeasible", "41a74af327542c2440388b7927284846e370975c2e65040e31501373d551fd35"),
+    "default/ohmic-measured/B1:T1,T1:B1/current_source":
+        ("infeasible", "16c82e3d03e06fb89b25dfbcd5ce03421b1540a420883d8c2fe76a01e3969ea4"),
+    "default/ohmic-measured/B1:T1,T1:B1/resistive":
+        ("infeasible", "820e63db5325983004813092147acb93256048afc1d730e9b9108c33f68c375e"),
+    "default/sinh-measured/B1:T2,T2:B1/current_source":
+        ("infeasible", "f5f0286b55482aa1d404157ff6618be706e575e587daa9cb005c7b5bcb225823"),
+    "default/sinh-measured/B1:T2,T2:B1/resistive":
+        ("infeasible", "59b77bf901247475a0f0ff82dc4a8f9aac4f0db7432cdd412cf649ed6d397100"),
+    "default/sinh-measured/B1:T1,T1:B1/current_source":
+        ("infeasible", "2d1d4b527d09e3096556916c5bd53c57146171ef1b62dad8cfe7f07f78cdb95e"),
+    "default/sinh-measured/B1:T1,T1:B1/resistive":
+        ("infeasible", "bca9fa598ea83660e00bd0ef878b393adb1763cef2129248fbbb8203a322b3ff"),
+    "default/ohmic-sharp/B1:T2,T2:B1/current_source":
+        ("ok", "29ed66aba72c8a4383fcc07ac47d5848e05cf66c718a15b286ec692f7f8b89bb"),
+    "default/ohmic-sharp/B1:T2,T2:B1/resistive":
+        ("ok", "a4afdfb00b6dc30502de36b03dace1c15b8289776d813a8cd6ab288b6a1773f9"),
+    "default/ohmic-sharp/B1:T1,T1:B1/current_source":
+        ("ok", "29841e262c69ac12c67c08f4eb16d98be58e1cef8f314cc21f9875bcbdc94228"),
+    "default/ohmic-sharp/B1:T1,T1:B1/resistive":
+        ("ok", "218cdaea0abe6f82336637e797906b3178c1737c1e98ac6e89032eded8ccd7ce"),
+    "default/sinh-sharp/B1:T2,T2:B1/current_source":
+        ("ok", "6160b726c0e21514a7a73cc1a360cf6f10d420dc4959b8107e92de7514496ea9"),
+    "default/sinh-sharp/B1:T2,T2:B1/resistive":
+        ("ok", "d1f620704f73ddd5b9909152131c5813a59464570b936ea09364904371e0fcea"),
+    "default/sinh-sharp/B1:T1,T1:B1/current_source":
+        ("ok", "8104f395db83b60b9fd78de0357fcfc52da70d6d8590893a42a28c62c9b58953"),
+    "default/sinh-sharp/B1:T1,T1:B1/resistive":
+        ("ok", "84b0864007a13fbceddb358306f3f2a905a4fade893c824da8008cbb3736dd60"),
+    "adder/ohmic-measured/B1:T2,T2:B1/current_source":
+        ("infeasible", "1a95e73f6e05fab427991852073a09576fbf63cae2bf38c89b4a1f20694f1d9e"),
+    "adder/ohmic-measured/B1:T2,T2:B1/resistive":
+        ("infeasible", "41a74af327542c2440388b7927284846e370975c2e65040e31501373d551fd35"),
+    "adder/ohmic-measured/B1:T1,T1:B1/current_source":
+        ("infeasible", "16c82e3d03e06fb89b25dfbcd5ce03421b1540a420883d8c2fe76a01e3969ea4"),
+    "adder/ohmic-measured/B1:T1,T1:B1/resistive":
+        ("infeasible", "820e63db5325983004813092147acb93256048afc1d730e9b9108c33f68c375e"),
+    "adder/sinh-measured/B1:T2,T2:B1/current_source":
+        ("infeasible", "f5f0286b55482aa1d404157ff6618be706e575e587daa9cb005c7b5bcb225823"),
+    "adder/sinh-measured/B1:T2,T2:B1/resistive":
+        ("infeasible", "59b77bf901247475a0f0ff82dc4a8f9aac4f0db7432cdd412cf649ed6d397100"),
+    "adder/sinh-measured/B1:T1,T1:B1/current_source":
+        ("infeasible", "2d1d4b527d09e3096556916c5bd53c57146171ef1b62dad8cfe7f07f78cdb95e"),
+    "adder/sinh-measured/B1:T1,T1:B1/resistive":
+        ("infeasible", "bca9fa598ea83660e00bd0ef878b393adb1763cef2129248fbbb8203a322b3ff"),
+    "adder/ohmic-sharp/B1:T2,T2:B1/current_source":
+        ("ok", "29ed66aba72c8a4383fcc07ac47d5848e05cf66c718a15b286ec692f7f8b89bb"),
+    "adder/ohmic-sharp/B1:T2,T2:B1/resistive":
+        ("ok", "a4afdfb00b6dc30502de36b03dace1c15b8289776d813a8cd6ab288b6a1773f9"),
+    "adder/ohmic-sharp/B1:T1,T1:B1/current_source":
+        ("ok", "29841e262c69ac12c67c08f4eb16d98be58e1cef8f314cc21f9875bcbdc94228"),
+    "adder/ohmic-sharp/B1:T1,T1:B1/resistive":
+        ("ok", "218cdaea0abe6f82336637e797906b3178c1737c1e98ac6e89032eded8ccd7ce"),
+    "adder/sinh-sharp/B1:T2,T2:B1/current_source":
+        ("ok", "6160b726c0e21514a7a73cc1a360cf6f10d420dc4959b8107e92de7514496ea9"),
+    "adder/sinh-sharp/B1:T2,T2:B1/resistive":
+        ("ok", "d1f620704f73ddd5b9909152131c5813a59464570b936ea09364904371e0fcea"),
+    "adder/sinh-sharp/B1:T1,T1:B1/current_source":
+        ("ok", "8104f395db83b60b9fd78de0357fcfc52da70d6d8590893a42a28c62c9b58953"),
+    "adder/sinh-sharp/B1:T1,T1:B1/resistive":
+        ("ok", "84b0864007a13fbceddb358306f3f2a905a4fade893c824da8008cbb3736dd60"),
+}
+
+
+def _flipped_specs(law, window):
+    """Distinct bottom and top specs: the measured set ranges, or sharp
+    thresholds (1.5 V and 1.4 V) under which the joint optimization is
+    feasible; ohmic, or sinh with different slopes per level and state."""
+    if window == "measured":
+        bottom, top = il.bottom_device_spec(), il.top_device_spec()
+    else:
+        bottom, top = il.ideal_device_spec(1.5), il.ideal_device_spec(1.4, 125e-6, 5e-6)
+    if law == "sinh":
+        bottom = dataclasses.replace(bottom, iv_model=il.sinh_iv_from_conductances(
+            115e-6, 10e-6, 1.5, 1.5))
+        top = dataclasses.replace(top, iv_model=il.sinh_iv_from_conductances(
+            125e-6, 5e-6, 2.0, 1.0))
+    return {"bottom": bottom, "top": top}
+
+
+@pytest.mark.parametrize("case", list(_FLIPPED_PINS))
+def test_flipped_pair_optimizations_pinned(case):
+    # every float of the result and whether it is feasible, bit for bit
+    name, kind, pairs, load = case.split("/")
+    stack = il.build_default_stack() if name == "default" else il.build_adder_stack()
+    (p, q), second = (pair.split(":") for pair in pairs.split(","))
+    g_l = il.legacy_load(115e-6, 10e-6) if load == "resistive" else 0.0
+    try:
+        res, outcome = il.optimize(stack, p, q, _flipped_specs(*kind.split("-")),
+                                   load_kind=load, g_l=g_l, constraints=[tuple(second)],
+                                   rounds=3), "ok"
+    except Infeasible as exc:
+        res, outcome = exc.result, "infeasible"
+    blob = json.dumps(res.to_json(), sort_keys=True).encode()
+    assert (outcome, hashlib.sha256(blob).hexdigest()) == _FLIPPED_PINS[case]
+
+
 def _per_combination_margin(vp, ll, g_l, pairs):
     """The worst slack over ``pairs`` with one solver call per pair and
     state combination, on each pair's signed bias."""
@@ -591,18 +699,20 @@ def test_joint_pair_rows_are_solved_once(adder_stack, b, g_l, second, sign):
     first = _pair_info(adder_stack, specs, ("B1", "T1"))
     pairs = [first, _pair_info(adder_stack, specs, second, first.s_q)]
     (stack,) = _stack(pairs)
-    _, p_iv, q_iv, flips, reads = stack
-    assert flips is None and max(np.size(col) for col in (*p_iv, *q_iv)) == 4
-    assert [(at, s) for at, s, _ in reads] == [(slice(0, 4), 1.0), (slice(0, 4), sign)]
+    _, p_iv, q_iv, reads = stack
+    assert max(np.size(col) for col in (*p_iv, *q_iv)) == 4
+    assert [(at, pair.flip) for at, pair in reads] == [(slice(0, 4), 1.0),
+                                                       (slice(0, 4), sign)]
     np.testing.assert_array_equal(_stacked_margin(*_MIRROR_GRID, g_l, [stack]),
                                   _per_combination_margin(*_MIRROR_GRID, g_l, pairs))
 
 
 def test_pair_reads_shared_rows_with_both_signs():
     # P has one law for both states, so only Q tells rows apart. The third
-    # pair's Q is OFF like the first pair's and ON like the second's; its
-    # bias sign is the second's and not the first's, so it reads the first's
-    # rows negated and the second's as they are
+    # pair's Q is OFF like the first pair's and ON like the second's, so it
+    # reads rows of both; every row is solved at the first pair's bias, and
+    # the third pair reads them all negated, by its own flip, the second's
+    # rows included
     one_law = il.SinhIV(a_on=10.02e-6 / 1.5, b_on=1.5, a_off=10.02e-6 / 1.5, b_off=1.5)
     p_spec = il.MemristorSpec(v_set_min=0.5, v_set_max=0.7, v_reset_min=-1.5,
                               v_reset_max=-2.2, g_on=10.1e-6, g_off=10e-6, iv_model=one_law)
@@ -612,11 +722,32 @@ def test_pair_reads_shared_rows_with_both_signs():
     t, u, v = (dataclasses.replace(_spec_with_b(1.5), iv_model=iv) for iv in (t_iv, u_iv, v_iv))
     pairs = [_Pair(p_spec, t, 1, 1), _Pair(p_spec, u, -1, 1, -1.0), _Pair(p_spec, v, 1, -1, -1.0)]
     (stack,) = _stack(pairs)
-    at, sign, _ = stack[4][2]
+    at, pair = stack[3][2]
     np.testing.assert_array_equal(at, [0, 3, 0, 3])
-    np.testing.assert_array_equal(sign, [-1.0, 1.0, -1.0, 1.0])
+    assert pair.flip == -1.0
     np.testing.assert_array_equal(_stacked_margin(*_MIRROR_GRID, 0.0, [stack]),
                                   _per_combination_margin(*_MIRROR_GRID, 0.0, pairs))
+
+
+# at b = 1000, P's and Q's currents overflow to opposite infinities within
+# the grid's drops, where the balance is NaN and the solvers are not odd in
+# the bias
+@pytest.mark.parametrize("b", [1.5, 80.0, 1000.0])
+@pytest.mark.parametrize("g_l", [0.0, 3.4e-5])
+@pytest.mark.parametrize("top", ["same", "distinct"], ids=["mirror", "distinct"])
+def test_joint_grid_is_the_min_of_each_pairs_own_grid(adder_stack, b, g_l, top):
+    # B1:T1 jointly with the flipped T1:B1, on one device spec (a mirror
+    # pair, whose rows the stack shares) or on distinct bottom and top specs
+    # (eight rows): a pair's grid does not depend on what it is stacked with
+    bottom = _spec_with_b(b)
+    specs = {"bottom": bottom, "top": bottom if top == "same" else il.top_device_spec(
+        il.sinh_iv_from_conductances(125e-6, 5e-6, b, b))}
+    first = _pair_info(adder_stack, specs, ("B1", "T1"))
+    pairs = [first, _pair_info(adder_stack, specs, ("T1", "B1"), first.s_q)]
+    assert pairs[1].flip == -1.0
+    np.testing.assert_array_equal(
+        _stacked_margin(*_MIRROR_GRID, g_l, _stack(pairs)),
+        np.minimum(*(_stacked_margin(*_MIRROR_GRID, g_l, _stack([pair])) for pair in pairs)))
 
 
 def _end_root_loads(spec, v_p):

@@ -381,6 +381,40 @@ def test_residual_error_comes_after_every_up_front_error(monkeypatch):
         "no current-balance root in [-10.0, 10.0] V (f(-10.0)=987, f(10.0)=1.06e+03)")
 
 
+def _converged_at_zero(p_iv, vp, q_iv, ll, g_l, iterations):
+    """A Newton whose every point converged at x = 0 in one pass."""
+    iterations[:] = 1
+    return np.zeros(np.shape(vp))
+
+
+def test_solve_pairs_sums_the_bracket_ends_from_the_overflow_test(monkeypatch):
+    # the balance at the bracket ends is summed from the currents the
+    # overflow test computes, so _balance runs once, for the residual; the
+    # no-root message still shows _balance's values at the ends, with a
+    # load conductance too
+    calls = []
+    balance = solver_module._balance
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return balance(*args, **kwargs)
+
+    monkeypatch.setattr(solver_module, "_balance", counted)
+    monkeypatch.setattr(solver_module, "solve_newton", _converged_at_zero)
+    solve_pairs(_GENTLE, _GENTLE, [(OFF, OFF), (_ON, OFF)],
+                il.ImpConfig(1.0, il.CurrentSourceLoad(0.0)))
+    assert len(calls) == 1
+    monkeypatch.undo()
+    load = il.ResistiveLoad(g_l=2e-5, v_l=5e3)  # 0.1 A into the node: no root
+    g_l, ll = _load_terms(load)
+    f_lo, f_hi = _balance(np.array([-10.0, 10.0]), iv_params(_GENTLE, _ON), 0.3,
+                          iv_params(_GENTLE, OFF), ll, g_l, slope=False)
+    with pytest.raises(il.NoConvergence) as exc:
+        solve_pairs(_GENTLE, _GENTLE, [(_ON, OFF), (OFF, OFF)], il.ImpConfig(0.3, load))
+    assert str(exc.value) == (f"no current-balance root in [-10.0, 10.0] V "
+                              f"(f(-10.0)={f_lo:.3g}, f(10.0)={f_hi:.3g})")
+
+
 def _nominal(specs, stack):
     return {c: il.nominal_thresholds(specs[stack.cells[c].spec_ref])
             for c in stack.usable_cells()}
