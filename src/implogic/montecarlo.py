@@ -2,9 +2,13 @@
 
 Trial t of a study with seed s reruns the program with every threshold
 drawn from its own substream, ``numpy.random.default_rng((s, t))``, in the
-draw order owned by the program's compiled plan. The trials are the batch
-axis of the plan's step interpreter (``program._Plan._interpret``), which
-``execute`` runs as a batch of one: each step acts on every trial at once.
+draw order owned by the program's compiled plan. Each batch builds its
+trials' seed entropy once, as a uint32 table whose rows are the words numpy
+would coerce ``(s, t)`` to (``_trial_entropy``), so every stream is
+unchanged, bit for bit, and no trial pays numpy's coercion of a tuple. The
+trials are the batch axis of the plan's step interpreter
+(``program._Plan._interpret``), which ``execute`` runs as a batch of one:
+each step acts on every trial at once.
 Failures are attributed here, against the zero-variation run of the same
 interpreter, settled from the implications' memos. Trials are processed
 ``BATCH_TRIALS`` at a time, so beyond the 4 bytes a trial that the report
@@ -75,6 +79,22 @@ def _program_input_values(program: StepProgram) -> dict[str, int]:
             if cell in by_cell}
 
 
+def _trial_entropy(seed: int, start: int, n: int) -> np.ndarray | list[tuple]:
+    """The seed entropy of trials ``start`` to ``start + n - 1``, one row a
+    trial: ``seed``'s little-endian 32-bit words ([0] for 0), as numpy
+    coerces an int, then t, as an (n, w + 1) uint32 table. ``SeedSequence``
+    takes such a row as it is, so ``default_rng(row)`` is ``default_rng((seed,
+    t))`` bit for bit. A batch that reaches t >= 2**32, where t takes two
+    words, keeps the ``(seed, t)`` tuples."""
+    if start + n > 1 << 32:
+        return [(seed, t) for t in range(start, start + n)]
+    words = [seed >> k & 0xFFFFFFFF for k in range(0, max(seed.bit_length(), 1), 32)]
+    table = np.empty((n, len(words) + 1), dtype=np.uint32)
+    table[:, :-1] = words
+    table[:, -1] = np.arange(start, start + n)
+    return table
+
+
 def estimate_yield(program: StepProgram, topology: StackTopology,
                    specs: dict[str, MemristorSpec],
                    configs: dict[str, ImpConfig],
@@ -135,7 +155,7 @@ def estimate_yield(program: StepProgram, topology: StackTopology,
     for start in range(0, trials, BATCH_TRIALS):
         n = min(BATCH_TRIALS, trials - start)
         trail = []
-        th = plan.thresholds([(seed, t) for t in range(start, start + n)])
+        th = plan.thresholds(_trial_entropy(seed, start, n))
         state, _ = plan.run(writes, th, start, trail=trail)
         failed = failed_step[start:start + n]  # a view
         failed[:] = len(program.steps) - 1

@@ -35,7 +35,8 @@ import numpy as np
 
 from . import device as dev
 from .device import Logic, MemristorSpec
-from .solver import _columns, solve_linear, solve_newton, solve_pairs
+from .solver import (BRACKET, NoConvergence, _columns, is_ohmic, solve_linear,
+                     solve_newton, solve_pairs)
 from .topology import (CurrentSourceLoad, ImpConfig, ResistiveLoad,
                        StackTopology)
 
@@ -137,10 +138,10 @@ def _stack(pairs: list[_Pair]) -> list[tuple]:
     at the first pair's bias, and each pair reads its rows' node voltages
     times its own ``flip``. This is exact wherever the solvers are odd in
     the bias: both I-V laws are odd in the drop, and negation commutes with
-    the balance's arithmetic and with Newton's bracket and step tests, up
-    to a NaN balance. Pairs of two ohmic devices take ``solve_linear``, the
-    others ``solve_newton``, grouped by the length of each device's
-    parameter tuple."""
+    the balance's arithmetic and with Newton's bracket and step tests.
+    Pairs of two ohmic devices take ``solve_linear``, the others
+    ``solve_newton``, grouped by the length of each device's parameter
+    tuple."""
     groups: dict[tuple[int, int], tuple[dict, list]] = {}
     for pair in pairs:
         devices = [(dev.iv_params(pair.p_spec, p), dev.iv_params(pair.q_spec, q))
@@ -203,6 +204,32 @@ def _pair_info(topology: StackTopology, specs: dict[str, MemristorSpec],
                  1.0 if ref_sign in (None, s_q) else -1.0)
 
 
+def _reject_unsolvable(names: list[tuple[str, str]], pairs: list[_Pair]) -> None:
+    """Raise NoConvergence for the first pair that no bias can solve: one
+    on the Newton path with a device whose I-V, in either state, is not
+    finite, or whose slope is not, at a drop of -``BRACKET`` or +``BRACKET``.
+    Every solve checks Q at both bracket ends and P at ``v_p`` plus each,
+    one of which lies as far out, and a sinh current and slope only grow
+    with the drop's size, so ``evaluate_margin`` raises at every bias.
+    Past this check Q's current is finite across the bracket, so no grid
+    meets a NaN balance, where P and Q overflow to opposite infinities and
+    the solvers need not be odd in the bias."""
+    ends = np.array([-BRACKET, BRACKET])
+    for (p, q), pair in zip(names, pairs):
+        if is_ohmic(pair.p_spec, pair.q_spec):
+            continue
+        for role, spec in (("P", pair.p_spec), ("Q", pair.q_spec)):
+            for state in (dev.OFF, dev.ON):
+                with np.errstate(over="ignore", invalid="ignore"):
+                    i, di = dev.iv(dev.iv_params(spec, state), ends)
+                bad = ~(np.isfinite(i) & np.isfinite(di))
+                if bad.any():
+                    raise NoConvergence(
+                        f"I-V of device {role} ({state.logic.name}) of pair {p}>{q} "
+                        f"overflows at a drop of {ends[bad.argmax()]:+g} V, "
+                        "an end of the Newton bracket, so no bias can solve the pair")
+
+
 def _config_from(v_p: float, ll: float, g_l: float) -> ImpConfig:
     if g_l > 0.0:
         return ImpConfig(v_p=v_p, load=ResistiveLoad(g_l=g_l, v_l=ll / g_l))
@@ -232,8 +259,10 @@ def optimize(topology: StackTopology, p: str, q: str,
     ValueError when ``g_l`` is not a finite real number or ``rounds`` not
     an int >= 0 (bools are neither here), when a constraint is not a
     (P, Q) pair of cell names, or when ``specs`` lacks the spec ref of a
-    paired cell; these, and NotAdjacent for a pair that shares no wire,
-    are raised before any grid runs.
+    paired cell; NotAdjacent for a pair that shares no wire; and
+    NoConvergence for a pair that no bias can solve, whose device's I-V
+    overflows at an end of the Newton bracket (``_reject_unsolvable``).
+    These are raised before any grid runs.
     """
     if not isinstance(g_l, numbers.Real) or isinstance(g_l, bool):
         raise ValueError(f"g_l must be a real number, got {g_l!r}")
@@ -259,6 +288,7 @@ def optimize(topology: StackTopology, p: str, q: str,
         names.append(tuple(pair))
     first = _pair_info(topology, specs, names[0])
     pairs = [first] + [_pair_info(topology, specs, pair, first.s_q) for pair in names[1:]]
+    _reject_unsolvable(names, pairs)
 
     all_specs = [spec for pair in pairs for spec in (pair.p_spec, pair.q_spec)]
     vstar = max(s.v_set_star for s in all_specs)

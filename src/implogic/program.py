@@ -418,10 +418,13 @@ class _Plan:
         """The bit that ``cell`` reads in the state of ``code``."""
         return dev.decode_bit(self.specs[cell], state_of(code))
 
-    def thresholds(self, seeds: list) -> np.ndarray:
+    def thresholds(self, seeds) -> np.ndarray:
         """One threshold table per seed, as the columns of the result: ``lo +
         span * U`` with U from ``default_rng(seed)``, which is how numpy's
-        ``uniform(lo, hi)`` computes it."""
+        ``uniform(lo, hi)`` computes it. A seed is what ``default_rng`` takes:
+        ``execute`` passes its own, a yield batch the rows of its uint32
+        entropy table (``montecarlo._trial_entropy``), each the words numpy
+        would coerce ``(seed, t)`` to, so each stream is unchanged."""
         u = np.empty((len(seeds), self.lo.size))
         if self.lo.size:
             for j, seed in enumerate(seeds):

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -313,6 +314,20 @@ def test_optimize_rejects_an_unknown_load(circuit_file, capsys):
                                         "--pairs", "T1:T2", "--load", "bogus"])
     assert (rc, body) == (2, {"error": "config", "message":
                               "ValueError: load must be 'current' or 'resistive:GL'"})
+    assert "Traceback" not in err
+
+
+def test_optimize_exits_1_on_a_device_no_bias_can_solve(tmp_path, capsys):
+    # sinh(10 b) overflows at b = 100, so every solve's bracket check fails
+    spec = dataclasses.replace(il.bottom_device_spec(), iv_model=il.sinh_iv_from_conductances(
+        115e-6, 10e-6, 100.0, 100.0))
+    (tmp_path / "c.json").write_text(json.dumps(_circuit(spec)))
+    rc, body, err = _json_exit(capsys, ["optimize", "--topology", str(tmp_path / "c.json"),
+                                        "--pairs", "T1:T2", "--load", "current"])
+    assert (rc, body) == (1, {"error": "noconvergence", "message":
+                              "I-V of device P (OFF) of pair T1>T2 overflows at a drop of "
+                              "-10 V, an end of the Newton bracket, so no bias can solve "
+                              "the pair"})
     assert "Traceback" not in err
 
 

@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -238,6 +239,10 @@ def test_batched_yield_matches_per_trial_execute(default_stack, adder_stack):
         prog = _nand_program(a, b)
         cases.append((f"nand {a}{b} {name}", prog, default_stack, specs, configs,
                       _nand_oracle({"a": a, "b": b}), 300, 5))
+    # seeds of two and three 32-bit words, whose entropy rows are wider
+    for seed in (2 ** 32, 2 ** 40 + 3, 2 ** 64 - 1):
+        cases.append((f"nand 11 seed {seed}", _nand_program(1, 1), default_stack, specs,
+                      biases["current source"], {"out": 0}, 100, seed))
 
     # only P switches: a partial reset in some cycles, none at zero
     # variation, and at this ON/OFF ratio it reads as 0
@@ -276,6 +281,19 @@ def test_batched_yield_matches_per_trial_execute(default_stack, adder_stack):
     assert any(r["yield"] < 1.0 for r in reports[-8:])  # the sinh rows too
 
 
+@pytest.mark.parametrize("seed", [0, 7, 2 ** 32 - 1, 2 ** 32, 2 ** 40 + 3, 2 ** 64 - 1])
+@pytest.mark.parametrize("start, n, table", [(0, 5, True), (2 ** 32 - 4, 4, True),
+                                             (2 ** 32 - 2, 4, False)])
+def test_trial_entropy_rows_give_each_trials_stream(seed, start, n, table):
+    # a batch that reaches t = 2**32, where t takes two words, keeps the tuples
+    rows = montecarlo_module._trial_entropy(seed, start, n)
+    assert isinstance(rows, np.ndarray) == table
+    assert len(rows) == n
+    for t, row in enumerate(rows, start):
+        np.testing.assert_array_equal(np.random.default_rng(row).random(114),
+                                      np.random.default_rng((seed, t)).random(114))
+
+
 def test_batched_yield_independent_of_batch_size(default_stack, monkeypatch):
     spec = _wide_spec()
     specs = {"bottom": spec, "top": spec}
@@ -293,7 +311,9 @@ def test_batched_yield_independent_of_batch_size(default_stack, monkeypatch):
        onset=st.floats(1.0, 1.8), reset_span=st.floats(0.0, 0.8),
        v_p=st.floats(-5.0, 5.0), resistive=st.booleans(),
        g_l=st.floats(1e-6, 2e-4), drive=st.floats(-4.0, 4.0),
-       a=st.integers(0, 1), b=st.integers(0, 1), seed=st.integers(0, 2 ** 32 - 1))
+       a=st.integers(0, 1), b=st.integers(0, 1),
+       # seeds of one 32-bit word or of two, as often as each other
+       seed=st.one_of(st.integers(0, 2 ** 32 - 1), st.integers(2 ** 32, 2 ** 64 - 1)))
 def test_batched_yield_property(v_star, half, g_off, ratio, onset, reset_span,
                                 v_p, resistive, g_l, drive, a, b, seed):
     spec = il.MemristorSpec(v_set_min=v_star - half, v_set_max=v_star + half,

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import re
+import time
 import warnings
 
 import numpy as np
@@ -832,3 +833,66 @@ def test_evaluate_margin_equals_pointwise_solves(spec, v_p, ll, g_l, pair):
             il.evaluate_margin(stack, *pair, cfg, spec, spec)
         return
     assert list(il.evaluate_margin(stack, *pair, cfg, spec, spec).values()) == want
+
+
+def _steep_spec(b_on, b_off):
+    """``_spec_with_b``'s conductances and window with b_on and b_off of
+    their own, or ohmic where b_on is None."""
+    spec = _spec_with_b(None)
+    if b_on is None:
+        return spec
+    return dataclasses.replace(spec, iv_model=il.sinh_iv_from_conductances(
+        115e-6, 10e-6, b_on, b_off))
+
+
+def test_optimize_rejects_an_unsolvable_device_before_any_grid(default_stack,
+                                                               monkeypatch):
+    # this used to run all 81 grids, 3.2 s, and then raise from evaluate_margin
+    monkeypatch.setattr(optimizer, "_stacked_margin", _no_grid)
+    specs = _specs_for(default_stack, _steep_spec(1000.0, 1000.0))
+    took = []
+    for _ in range(3):
+        start = time.perf_counter()
+        with pytest.raises(il.NoConvergence, match=re.escape(
+                "I-V of device P (OFF) of pair T1>T2 overflows at a drop of -10 V, "
+                "an end of the Newton bracket, so no bias can solve the pair")):
+            il.optimize(default_stack, "T1", "T2", specs)
+        took.append(time.perf_counter() - start)
+    assert min(took) < 0.01
+    # a constraint's devices are checked too, and only Q's ON state overflows
+    specs["top"] = _steep_spec(1000.0, 1.5)
+    specs["bottom"] = _steep_spec(1.5, 1.5)
+    with pytest.raises(il.NoConvergence, match=re.escape(
+            "I-V of device Q (ON) of pair B1>T2 overflows at a drop of -10 V")):
+        il.optimize(default_stack, "B2", "B1", specs, constraints=[("B1", "T2")])
+
+
+# sinh(10 b) overflows from b = 71.05 on: b = 71.0 still solves at +-10 V
+@pytest.mark.parametrize("b_on, b_off", [
+    (None, None), (1.5, 1.5), (71.0, 71.0), (71.06, 71.06), (72.0, 72.0),
+    (100.0, 100.0), (1000.0, 1000.0), (1000.0, 1.5), (1.5, 1000.0)])
+@pytest.mark.parametrize("pair", [("T1", "T2"), ("B1", "T1"), ("T1", "B1")])
+@pytest.mark.parametrize("top", ["same", "ohmic"])
+def test_unsolvable_pairs_fail_evaluate_margin_at_every_bias(b_on, b_off, pair, top):
+    # where the up-front check raises, evaluate_margin raises at every
+    # sampled bias, and with the same exception type
+    stack = il.build_default_stack()
+    spec = _steep_spec(b_on, b_off)
+    specs = {"bottom": spec, "top": spec if top == "same" else _steep_spec(None, None)}
+    pairs = [_pair_info(stack, specs, pair)]
+    try:
+        optimizer._reject_unsolvable([pair], pairs)
+    except il.NoConvergence:
+        rejected = True
+    else:
+        rejected = False
+    steep = b_on is not None and max(b_on, b_off) > 71.05
+    assert rejected == (steep and spec in (pairs[0].p_spec, pairs[0].q_spec))
+    if not rejected:
+        return
+    for v_p in np.linspace(-4.0, 4.0, 9):
+        for load in (il.CurrentSourceLoad(i_l=float(v_p) * 1e-4),
+                     il.CurrentSourceLoad(i_l=-3e-4), il.ResistiveLoad(g_l=3.4e-5, v_l=2.0)):
+            with pytest.raises(il.NoConvergence):
+                il.evaluate_margin(stack, *pair, il.ImpConfig(v_p=float(v_p), load=load),
+                                   pairs[0].p_spec, pairs[0].q_spec)
