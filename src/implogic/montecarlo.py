@@ -8,7 +8,14 @@ would coerce ``(s, t)`` to (``_trial_entropy``), so every stream is
 unchanged, bit for bit, and no trial pays numpy's coercion of a tuple. The
 trials are the batch axis of the plan's step interpreter
 (``program._Plan._interpret``), which ``execute`` runs as a batch of one:
-each step acts on every trial at once.
+each step acts on every trial at once. An implication settles a batch from
+its memo of outcomes per column key, its entry codes and the cells that
+its three thresholds fall in among the drops the implication has solved,
+which is exact (``program._Imp``); ``solver.settle`` runs only when some
+column's key is new, and then on the whole batch, so every outcome and
+every NoConvergence is the one it gives. On a warm plan, such as the one
+a truth table's rows share, a fresh seed's batch seldom meets a new key:
+on the benchmark's sinh full adder, none after the plan's first batch.
 Failures are attributed here, against the zero-variation run of the same
 interpreter, settled from the implications' memos. Trials are processed
 ``BATCH_TRIALS`` at a time, so beyond the 4 bytes a trial that the report

@@ -9,18 +9,21 @@ a reset followed by one. Values move between cells as complement pairs
 A program compiles into a plan with one step interpreter,
 ``_Plan._interpret``, which ``_Plan.run`` drives: ``execute`` and a seeded
 ripple addition as a batch of one trial, ``montecarlo.estimate_yield``
-over many. Each implication step applies ``solver.settle``, the one copy
-of the switching rules, to state codes (``solver.state_of``: 0 is OFF,
-k + 1 is ON after k partial resets). A run keeps one entry per cell: an
-int code at nominal thresholds, or a row of codes, one per trial, in a
-batch. The plan owns the threshold draw order (``_Plan.thresholds``).
-A plan holds one implication per distinct bias, specs and drop signs, and
-at zero variation each one's pulse outcome per (P code, Q code) is
-memoized on Python ints for the life of the plan. Write
-values are run-time inputs of a plan, and every run passes its own, so
-``ripple_adder_8bit`` compiles one plan per (stack, specs, configs,
-placement, bits), caches it, and gives each addition its own writes
-instead of recompiling; ``execute`` and ``montecarlo.estimate_yield``
+over many. Each implication step applies the switching rules of
+``solver.settle``, their one copy, to state codes (``solver.state_of``:
+0 is OFF, k + 1 is ON after k partial resets). A run keeps one entry per
+cell: an int code at nominal thresholds, or a row of codes, one per
+trial, in a batch. The plan owns the threshold draw order
+(``_Plan.thresholds``). A plan holds one implication per distinct bias,
+specs and drop signs, and memoizes each one's pulse outcomes for the
+life of the plan: at zero variation per (P code, Q code), on Python
+ints, and in a batch run without step records per column key, its entry
+codes and the cells its thresholds fall in among the implication's
+solved drops (``_Imp``). A warm batch thus settles by lookup, and
+``settle`` runs only where a key is new. Write values are run-time
+inputs of a plan, and every run passes its own, so ``ripple_adder_8bit``
+compiles one plan per (stack, specs, configs, placement, bits), caches
+it, and gives each addition its own writes instead of recompiling; ``execute`` and ``montecarlo.estimate_yield``
 likewise share one cached plan per program shape (``_program_plan``),
 whatever its write values. A zero-variation ripple addition is one
 linked walk over its plan's write segments, each starting at step 0 or at
@@ -50,8 +53,8 @@ import numpy as np
 from . import device as dev
 from . import margins
 from .device import MemristorSpec, _check_json
-from .solver import (NoConvergence, NodeSolution, SwitchEvent, settle, solve_pair,
-                     state_of)
+from .solver import (MAX_CODE, NoConvergence, NodeSolution, SwitchEvent, settle,
+                     solve_pair, state_of)
 from .topology import (CurrentSourceLoad, ImpConfig, ResistiveLoad,
                        StackTopology, build_adder_stack)
 
@@ -270,11 +273,38 @@ def _where(index: int, step: ImpStep, config: ImpConfig) -> str:
     return f"step {index} (imp {step.p} -> {step.q}, v_p {config.v_p:+.6g} V, {bias})"
 
 
+# Batch settle outcomes an implication memoizes at most; a memo that holds as
+# many is cleared before the next batch's go in. Each yield workload's
+# implications hold 12 entries.
+SETTLE_MEMO = 4096
+_CODES = MAX_CODE + 1  # a memo key packs a code pair as P code * _CODES + Q code
+_NO_KEYS, _NO_EXITS = np.empty(0, dtype=np.int64), np.empty((2, 0), dtype=np.intp)
+
+
 class _Imp:
-    """An implication's bias, P's and Q's specs and drop signs, and two memos
-    per (P code, Q code) that hold in every run of its plan: the node
-    solution, and the new codes, events and first solution of a pulse at
-    nominal thresholds."""
+    """An implication's bias, P's and Q's specs and drop signs, and three
+    memos that hold in every run of its plan: the node solution per (P
+    code, Q code); the new codes, events and first solution of a pulse at
+    nominal thresholds per (P code, Q code); and the exit codes of a batch
+    column per key, which ``settle_batch`` reads.
+
+    A column's key is its entry codes and the cell its three thresholds
+    fall in: Q's v_set and Q's reset onset among the cuts of Q's drops, P's
+    reset onset among those of P's, where the cuts are the sorted distinct
+    drops of every pair this implication has solved. The memo is exact. In
+    a pass of ``settle`` a column's decisions depend only on its codes, the
+    drops of its current pair, its own thresholds and the rules that have
+    already matched it; the full-reset levels are the constants ``full``,
+    and no column's decisions depend on another's. Every pair a column
+    visits has been solved, so its drops are cuts, and a threshold's cell
+    decides each comparison with a cut: Q sets when its drop is >= v_set,
+    so v_set's cell counts the cuts below it (``side="left"``); a reset
+    starts when a drop is <= the onset, so an onset's cell counts the cuts
+    at or below it (``side="right"``). Two columns with equal entry codes
+    in one cell therefore take the same passes to the same exit codes, and
+    a batch whose every key is known settles, as a plain ``settle`` would,
+    without raising. Keys index the cuts they were made with, so the memo
+    is dropped when the cuts change."""
 
     def __init__(self, config: ImpConfig, p_spec: MemristorSpec, q_spec: MemristorSpec,
                  s_p: int, s_q: int):
@@ -286,6 +316,10 @@ class _Imp:
         self.nominal = np.array([[nom_q.v_set], [nom_p.v_reset_onset], [nom_q.v_reset_onset]])
         self.solutions: dict[tuple[int, int], NodeSolution] = {}
         self.settled: dict[tuple[int, int], tuple] = {}
+        # the batch memo: P's and Q's cuts, and the sorted keys with each
+        # one's exit codes (columns)
+        self._cuts = (np.empty(0), np.empty(0))
+        self._keys, self._exits = _NO_KEYS, _NO_EXITS
 
     def solve(self, p_code: int, q_code: int) -> NodeSolution:
         sol = self.solutions.get((p_code, q_code))
@@ -305,6 +339,49 @@ class _Imp:
             node = settle(self.solve, pq, self.nominal, self.full, events)
             out = self.settled[p_code, q_code] = (*pq[:, 0].tolist(), tuple(events), node)
         return out
+
+    def settle_batch(self, p: np.ndarray, q: np.ndarray, th: np.ndarray,
+                     rows: tuple[int, int, int]) -> np.ndarray:
+        """P's and Q's codes (rows) after a pulse in each column of a batch
+        that enters at codes ``p`` and ``q``, with Q's v_set and P's and Q's
+        reset onset in rows ``rows`` of the threshold table ``th``. When the
+        memo knows every column's key, they are its exit codes. Otherwise
+        ``settle`` runs on the whole batch, so every outcome and every
+        NoConvergence is its own, and every column's outcome is stored,
+        keyed against the cuts as they stand after it."""
+        if self._keys.size:
+            key = self._key(p, q, th, rows)
+            at = self._keys.searchsorted(key)
+            if (self._keys.take(at, mode="clip") == key).all():
+                return self._exits.take(at, axis=1)
+        pq = np.array((p, q))
+        settle(self.solve, pq, th.take(rows, axis=0), self.full)
+        # sorted(set()), not np.unique, which imports numpy.ma when it
+        # returns the values alone
+        cut_p, cut_q = cuts = tuple(np.array(sorted(set(drops))) for drops in zip(
+            *((sol.drop_p, sol.drop_q) for sol in self.solutions.values())))
+        if not all(map(np.array_equal, cuts, self._cuts)):
+            self._cuts, self._keys, self._exits = cuts, _NO_KEYS, _NO_EXITS
+        elif self._keys.size >= SETTLE_MEMO:
+            self._keys, self._exits = _NO_KEYS, _NO_EXITS
+        if _CODES ** 2 * (cut_q.size + 1) ** 2 * (cut_p.size + 1) > 2 ** 63:
+            return pq  # the keys would overflow int64: store nothing
+        self._keys, first = np.unique(np.concatenate((self._keys, self._key(p, q, th, rows))),
+                                      return_index=True)
+        self._exits = np.concatenate((self._exits, pq), axis=1)[:, first]
+        return pq
+
+    def _key(self, p: np.ndarray, q: np.ndarray, th: np.ndarray,
+             rows: tuple[int, int, int]) -> np.ndarray:
+        """Each column's memo key: its entry codes and its thresholds' cells,
+        packed in one int."""
+        cut_p, cut_q = self._cuts
+        key = p * _CODES + q
+        for cuts, row, side in ((cut_q, rows[0], "left"), (cut_p, rows[1], "right"),
+                                (cut_q, rows[2], "right")):
+            key *= cuts.size + 1
+            key += cuts.searchsorted(th[row], side)
+        return key
 
 
 def _zero_signs(config: ImpConfig) -> tuple[float, ...]:
@@ -347,7 +424,11 @@ class _Plan:
     ``ops[i]`` is step i's cell row, or for an implication its ``_Imp`` (one
     per distinct bias, specs and drop signs in the plan), the rows of the
     threshold table that ``settle`` takes (Q's v_set and P's and Q's reset
-    onset), and P's and Q's cell rows. The plan's write steps hold
+    onset), and P's and Q's cell rows. An implication of a batch run
+    without step records settles through its ``_Imp.settle_batch`` memo,
+    which calls ``settle`` only when some column's key is new; one with
+    records, as ``execute`` asks, always calls ``settle``, which so stays
+    the oracle the memo is tested against. The plan's write steps hold
     placeholders: validation does not depend on their values, and every run
     passes its own. A run's state is a list with one entry per cell row: an
     int code at nominal thresholds, or a 1-D ``np.intp`` row of codes, one
@@ -376,8 +457,8 @@ class _Plan:
                         imps[key] = _Imp(config, *key[2:])
                     imp = resolved[step] = imps[key]
                 k = len(drawn)  # P's draw; Q's is k + 1
-                ops.append((imp, np.array([2 * k + 2, 2 * k + 1, 2 * k + 3]),
-                            rows[step.p], rows[step.q]))
+                ops.append((imp, (2 * k + 2, 2 * k + 1, 2 * k + 3), rows[step.p],
+                            rows[step.q]))
                 drawn += (rows[step.p], rows[step.q])
             else:
                 ops.append(rows[step.cell])
@@ -472,7 +553,7 @@ class _Plan:
                    first_trial: int | None = None, records: list | None = None,
                    trail: list | None = None) -> None:
         """The one step interpreter. Runs steps ``start`` to ``stop`` on
-        ``state`` in place, settling each implication through its memo, with
+        ``state`` in place, settling each implication through its memos, with
         ``values`` as the values of their write steps in order, and appends
         column 0's reads to ``reads``. The state holds one entry per cell: an
         int code at nominal thresholds (``th`` None), else a row of codes
@@ -494,9 +575,11 @@ class _Plan:
                     if th is None:
                         state[p], state[q], events, node = imp.settle_nominal(
                             state[p], state[q])
+                    elif records is None:
+                        state[p], state[q] = imp.settle_batch(state[p], state[q], th,
+                                                              th_rows)
                     else:
-                        pq = np.array((state[p], state[q]))
-                        events = [] if records is not None else None
+                        pq, events = np.array((state[p], state[q])), []
                         node = settle(imp.solve, pq, th.take(th_rows, axis=0),
                                       imp.full, events)
                         state[p], state[q] = pq

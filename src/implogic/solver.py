@@ -28,10 +28,14 @@ thresholds switches it (partially or fully) OFF.
 
 The switching rules of a pulse live here once, in ``settle``, over arrays
 of state codes with a column per trial: the program's step interpreter
-(``program._Plan._interpret``) calls it at every implication step, on a
-batch of one trial or of many. A code is a rule, not a table: 0 is OFF at scale 1,
-and k + 1 is ON after k partial resets, at the k-fold product of
-``PARTIAL_RESET_FACTOR`` (``state_of``). These are the only states a run
+(``program._Plan._interpret``) applies them at every implication step, on
+a batch of one trial or of many, through its implications' memos, which
+call ``settle`` for a pulse at nominal thresholds not yet seen, for a
+batch in which some column's key is new (``program._Imp``, whose
+docstring says why a column's outcome is a function of its key), and for
+every step whose records are kept. A code is a rule, not a table: 0 is
+OFF at scale 1, and k + 1 is ON after k partial resets, at the k-fold
+product of ``PARTIAL_RESET_FACTOR`` (``state_of``). These are the only states a run
 reaches, since writes, sets and full resets restore scale 1.
 """
 

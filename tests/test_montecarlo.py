@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import implogic as il
 import implogic.montecarlo as montecarlo_module
 import implogic.program as program_module
+from implogic.solver import settle as solver_settle
 
 
 def _nand_program(a, b):
@@ -306,7 +307,7 @@ def test_batched_yield_independent_of_batch_size(default_stack, monkeypatch):
 
 
 @settings(max_examples=40, deadline=None)
-@given(v_star=st.floats(1.0, 1.8), half=st.floats(0.0, 0.6),
+@given(p_set=st.floats(0.1, 0.7), width=st.floats(0.05, 1.0),
        g_off=st.floats(5e-6, 20e-6), ratio=st.floats(3.0, 20.0),
        onset=st.floats(1.0, 1.8), reset_span=st.floats(0.0, 0.8),
        v_p=st.floats(-5.0, 5.0), resistive=st.booleans(),
@@ -314,20 +315,37 @@ def test_batched_yield_independent_of_batch_size(default_stack, monkeypatch):
        a=st.integers(0, 1), b=st.integers(0, 1),
        # seeds of one 32-bit word or of two, as often as each other
        seed=st.one_of(st.integers(0, 2 ** 32 - 1), st.integers(2 ** 32, 2 ** 64 - 1)))
-def test_batched_yield_property(v_star, half, g_off, ratio, onset, reset_span,
+def test_batched_yield_property(p_set, width, g_off, ratio, onset, reset_span,
                                 v_p, resistive, g_l, drive, a, b, seed):
-    spec = il.MemristorSpec(v_set_min=v_star - half, v_set_max=v_star + half,
-                            v_reset_min=-onset, v_reset_max=-onset - reset_span,
-                            g_on=g_off * ratio, g_off=g_off)
-    specs = {"bottom": spec, "top": spec}
-    if resistive:
-        configs = _bias_pair(v_p, il.ResistiveLoad(g_l, drive),
-                             il.ResistiveLoad(g_l, -drive))
-    else:
-        configs = _bias_pair(v_p, il.CurrentSourceLoad(drive * 1e-4),
-                             il.CurrentSourceLoad(-drive * 1e-4))
-    args = (_nand_program(a, b), il.build_default_stack(), specs, configs,
-            _nand_oracle({"a": a, "b": b}), 16, seed)
+    def spec(v_set_min, v_set_max):
+        return il.MemristorSpec(v_set_min=v_set_min, v_set_max=v_set_max,
+                                v_reset_min=-onset, v_reset_max=-onset - reset_span,
+                                g_on=g_off * ratio, g_off=g_off)
+
+    def bias(sign):
+        if resistive:
+            return _bias_pair(sign * v_p, il.ResistiveLoad(g_l, sign * drive),
+                              il.ResistiveLoad(g_l, -sign * drive))
+        return _bias_pair(sign * v_p, il.CurrentSourceLoad(sign * drive * 1e-4),
+                          il.CurrentSourceLoad(-sign * drive * 1e-4))
+
+    # The set window straddles the drop that decides the output, so that
+    # each chance to set Q does so with probability ``p_set`` and a trial's
+    # outcome turns on its draws. That drop is Q's, OFF, in an implication
+    # from P = a AND b: it must set Q when some input is 0 and must not when
+    # both are 1. The first implication of the program with inputs (a AND b,
+    # 0) has that entry whatever the thresholds. The window is ``width``
+    # times the drop wide, and the bias is mirrored where the drop is negative.
+    stack = il.build_default_stack()
+    configs, specs = bias(1), {"bottom": spec(1.0, 2.0), "top": spec(1.0, 2.0)}
+    drop = il.execute(_nand_program(a & b, 0), stack, specs, configs).steps[3].node.drop_q
+    if drop < 0.0:
+        configs, drop = bias(-1), -drop
+    if drop > 0.0:
+        specs["bottom"] = specs["top"] = spec(drop * (1.0 - p_set * width),
+                                              drop * (1.0 + (1.0 - p_set) * width))
+    args = (_nand_program(a, b), stack, specs, configs, _nand_oracle({"a": a, "b": b}), 16,
+            seed)
     try:
         want = _oracle(*args)
     except (il.NoConvergence, il.ProgramError, ValueError) as exc:
@@ -477,3 +495,42 @@ def test_other_shapes_get_their_own_plans(default_stack):
         il.estimate_yield(program, default_stack, specs, cfg, None, trials=10, seed=2)
         misses.append(program_module._shape_plan.cache_info().misses)
     assert misses == [1, 1, 2, 3, 4, 5, 5]
+
+
+# ---------------------------------------------------------------------------
+# the batch settle memo of a plan's implications
+# ---------------------------------------------------------------------------
+
+def _sinh_study(seed, cold=False):
+    """The reports of the yield_adder_sinh rows, 150 trials each, each row
+    on a new plan if ``cold``."""
+    reports = []
+    for row, (program, stack, specs, configs, oracle) in enumerate(
+            _pinned_rows("full_adder_sinh")):
+        if cold:
+            program_module._shape_plan.cache_clear()
+        reports.append(_report_fields(il.estimate_yield(
+            program, stack, specs, configs, oracle, trials=150, seed=seed + row)))
+    return reports
+
+
+def test_warm_plan_settles_a_fresh_seed_by_lookup(monkeypatch):
+    program_module._shape_plan.cache_clear()
+    _sinh_study(3)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return solver_settle(*args, **kwargs)
+
+    monkeypatch.setattr(program_module, "settle", counted)
+    _sinh_study(1000)
+    assert calls == []
+
+
+def test_cold_and_warm_plans_give_the_same_reports():
+    cold = _sinh_study(20151, cold=True)
+    _sinh_study(7)
+    warm = _sinh_study(20151)
+    assert warm == cold
+    assert 0 < sum(report["passes"] for report, _, _ in cold) < 150 * len(cold)

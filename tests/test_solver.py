@@ -12,6 +12,7 @@ from mpmath import mp
 
 import implogic as il
 from implogic.device import PARTIAL_RESET_FACTOR, DeviceState, Logic, iv_params
+from implogic import program as program_module
 from implogic import solver as solver_module
 from implogic.solver import (MAX_CODE, TOL_CURRENT, EventKind, NodeSolution, _balance,
                              _load_terms, _pair_drops, settle, solve_newton, solve_pair,
@@ -646,3 +647,123 @@ def test_settle_batch_matches_each_column_alone(batch):
     first = settle(solve, batch_codes, th, full, events)
     assert batch_codes.T.tolist() == [col[0] for col in columns]
     assert (events, first) == columns[0][1:]
+
+
+# ---------------------------------------------------------------------------
+# the batch settle memo of a plan's implications (program._Imp.settle_batch)
+# ---------------------------------------------------------------------------
+
+def _memo_imp(solve, full):
+    """A plan's implication whose node solutions come from ``solve``, each
+    pair's kept as ``_Imp.solve`` keeps it, with full-reset levels ``full``."""
+    spec = il.ideal_device_spec()
+    imp = program_module._Imp(il.default_configs(spec)["drive_neg"], spec, spec, 1, 1)
+    imp.full = full
+
+    def solve_once(p, q):
+        if (p, q) not in imp.solutions:
+            imp.solutions[p, q] = solve(p, q)
+        return imp.solutions[p, q]
+
+    imp.solve = solve_once
+    return imp
+
+
+def _outcome(run):
+    """The codes ``run`` returns, or the type, message and column of the
+    NoConvergence it raises."""
+    try:
+        return run().tolist()
+    except il.NoConvergence as exc:
+        return type(exc), str(exc), exc.column
+
+
+def _plain_settle(solve, pq, th, full):
+    codes = pq.copy()
+    settle(solve, codes, th, full)
+    return codes
+
+
+@settings(max_examples=200, deadline=None)
+@given(first=_settle_batches(), more=st.lists(_settle_batches(), min_size=1, max_size=2),
+       repeat=st.booleans())
+def test_settle_memo_matches_settle(first, more, repeat):
+    # consecutive batches through one memo, with the first batch's solve and
+    # its first column's full levels for all (an implication's are
+    # constants); the first batch's columns in reverse order find every key
+    # it stored, unless it raised
+    solve, pq, th, full = first
+    full = full[:, :1]
+    imp = _memo_imp(solve, full)
+    batches = [(pq, th), *([(pq[:, ::-1], th[:, ::-1])] if repeat else []),
+               *(batch[1:3] for batch in more)]
+    for pq, th in batches:
+        entry = pq.copy()
+        want = _outcome(lambda: _plain_settle(solve, pq, th, full))
+        assert _outcome(lambda: imp.settle_batch(pq[0], pq[1], th, (0, 1, 2))) == want
+        assert np.array_equal(pq, entry)  # the entry rows are not written
+
+
+def _memo_fixture(monkeypatch):
+    """An implication on scripted drops, P's 0.5 V and Q's 1.0 V but for
+    Q's 2.0 V in pair (1, 0) and 0.2 V in (1, 1), with full-reset levels
+    out of reach, and a list of the calls of ``settle`` it makes."""
+    drops = {(1, 0): (0.5, 2.0), (1, 1): (0.5, 0.2)}
+    imp = _memo_imp(lambda p, q: NodeSolution(0.0, *drops.get((p, q), (0.5, 1.0)), 0.0, 0),
+                    np.array([[-2.0], [-2.0]]))
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return settle(*args)
+
+    monkeypatch.setattr(program_module, "settle", counted)
+    return imp, calls
+
+
+def test_settle_memo_drops_its_keys_when_a_new_pair_is_solved(monkeypatch):
+    imp, calls = _memo_fixture(monkeypatch)
+    th = np.array([[1.5], [-1.0], [-1.0]])
+    off, on = np.array([0]), np.array([1])
+    assert imp.settle_batch(off, off, th, (0, 1, 2)).tolist() == [[0], [0]]
+    assert imp.settle_batch(off, off, th, (0, 1, 2)).tolist() == [[0], [0]]
+    assert (len(calls), imp._keys.size) == (1, 1)  # the repeat was a lookup
+    # P ON sets Q, solving pairs (1, 0) and (1, 1), whose Q drops are new cuts:
+    # the memo keeps only this batch's key, made against the new cuts
+    assert imp.settle_batch(on, off, th, (0, 1, 2)).tolist() == [[1], [1]]
+    assert [cuts.tolist() for cuts in imp._cuts] == [[0.5], [0.2, 1.0, 2.0]]
+    assert imp._keys.tolist() == imp._key(on, off, th, (0, 1, 2)).tolist()
+    assert imp.settle_batch(off, off, th, (0, 1, 2)).tolist() == [[0], [0]]
+    assert (len(calls), imp._keys.size) == (3, 2)
+
+
+def test_full_settle_memo_is_cleared(monkeypatch):
+    imp, calls = _memo_fixture(monkeypatch)
+    monkeypatch.setattr(program_module, "SETTLE_MEMO", 2)
+    off = np.array([0, 0, 0])
+    # three cells: v_set below or above Q's 1.0 V drop, P's onset above its
+    # 0.5 V drop (P is OFF, so nothing resets)
+    th = np.array([[0.5, 1.5, 1.5], [-1.0, -1.0, 0.7], [-1.0, -1.0, -1.0]])
+    assert imp.settle_batch(off, off, th, (0, 1, 2)).tolist() == [[0, 0, 0], [1, 0, 0]]
+    assert imp._keys.size == 3  # a memo below SETTLE_MEMO takes a whole batch
+    th = np.array([[0.5], [0.7], [-1.0]])  # a fourth cell
+    assert imp.settle_batch(off[:1], off[:1], th, (0, 1, 2)).tolist() == [[0], [1]]
+    assert imp._keys.size == 1  # the full memo was cleared first
+    assert len(calls) == 2
+
+
+def test_settle_memo_keys_keep_ties_and_code_pairs_apart(monkeypatch):
+    # each second batch of a pair would take the first's key if a threshold
+    # at a drop shared the cell beside it (Q sets at a drop equal to v_set, a
+    # reset starts at a drop equal to its onset), or, in the last pair, if
+    # code pairs were packed with 2048 in place of MAX_CODE + 1
+    imp, _ = _memo_fixture(monkeypatch)
+    cases = [((0, 0), (1.5, -1.0, -1.0), (0, 0)), ((0, 0), (1.0, -1.0, -1.0), (0, 1)),
+             ((0, 1), (1.5, -1.0, 0.5), (0, 1)), ((0, 1), (1.5, -1.0, 1.0), (0, 2)),
+             ((1, 1), (1.5, 0.4, -1.0), (1, 1)), ((1, 1), (1.5, 0.5, -1.0), (2, 1)),
+             ((0, MAX_CODE), (1.5, -1.0, 1.0), (0, MAX_CODE)),
+             ((1, 39), (1.5, -1.0, 1.0), (1, 40))]
+    for entry, th, exit_codes in cases:
+        pq, th = np.array(entry)[:, None], np.array(th)[:, None]
+        assert _plain_settle(imp.solve, pq, th, imp.full)[:, 0].tolist() == list(exit_codes)
+        assert imp.settle_batch(pq[0], pq[1], th, (0, 1, 2))[:, 0].tolist() == list(exit_codes)
