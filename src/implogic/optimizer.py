@@ -10,19 +10,22 @@ shrinking refinement grids around the incumbent.
 
 A grid stacks the four state combinations of every pair on a leading axis
 and gives each row its devices' I-V parameters (``device.iv_params``), so
-one solver call covers all of them: the closed form
-``solver.solve_linear`` for pairs of two ohmic devices, the array Newton
-``solver.solve_newton`` for the others, which freezes converged points and
-compacts its arrays only once fewer than half are still open. Every row is
-solved at the first pair's bias, and a pair whose bias signs are flipped
-reads its rows' node voltages negated (both I-V laws, and so both solvers,
-are odd in the bias), so a distinct device pair is solved once per grid and
-a pair jointly constrained with its mirror adds no rows. Each pair's slacks
-reduce through its extreme drops, four arrays a pair. Each point takes the
-arithmetic it would take in a call of its own, so the stacked grid is bit
-for bit the grid of one solve per combination. The slacks reported for the
-winning bias come from ``evaluate_margin``, whose four combinations are one
-``solver.solve_pairs`` call.
+one solve covers all of them: the closed form of ``solver.solve_linear``
+for pairs of two ohmic devices, the array Newton ``solver.solve_newton``
+for the others, which freezes converged points and compacts its arrays
+only once fewer than half are still open. Every row is solved at the first
+pair's bias, and a pair whose bias signs are flipped reads its rows' node
+voltages negated (both I-V laws, and so both solvers, are odd in the
+bias), so a distinct device pair is solved once per grid and a pair
+jointly constrained with its mirror adds no rows. Each pair's slacks reduce
+through its extreme drops, four arrays a pair, and P's extreme drops are
+v_p plus the extreme node voltage. The load refinement at one v_p axis
+asks ``_stacked_margin`` for several loads, so what depends on v_p alone
+is built once per axis. Each point takes the arithmetic it would take in a
+call of its own, so the stacked grid is bit for bit the grid of one solve
+per combination. The slacks reported for the winning bias come from
+``evaluate_margin``, whose four combinations are one ``solver.solve_pairs``
+call.
 """
 
 from __future__ import annotations
@@ -35,8 +38,7 @@ import numpy as np
 
 from . import device as dev
 from .device import Logic, MemristorSpec
-from .solver import (BRACKET, NoConvergence, _columns, is_ohmic, solve_linear,
-                     solve_newton, solve_pairs)
+from .solver import BRACKET, NoConvergence, _columns, is_ohmic, solve_newton, solve_pairs
 from .topology import (CurrentSourceLoad, ImpConfig, ResistiveLoad,
                        StackTopology)
 
@@ -131,17 +133,17 @@ class _Pair:
 
 def _stack(pairs: list[_Pair]) -> list[tuple]:
     """The pairs' state combinations as the rows of stacked grids, one stack
-    per solver: (solver, P's and Q's I-V parameters with one entry per row,
-    and per pair its reads: the rows of its combinations in ``_COMBOS``
-    order, as a slice or an index array, and the pair). Rows are keyed by
-    their devices alone, so a distinct device pair is solved once per grid,
-    at the first pair's bias, and each pair reads its rows' node voltages
-    times its own ``flip``. This is exact wherever the solvers are odd in
-    the bias: both I-V laws are odd in the drop, and negation commutes with
-    the balance's arithmetic and with Newton's bracket and step tests.
-    Pairs of two ohmic devices take ``solve_linear``, the others
-    ``solve_newton``, grouped by the length of each device's parameter
-    tuple."""
+    per solver: (whether the stack is ohmic, P's and Q's I-V parameters with
+    one entry per row, and per pair its reads: the rows of its combinations
+    in ``_COMBOS`` order, as a slice or an index array, and the pair). Rows
+    are keyed by their devices alone, so a distinct device pair is solved
+    once per grid, at the first pair's bias, and each pair reads its rows'
+    node voltages times its own ``flip``. This is exact wherever the solvers
+    are odd in the bias: both I-V laws are odd in the drop, and negation
+    commutes with the balance's arithmetic and with Newton's bracket and
+    step tests. Pairs of two ohmic devices take ``solve_linear``'s
+    arithmetic, the others ``solve_newton``, grouped by the length of each
+    device's parameter tuple."""
     groups: dict[tuple[int, int], tuple[dict, list]] = {}
     for pair in pairs:
         devices = [(dev.iv_params(pair.p_spec, p), dev.iv_params(pair.q_spec, q))
@@ -151,43 +153,102 @@ def _stack(pairs: list[_Pair]) -> list[tuple]:
         end = at[0] + len(_COMBOS)
         reads.append((slice(at[0], end) if at == list(range(at[0], end)) else np.array(at),
                       pair))
-    return [(solve_linear if key == (1, 1) else solve_newton,
-             *(_columns([device[k] for device in rows]) for k in (0, 1)), reads)
+    return [(key == (1, 1), *(_columns([device[k] for device in rows]) for k in (0, 1)), reads)
             for key, (rows, reads) in groups.items()]
 
 
-def _stacked_margin(vp: np.ndarray, ll: np.ndarray, g_l: float,
-                    stacks: list[tuple]) -> np.ndarray:
-    """Worst slack over every pair and state combination of ``stacks``
-    (from ``_stack``) at each point of the broadcast (vp, ll) grid, with
-    each pair's bias times its ``flip``; each stack takes one solver call,
-    at the unflipped bias. Rounding is monotone, so the smallest of a slack
-    over combinations is the slack of the largest or smallest drop: a
-    pair's four slack arrays are the inequalities of ``_slacks`` at its
-    must-set row's Q drop, its largest Q drop over the must-not-set rows,
-    and its largest and smallest P drops."""
-    shape = np.broadcast(vp, ll).shape
+def _stack_solves(vp: np.ndarray, shape: tuple, g_l: float, stacks: list[tuple]) -> list:
+    """Per stack of ``stacks`` (from ``_stack``): a function from the load
+    ``ll`` to its rows' node voltages at each point of ``shape``, the grid
+    that ``vp`` and ``ll`` broadcast to, solved at the unflipped bias; and
+    the stack's reads. Each row takes the bits of its own ``solve_linear``
+    or ``solve_newton`` call.
+
+    What depends on v_p alone is built here, once for every load asked of
+    it: an ohmic stack's numerator -g_p*v_p and denominator g_l + g_p + g_q,
+    each a contiguous array of the stack's rows by ``shape``, so that a load
+    costs one subtract and one divide, the two roundings of
+    ``solve_linear``, and neither broadcasts a short axis, which costs numpy
+    several times an operation on equal shapes. A Newton stack is solved
+    per load by ``solve_newton``, which evaluates its bracket ends and first
+    pass on the rows by v_p grid."""
     rows = (-1,) + (1,) * len(shape)
-    margin = None
-    for solve, p_iv, q_iv, reads in stacks:
+
+    def linear(num, den):
+        def solve(ll):
+            x = np.subtract(num, ll)
+            x /= den
+            return x
+        return solve
+
+    def newton(p_rows, q_rows):
+        return lambda ll: solve_newton(p_rows, vp, q_rows, ll, g_l).reshape((-1,) + shape)
+
+    solves = []
+    for ohmic, p_iv, q_iv, reads in stacks:
         p_rows = [a.reshape(rows) if isinstance(a, np.ndarray) else a for a in p_iv]
         q_rows = [a.reshape(rows) if isinstance(a, np.ndarray) else a for a in q_iv]
         # rows whose parameters all agree come back as one
-        x = solve(p_rows, vp, q_rows, ll, g_l).reshape((-1,) + shape)
-        u = vp + x  # P's drop before its drop sign and the pair's flip
-        for at, pair in reads:
-            u_k, x_k = u[at], x[at]
-            # a drop of sign -1 is largest where the unsigned one is smallest
-            hi, lo = np.maximum.reduce(u_k), np.minimum.reduce(u_k)
-            p_hi, p_lo = (hi, lo) if pair.flip * pair.s_p == 1 else (-lo, -hi)
-            s_q = pair.flip * pair.s_q
-            q_set = x_k[0] if s_q == 1 else -x_k[0]
-            q_not = (np.maximum.reduce(x_k[1:]) if s_q == 1
-                     else -np.minimum.reduce(x_k[1:]))
-            worst = np.minimum(
-                np.minimum(q_set - pair.q_spec.v_set_max, pair.q_spec.v_set_min - q_not),
-                np.minimum(pair.p_spec.v_set_min - p_hi, p_lo - pair.p_spec.v_reset_min))
-            margin = worst if margin is None else np.minimum(margin, worst, out=margin)
+        if ohmic:
+            (g_p,), (g_q,) = p_rows, q_rows
+            num, den = -g_p * vp, g_l + g_p + g_q
+            full = np.broadcast_shapes(np.shape(num), np.shape(den), (1,) + shape)
+            solves.append((linear(*(np.broadcast_to(a, full).copy() for a in (num, den))),
+                           reads))
+        else:
+            solves.append((newton(p_rows, q_rows), reads))
+    return solves
+
+
+def _stacked_margin(vp: np.ndarray, shape: tuple, g_l: float, stacks: list[tuple]):
+    """The worst slack over every pair and state combination of ``stacks``
+    (from ``_stack``) as a function of the load: given ``ll``, the margin at
+    each point of ``shape``, the grid that ``vp`` and ``ll`` broadcast to,
+    with each pair's bias times its ``flip``. Each stack takes one solve of
+    ``_stack_solves``, and v_p is spread over ``shape`` once, for P's
+    drops, so that no operation per load broadcasts a short axis.
+
+    Rounding is monotone, so the smallest of a slack over combinations is
+    the slack of the largest or smallest drop: a pair's four slack arrays
+    are the inequalities of ``_slacks`` at its must-set row's Q drop, its
+    largest Q drop over the must-not-set rows, and its largest and smallest
+    P drops. For the same reason P's largest drop fl(v_p + x) over the rows
+    is fl(v_p + max x), and likewise the smallest, so P's drops are formed
+    for the extremes only; the largest x over a pair's rows is the larger of
+    the must-set row's and the must-not-set rows' largest, which Q's slack
+    takes anyway (the smallest likewise under a flipped Q sign). Each extreme
+    is one of the row values, so the bits are those of the drops' extremes,
+    with one exception that no margin shows: which of +0.0 and -0.0 a tie
+    between the two keeps. Every slack subtracts a nonzero threshold, which
+    takes either zero to the same value."""
+    solves = _stack_solves(vp, shape, g_l, stacks)
+    vp_grid = np.broadcast_to(vp, shape).copy()
+
+    def margin(ll: np.ndarray) -> np.ndarray:
+        worst_all = None
+        for solve, reads in solves:
+            x = solve(ll)
+            for at, pair in reads:
+                x_k = x[at]
+                s_q = pair.flip * pair.s_q
+                if s_q == 1:
+                    q_not = np.maximum.reduce(x_k[1:])
+                    x_hi, x_lo = np.maximum(x_k[0], q_not), np.minimum.reduce(x_k)
+                    q_set = x_k[0]
+                else:
+                    q_not = np.minimum.reduce(x_k[1:])
+                    x_hi, x_lo = np.maximum.reduce(x_k), np.minimum(x_k[0], q_not)
+                    q_set, q_not = -x_k[0], -q_not
+                hi, lo = vp_grid + x_hi, vp_grid + x_lo  # P's drops before sign and flip
+                # a drop of sign -1 is largest where the unsigned one is smallest
+                p_hi, p_lo = (hi, lo) if pair.flip * pair.s_p == 1 else (-lo, -hi)
+                worst = np.minimum(
+                    np.minimum(q_set - pair.q_spec.v_set_max, pair.q_spec.v_set_min - q_not),
+                    np.minimum(pair.p_spec.v_set_min - p_hi, p_lo - pair.p_spec.v_reset_min))
+                worst_all = (worst if worst_all is None
+                             else np.minimum(worst_all, worst, out=worst_all))
+        return worst_all
+
     return margin
 
 
@@ -310,12 +371,13 @@ def optimize(topology: StackTopology, p: str, q: str,
         lo = np.full(n, ll_box[0])
         hi = np.full(n, ll_box[1])
         vp = vp_axis[:, None]
+        margin = _stacked_margin(vp, (n, _COARSE), g_l, stacks)
         best_m = np.full(n, -np.inf)
         best_w = np.zeros(n)
         for _ in range(rounds + 1):
             width = hi - lo
             ll = lo[:, None] + width[:, None] * unit
-            m = _stacked_margin(vp, ll, g_l, stacks)
+            m = margin(ll)
             evaluations += m.size
             j = m.argmax(axis=1)
             m_j = m[rows, j]

@@ -9,8 +9,10 @@ P, Q, and the load.
 A device enters the balance through the parameters of its one I-V law
 (``device.iv_params``), which may be floats or arrays with an entry per
 point, and through its one evaluator, ``device.iv``. One current balance
-(``_balance``), one closed form for two ohmic devices (``solve_linear``)
-and one safeguarded Newton (``solve_newton``) take floats or arrays alike:
+(``_balance``; the Newton loop takes its operations in place into buffers,
+``_balance_into``), one closed form for two ohmic devices
+(``solve_linear``) and one safeguarded Newton (``solve_newton``) take
+floats or arrays alike:
 ``solve_pairs`` runs one of them, and every check, on the state pairs of
 one bias (``solve_pair`` on a single one), and the optimizer's margin
 grids run them over every state combination of a grid at once.
@@ -154,8 +156,10 @@ def _per_point(a, shape: tuple) -> np.ndarray:
 
 
 def _compact(keep: np.ndarray, arrays: list) -> list:
-    """The entries ``keep`` of each array; scalars pass through."""
-    return [a[keep] if isinstance(a, np.ndarray) else a for a in arrays]
+    """The entries at the indices ``keep`` of each array (``take``, several
+    times faster than a boolean mask on every array); scalars pass
+    through."""
+    return [a.take(keep) if isinstance(a, np.ndarray) else a for a in arrays]
 
 
 def solve_newton(p_iv: tuple, vp: np.ndarray, q_iv: tuple, ll: np.ndarray,
@@ -184,36 +188,94 @@ def solve_newton(p_iv: tuple, vp: np.ndarray, q_iv: tuple, ll: np.ndarray,
     ``iterations``, a flat integer array of the grid's size if given,
     receives the pass each point converged in, 0 at a bracket end; those of
     the points still open are left as they are.
+
+    The balance at the bracket ends and at x = 0, pass 1, is ``_balance``
+    at a float x: the devices' currents on the grid of ``vp`` and the
+    parameters alone, which is often far smaller than the whole grid (the
+    optimizer's rows x v_p against rows x v_p x load), then the load added
+    per point. The later passes evaluate it in place into buffers that live
+    for this call (``_balance_into``). Both take every operation of
+    ``_balance`` on the same operands in the same order, so each point's
+    bits are those of a solve of its own, signed zeros included.
     """
+    with np.errstate(over="ignore", invalid="ignore"):
+        f_lo, f_hi = (_balance(end, p_iv, vp, q_iv, ll, g_l, slope=False)
+                      for end in (-BRACKET, BRACKET))
+    return _newton(p_iv, vp, q_iv, ll, g_l, f_lo, f_hi, iterations)
+
+
+def _iv_into(params: tuple, v: np.ndarray, i: np.ndarray, di: np.ndarray):
+    """``dev.iv(params, v)`` computed into the buffers i and di: the same
+    products, in place (a product's operands commute bit for bit). Returns
+    the slope: di, or g itself for an ohmic device."""
+    if len(params) == 1:
+        g, = params
+        np.multiply(g, v, out=i)
+        return g
+    a, b, ab = params
+    bv = np.multiply(b, v, out=di)
+    np.sinh(bv, out=i)
+    i *= a
+    np.cosh(bv, out=di)
+    di *= ab
+    return di
+
+
+def _balance_into(x: np.ndarray, p_iv: tuple, vp: np.ndarray, q_iv: tuple,
+                  ll: np.ndarray, g_l: float, out: list) -> tuple:
+    """``_balance`` at x and its slope, for flat per-point arrays, computed
+    into ``out``: f's buffer, df's and two scratch buffers of x's size. The
+    devices' terms come from ``_iv_into`` and are summed in ``_balance``'s
+    order, so the bits are its bits."""
+    f, df, t, u = out
+    g_p = _iv_into(p_iv, np.add(vp, x, out=t), f, df)  # P's drop in t, then free
+    g_q = _iv_into(q_iv, x, u, t)
+    f += u
+    np.add(g_p, g_q, out=df)
+    f += ll
+    if g_l:
+        f += np.multiply(g_l, x, out=u)
+        df += g_l
+    return f, df
+
+
+def _newton(p_iv: tuple, vp, q_iv: tuple, ll, g_l: float, f_lo, f_hi,
+            iterations: np.ndarray | None) -> np.ndarray:
+    """``solve_newton``, given the balance at the bracket ends, ``f_lo`` and
+    ``f_hi``, each on some grid that broadcasts to the whole one;
+    ``solve_pairs`` passes the ends its up-front checks summed."""
     n_p = len(p_iv)
     shape = np.broadcast_shapes(*map(np.shape, (vp, ll, *p_iv, *q_iv)))
-    vp, ll = (_per_point(a, shape) for a in (vp, ll))
-    params = [_per_point(a, shape) if np.ndim(a) else a for a in (*p_iv, *q_iv)]
     with np.errstate(over="ignore", invalid="ignore"):
-        f_lo, f_hi = (_balance(np.full(vp.size, end), params[:n_p], vp, params[n_p:],
-                               ll, g_l, slope=False) for end in (-BRACKET, BRACKET))
+        f_lo, f_hi = (_per_point(f, shape) for f in (f_lo, f_hi))
         x = np.where(f_lo >= 0.0, -BRACKET, BRACKET)
         bracketed = ~(f_lo >= 0.0) & (f_hi > 0.0)
         if iterations is not None:
             iterations[~bracketed] = 0
         del f_lo, f_hi  # freed before the iteration's arrays, for peak memory
+        f, df = (_per_point(a, shape) for a in _balance(0.0, p_iv, vp, q_iv, ll, g_l))
+        vp, ll = (_per_point(a, shape) for a in (vp, ll))
+        params = [_per_point(a, shape) if np.ndim(a) else a for a in (*p_iv, *q_iv)]
         i = None  # each working point's index in the grid, while not the identity
         if not bracketed.all():
             i = np.flatnonzero(bracketed)
-            vp, ll, *params = _compact(i, [vp, ll, *params])
-        xi = np.zeros(vp.size)
-        lo = np.full(vp.size, -BRACKET)
-        hi = np.full(vp.size, BRACKET)
-        mid = np.empty(vp.size)
-        step, step_old = np.full(vp.size, np.inf), np.full(vp.size, np.inf)  # the last two steps
-        still = np.ones(vp.size, dtype=bool)  # the points not yet converged
-        n_open = vp.size
+            vp, ll, f, df, *params = _compact(i, [vp, ll, f, df, *params])
+        n = vp.size
+        out, flags = list(np.empty((4, n))), list(np.empty((2, n), dtype=bool))
+        xi = np.zeros(n)
+        lo = np.full(n, -BRACKET)
+        hi = np.full(n, BRACKET)
+        mid = np.empty(n)
+        step, step_old = np.full(n, np.inf), np.full(n, np.inf)  # the last two steps
+        still = np.ones(n, dtype=bool)  # the points not yet converged
+        n_open = n
         for it in range(1, MAX_ITERATIONS + 1):
             if not n_open:
                 break
-            f, df = _balance(xi, params[:n_p], vp, params[n_p:], ll, g_l)
-            dx = f / df
-            above = f > 0.0
+            if it > 1:  # pass 1's balance, at x = 0, was evaluated above
+                f, df = _balance_into(xi, params[:n_p], vp, params[n_p:], ll, g_l, out)
+            dx = np.divide(f, df, out=df)
+            above = np.greater(f, 0.0, out=flags[0])
             hi = np.where(above, xi, hi)
             lo = np.where(above, lo, xi)
             np.add(lo, hi, out=mid)
@@ -226,23 +288,26 @@ def solve_newton(p_iv: tuple, vp: np.ndarray, q_iv: tuple, ll: np.ndarray,
             if n_open < still.size:
                 done &= still
             if done.any():
-                at = done if i is None else i[done]
-                x[at] = xi[done]
+                k = np.flatnonzero(done)  # the points converged in this pass
+                at = k if i is None else i.take(k)
+                x[at] = xi.take(k)
                 if iterations is not None:
                     iterations[at] = it
-                still &= ~done
-                n_open = int(np.count_nonzero(still))
+                still[k] = False
+                n_open -= k.size
                 if 2 * n_open < still.size:
-                    i = np.flatnonzero(still) if i is None else i[still]
+                    keep = np.flatnonzero(still)
+                    i = keep if i is None else i.take(keep)
                     xi, dx, mid, lo, hi, step, step_old, vp, ll, *params = _compact(
-                        still, [xi, dx, mid, lo, hi, step, step_old, vp, ll, *params])
+                        keep, [xi, dx, mid, lo, hi, step, step_old, vp, ll, *params])
+                    out, flags = ([a[:n_open] for a in bufs] for bufs in (out, flags))
                     still = np.ones(n_open, dtype=bool)
-            x_new = xi - dx
-            newton = lo <= x_new
-            newton &= x_new <= hi
+            x_new = np.subtract(xi, dx, out=out[2])
+            newton = np.less_equal(lo, x_new, out=flags[0])
+            newton &= np.less_equal(x_new, hi, out=flags[1])
             np.abs(dx, out=dx)
             dx *= 2.0
-            newton &= dx <= step_old
+            newton &= np.less_equal(dx, step_old, out=flags[1])
             x_new = np.where(newton, x_new, mid)
             step, step_old = step_old, step
             np.subtract(x_new, xi, out=step)
@@ -313,7 +378,7 @@ def solve_pairs(p_spec: MemristorSpec, q_spec: MemristorSpec,
                     f"node floats: the closed-form root is {x[~np.isfinite(x)][0]:g} V")
         else:
             count = np.full(n, -1, dtype=np.intp)  # stays -1 where a point is still open
-            x = solve_newton(p_iv, vp, q_iv, ll, g_l, count)
+            x = _newton(p_iv, vp, q_iv, ll, g_l, f_lo, f_hi, count)
         residual = _balance(x, p_iv, vp, q_iv, ll, g_l, slope=False)
     failed = (count < 0) & ~(np.abs(residual) <= TOL_CURRENT)
     if failed.any():

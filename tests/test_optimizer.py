@@ -13,12 +13,18 @@ import implogic as il
 from implogic import device as dev
 from implogic import optimizer
 from implogic.optimizer import (_COMBOS, Infeasible, _Pair, _pair_info, _slacks, _stack,
-                                _stacked_margin)
+                                _stack_solves, _stacked_margin)
 from implogic.solver import BRACKET, is_ohmic, solve_linear, solve_newton, solve_pair
 
 
 def _specs_for(default_stack, spec):
     return {ref: spec for ref in {c.spec_ref for c in default_stack.cells.values()}}
+
+
+def _margin(vp, ll, g_l, stacks):
+    """The stacked margin grid of ``stacks`` at the loads ``ll``."""
+    return _stacked_margin(vp, np.broadcast_shapes(np.shape(vp), np.shape(ll)),
+                           g_l, stacks)(ll)
 
 
 def test_evaluate_margin_matches_analytic_at_optimum(default_stack, bottom_spec):
@@ -177,7 +183,7 @@ def test_nonlinear_grid_matches_scalar_solver(default_stack, sinh_spec,
     vp = np.linspace(-1.5, 0.5, 7)[:, None]
     ll = np.linspace(-1e-4, 2e-5, 5)[None, :]
     for spec in (sinh_spec, bottom_spec):  # array Newton, closed form
-        grid = _stacked_margin(vp, ll, 0.0, _stack([_Pair(spec, spec, 1, 1)]))
+        grid = _margin(vp, ll, 0.0, _stack([_Pair(spec, spec, 1, 1)]))
         for i, v in enumerate(vp[:, 0]):
             for j, cur in enumerate(ll[0]):
                 cfg = il.ImpConfig(v_p=float(v),
@@ -194,7 +200,7 @@ def test_nonlinear_resistive_grid_matches_scalar_solver(default_stack, sinh_spec
     vp = np.linspace(-1.2, 0.2, 5)[:, None]
     ll = np.linspace(-1.2e-4, 0.0, 5)[None, :]
     for spec in (sinh_spec, bottom_spec):
-        grid = _stacked_margin(vp, ll, g_l, _stack([_Pair(spec, spec, 1, 1)]))
+        grid = _margin(vp, ll, g_l, _stack([_Pair(spec, spec, 1, 1)]))
         for i, v in enumerate(vp[:, 0]):
             for j, cur in enumerate(ll[0]):
                 cfg = il.ImpConfig(v_p=float(v), load=il.ResistiveLoad(
@@ -281,7 +287,7 @@ def _assert_grid_matches_bisection(vp, ll, g_l, p_spec, q_spec, s_p=1, s_q=1):
     # drawn specs and loads keep its roots within 1 kV
     bracket = 1e3 if is_ohmic(p_spec, q_spec) else BRACKET
     np.testing.assert_allclose(
-        _stacked_margin(vp, ll, g_l, _stack([_Pair(p_spec, q_spec, s_p, s_q)])),
+        _margin(vp, ll, g_l, _stack([_Pair(p_spec, q_spec, s_p, s_q)])),
         _bisection_margin(vp, ll, g_l, p_spec, q_spec, s_p, s_q, bracket),
         rtol=0.0, atol=1e-9)
 
@@ -585,6 +591,75 @@ def test_flipped_pair_optimizations_pinned(case):
     assert (outcome, hashlib.sha256(blob).hexdigest()) == _FLIPPED_PINS[case]
 
 
+# single-pair ohmic optimizations at the default rounds: seed k's spec from
+# _ohmic_pin_case, on T1>T2 for even k and the cross-level B1>T1 for odd k;
+# sha256 of the sorted to_json, of Infeasible.result where the call is
+# infeasible, recorded before the ohmic grids hoisted their v_p-only terms
+_OHMIC_PINS = {
+    "0/current_source":
+        ("ok", "190e86933ac15991071ed99cffec214b051476ec8df97691cbbb19e16a06aeb6"),
+    "0/resistive":
+        ("ok", "d0bb7deccb389d11e38701fb58e7a0996e7d7fac8cff56a03fb6969e00aca984"),
+    "1/current_source":
+        ("ok", "1f52b3175e7d374a9e08e122332bac0307fe11c5e85f1884202f347450c814bd"),
+    "1/resistive":
+        ("ok", "e8cd19753e8cd499f5dbee39e91b7889edc1ccaa2d5aeec09d3373dabcc09180"),
+    "2/current_source":
+        ("ok", "d204786cfd66cc470b6af68d9da884e781d98ea63a908637b5f70f6e7bf76f87"),
+    "2/resistive":
+        ("ok", "64f3f72b0b7de06e3e9ef2679284389a2de2eae237cbf0b12714ba338ed0b268"),
+    "3/current_source":
+        ("ok", "dd59c500ed32180dcf806ec641d5c80c859c516a5313924a3aaed336a77bc577"),
+    "3/resistive":
+        ("ok", "69c3eb6e98c024f8ab0ba77d84d92b729d9761c7b67c6cb786987cb75868581b"),
+    "4/current_source":
+        ("infeasible", "23552c7cdf056287f49b6236cb165b49baa24a32ee6b7c4000c616fbdd42d085"),
+    "4/resistive":
+        ("infeasible", "e07ae5a3dd3864947ab3c302cb1c699e5b836e8caf99adb15e59e4ed2cc20234"),
+    "5/current_source":
+        ("ok", "3c8313fce740cb7900ab5fad00e88625dec6304ef7b3e55faffbe85f3bc96462"),
+    "5/resistive":
+        ("ok", "3e8e218d8bd40ad3d74e8cd0d3bcb1d26929ff15e7e27b5c231ceba8d340d977"),
+    "6/current_source":
+        ("ok", "60d754ba839ae60445e495105c914e0efb2ca05d33cb6cefa1848bfeb2d91319"),
+    "6/resistive":
+        ("infeasible", "edaad381ee6512944001f41e1e78f5ce74da2c7305bbb020f9d80a843c9c7bad"),
+    "7/current_source":
+        ("ok", "399f53038c04981b20cf1f0cc37af1eb4588c8af862293ceb8ec3a87dfbabbc1"),
+    "7/resistive":
+        ("ok", "c7738aea9670efd0b82994084a82d30511d801d3edb739746b4b6bf676b045a8"),
+}
+
+
+def _ohmic_pin_case(seed):
+    """An ohmic spec, the same for both levels, and a resistive g_l near the
+    legacy load, drawn from seed ``seed``; wide set windows make some
+    optimizations infeasible."""
+    rng = np.random.default_rng((2029, seed))
+    v_star, half = rng.uniform(1.2, 1.8), rng.uniform(0.0, 0.6)
+    g_off = rng.uniform(2e-6, 20e-6)
+    spec = il.MemristorSpec(v_set_min=v_star - half, v_set_max=v_star + half,
+                            v_reset_min=-1.5, v_reset_max=-2.2,
+                            g_on=g_off * rng.uniform(4.0, 25.0), g_off=g_off)
+    return spec, il.legacy_load(spec.g_on, spec.g_off) * rng.uniform(0.5, 1.5)
+
+
+@pytest.mark.parametrize("case", list(_OHMIC_PINS))
+def test_ohmic_optimizations_pinned(default_stack, case):
+    # every float of the result and whether it is feasible, bit for bit
+    seed, load = case.split("/")
+    spec, g_l = _ohmic_pin_case(int(seed))
+    pair = ("T1", "T2") if int(seed) % 2 == 0 else ("B1", "T1")
+    try:
+        res, outcome = il.optimize(default_stack, *pair, {"bottom": spec, "top": spec},
+                                   load_kind=load,
+                                   g_l=g_l if load == "resistive" else 0.0), "ok"
+    except Infeasible as exc:
+        res, outcome = exc.result, "infeasible"
+    blob = json.dumps(res.to_json(), sort_keys=True).encode()
+    assert (outcome, hashlib.sha256(blob).hexdigest()) == _OHMIC_PINS[case]
+
+
 def _per_combination_margin(vp, ll, g_l, pairs):
     """The worst slack over ``pairs`` with one solver call per pair and
     state combination, on each pair's signed bias."""
@@ -601,12 +676,18 @@ def _per_combination_margin(vp, ll, g_l, pairs):
     return margin
 
 
+_ZEROS = st.sampled_from((0.0, -0.0))
+
+
 @st.composite
 def _stacked_grids(draw):
+    # signed zero drives and loads, where a node voltage or a drop may be
+    # -0.0, are drawn often
     rows, cols = draw(st.integers(1, 9)), draw(st.integers(1, 40))
-    values = st.floats(-3.0, 3.0)
+    values = st.one_of(_ZEROS, st.floats(-3.0, 3.0))
+    loads = st.one_of(_ZEROS, st.floats(-7e-4, 7e-4))
     vp = np.array(draw(st.lists(values, min_size=rows, max_size=rows)))
-    ll = np.array(draw(st.lists(st.floats(-7e-4, 7e-4), min_size=cols, max_size=cols)))
+    ll = np.array(draw(st.lists(loads, min_size=cols, max_size=cols)))
     # (rows, 1) x (cols,), (rows, cols) x (rows, cols), or one flat axis
     layout = draw(st.sampled_from(("outer", "full", "flat")))
     if layout == "outer":
@@ -647,20 +728,29 @@ def _stacked_pairs(draw):
        g_l=st.one_of(st.just(0.0), st.floats(1e-6, 1e-3)))
 def test_stacked_grid_equals_per_combination_solves(grid, pairs, g_l):
     # all pairs' state combinations in one solver call per kind of I-V law
-    # give the bits of one solve_newton or solve_linear call per combination
+    # give the bits of one solve_newton or solve_linear call per combination,
+    # and P's extreme drops taken as v_p plus the extreme x give the bits of
+    # the extremes of its drops; bytes, so that -0.0 differs from 0.0
     vp, ll = grid
-    np.testing.assert_array_equal(_stacked_margin(vp, ll, g_l, _stack(pairs)),
-                                  _per_combination_margin(vp, ll, g_l, pairs))
-    pair = pairs[0]
-    if not is_ohmic(pair.p_spec, pair.q_spec):
-        p_iv, q_iv = ([np.array(col)[:, None, None] for col in zip(
-            *(dev.iv_params(spec, combo[k]) for combo in _COMBOS))]
-            for k, spec in ((0, pair.p_spec), (1, pair.q_spec)))
-        x = solve_newton(p_iv, np.atleast_2d(vp), q_iv, np.atleast_2d(ll), g_l)
-        for row, (p_state, q_state) in enumerate(_COMBOS):
-            np.testing.assert_array_equal(x[row], solve_newton(
-                dev.iv_params(pair.p_spec, p_state), np.atleast_2d(vp),
-                dev.iv_params(pair.q_spec, q_state), np.atleast_2d(ll), g_l))
+    _assert_same_bits(_margin(vp, ll, g_l, _stack(pairs)),
+                      _per_combination_margin(vp, ll, g_l, pairs))
+    # and every row of a stack, with its terms that depend on v_p alone
+    # built once, takes the bits of its own solve_linear or solve_newton
+    stacks = _stack(pairs)
+    shape = np.broadcast_shapes(vp.shape, ll.shape)
+    for (ohmic, p_iv, q_iv, _), (solve, _) in zip(stacks,
+                                                 _stack_solves(vp, shape, g_l, stacks)):
+        x = solve(ll)
+        for row in range(len(x)):
+            p_row, q_row = (tuple(col[row] if np.ndim(col) else col for col in iv)
+                            for iv in (p_iv, q_iv))
+            _assert_same_bits(x[row], (solve_linear if ohmic else solve_newton)(
+                p_row, vp, q_row, ll, g_l))
+
+
+def _assert_same_bits(got, want):
+    assert (got.shape, got.dtype) == (want.shape, want.dtype)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_stacked_grid_with_one_law_for_both_states():
@@ -672,7 +762,7 @@ def test_stacked_grid_with_one_law_for_both_states():
     vp = np.linspace(-2.0, 2.0, 5)[:, None]
     ll = np.linspace(-3e-5, 3e-5, 7)[None, :]
     pairs = [_Pair(spec, spec, 1, 1)]
-    np.testing.assert_array_equal(_stacked_margin(vp, ll, 0.0, _stack(pairs)),
+    np.testing.assert_array_equal(_margin(vp, ll, 0.0, _stack(pairs)),
                                   _per_combination_margin(vp, ll, 0.0, pairs))
 
 
@@ -704,7 +794,7 @@ def test_joint_pair_rows_are_solved_once(adder_stack, b, g_l, second, sign):
     assert max(np.size(col) for col in (*p_iv, *q_iv)) == 4
     assert [(at, pair.flip) for at, pair in reads] == [(slice(0, 4), 1.0),
                                                        (slice(0, 4), sign)]
-    np.testing.assert_array_equal(_stacked_margin(*_MIRROR_GRID, g_l, [stack]),
+    np.testing.assert_array_equal(_margin(*_MIRROR_GRID, g_l, [stack]),
                                   _per_combination_margin(*_MIRROR_GRID, g_l, pairs))
 
 
@@ -726,7 +816,7 @@ def test_pair_reads_shared_rows_with_both_signs():
     at, pair = stack[3][2]
     np.testing.assert_array_equal(at, [0, 3, 0, 3])
     assert pair.flip == -1.0
-    np.testing.assert_array_equal(_stacked_margin(*_MIRROR_GRID, 0.0, [stack]),
+    np.testing.assert_array_equal(_margin(*_MIRROR_GRID, 0.0, [stack]),
                                   _per_combination_margin(*_MIRROR_GRID, 0.0, pairs))
 
 
@@ -747,8 +837,8 @@ def test_joint_grid_is_the_min_of_each_pairs_own_grid(adder_stack, b, g_l, top):
     pairs = [first, _pair_info(adder_stack, specs, ("T1", "B1"), first.s_q)]
     assert pairs[1].flip == -1.0
     np.testing.assert_array_equal(
-        _stacked_margin(*_MIRROR_GRID, g_l, _stack(pairs)),
-        np.minimum(*(_stacked_margin(*_MIRROR_GRID, g_l, _stack([pair])) for pair in pairs)))
+        _margin(*_MIRROR_GRID, g_l, _stack(pairs)),
+        np.minimum(*(_margin(*_MIRROR_GRID, g_l, _stack([pair])) for pair in pairs)))
 
 
 def _end_root_loads(spec, v_p):
