@@ -227,20 +227,28 @@ def iv_params(spec: MemristorSpec, state: DeviceState) -> tuple[float, ...]:
     return (state.conductance_scale * (spec.g_on if on else spec.g_off),)
 
 
-def iv(params: tuple, v, slope: bool = True):
+def iv(params: tuple, v, slope: bool = True, out: tuple = (None, None)):
     """The one I-V law: (current, dI/dV) at drop v for the parameters of
     ``iv_params``, or the current alone when ``slope`` is False; the
     parameters and v may be floats or arrays that broadcast together, and
-    take the same numpy functions. Sinh: a*sinh(b*v) and (a*b)*cosh(b*v),
-    with b*v formed once; ohmic: g*v and g. Both are odd in v. Where sinh or
-    cosh overflows, the result saturates to inf with numpy's warning."""
+    take the same numpy ufuncs, so a float gives the bits of the same array
+    entry. Sinh: a*sinh(b*v) and (a*b)*cosh(b*v), with b*v formed once;
+    ohmic: g*v and g. Both are odd in v. Where sinh or cosh overflows, the
+    result saturates to inf with numpy's warning.
+
+    ``out`` is numpy's ``out`` for the current and the slope: None
+    allocates, an array of the result's shape receives it (b*v goes to the
+    slope's buffer first), and either gives the same bits. An ohmic device
+    returns g as its slope and leaves that buffer alone."""
+    i_out, di_out = out
     if len(params) == 1:
         g, = params
-        return (g * v, g) if slope else g * v
+        i = np.multiply(g, v, i_out)
+        return (i, g) if slope else i
     a, b, ab = params
-    bv = b * v
-    i = a * np.sinh(bv)
-    return (i, ab * np.cosh(bv)) if slope else i
+    bv = np.multiply(b, v, di_out)
+    i = np.multiply(a, np.sinh(bv, i_out), i_out)
+    return (i, np.multiply(ab, np.cosh(bv, di_out), di_out)) if slope else i
 
 
 def current(spec: MemristorSpec, state: DeviceState, v):

@@ -30,6 +30,7 @@ call.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -38,7 +39,8 @@ import numpy as np
 
 from . import device as dev
 from .device import Logic, MemristorSpec
-from .solver import BRACKET, NoConvergence, _columns, is_ohmic, solve_newton, solve_pairs
+from .solver import (BRACKET, NoConvergence, _columns, _linear_root, _linear_terms, is_ohmic,
+                     solve_newton, solve_pairs)
 from .topology import (CurrentSourceLoad, ImpConfig, ResistiveLoad,
                        StackTopology)
 
@@ -165,21 +167,14 @@ def _stack_solves(vp: np.ndarray, shape: tuple, g_l: float, stacks: list[tuple])
     or ``solve_newton`` call.
 
     What depends on v_p alone is built here, once for every load asked of
-    it: an ohmic stack's numerator -g_p*v_p and denominator g_l + g_p + g_q,
-    each a contiguous array of the stack's rows by ``shape``, so that a load
-    costs one subtract and one divide, the two roundings of
-    ``solve_linear``, and neither broadcasts a short axis, which costs numpy
-    several times an operation on equal shapes. A Newton stack is solved
-    per load by ``solve_newton``, which evaluates its bracket ends and first
-    pass on the rows by v_p grid."""
+    it: an ohmic stack's closed-form terms (``solver._linear_terms``), each
+    made a contiguous array of the stack's rows by ``shape``, so that a load
+    costs ``solver._linear_root``'s one subtract and one divide, the two
+    roundings of ``solve_linear``, and neither broadcasts a short axis,
+    which costs numpy several times an operation on equal shapes. A Newton
+    stack is solved per load by ``solve_newton``, which evaluates its
+    bracket ends and first pass on the rows by v_p grid."""
     rows = (-1,) + (1,) * len(shape)
-
-    def linear(num, den):
-        def solve(ll):
-            x = np.subtract(num, ll)
-            x /= den
-            return x
-        return solve
 
     def newton(p_rows, q_rows):
         return lambda ll: solve_newton(p_rows, vp, q_rows, ll, g_l).reshape((-1,) + shape)
@@ -190,11 +185,10 @@ def _stack_solves(vp: np.ndarray, shape: tuple, g_l: float, stacks: list[tuple])
         q_rows = [a.reshape(rows) if isinstance(a, np.ndarray) else a for a in q_iv]
         # rows whose parameters all agree come back as one
         if ohmic:
-            (g_p,), (g_q,) = p_rows, q_rows
-            num, den = -g_p * vp, g_l + g_p + g_q
-            full = np.broadcast_shapes(np.shape(num), np.shape(den), (1,) + shape)
-            solves.append((linear(*(np.broadcast_to(a, full).copy() for a in (num, den))),
-                           reads))
+            terms = _linear_terms(p_rows, vp, q_rows, g_l)
+            full = np.broadcast_shapes(*map(np.shape, terms), (1,) + shape)
+            solves.append((functools.partial(
+                _linear_root, *(np.broadcast_to(a, full).copy() for a in terms)), reads))
         else:
             solves.append((newton(p_rows, q_rows), reads))
     return solves

@@ -190,6 +190,8 @@ class StepProgram:
 
             op = s.get("op")
             if op == "write":
+                # a number, passed on as written so that a message shows 7, not 7.0
+                _check_json(s["value"], float, f"step {i} value")
                 steps.append(WriteStep(cell=name("cell"), value=s["value"]))
             elif op == "reset":
                 steps.append(ResetStep(cell=name("cell")))

@@ -9,10 +9,11 @@ P, Q, and the load.
 A device enters the balance through the parameters of its one I-V law
 (``device.iv_params``), which may be floats or arrays with an entry per
 point, and through its one evaluator, ``device.iv``. One current balance
-(``_balance``; the Newton loop takes its operations in place into buffers,
-``_balance_into``), one closed form for two ohmic devices
-(``solve_linear``) and one safeguarded Newton (``solve_newton``) take
-floats or arrays alike:
+(``_balance``, which the Newton loop evaluates into buffers of its own
+through numpy's ``out``), one closed form for two ohmic devices
+(``solve_linear``, whose load-free terms the optimizer builds once per
+v_p axis through ``_linear_terms`` and ``_linear_root``) and one
+safeguarded Newton (``solve_newton``) take floats or arrays alike:
 ``solve_pairs`` runs one of them, and every check, on the state pairs of
 one bias (``solve_pair`` on a single one), and the optimizer's margin
 grids run them over every state combination of a grid at once.
@@ -109,22 +110,32 @@ class SwitchEvent:
     iteration: int
 
 
-def _balance(x, p_iv: tuple, vp, q_iv: tuple, ll, g_l: float, slope: bool = True):
+def _balance(x, p_iv: tuple, vp, q_iv: tuple, ll, g_l: float, slope: bool = True,
+             out: tuple = (None,) * 4):
     """Signed current sum into the node and its derivative at node coordinate
     x (= v_c), or the sum alone when ``slope`` is False, for P's and Q's I-V
     parameters (``dev.iv_params``), over floats or arrays as ``dev.iv``;
     ``ll`` is the load current (g_l * v_l for a resistive load, i_l for a
     current source). A g_l of 0.0 adds no terms, which changes no bit: where
-    the sum is -0.0 so is Q's current, so x <= 0 and g_l * x is -0.0."""
-    i_p, i_q = dev.iv(p_iv, vp + x, slope), dev.iv(q_iv, x, slope)
+    the sum is -0.0 so is Q's current, so x <= 0 and g_l * x is -0.0.
+
+    ``out`` is numpy's ``out`` for the sum, the slope and two scratch
+    arrays, all of the result's shape, as the Newton loop passes them; None
+    allocates. P's drop goes in the first scratch buffer and, once P's terms
+    are formed from it, Q's slope; Q's current goes in the second. The
+    operations and their order are the same either way, so are the bits."""
+    f_out, df_out, t, u = out
+    i_p = dev.iv(p_iv, np.add(vp, x, t), slope, (f_out, df_out))
+    i_q = dev.iv(q_iv, x, slope, (u, t))
     if slope:
         (i_p, g_p), (i_q, g_q) = i_p, i_q
-    f = i_p + i_q + ll
+    f = np.add(np.add(i_p, i_q, f_out), ll, f_out)
     if g_l:
-        f = f + g_l * x
+        f = np.add(f, np.multiply(g_l, x, u), f_out)
     if not slope:
         return f
-    return f, (g_p + g_q + g_l if g_l else g_p + g_q)
+    df = np.add(g_p, g_q, df_out)
+    return f, (np.add(df, g_l, df_out) if g_l else df)
 
 
 def _load_terms(load: ResistiveLoad | CurrentSourceLoad) -> tuple[float, float]:
@@ -139,11 +150,24 @@ def is_ohmic(p_spec: MemristorSpec, q_spec: MemristorSpec) -> bool:
     return all(isinstance(spec.iv_model, dev.LinearIV) for spec in (p_spec, q_spec))
 
 
-def solve_linear(p_iv: tuple, vp, q_iv: tuple, ll, g_l: float):
-    """The closed-form root of the balance of two ohmic devices, over floats
-    or arrays as ``_balance``."""
+def _linear_terms(p_iv: tuple, vp, q_iv: tuple, g_l: float) -> tuple:
+    """The load-free terms of ``solve_linear``'s closed form: the
+    numerator's -g_p*v_p and the denominator g_l + g_p + g_q."""
     (g_p,), (g_q,) = p_iv, q_iv
-    return (-g_p * vp - ll) / (g_l + g_p + g_q)
+    return -g_p * vp, g_l + g_p + g_q
+
+
+def _linear_root(num, den, ll):
+    """The closed-form root from ``_linear_terms``' terms and the load
+    current ``ll``."""
+    return (num - ll) / den
+
+
+def solve_linear(p_iv: tuple, vp, q_iv: tuple, ll, g_l: float):
+    """The closed-form root of the balance of two ohmic devices,
+    (-g_p*v_p - ll) / (g_l + g_p + g_q), over floats or arrays as
+    ``_balance``."""
+    return _linear_root(*_linear_terms(p_iv, vp, q_iv, g_l), ll)
 
 
 def _per_point(a, shape: tuple) -> np.ndarray:
@@ -193,61 +217,16 @@ def solve_newton(p_iv: tuple, vp: np.ndarray, q_iv: tuple, ll: np.ndarray,
     at a float x: the devices' currents on the grid of ``vp`` and the
     parameters alone, which is often far smaller than the whole grid (the
     optimizer's rows x v_p against rows x v_p x load), then the load added
-    per point. The later passes evaluate it in place into buffers that live
-    for this call (``_balance_into``). Both take every operation of
-    ``_balance`` on the same operands in the same order, so each point's
-    bits are those of a solve of its own, signed zeros included.
+    per point. The later passes evaluate ``_balance`` into four buffers that
+    live for this call. Either way each point takes every operation of
+    ``_balance`` on the same operands in the same order, so its bits are
+    those of a solve of its own, signed zeros included.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        f_lo, f_hi = (_balance(end, p_iv, vp, q_iv, ll, g_l, slope=False)
-                      for end in (-BRACKET, BRACKET))
-    return _newton(p_iv, vp, q_iv, ll, g_l, f_lo, f_hi, iterations)
-
-
-def _iv_into(params: tuple, v: np.ndarray, i: np.ndarray, di: np.ndarray):
-    """``dev.iv(params, v)`` computed into the buffers i and di: the same
-    products, in place (a product's operands commute bit for bit). Returns
-    the slope: di, or g itself for an ohmic device."""
-    if len(params) == 1:
-        g, = params
-        np.multiply(g, v, out=i)
-        return g
-    a, b, ab = params
-    bv = np.multiply(b, v, out=di)
-    np.sinh(bv, out=i)
-    i *= a
-    np.cosh(bv, out=di)
-    di *= ab
-    return di
-
-
-def _balance_into(x: np.ndarray, p_iv: tuple, vp: np.ndarray, q_iv: tuple,
-                  ll: np.ndarray, g_l: float, out: list) -> tuple:
-    """``_balance`` at x and its slope, for flat per-point arrays, computed
-    into ``out``: f's buffer, df's and two scratch buffers of x's size. The
-    devices' terms come from ``_iv_into`` and are summed in ``_balance``'s
-    order, so the bits are its bits."""
-    f, df, t, u = out
-    g_p = _iv_into(p_iv, np.add(vp, x, out=t), f, df)  # P's drop in t, then free
-    g_q = _iv_into(q_iv, x, u, t)
-    f += u
-    np.add(g_p, g_q, out=df)
-    f += ll
-    if g_l:
-        f += np.multiply(g_l, x, out=u)
-        df += g_l
-    return f, df
-
-
-def _newton(p_iv: tuple, vp, q_iv: tuple, ll, g_l: float, f_lo, f_hi,
-            iterations: np.ndarray | None) -> np.ndarray:
-    """``solve_newton``, given the balance at the bracket ends, ``f_lo`` and
-    ``f_hi``, each on some grid that broadcasts to the whole one;
-    ``solve_pairs`` passes the ends its up-front checks summed."""
     n_p = len(p_iv)
     shape = np.broadcast_shapes(*map(np.shape, (vp, ll, *p_iv, *q_iv)))
     with np.errstate(over="ignore", invalid="ignore"):
-        f_lo, f_hi = (_per_point(f, shape) for f in (f_lo, f_hi))
+        f_lo, f_hi = (_per_point(_balance(end, p_iv, vp, q_iv, ll, g_l, slope=False), shape)
+                      for end in (-BRACKET, BRACKET))
         x = np.where(f_lo >= 0.0, -BRACKET, BRACKET)
         bracketed = ~(f_lo >= 0.0) & (f_hi > 0.0)
         if iterations is not None:
@@ -273,7 +252,7 @@ def _newton(p_iv: tuple, vp, q_iv: tuple, ll, g_l: float, f_lo, f_hi,
             if not n_open:
                 break
             if it > 1:  # pass 1's balance, at x = 0, was evaluated above
-                f, df = _balance_into(xi, params[:n_p], vp, params[n_p:], ll, g_l, out)
+                f, df = _balance(xi, params[:n_p], vp, params[n_p:], ll, g_l, out=out)
             dx = np.divide(f, df, out=df)
             above = np.greater(f, 0.0, out=flags[0])
             hi = np.where(above, xi, hi)
@@ -347,16 +326,12 @@ def solve_pairs(p_spec: MemristorSpec, q_spec: MemristorSpec,
         floats = vp * 0.0 + p_iv[-1] + q_iv[-1] + g_l == 0.0
         rejected, overflows = floats, []
         if not ohmic:
-            ends = []  # the balance at each bracket end, summed as _balance sums it
             for x in (-BRACKET, BRACKET):
-                i_pq = []
                 for role, params, v in (("P", p_iv, v_p + x), ("Q", q_iv, x)):
                     i, di = dev.iv(params, np.full(n, v))
-                    i_pq.append(i)
                     overflows.append((~(np.isfinite(i) & np.isfinite(di)), role, x, v))
-                f = i_pq[0] + i_pq[1] + ll
-                ends.append(f + g_l * x if g_l else f)
-            f_lo, f_hi = ends
+            f_lo, f_hi = (_balance(x, p_iv, vp, q_iv, ll, g_l, slope=False)
+                          for x in (-BRACKET, BRACKET))
             rejected = np.logical_or.reduce(
                 [floats, *(over for over, *_ in overflows), f_lo > 0.0, f_hi < 0.0])
         if rejected.any():
@@ -378,7 +353,7 @@ def solve_pairs(p_spec: MemristorSpec, q_spec: MemristorSpec,
                     f"node floats: the closed-form root is {x[~np.isfinite(x)][0]:g} V")
         else:
             count = np.full(n, -1, dtype=np.intp)  # stays -1 where a point is still open
-            x = _newton(p_iv, vp, q_iv, ll, g_l, f_lo, f_hi, count)
+            x = solve_newton(p_iv, vp, q_iv, ll, g_l, count)
         residual = _balance(x, p_iv, vp, q_iv, ll, g_l, slope=False)
     failed = (count < 0) & ~(np.abs(residual) <= TOL_CURRENT)
     if failed.any():

@@ -531,6 +531,10 @@ MALFORMED = {
     "outputs a list": _set("program", "outputs", ["T2"]),
     "configs not an object": _set("program", "configs", 5),
     "cell is a list": _first_step("cell", ["B1"]),
+    # a write value must be a JSON number, and true is not one
+    "write value a string": _first_step("value", "1"),
+    "write value null": _first_step("value", None),
+    "write value true": _first_step("value", True),
     "cells not a list": _set("circuit", "cells", 5),
     "cell not an object": _set("circuit", "cells", [1]),
     "specs a list": _set("circuit", "specs", [1]),

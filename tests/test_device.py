@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import implogic as il
 from implogic.device import Logic, ON, OFF, iv, iv_params
@@ -30,15 +30,38 @@ def test_sinh_small_signal_matches_conductance(sinh_spec):
     assert i == pytest.approx(expected, rel=1e-12)
 
 
-def test_iv_slope_array_matches_float(bottom_spec, sinh_spec):
-    v = np.linspace(-4.0, 4.0, 17)
-    for spec in (bottom_spec, sinh_spec):
-        for state in (ON, OFF, il.DeviceState(Logic.ON, 0.7),
-                      il.DeviceState(Logic.OFF, 0.49)):
-            params = iv_params(spec, state)
-            got = np.broadcast_to(iv(params, v)[1], v.shape)
-            want = [iv(params, float(x))[1] for x in v]
-            np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
+_IV_SPECS = st.one_of(
+    st.just(il.bottom_device_spec()),
+    st.builds(lambda b_on, b_off: il.bottom_device_spec(
+        il.sinh_iv_from_conductances(115e-6, 10e-6, b_on, b_off)),
+        st.floats(0.1, 100.0), st.floats(0.1, 100.0)))
+_IV_STATES = st.builds(il.DeviceState, st.sampled_from(Logic), st.one_of(
+    st.sampled_from((1.0, 0.7, 0.49)), st.floats(0.0, 1.0, exclude_min=True)))
+# signed zeros, drops inside the Newton bracket, and drops that overflow
+# sinh and cosh at a steep b
+_IV_DROPS = st.one_of(st.sampled_from((0.0, -0.0)), st.floats(-12.0, 12.0),
+                      st.floats(-1e3, 1e3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(spec=_IV_SPECS, state=_IV_STATES, v=st.lists(_IV_DROPS, min_size=1, max_size=8))
+def test_iv_float_array_and_out_calls_give_the_same_bytes(spec, state, v):
+    # a float, an array and an array into out buffers give the same current
+    # and slope bits, for both laws, at any drop
+    params = iv_params(spec, state)
+    drops = np.array(v)
+    buffers = tuple(np.empty((2, drops.size)))
+    with np.errstate(over="ignore", invalid="ignore"):  # 0 * inf at a state near 0
+        i, di = iv(params, drops)
+        i_out, di_out = iv(params, drops, out=buffers)
+        floats = [iv(params, x) for x in v]
+        currents = [il.current(spec, state, x) for x in v]
+    assert i_out is buffers[0] and di_out is (buffers[1] if len(params) == 3 else params[0])
+    for got in (i_out, np.array([f[0] for f in floats]), np.array(currents)):
+        assert got.tobytes() == i.tobytes()
+    for got in (di_out, np.array([f[1] for f in floats])):
+        assert np.broadcast_to(got, drops.shape).tobytes() == (
+            np.broadcast_to(di, drops.shape).tobytes())
 
 
 def test_sinh_slope_validation_rejects_mismatch():

@@ -250,8 +250,12 @@ def test_writes_must_be_binary():
         il.WriteStep("B1", 7)
     with pytest.raises(ProgramError):
         il.with_inputs(il.nand_macro("B1", "B2", "T2"), {"a": 5, "b": 1})
-    for value in (2, -1, 0.5, "1", None):
+    for value in (2, -1, 0.5):
         with pytest.raises(ProgramError):
+            il.StepProgram.from_json(
+                {"steps": [{"op": "write", "cell": "B1", "value": value}]})
+    for value in ("1", None, True):  # not a JSON number: a file-format error
+        with pytest.raises(ValueError, match="step 0 value must be a number"):
             il.StepProgram.from_json(
                 {"steps": [{"op": "write", "cell": "B1", "value": value}]})
     assert il.WriteStep("B1", 1.0) == il.WriteStep("B1", 1)

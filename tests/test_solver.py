@@ -366,13 +366,13 @@ def test_up_front_errors_take_the_first_rejected_pair(states, v_p, i_l, message)
     assert _bracket_end_error(states, v_p, i_l).startswith(message)
 
 
-def _never_converges(p_iv, vp, q_iv, ll, g_l, f_lo, f_hi, iterations=None):
+def _never_converges(p_iv, vp, q_iv, ll, g_l, iterations=None):
     """A Newton whose every point is still open at x = 0."""
     return np.zeros(np.shape(vp))
 
 
 def test_residual_error_comes_after_every_up_front_error(monkeypatch):
-    monkeypatch.setattr(solver_module, "_newton", _never_converges)
+    monkeypatch.setattr(solver_module, "solve_newton", _never_converges)
     assert _bracket_end_error([(OFF, OFF)], 1.0, 0.0) == (
         "residual 1.42e-05 A after 100 iterations")
     # a later pair's up-front error is raised before the earlier one's residual
@@ -382,37 +382,9 @@ def test_residual_error_comes_after_every_up_front_error(monkeypatch):
         "no current-balance root in [-10.0, 10.0] V (f(-10.0)=987, f(10.0)=1.06e+03)")
 
 
-def _converged_at_zero(p_iv, vp, q_iv, ll, g_l, f_lo, f_hi, iterations):
-    """A Newton whose every point converged at x = 0 in one pass."""
-    iterations[:] = 1
-    return np.zeros(np.shape(vp))
-
-
-def test_solve_pairs_sums_the_bracket_ends_from_the_overflow_test(monkeypatch):
-    # the balance at the bracket ends is summed from the currents the
-    # overflow test computes, so _balance runs once, for the residual; the
-    # no-root message still shows _balance's values at the ends, with a
-    # load conductance too
-    calls = []
-    balance, newton = solver_module._balance, solver_module._newton
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return balance(*args, **kwargs)
-
-    monkeypatch.setattr(solver_module, "_balance", counted)
-    monkeypatch.setattr(solver_module, "_newton", _converged_at_zero)
-    solve_pairs(_GENTLE, _GENTLE, [(OFF, OFF), (_ON, OFF)],
-                il.ImpConfig(1.0, il.CurrentSourceLoad(0.0)))
-    assert len(calls) == 1
-    # the Newton loop takes those ends as they are: it adds only its first
-    # pass, at x = 0.0, and evaluates no bracket end again
-    monkeypatch.setattr(solver_module, "_newton", newton)
-    calls.clear()
-    solve_pairs(_GENTLE, _GENTLE, [(OFF, OFF), (_ON, OFF)],
-                il.ImpConfig(1.0, il.CurrentSourceLoad(0.0)))
-    assert len(calls) == 2 and calls[0][0] == 0.0 and np.shape(calls[1][0]) == (2,)
-    monkeypatch.undo()
+def test_solve_pairs_sums_the_bracket_ends_from_the_overflow_test():
+    # the no-root message shows _balance's values at the bracket ends, with
+    # a load conductance too
     load = il.ResistiveLoad(g_l=2e-5, v_l=5e3)  # 0.1 A into the node: no root
     g_l, ll = _load_terms(load)
     f_lo, f_hi = _balance(np.array([-10.0, 10.0]), iv_params(_GENTLE, _ON), 0.3,
@@ -437,9 +409,10 @@ _SIGNED = st.one_of(st.sampled_from((0.0, -0.0)), st.floats(-12.0, 12.0))
        ll=st.one_of(st.sampled_from((0.0, -0.0)), st.floats(-1e-3, 1e-3)),
        g_l=st.one_of(st.just(0.0), st.floats(1e-6, 1e-3)))
 def test_balance_into_buffers_has_the_bits_of_balance(p_laws, q_laws, x, vp, ll, g_l):
-    # the Newton loop's in-place balance, over per-point parameter arrays
-    # of one law per device (or one float each), is _balance bit for bit,
-    # signed zeros and overflowing sinh included
+    # _balance into the Newton loop's four buffers, over per-point parameter
+    # arrays of one law per device (or one float each), is _balance without
+    # them bit for bit, signed zeros and overflowing sinh included, and each
+    # point is the sum i_p + i_q + ll (+ g_l * x) in that order, at floats
     n = len(x)
     p_law = [law for law in p_laws if len(law) == len(p_laws[0])]
     q_law = [law for law in q_laws if len(law) == len(q_laws[0])]
@@ -448,10 +421,18 @@ def test_balance_into_buffers_has_the_bits_of_balance(p_laws, q_laws, x, vp, ll,
     x, vp, ll = np.array(x), np.full(n, vp), np.full(n, ll)
     with np.errstate(over="ignore", invalid="ignore"):
         want = _balance(x, p_iv, vp, q_iv, ll, g_l)
-        got = solver_module._balance_into(x, p_iv, vp, q_iv, ll, g_l, list(np.empty((4, n))))
-    for g, w in zip(got, want):
+        got = _balance(x, p_iv, vp, q_iv, ll, g_l, out=tuple(np.empty((4, n))))
+        by_point = []
+        for k in range(n):
+            p_k, q_k = (tuple(np.broadcast_to(a, (n,))[k] for a in params)
+                        for params in (p_iv, q_iv))
+            i_p, g_p = il.device.iv(p_k, vp[k] + x[k])
+            i_q, g_q = il.device.iv(q_k, x[k])
+            f, df = i_p + i_q + ll[k], g_p + g_q
+            by_point.append((f + g_l * x[k], df + g_l) if g_l else (f, df))
+    for g, w, p in zip(got, want, zip(*by_point)):
         w = np.broadcast_to(w, (n,))
-        assert g.tobytes() == w.tobytes()
+        assert g.tobytes() == w.tobytes() == np.array(p, dtype=float).tobytes()
 
 
 def _nominal(specs, stack):
