@@ -2,11 +2,11 @@
 
 For a device pair and a load kind, the margin of a bias point is the worst
 signed slack over the full correctness inequality set, evaluated with the
-node solver across all four initial-state combinations: the target must
-set when both devices start OFF, must not set otherwise, and the
-conditioning device must neither set nor begin to reset in any
-combination. The optimizer runs a coarse grid over (v_p, load) followed by
-shrinking refinement grids around the incumbent.
+node solver across all four initial-state combinations: the target must set
+when both devices start OFF, must not set otherwise, and the conditioning
+device must neither set nor begin to reset in any combination, as
+``_slacks`` defines once. The optimizer runs a coarse grid over (v_p, load)
+followed by shrinking refinement grids around the incumbent.
 
 A grid stacks the four state combinations of every pair on a leading axis
 and gives each row its devices' I-V parameters (``device.iv_params``), so
@@ -77,13 +77,15 @@ class OptimizationResult:
                 "evaluations": self.evaluations}
 
 
-def _slacks(p_logic: Logic, q_logic: Logic, drop_p, drop_q,
-            p_spec: MemristorSpec, q_spec: MemristorSpec) -> tuple:
-    """The three correctness slacks of one initial-state combination, named
-    by ``_SLACK_NAMES``; drops may be floats or arrays."""
-    target = (drop_q - q_spec.v_set_max if p_logic is q_logic is Logic.OFF
-              else q_spec.v_set_min - drop_q)       # must set / must not set
-    return (target, p_spec.v_set_min - drop_p, drop_p - p_spec.v_reset_min)
+def _slacks(q_set, q_not, p_hi, p_lo, p_spec: MemristorSpec, q_spec: MemristorSpec) -> tuple:
+    """The one definition of the correctness inequalities, as slacks >= 0
+    where they hold over the specs' threshold windows: Q sets at drop
+    ``q_set`` and not at ``q_not``, P neither sets at ``p_hi`` nor begins to
+    reset at ``p_lo``; floats or arrays. In ``settle``'s terms, must-set's
+    slack >= 0 is ``drop >= v_set`` for every v_set in the window, and any
+    other > 0 is neither ``drop >= v_set`` nor ``drop <= onset`` for any."""
+    return (q_set - q_spec.v_set_max, q_spec.v_set_min - q_not,
+            p_spec.v_set_min - p_hi, p_lo - p_spec.v_reset_min)
 
 
 _SLACK_NAMES = {
@@ -96,21 +98,19 @@ _SLACK_NAMES = {
 
 def evaluate_margin(topology: StackTopology, p: str, q: str, config: ImpConfig,
                     p_spec: MemristorSpec, q_spec: MemristorSpec) -> dict[str, float]:
-    """Signed slacks of the correctness inequalities for one bias point.
-
-    Twelve slacks: the must-set condition at (OFF, OFF), the must-not-set
-    condition for the other three combinations, and the two conditioning-
-    device disturbance bounds (no set, no reset onset) for all four. All
-    are >= 0 iff the step is correct for every initial state; the margin is
-    their minimum. The four combinations are solved together by
-    ``solver.solve_pairs``, which raises as ``solve_pair`` does.
-    """
+    """Signed slacks of the correctness inequalities for one bias point:
+    ``_slacks`` of each combination, named by ``_SLACK_NAMES``, with must-set
+    at (OFF, OFF) and must-not-set elsewhere. All are >= 0 iff the step is
+    correct for every initial state; the margin is their minimum. The four
+    combinations are one ``solver.solve_pairs`` call, which raises as
+    ``solve_pair`` does."""
     s_p, s_q = topology.step_signs(p, q)
     slacks: dict[str, float] = {}
-    for (p_state, q_state), sol in zip(_COMBOS, solve_pairs(p_spec, q_spec, _COMBOS,
-                                                            config, s_p, s_q)):
-        slacks.update(zip(_SLACK_NAMES[p_state, q_state], _slacks(
-            p_state.logic, q_state.logic, sol.drop_p, sol.drop_q, p_spec, q_spec)))
+    for combo, sol in zip(_COMBOS, solve_pairs(p_spec, q_spec, _COMBOS, config, s_p, s_q)):
+        q_set, q_not, *p_slacks = _slacks(sol.drop_q, sol.drop_q, sol.drop_p, sol.drop_p,
+                                          p_spec, q_spec)
+        slacks.update(zip(_SLACK_NAMES[combo],
+                          (q_set if combo == _COMBOS[0] else q_not, *p_slacks)))
     return slacks
 
 
@@ -204,14 +204,14 @@ def _stacked_margin(vp: np.ndarray, shape: tuple, g_l: float, stacks: list[tuple
 
     Rounding is monotone, so the smallest of a slack over combinations is
     the slack of the largest or smallest drop: a pair's four slack arrays
-    are the inequalities of ``_slacks`` at its must-set row's Q drop, its
-    largest Q drop over the must-not-set rows, and its largest and smallest
-    P drops. For the same reason P's largest drop fl(v_p + x) over the rows
-    is fl(v_p + max x), and likewise the smallest, so P's drops are formed
-    for the extremes only; the largest x over a pair's rows is the larger of
-    the must-set row's and the must-not-set rows' largest, which Q's slack
-    takes anyway (the smallest likewise under a flipped Q sign). Each extreme
-    is one of the row values, so the bits are those of the drops' extremes,
+    are ``_slacks`` of its must-set row's Q drop, its largest Q drop over
+    the must-not-set rows, and its largest and smallest P drops. For the
+    same reason P's largest drop fl(v_p + x) over the rows is
+    fl(v_p + max x), and likewise the smallest, so P's drops are formed for
+    the extremes only; the largest x over a pair's rows is the larger of the
+    must-set row's and the must-not-set rows' largest, which Q's slack takes
+    anyway (the smallest likewise under a flipped Q sign). Each extreme is
+    one of the row values, so the bits are those of the drops' extremes,
     with one exception that no margin shows: which of +0.0 and -0.0 a tie
     between the two keeps. Every slack subtracts a nonzero threshold, which
     takes either zero to the same value."""
@@ -236,9 +236,8 @@ def _stacked_margin(vp: np.ndarray, shape: tuple, g_l: float, stacks: list[tuple
                 hi, lo = vp_grid + x_hi, vp_grid + x_lo  # P's drops before sign and flip
                 # a drop of sign -1 is largest where the unsigned one is smallest
                 p_hi, p_lo = (hi, lo) if pair.flip * pair.s_p == 1 else (-lo, -hi)
-                worst = np.minimum(
-                    np.minimum(q_set - pair.q_spec.v_set_max, pair.q_spec.v_set_min - q_not),
-                    np.minimum(pair.p_spec.v_set_min - p_hi, p_lo - pair.p_spec.v_reset_min))
+                a, b, c, d = _slacks(q_set, q_not, p_hi, p_lo, pair.p_spec, pair.q_spec)
+                worst = np.minimum(np.minimum(a, b), np.minimum(c, d))
                 worst_all = (worst if worst_all is None
                              else np.minimum(worst_all, worst, out=worst_all))
         return worst_all
@@ -311,7 +310,8 @@ def optimize(topology: StackTopology, p: str, q: str,
     signs flipped, so one parameter magnitude serves both output levels.
     Deterministic: ties resolve to the lexicographically smallest
     (v_p, load). Raises Infeasible when the best margin is negative, and
-    ValueError when ``g_l`` is not a finite real number or ``rounds`` not
+    ValueError when ``g_l`` is not a finite real number, or a resistive one
+    so small that a load over it gives no finite v_l, or ``rounds`` not
     an int >= 0 (bools are neither here), when a constraint is not a
     (P, Q) pair of cell names, or when ``specs`` lacks the spec ref of a
     paired cell; NotAdjacent for a pair that shares no wire; and
@@ -343,13 +343,16 @@ def optimize(topology: StackTopology, p: str, q: str,
         names.append(tuple(pair))
     first = _pair_info(topology, specs, names[0])
     pairs = [first] + [_pair_info(topology, specs, pair, first.s_q) for pair in names[1:]]
-    _reject_unsolvable(names, pairs)
 
     all_specs = [spec for pair in pairs for spec in (pair.p_spec, pair.q_spec)]
     vstar = max(s.v_set_star for s in all_specs)
     g_on_max = max(s.g_on for s in all_specs)
     vp_box = (-2.0 * vstar, 2.0 * vstar)
     ll_box = (-4.0 * vstar * g_on_max, 4.0 * vstar * g_on_max)
+
+    if g_l and not math.isfinite(ll_box[1] / g_l):
+        raise ValueError(f"g_l is too small for a finite v_l = load / g_l, got {g_l!r}")
+    _reject_unsolvable(names, pairs)
 
     stacks = _stack(pairs)
     evaluations = 0

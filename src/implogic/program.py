@@ -299,14 +299,14 @@ class _Imp:
     already matched it; the full-reset levels are the constants ``full``,
     and no column's decisions depend on another's. Every pair a column
     visits has been solved, so its drops are cuts, and a threshold's cell
-    decides each comparison with a cut: Q sets when its drop is >= v_set,
-    so v_set's cell counts the cuts below it (``side="left"``); a reset
-    starts when a drop is <= the onset, so an onset's cell counts the cuts
-    at or below it (``side="right"``). Two columns with equal entry codes
-    in one cell therefore take the same passes to the same exit codes, and
-    a batch whose every key is known settles, as a plain ``settle`` would,
-    without raising. Keys index the cuts they were made with, so the memo
-    is dropped when the cuts change."""
+    decides each comparison with a cut: Q sets when its drop is >= v_set, so
+    v_set's cell counts the cuts below it (``side="left"``); a reset starts
+    when a drop is <= the onset, so an onset's cell counts the cuts at or
+    below it (``side="right"``), the sides that ``optimizer._slacks`` signs.
+    Two columns with equal entry codes in one cell therefore take the same
+    passes to the same exit codes, and a batch whose every key is known
+    settles, as a plain ``settle`` would, without raising. Keys index the
+    cuts they were made with, so the memo is dropped when those change."""
 
     def __init__(self, config: ImpConfig, p_spec: MemristorSpec, q_spec: MemristorSpec,
                  s_p: int, s_q: int):

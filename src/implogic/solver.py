@@ -450,13 +450,13 @@ def settle(solve: Callable[[int, int], NodeSolution], pq: np.ndarray, th: np.nda
     per trial; ``solve`` maps a (P code, Q code) pair to its node solution.
 
     Each pass solves the node, then applies at most one event per rule to
-    each column: Q sets if OFF and its drop reaches v_set; P, then Q,
-    resets fully (to OFF, code 0) at or below its full level, or else
-    partially (ON only, to the next code, capped at ``MAX_CODE``) at or
-    below its onset. A rule that has matched a device once in a pulse,
-    whether or not the device switched, does not match it again. The
-    lattice is monotone within a pulse, so a column stops in a few passes,
-    and the pulse ends at the first pass in which no column switches.
+    each column: Q sets if OFF and its drop is ``>= v_set``; P, then Q,
+    resets fully (to OFF, code 0) at ``<= full``, or else partially (ON
+    only, to the next code, capped at ``MAX_CODE``) at ``<= onset``, the
+    sides that ``optimizer._slacks`` signs. A rule that has matched a device
+    once in a pulse, whether or not it switched, does not match it again.
+    The lattice is monotone within a pulse, so a column stops in a few
+    passes, and the pulse ends at the first pass in which none switches.
 
     A column in which a pass switched nothing keeps its codes, and so its
     drops, and switches nothing in any later pass, so the rules need not be

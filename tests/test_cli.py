@@ -583,11 +583,15 @@ def test_optimize_rejects_negative_rounds_flag(circuit_file):
 
 
 def test_optimize_rejects_non_finite_load(circuit_file, capsys):
-    capsys.readouterr()
-    rc = main(["optimize", "--topology", circuit_file, "--pairs", "T1:T2",
-               "--load", "resistive:nan"])
-    assert rc == 2
-    assert json.loads(capsys.readouterr().out)["error"] == "config"
+    for load, message in (
+            ("nan", "g_l must be finite, got nan"),
+            ("5e-324", "g_l is too small for a finite v_l = load / g_l, got 5e-324")):
+        capsys.readouterr()
+        rc = main(["optimize", "--topology", circuit_file, "--pairs", "T1:T2",
+                   "--load", f"resistive:{load}"])
+        assert rc == 2
+        assert json.loads(capsys.readouterr().out) == {"error": "config",
+                                                       "message": f"ValueError: {message}"}
 
 
 # ---------------------------------------------------------------------------

@@ -12,13 +12,22 @@ from hypothesis import example, given, settings, strategies as st
 import implogic as il
 from implogic import device as dev
 from implogic import optimizer
-from implogic.optimizer import (_COMBOS, Infeasible, _Pair, _pair_info, _slacks, _stack,
-                                _stack_solves, _stacked_margin)
+from implogic.optimizer import (_COMBOS, Infeasible, _Pair, _pair_info, _stack, _stack_solves,
+                                _stacked_margin)
 from implogic.solver import BRACKET, is_ohmic, solve_linear, solve_newton, solve_pair
 
 
 def _specs_for(default_stack, spec):
     return {ref: spec for ref in {c.spec_ref for c in default_stack.cells.values()}}
+
+
+def _combination_slacks(p_state, q_state, drop_p, drop_q, p_spec, q_spec):
+    """The test oracle's correctness slacks of one initial-state combination,
+    in ``evaluate_margin``'s order, written out here: Q must set at (OFF,
+    OFF) and must not set elsewhere, and P neither sets nor begins to reset."""
+    target = (drop_q - q_spec.v_set_max if (p_state, q_state) == (dev.OFF, dev.OFF)
+              else q_spec.v_set_min - drop_q)
+    return (target, p_spec.v_set_min - drop_p, drop_p - p_spec.v_reset_min)
 
 
 def _margin(vp, ll, g_l, stacks):
@@ -230,6 +239,16 @@ def test_optimize_rejects_non_finite_g_l(default_stack, bottom_spec, kind, g_l):
         il.optimize(default_stack, "T1", "T2", specs, load_kind=kind, g_l=g_l)
 
 
+def test_optimize_rejects_a_g_l_too_small_for_a_finite_v_l(default_stack, bottom_spec,
+                                                           monkeypatch):
+    # before any grid, and naming g_l, not the v_l = load / g_l it overflows
+    monkeypatch.setattr(optimizer, "_stacked_margin", _no_grid)
+    specs = _specs_for(default_stack, bottom_spec)
+    with pytest.raises(ValueError, match=re.escape(
+            "g_l is too small for a finite v_l = load / g_l, got 5e-324")):
+        il.optimize(default_stack, "T1", "T2", specs, load_kind="resistive", g_l=5e-324)
+
+
 def test_optimize_rejects_negative_rounds(default_stack, bottom_spec):
     specs = _specs_for(default_stack, bottom_spec)
     with pytest.raises(ValueError, match="rounds must be >= 0"):
@@ -270,8 +289,8 @@ def _bisection_margin(vp, ll, g_l, p_spec, q_spec, s_p, s_q, bracket=BRACKET):
     margin = np.full(np.broadcast_shapes(vp.shape, ll.shape), np.inf)
     for p_state, q_state in _COMBOS:
         x = _bisection_node(p_spec, p_state, vp, q_spec, q_state, ll, g_l, bracket)
-        for slack in _slacks(p_state.logic, q_state.logic, s_p * (vp + x),
-                             s_q * x, p_spec, q_spec):
+        for slack in _combination_slacks(p_state, q_state, s_p * (vp + x), s_q * x,
+                                         p_spec, q_spec):
             np.minimum(margin, slack, out=margin)
     return margin
 
@@ -670,8 +689,8 @@ def _per_combination_margin(vp, ll, g_l, pairs):
             solve = solve_linear if is_ohmic(pair.p_spec, pair.q_spec) else solve_newton
             x = solve(dev.iv_params(pair.p_spec, p_state), f_vp,
                       dev.iv_params(pair.q_spec, q_state), f_ll, g_l)
-            for slack in _slacks(p_state.logic, q_state.logic, pair.s_p * (f_vp + x),
-                                 pair.s_q * x, pair.p_spec, pair.q_spec):
+            for slack in _combination_slacks(p_state, q_state, pair.s_p * (f_vp + x),
+                                             pair.s_q * x, pair.p_spec, pair.q_spec):
                 np.minimum(margin, slack, out=margin)
     return margin
 
@@ -916,8 +935,8 @@ def test_evaluate_margin_equals_pointwise_solves(spec, v_p, ll, g_l, pair):
     try:
         for p_state, q_state in _COMBOS:
             sol = solve_pair(spec, p_state, spec, q_state, cfg, s_p, s_q)
-            want += _slacks(p_state.logic, q_state.logic, sol.drop_p, sol.drop_q,
-                            spec, spec)
+            want += _combination_slacks(p_state, q_state, sol.drop_p, sol.drop_q,
+                                        spec, spec)
     except il.NoConvergence as exc:
         with pytest.raises(il.NoConvergence, match=re.escape(str(exc))):
             il.evaluate_margin(stack, *pair, cfg, spec, spec)

@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
@@ -408,6 +408,9 @@ _SIGNED = st.one_of(st.sampled_from((0.0, -0.0)), st.floats(-12.0, 12.0))
        x=st.lists(_SIGNED, min_size=1, max_size=6), vp=_SIGNED,
        ll=st.one_of(st.sampled_from((0.0, -0.0)), st.floats(-1e-3, 1e-3)),
        g_l=st.one_of(st.just(0.0), st.floats(1e-6, 1e-3)))
+# P's and Q's currents cancel exactly, and the load is below half an ulp of
+# either, so the sum is the load only in the order i_p + i_q + ll
+@example(p_laws=[(1e-4,)], q_laws=[(1e-4,)], x=[-0.5], vp=1.0, ll=1e-21, g_l=0.0)
 def test_balance_into_buffers_has_the_bits_of_balance(p_laws, q_laws, x, vp, ll, g_l):
     # _balance into the Newton loop's four buffers, over per-point parameter
     # arrays of one law per device (or one float each), is _balance without
